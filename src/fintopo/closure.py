@@ -3,37 +3,34 @@ and interior operators given as dense tables over all subsets."""
 
 from .errors import InteriorAxiomViolation, KuratowskiViolation, UniverseMismatch
 from .setops import SetSystem, full_mask, points_of
-from .topology import Topology, neighborhood_relation
+from .topology import Topology
 
 
 def interior(topology, a_mask):
-    """Union of the open subsets of A: the largest open set inside A."""
-    u = 0
-    for o in topology.opens:
-        if o & ~a_mask == 0:
-            u |= o
-    return u
+    """The largest open set inside A: the points x with U_x inside A."""
+    i = 0
+    for x, u in enumerate(topology.minimal_opens):
+        if u & ~a_mask == 0:
+            i |= 1 << x
+    return i
 
 
 def closure(topology, a_mask):
-    """Intersection of the closed supersets of A."""
-    full = full_mask(topology.n)
-    c = full
-    for o in topology.opens:
-        cl = full ^ o
-        if a_mask & ~cl == 0:
-            c &= cl
+    """The smallest closed superset of A: the points x with U_x meeting A."""
+    c = 0
+    for x, u in enumerate(topology.minimal_opens):
+        if u & a_mask:
+            c |= 1 << x
     return c
 
 
 def derived_set(topology, a_mask):
     """Limit points of A: x such that every neighborhood of x meets
-    A away from x.  It suffices to check open neighborhoods."""
-    n = topology.n
+    A away from x.  It suffices to check U_x, which every neighborhood
+    of x contains."""
     d = 0
-    for x in range(n):
-        opens_at_x = [o for o in topology.opens if o >> x & 1]
-        if all((a_mask & o) & ~(1 << x) for o in opens_at_x):
+    for x, u in enumerate(topology.minimal_opens):
+        if u & a_mask & ~(1 << x):
             d |= 1 << x
     return d
 
@@ -94,20 +91,41 @@ class SubsetOperator:
         return SubsetOperator(self.n, [full ^ self.table[full ^ a] for a in range(1 << self.n)])
 
 
+def _closure_table(topology):
+    """closure(A) for every subset A.  Closure is additive, so each
+    entry is the entry without A's lowest point joined with the closure
+    of that point, {x : y in U_x} for the point y."""
+    n = topology.n
+    point_closures = [0] * n
+    for x, u in enumerate(topology.minimal_opens):
+        for y in points_of(u):
+            point_closures[y] |= 1 << x
+    table = [0] * (1 << n)
+    for a in range(1, 1 << n):
+        low = a & -a
+        table[a] = table[a ^ low] | point_closures[low.bit_length() - 1]
+    return table
+
+
 def closure_operator_of(topology):
-    return SubsetOperator(topology.n,
-                          [closure(topology, a) for a in range(1 << topology.n)])
+    return SubsetOperator(topology.n, _closure_table(topology))
 
 
 def interior_operator_of(topology):
-    return SubsetOperator(topology.n,
-                          [interior(topology, a) for a in range(1 << topology.n)])
+    """The dual of the closure operator: int(A) = X minus cl(X minus A)."""
+    full = full_mask(topology.n)
+    return SubsetOperator(topology.n, [full ^ c for c in reversed(_closure_table(topology))])
 
 
 def check_closure_axioms(op):
     """None if op satisfies the closure-operator axioms, else
-    (axiom, witness): fixes the empty set, is extensive, distributes
-    over pairwise unions, and is idempotent."""
+    (axiom, witness): fixes the empty set, is extensive, is idempotent,
+    and distributes over pairwise unions.
+
+    Given f(empty) = empty, additivity holds iff f(A) = f(A minus
+    {a}) | f({a}) for a the lowest point of each nonempty A, so one
+    pass over the 2^n subsets decides it.  A failure there is reported
+    with the pair (A minus {a}, {a}), a true counterexample."""
     t = op.table
     if t[0] != 0:
         return ('empty-fixed', 0)
@@ -117,10 +135,10 @@ def check_closure_axioms(op):
             return ('extensive', a)
         if t[t[a]] != t[a]:
             return ('idempotent', a)
-    for a in range(size):
-        for b in range(size):
-            if t[a | b] != t[a] | t[b]:
-                return ('additive', (a, b))
+    for a in range(1, size):
+        low = a & -a
+        if t[a] != t[a ^ low] | t[low]:
+            return ('additive', (a ^ low, low))
     return None
 
 
@@ -136,8 +154,14 @@ def topology_from_closure_operator(op):
 
 def check_interior_axioms(op):
     """None if op satisfies the interior-operator axioms, else
-    (axiom, witness): fixes the carrier, is contractive, distributes
-    over pairwise intersections, and is idempotent."""
+    (axiom, witness): fixes the carrier, is contractive, is idempotent,
+    and distributes over pairwise intersections.
+
+    The dual of the closure check: given f(X) = X, multiplicativity
+    holds iff f(A) = f(A | {a}) & f(X minus {a}) for a the lowest point
+    outside each proper subset A, so one pass over the 2^n subsets
+    decides it.  A failure there is reported with the pair
+    (A | {a}, X minus {a}), whose intersection is A."""
     t = op.table
     full = full_mask(op.n)
     if t[full] != full:
@@ -148,10 +172,11 @@ def check_interior_axioms(op):
             return ('contractive', a)
         if t[t[a]] != t[a]:
             return ('idempotent', a)
-    for a in range(size):
-        for b in range(size):
-            if t[a & b] != t[a] & t[b]:
-                return ('multiplicative', (a, b))
+    for a in range(full):
+        outside = full ^ a
+        low = outside & -outside
+        if t[a] != t[a | low] & t[full ^ low]:
+            return ('multiplicative', (a | low, full ^ low))
     return None
 
 

@@ -1,31 +1,36 @@
 """Convergence of filters, nets over finite directed sets, and
 eventually periodic sequences."""
 
+from .closure import closure
 from .errors import EmptyArgument, NotDirected, UniverseMismatch
 from .filters import Filter, generate_filter, is_filter_base
 from .setops import SetSystem, full_mask, points_of
-from .topology import Topology, neighborhood_relation
+
+
+def _points_where(topology, test):
+    """The points x whose minimal open neighborhood U_x passes test.
+
+    Every neighborhood of x contains U_x, and the tests below are all
+    monotone in the set, so U_x passing stands for every neighborhood
+    passing."""
+    out = 0
+    for x, u in enumerate(topology.minimal_opens):
+        if test(u):
+            out |= 1 << x
+    return out
 
 
 def filter_limits(topology, filt):
-    """Points whose every neighborhood belongs to the filter."""
-    rel = neighborhood_relation(topology)
-    lim = 0
-    members = set(filt.members.sets)
-    for x in range(topology.n):
-        if all(u in members for u in rel.section(x)):
-            lim |= 1 << x
-    return lim
+    """Points whose every neighborhood belongs to the filter: the x
+    with U_x in the filter, that is, with the filter's core inside U_x."""
+    core = filt.core()
+    return _points_where(topology, lambda u: core & ~u == 0)
 
 
 def filter_adherence(topology, filt):
-    """Points whose every neighborhood meets every filter member."""
-    rel = neighborhood_relation(topology)
-    adh = 0
-    for x in range(topology.n):
-        if all(u & f for u in rel.section(x) for f in filt.members):
-            adh |= 1 << x
-    return adh
+    """Points whose every neighborhood meets every filter member.  The
+    core is the smallest member, so this is the closure of the core."""
+    return closure(topology, filt.core())
 
 
 def filter_base_limits(topology, base):
@@ -95,22 +100,12 @@ class Net:
 
 def net_limits(topology, net):
     """Points x such that the net is eventually in every neighborhood of x."""
-    rel = neighborhood_relation(topology)
-    lim = 0
-    for x in range(topology.n):
-        if all(net.eventually_in(u) for u in rel.section(x)):
-            lim |= 1 << x
-    return lim
+    return _points_where(topology, net.eventually_in)
 
 
 def net_cluster_points(topology, net):
     """Points x such that the net is frequently in every neighborhood of x."""
-    rel = neighborhood_relation(topology)
-    adh = 0
-    for x in range(topology.n):
-        if all(net.frequently_in(u) for u in rel.section(x)):
-            adh |= 1 << x
-    return adh
+    return _points_where(topology, net.frequently_in)
 
 
 def filter_from_net(net):
@@ -187,21 +182,11 @@ class EventuallyPeriodicSequence:
 
 
 def sequence_limits(topology, seq):
-    rel = neighborhood_relation(topology)
-    lim = 0
-    for x in range(topology.n):
-        if all(seq.eventually_in(u) for u in rel.section(x)):
-            lim |= 1 << x
-    return lim
+    return _points_where(topology, seq.eventually_in)
 
 
 def sequence_cluster_points(topology, seq):
-    rel = neighborhood_relation(topology)
-    adh = 0
-    for x in range(topology.n):
-        if all(seq.frequently_in(u) for u in rel.section(x)):
-            adh |= 1 << x
-    return adh
+    return _points_where(topology, seq.frequently_in)
 
 
 def sequence_filter(seq):

@@ -7,6 +7,7 @@ A dyadic number is mantissa * 2^exponent with the mantissa odd or zero
 are exact; division is deliberately absent.
 """
 
+import sys
 from fractions import Fraction
 
 from .errors import (BracketViolation, EmptyArgument, IndexOutOfRange,
@@ -70,7 +71,14 @@ class Dyadic:
         return 'Dyadic(%d, %d)' % (self.m, self.e)
 
     def __hash__(self):
-        return hash((self.m, self.e))
+        """Python's numeric hash of m * 2^e, so a Dyadic hashes like the
+        int (or Fraction) it equals.  2^e is taken modulo the hash
+        modulus, never materialised."""
+        modulus = sys.hash_info.modulus
+        h = abs(self.m) % modulus * pow(2, self.e, modulus) % modulus
+        if self.m < 0:
+            h = -h
+        return -2 if h == -1 else h
 
     # -- exact arithmetic --
 
@@ -96,6 +104,8 @@ class Dyadic:
         return Dyadic(abs(self.m), self.e)
 
     def __pow__(self, k):
+        if k < 0:
+            raise IndexOutOfRange("need a nonnegative exponent, got %d" % k)
         out = Dyadic(1)
         for _ in range(k):
             out = out * self

@@ -68,9 +68,13 @@ def supermasks(mask, n):
 
 
 class SetSystem:
-    """A canonical family of subsets of {0,...,n-1}."""
+    """A canonical family of subsets of {0,...,n-1}.
 
-    __slots__ = ('n', 'sets')
+    The frozenset behind membership tests is built on the first test,
+    not here: most systems are never probed.
+    """
+
+    __slots__ = ('n', 'sets', '_members')
 
     def __init__(self, n, sets=()):
         if not 0 <= n <= MAX_N:
@@ -96,7 +100,11 @@ class SetSystem:
         return iter(self.sets)
 
     def __contains__(self, mask):
-        return mask in set(self.sets)
+        try:
+            members = self._members
+        except AttributeError:
+            members = self._members = frozenset(self.sets)
+        return mask in members
 
     def __le__(self, other):
         """Subfamily test (same carrier required)."""

@@ -5,13 +5,17 @@ import random
 
 from .errors import (BaseCriterionViolation, CapExceeded, ClosedAxiomViolation,
                      NotABase, SubbaseCriterionViolation, UniverseMismatch)
-from .setops import SetSystem, full_mask, phi_prime, psi, relation_from_sections, theta
+from .setops import (SetSystem, full_mask, points_of, psi, relation_from_sections,
+                     supermasks, theta)
 
 
 class Topology:
-    """A topology given by its system of open sets."""
+    """A topology given by its system of open sets.
 
-    __slots__ = ('n', 'opens')
+    The kernel, minimal_opens, is computed on first use and kept.
+    """
+
+    __slots__ = ('n', 'opens', '_kernel')
 
     def __init__(self, n, opens, validate=True):
         system = opens if isinstance(opens, SetSystem) else SetSystem(n, opens)
@@ -43,6 +47,23 @@ class Topology:
 
     def closed_sets(self):
         return self.opens.complements()
+
+    @property
+    def minimal_opens(self):
+        """U: U[x] is the intersection of the opens containing x, the
+        smallest open neighborhood of x (Alexandrov).  The opens are
+        exactly the unions of these n masks, so they determine the
+        topology."""
+        try:
+            return self._kernel
+        except AttributeError:
+            pass
+        u = [full_mask(self.n)] * self.n
+        for o in self.opens:
+            for x in points_of(o):
+                u[x] &= o
+        self._kernel = tuple(u)
+        return self._kernel
 
 
 def is_topology(system):
@@ -145,20 +166,10 @@ def is_base_of(system, topology):
 
 
 def minimal_base(topology):
-    """The unique minimal base: opens that are not unions of strictly
-    smaller opens (plus the empty set, which every base must contain)."""
-    opens = set(topology.opens.sets)
-    keep = [0]
-    for m in opens:
-        if m == 0:
-            continue
-        u = 0
-        for o in opens:
-            if o != m and o & ~m == 0:
-                u |= o
-        if u != m:
-            keep.append(m)
-    return SetSystem(topology.n, keep)
+    """The unique minimal base: the empty set (which every base must
+    contain) and the minimal open neighborhoods U_x, which are exactly
+    the opens that are not unions of strictly smaller opens."""
+    return SetSystem(topology.n, (0,) + topology.minimal_opens)
 
 
 def is_closed_system(system):
@@ -209,21 +220,19 @@ def neighborhood_relation(topology, kind='all'):
     """The neighborhood relation of the topology as a PointSetRelation.
 
     kind selects all neighborhoods, only the open ones, or only the
-    closed ones.
+    closed ones.  The neighborhoods of x are the supersets of U_x.
     """
-    from .setops import phi  # local import keeps module load order simple
+    if kind not in ('all', 'open', 'closed'):
+        raise ValueError("kind must be 'all', 'open' or 'closed'")
     n = topology.n
     sections = []
-    for x in range(n):
-        opens_at_x = [u for u in topology.opens if u >> x & 1]
+    for u in topology.minimal_opens:
         if kind == 'open':
-            sec = SetSystem(n, opens_at_x)
+            sec = [o for o in topology.opens if u & ~o == 0]
         else:
-            sec = phi(SetSystem(n, opens_at_x))
+            sec = supermasks(u, n)
             if kind == 'closed':
-                sec = SetSystem(n, [m for m in sec if topology.is_closed(m)])
-            elif kind != 'all':
-                raise ValueError("kind must be 'all', 'open' or 'closed'")
+                sec = [m for m in sec if topology.is_closed(m)]
         sections.append(sec)
     return relation_from_sections(n, sections)
 

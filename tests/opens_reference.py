@@ -1,0 +1,170 @@
+"""The opens-scanning implementations that the U_x kernel replaced,
+kept as the reference for the differential tests in test_kernel.py.
+
+Each function works from the definition over the open sets (or over the
+neighborhood relation built from them by phi), never from
+Topology.minimal_opens, so agreement with the library is a real check.
+"""
+
+from functools import lru_cache
+
+from fintopo.setops import SetSystem, full_mask, phi, relation_from_sections
+
+
+def interior(topology, a_mask):
+    """Union of the open subsets of A: the largest open set inside A."""
+    u = 0
+    for o in topology.opens:
+        if o & ~a_mask == 0:
+            u |= o
+    return u
+
+
+def closure(topology, a_mask):
+    """Intersection of the closed supersets of A."""
+    full = full_mask(topology.n)
+    c = full
+    for o in topology.opens:
+        cl = full ^ o
+        if a_mask & ~cl == 0:
+            c &= cl
+    return c
+
+
+def derived_set(topology, a_mask):
+    """Limit points of A: x such that every open neighborhood of x
+    meets A away from x."""
+    d = 0
+    for x in range(topology.n):
+        opens_at_x = [o for o in topology.opens if o >> x & 1]
+        if all((a_mask & o) & ~(1 << x) for o in opens_at_x):
+            d |= 1 << x
+    return d
+
+
+def boundary(topology, a_mask):
+    return closure(topology, a_mask) & closure(topology, full_mask(topology.n) ^ a_mask)
+
+
+def minimal_base(topology):
+    """Opens that are not unions of strictly smaller opens, plus the
+    empty set."""
+    opens = set(topology.opens.sets)
+    keep = [0]
+    for m in opens:
+        if m == 0:
+            continue
+        u = 0
+        for o in opens:
+            if o != m and o & ~m == 0:
+                u |= o
+        if u != m:
+            keep.append(m)
+    return SetSystem(topology.n, keep)
+
+
+def neighborhood_relation(topology, kind='all'):
+    """Sections built from the opens at each point: the opens
+    themselves, or phi of them, filtered to the closed sets for
+    kind='closed'."""
+    n = topology.n
+    sections = []
+    for x in range(n):
+        opens_at_x = [u for u in topology.opens if u >> x & 1]
+        if kind == 'open':
+            sec = SetSystem(n, opens_at_x)
+        else:
+            sec = phi(SetSystem(n, opens_at_x))
+            if kind == 'closed':
+                sec = SetSystem(n, [m for m in sec if topology.is_closed(m)])
+        sections.append(sec)
+    return relation_from_sections(n, sections)
+
+
+@lru_cache(maxsize=None)
+def _sections(topology):
+    """The sections of the reference neighborhood relation, per point.
+    Cached: the limit loops below ask for them once per call."""
+    rel = neighborhood_relation(topology)
+    return tuple(rel.section(x).sets for x in range(topology.n))
+
+
+def _points_where_every_neighborhood(topology, test):
+    out = 0
+    for x, sec in enumerate(_sections(topology)):
+        if all(test(u) for u in sec):
+            out |= 1 << x
+    return out
+
+
+def filter_limits(topology, filt):
+    members = set(filt.members.sets)
+    return _points_where_every_neighborhood(topology, lambda u: u in members)
+
+
+def filter_adherence(topology, filt):
+    return _points_where_every_neighborhood(
+        topology, lambda u: all(u & f for f in filt.members))
+
+
+def net_limits(topology, net):
+    return _points_where_every_neighborhood(topology, net.eventually_in)
+
+
+def net_cluster_points(topology, net):
+    return _points_where_every_neighborhood(topology, net.frequently_in)
+
+
+def sequence_limits(topology, seq):
+    return _points_where_every_neighborhood(topology, seq.eventually_in)
+
+
+def sequence_cluster_points(topology, seq):
+    return _points_where_every_neighborhood(topology, seq.frequently_in)
+
+
+def is_continuous_at(m, x):
+    """Preimage of every open neighborhood of f(x) is a neighborhood of x."""
+    fx = m.f(x)
+    src_nbh = set(_sections(m.source)[x])
+    return all(m.f.preimage_mask(u) in src_nbh
+               for u in m.target.opens if u >> fx & 1)
+
+
+def check_closure_axioms(op):
+    """The closure-operator axioms with additivity tested on all 4^n
+    pairs of subsets."""
+    t = op.table
+    if t[0] != 0:
+        return ('empty-fixed', 0)
+    size = 1 << op.n
+    for a in range(size):
+        if a & ~t[a]:
+            return ('extensive', a)
+        if t[t[a]] != t[a]:
+            return ('idempotent', a)
+    for a in range(size):
+        for b in range(size):
+            if t[a | b] != t[a] | t[b]:
+                return ('additive', (a, b))
+    return None
+
+
+def check_interior_axioms(op):
+    """The interior-operator axioms with multiplicativity tested on all
+    4^n pairs of subsets."""
+    t = op.table
+    full = full_mask(op.n)
+    if t[full] != full:
+        return ('whole-fixed', full)
+    size = 1 << op.n
+    for a in range(size):
+        if t[a] & ~a:
+            return ('contractive', a)
+        if t[t[a]] != t[a]:
+            return ('idempotent', a)
+    for a in range(size):
+        for b in range(size):
+            if t[a & b] != t[a] & t[b]:
+                return ('multiplicative', (a, b))
+    return None

@@ -127,6 +127,18 @@ class TestClosureOperators:
         with pytest.raises(KuratowskiViolation):
             topology_from_closure_operator(op)
 
+    def test_additive_violation_has_a_true_witness(self):
+        # extensive and idempotent, but cl({0, 1}) = {0, 1, 2} while
+        # cl({0}) | cl({1}) = {0, 1}
+        table = list(range(8))
+        table[0b011] = 0b111
+        op = SubsetOperator(3, table)
+        axiom, (a, b) = check_closure_axioms(op)
+        assert axiom == 'additive'
+        assert table[a | b] != table[a] | table[b]
+        with pytest.raises(KuratowskiViolation):
+            topology_from_closure_operator(op)
+
 
 class TestInteriorOperators:
     def test_round_trip_n3(self):
@@ -146,6 +158,18 @@ class TestInteriorOperators:
     def test_violation(self):
         op = SubsetOperator(1, [0, 0])
         assert check_interior_axioms(op)[0] == 'whole-fixed'
+        with pytest.raises(InteriorAxiomViolation):
+            topology_from_interior_operator(op)
+
+    def test_multiplicative_violation_has_a_true_witness(self):
+        # contractive and idempotent, but int({2}) = {} while
+        # int({0, 2}) & int({1, 2}) = {2}
+        table = list(range(8))
+        table[0b100] = 0
+        op = SubsetOperator(3, table)
+        axiom, (a, b) = check_interior_axioms(op)
+        assert axiom == 'multiplicative'
+        assert table[a & b] != table[a] & table[b]
         with pytest.raises(InteriorAxiomViolation):
             topology_from_interior_operator(op)
 

@@ -99,6 +99,14 @@ class TestOpenClosedMaps:
         is_open, is_closed = map_open_closed(const1)
         assert is_open and not is_closed
 
+    def test_base_shortcut_agrees_with_image_of_every_open(self):
+        tops = [t for n in range(1, 4) for t in enumerate_topologies(n)]
+        for t1 in tops:
+            for t2 in tops:
+                for f in all_maps(t1.n, t2.n):
+                    via_all = all(f.image_mask(o) in t2.opens for o in t1.opens)
+                    assert map_open_closed(SpaceMap(t1, t2, f))[0] == via_all
+
     def test_identity_open_and_closed(self):
         for t in enumerate_topologies(2):
             m = SpaceMap(t, t, FiniteMap(2, 2, [0, 1]))

@@ -1,0 +1,206 @@
+"""Differential tests for the U_x kernel.
+
+Everything the library now derives from Topology.minimal_opens is
+compared with the opens-scanning reference in opens_reference.py: on
+every topology with n <= 4, and with hypothesis on random preorders
+with n <= 6.
+"""
+
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import opens_reference as ref
+from fintopo.closure import (SubsetOperator, boundary, check_closure_axioms,
+                             check_interior_axioms, closure, closure_operator_of,
+                             derived_set, interior, interior_operator_of)
+from fintopo.continuity import SpaceMap, is_continuous_at
+from fintopo.convergence import (DirectedSet, EventuallyPeriodicSequence, Net,
+                                 filter_adherence, filter_limits, net_cluster_points,
+                                 net_limits, sequence_cluster_points, sequence_limits)
+from fintopo.filters import enumerate_filters, principal_filter
+from fintopo.setops import FiniteMap, full_mask, points_of
+from fintopo.topology import Topology, enumerate_topologies, minimal_base, neighborhood_relation
+
+SMALL = [t for n in range(5) for t in enumerate_topologies(n)]
+
+# 0 <= 1 <= 2 <= 1: a directed set whose top class {1, 2} has two
+# elements, so a net on it can oscillate forever
+DOMAIN = DirectedSet(3, [(0, 1), (0, 2), (1, 2), (2, 1)])
+
+
+def topology_of_preorder(u):
+    """The Alexandrov topology of U: its opens are the up-sets."""
+    n = len(u)
+    opens = [a for a in range(1 << n) if all(u[x] & ~a == 0 for x in points_of(a))]
+    return Topology(n, opens, validate=False)
+
+
+@st.composite
+def preorders(draw, max_n=6):
+    """U of a random preorder on at most max_n points: a random
+    relation made reflexive and transitive."""
+    n = draw(st.integers(1, max_n))
+    u = [draw(st.integers(0, full_mask(n))) | 1 << x for x in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            grown = u[x]
+            for y in points_of(u[x]):
+                grown |= u[y]
+            if grown != u[x]:
+                u[x], changed = grown, True
+    return tuple(u)
+
+
+def nets(n):
+    """Nets on DOMAIN: every value tuple for n <= 3, and for n = 4 every
+    pair of values on the top class after a fixed first value."""
+    if n <= 3:
+        values = product(range(n), repeat=3)
+    else:
+        values = ((0, v, w) for v in range(n) for w in range(n))
+    return [Net(DOMAIN, v, n) for v in values]
+
+
+def sequences(n):
+    """One eventually periodic sequence per nonempty set of cycle values."""
+    return [EventuallyPeriodicSequence([0], points_of(c), n) for c in range(1, 1 << n)]
+
+
+def assert_point_operations_match(t):
+    for a in range(1 << t.n):
+        assert closure(t, a) == ref.closure(t, a)
+        assert interior(t, a) == ref.interior(t, a)
+        assert derived_set(t, a) == ref.derived_set(t, a)
+        assert boundary(t, a) == ref.boundary(t, a)
+
+
+def assert_structure_matches(t):
+    assert minimal_base(t) == ref.minimal_base(t)
+    for kind in ('all', 'open', 'closed'):
+        assert neighborhood_relation(t, kind) == ref.neighborhood_relation(t, kind)
+    cl, inte = closure_operator_of(t), interior_operator_of(t)
+    assert cl.table == tuple(ref.closure(t, a) for a in range(1 << t.n))
+    assert inte.table == tuple(ref.interior(t, a) for a in range(1 << t.n))
+    assert check_closure_axioms(cl) is None and ref.check_closure_axioms(cl) is None
+    assert check_interior_axioms(inte) is None and ref.check_interior_axioms(inte) is None
+
+
+def assert_limits_match(t, filters, nets, sequences):
+    for f in filters:
+        assert filter_limits(t, f) == ref.filter_limits(t, f)
+        assert filter_adherence(t, f) == ref.filter_adherence(t, f)
+    for net in nets:
+        assert net_limits(t, net) == ref.net_limits(t, net)
+        assert net_cluster_points(t, net) == ref.net_cluster_points(t, net)
+    for seq in sequences:
+        assert sequence_limits(t, seq) == ref.sequence_limits(t, seq)
+        assert sequence_cluster_points(t, seq) == ref.sequence_cluster_points(t, seq)
+
+
+def assert_same_verdict(ours, theirs, table, union):
+    """Both checks name the same failed axiom.  Witnesses of the
+    pairwise axiom may differ, but each must really violate it."""
+    if ours is None or theirs is None:
+        assert ours is theirs
+        return
+    assert ours[0] == theirs[0]
+    if ours[0] in ('additive', 'multiplicative'):
+        for a, b in (ours[1], theirs[1]):
+            if union:
+                assert table[a | b] != table[a] | table[b]
+            else:
+                assert table[a & b] != table[a] & table[b]
+    else:
+        assert ours == theirs
+
+
+class TestAllSmallTopologies:
+    def test_point_operations(self):
+        for t in SMALL:
+            assert_point_operations_match(t)
+
+    def test_base_neighborhoods_tables_and_axioms(self):
+        for t in SMALL:
+            assert_structure_matches(t)
+
+    def test_limits_and_cluster_points(self):
+        for t in SMALL:
+            n = t.n
+            assert_limits_match(t, enumerate_filters(n), nets(n), sequences(n))
+
+    def test_continuity_at_a_point(self):
+        tops = [t for n in range(1, 4) for t in enumerate_topologies(n)]
+        for t1, t2 in product(tops, repeat=2):
+            for images in product(range(t2.n), repeat=t1.n):
+                m = SpaceMap(t1, t2, FiniteMap(t1.n, t2.n, images))
+                for x in range(t1.n):
+                    assert is_continuous_at(m, x) == ref.is_continuous_at(m, x)
+
+    def test_axiom_checks_on_every_one_entry_change_n3(self):
+        # every table one entry away from a valid closure table, and its
+        # dual: each axiom failure shows up among them
+        seen = set()
+        for t in enumerate_topologies(3):
+            valid = closure_operator_of(t).table
+            for a, v in product(range(8), range(8)):
+                if v == valid[a]:
+                    continue
+                table = list(valid)
+                table[a] = v
+                op = SubsetOperator(3, table)
+                ours = check_closure_axioms(op)
+                assert_same_verdict(ours, ref.check_closure_axioms(op), op.table, True)
+                dual = op.dual()
+                ours_dual = check_interior_axioms(dual)
+                assert_same_verdict(ours_dual, ref.check_interior_axioms(dual), dual.table, False)
+                seen.update(verdict[0] for verdict in (ours, ours_dual) if verdict is not None)
+        assert seen == {'empty-fixed', 'extensive', 'idempotent', 'additive',
+                        'whole-fixed', 'contractive', 'multiplicative'}
+
+
+class TestRandomPreorders:
+    @given(preorders())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_is_the_preorder(self, u):
+        assert topology_of_preorder(u).minimal_opens == u
+
+    @given(preorders())
+    @settings(max_examples=60, deadline=None)
+    def test_point_operations(self, u):
+        assert_point_operations_match(topology_of_preorder(u))
+
+    @given(preorders())
+    @settings(max_examples=40, deadline=None)
+    def test_base_neighborhoods_tables_and_axioms(self, u):
+        assert_structure_matches(topology_of_preorder(u))
+
+    @given(preorders(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_limits_and_cluster_points(self, u, data):
+        t = topology_of_preorder(u)
+        n = t.n
+        point = st.integers(0, n - 1)
+        core = data.draw(st.integers(1, full_mask(n)))
+        net = Net(DOMAIN, data.draw(st.lists(point, min_size=3, max_size=3)), n)
+        seq = EventuallyPeriodicSequence(data.draw(st.lists(point, max_size=3)),
+                                         data.draw(st.lists(point, min_size=1, max_size=4)), n)
+        assert_limits_match(t, [principal_filter(n, core)], [net], [seq])
+
+    @given(preorders(max_n=4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_axiom_checks_on_changed_tables(self, u, data):
+        t = topology_of_preorder(u)
+        size = 1 << t.n
+        table = list(closure_operator_of(t).table)
+        for a in data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3)):
+            table[a] = data.draw(st.integers(0, size - 1))
+        op = SubsetOperator(t.n, table)
+        assert_same_verdict(check_closure_axioms(op), ref.check_closure_axioms(op),
+                            op.table, True)
+        dual = op.dual()
+        assert_same_verdict(check_interior_axioms(dual), ref.check_interior_axioms(dual),
+                            dual.table, False)

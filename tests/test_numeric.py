@@ -1,6 +1,7 @@
 """Exact dyadic arithmetic, series, bisection inversion, and the
 squared-distance comparisons."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,25 @@ class TestDyadic:
     def test_from_fraction_rejects_non_dyadic(self):
         with pytest.raises(NonDyadicLiteral):
             Dyadic.from_fraction(Fraction(1, 3))
+
+    def test_hash_agrees_with_int_equality(self):
+        assert Dyadic(2) == 2 and hash(Dyadic(2)) == hash(2)
+        assert len({Dyadic(2), 2}) == 1
+        assert hash(Dyadic(-1)) == hash(-1)
+        assert hash(Dyadic(3, 70)) == hash(3 << 70)
+
+    @given(dyadics)
+    @settings(max_examples=200)
+    def test_hash_matches_the_equal_number(self, a):
+        assert hash(a) == hash(a.to_fraction())
+
+    def test_hash_of_huge_exponent_is_immediate(self):
+        # 2^(10^12) has 10^12 bits; the hash must not build it
+        assert hash(Dyadic(1, 10 ** 12)) == pow(2, 10 ** 12, sys.hash_info.modulus)
+
+    def test_negative_power_is_a_typed_error(self):
+        with pytest.raises(IndexOutOfRange):
+            Dyadic(3) ** -2
 
 
 class TestSeries:
