@@ -3,7 +3,7 @@ and interior operators given as dense tables over all subsets."""
 
 from .errors import InteriorAxiomViolation, KuratowskiViolation, UniverseMismatch
 from .setops import SetSystem, full_mask, points_of
-from .topology import Topology
+from .topology import Topology, point_closures
 
 
 def interior(topology, a_mask):
@@ -96,14 +96,11 @@ def _closure_table(topology):
     entry is the entry without A's lowest point joined with the closure
     of that point, {x : y in U_x} for the point y."""
     n = topology.n
-    point_closures = [0] * n
-    for x, u in enumerate(topology.minimal_opens):
-        for y in points_of(u):
-            point_closures[y] |= 1 << x
+    closures = point_closures(topology.minimal_opens)
     table = [0] * (1 << n)
     for a in range(1, 1 << n):
         low = a & -a
-        table[a] = table[a ^ low] | point_closures[low.bit_length() - 1]
+        table[a] = table[a ^ low] | closures[low.bit_length() - 1]
     return table
 
 

@@ -2,13 +2,11 @@
 the equivalent global characterizations, open/closed maps, and
 homeomorphisms."""
 
-from itertools import permutations
-
 from .closure import closure
 from .convergence import filter_adherence
 from .errors import ClusterPreconditionFailed, UniverseCardinalityMismatch, UniverseMismatch
-from .setops import FiniteMap, full_mask, points_of
-from .topology import Topology, minimal_base, neighborhood_relation
+from .setops import FiniteMap, full_mask, supermasks
+from .topology import minimal_base, point_closures, point_shapes
 
 
 class SpaceMap:
@@ -34,8 +32,9 @@ class SpaceMap:
 
 
 def is_continuous(m):
-    """Preimage of every target-open set is source-open."""
-    return all(m.f.preimage_mask(o) in m.source.opens for o in m.target.opens)
+    """Continuous at every point: f[U_x] lies inside U_f(x) for each x.
+    (continuous_via_opens is the open-set definition.)"""
+    return all(is_continuous_at(m, x) for x in range(m.source.n))
 
 
 def is_continuous_at(m, x):
@@ -72,13 +71,13 @@ def continuous_via_neighborhoods(m):
 
 def continuous_via_filter_transfer(m):
     """For each x and each neighborhood U of f(x) there is a
-    neighborhood V of x with f[V] contained in U."""
-    src_rel = neighborhood_relation(m.source)
-    dst_rel = neighborhood_relation(m.target)
+    neighborhood V of x with f[V] contained in U.  The neighborhoods of
+    a point x are the supersets of U_x."""
+    src_u, dst_u = m.source.minimal_opens, m.target.minimal_opens
     for x in range(m.source.n):
-        vs = src_rel.section(x).sets
-        for u in dst_rel.section(m.f(x)):
-            if not any(m.f.image_mask(v) & ~u == 0 for v in vs):
+        images = [m.f.image_mask(v) for v in supermasks(src_u[x], m.source.n)]
+        for u in supermasks(dst_u[m.f(x)], m.target.n):
+            if not any(img & ~u == 0 for img in images):
                 return False
     return True
 
@@ -143,33 +142,52 @@ def homeomorphy(m):
     return is_continuous(inv)
 
 
-def _degree_sequence(t):
-    """Per-point count of opens containing the point, sorted."""
-    return sorted(sum(1 for o in t.opens if o >> x & 1) for x in range(t.n))
-
-
 def are_homeomorphic(t1, t2):
     """A homeomorphism witness (FiniteMap) or None.  Carriers <= 6.
 
-    Scans bijections, pruned by open-set counts and by the degree
-    sequence (how many opens contain each point), both of which are
-    homeomorphism invariants.
+    A bijection f is a homeomorphism iff f[U_x] = U_f(x) for every x,
+    that is, iff z in U_x <=> f(z) in U_f(x) for all x and z: f is an
+    isomorphism of the specialization preorders.  Once the invariants
+    (the number of opens and shape_key) agree, the points are mapped in
+    order, each to the least unused point of the same shape that keeps
+    this equivalence, both ways round, with every point already mapped;
+    a dead end backtracks.  So the witness is the lexicographically
+    least homeomorphism.
     """
-    if t1.n != t2.n:
+    n = t1.n
+    if n != t2.n:
         raise UniverseCardinalityMismatch("carriers have different sizes")
-    if t1.n > 6:
+    if n > 6:
         from .errors import CapExceeded
         raise CapExceeded("homeomorphism search capped at 6 points")
-    if len(t1.opens) != len(t2.opens):
+    if len(t1.opens.sets) != len(t2.opens.sets) or t1.shape_key != t2.shape_key:
         return None
-    if _degree_sequence(t1) != _degree_sequence(t2):
-        return None
-    opens2 = set(t2.opens.sets)
-    for perm in permutations(range(t1.n)):
-        f = FiniteMap(t1.n, t2.n, perm)
-        if set(f.image_mask(o) for o in t1.opens) == opens2:
-            return f
-    return None
+    u1, u2 = t1.minimal_opens, t2.minimal_opens
+    c1, c2 = point_closures(u1), point_closures(u2)
+    s1, s2 = point_shapes(u1, c1), point_shapes(u2, c2)
+    f = []
+
+    def extend(x, used):
+        if x == n:
+            return True
+        # the images of the mapped points in U_x and in cl{x} (the z with
+        # x in U_z): y fits iff U_y and cl{y} meet used exactly there
+        up = down = 0
+        for z, fz in enumerate(f):
+            if u1[x] >> z & 1:
+                up |= 1 << fz
+            if c1[x] >> z & 1:
+                down |= 1 << fz
+        for y in range(n):
+            if (not used >> y & 1 and s1[x] == s2[y]
+                    and u2[y] & used == up and c2[y] & used == down):
+                f.append(y)
+                if extend(x + 1, used | 1 << y):
+                    return True
+                f.pop()
+        return False
+
+    return FiniteMap(n, n, f) if extend(0, 0) else None
 
 
 def filter_continuity_at(fx, fy, m, x):

@@ -23,9 +23,9 @@ class Dyadic:
         if m == 0:
             e = 0
         else:
-            while m % 2 == 0:
-                m //= 2
-                e += 1
+            zeros = (m & -m).bit_length() - 1
+            m >>= zeros
+            e += zeros
         self.m = m
         self.e = e
 
@@ -184,23 +184,13 @@ def finite_series(xs, l, m):
 
 
 def geometric_partial_sum(x, m):
-    """Sum of x^k for k = 0..m, exactly.
-
-    Computed by the running recursion and, for x != 1, cross-checked
-    against the closed form (1 - x^(m+1)) / (1 - x); the division is
-    exact here because the partial sum is itself dyadic.
-    """
+    """Sum of x^k for k = 0..m, exactly, by the running recursion."""
     x = _coerce(x)
     s = ONE
     p = ONE
     for _ in range(m):
         p = p * x
         s = s + p
-    if x != ONE:
-        num = (ONE - p * x).to_fraction()
-        den = (ONE - x).to_fraction()
-        if num / den != s.to_fraction():
-            raise AssertionError("closed form disagrees with the recursion")
     return s
 
 

@@ -12,10 +12,11 @@ from .setops import (SetSystem, full_mask, points_of, psi, relation_from_section
 class Topology:
     """A topology given by its system of open sets.
 
-    The kernel, minimal_opens, is computed on first use and kept.
+    The kernel, minimal_opens, and the homeomorphism invariant
+    shape_key are computed on first use and kept.
     """
 
-    __slots__ = ('n', 'opens', '_kernel')
+    __slots__ = ('n', 'opens', '_kernel', '_shape_key')
 
     def __init__(self, n, opens, validate=True):
         system = opens if isinstance(opens, SetSystem) else SetSystem(n, opens)
@@ -64,6 +65,46 @@ class Topology:
                 u[x] &= o
         self._kernel = tuple(u)
         return self._kernel
+
+    @property
+    def shape_key(self):
+        """The sorted point_shapes packed into one int: equal for
+        homeomorphic spaces.  One int, not a tuple, so that keeping it
+        on every space costs little memory."""
+        try:
+            return self._shape_key
+        except AttributeError:
+            pass
+        u = self.minimal_opens
+        key = 0
+        for s in sorted(point_shapes(u, point_closures(u))):
+            key = key << 2 * _SHAPE_BITS | s
+        self._shape_key = key
+        return key
+
+
+# every count in a point shape is at most MAX_N = 20 < 2^5
+_SHAPE_BITS = 5
+
+
+def point_closures(u):
+    """The transpose of the kernel u: entry y is {x : y in U_x}, the
+    closure of {y}."""
+    c = [0] * len(u)
+    for x, ux in enumerate(u):
+        bit = 1 << x
+        while ux:
+            low = ux & -ux
+            c[low.bit_length() - 1] |= bit
+            ux ^= low
+    return c
+
+
+def point_shapes(u, closures):
+    """For each point x, (|U_x|, |closure of {x}|) packed as one int,
+    given the kernel u and its point_closures.  A homeomorphism carries
+    each point to one of the same shape."""
+    return [ux.bit_count() << _SHAPE_BITS | cx.bit_count() for ux, cx in zip(u, closures)]
 
 
 def is_topology(system):

@@ -7,8 +7,9 @@ Topology.minimal_opens, so agreement with the library is a real check.
 """
 
 from functools import lru_cache
+from itertools import permutations
 
-from fintopo.setops import SetSystem, full_mask, phi, relation_from_sections
+from fintopo.setops import FiniteMap, SetSystem, full_mask, phi, relation_from_sections
 
 
 def interior(topology, a_mask):
@@ -167,4 +168,25 @@ def check_interior_axioms(op):
         for b in range(size):
             if t[a & b] != t[a] & t[b]:
                 return ('multiplicative', (a, b))
+    return None
+
+
+def _degree_sequence(t):
+    """Per-point count of opens containing the point, sorted."""
+    return sorted(sum(1 for o in t.opens if o >> x & 1) for x in range(t.n))
+
+
+def are_homeomorphic(t1, t2):
+    """The first bijection, in the order of permutations, that maps the
+    opens of t1 onto those of t2, or None.  Pruned by the number of
+    opens and the degree sequence, both homeomorphism invariants."""
+    if len(t1.opens) != len(t2.opens):
+        return None
+    if _degree_sequence(t1) != _degree_sequence(t2):
+        return None
+    opens2 = set(t2.opens.sets)
+    for perm in permutations(range(t1.n)):
+        f = FiniteMap(t1.n, t2.n, perm)
+        if set(f.image_mask(o) for o in t1.opens) == opens2:
+            return f
     return None

@@ -165,6 +165,15 @@ class TestHomeomorphisms:
         # one-open-point spaces are homeomorphic)
         assert sorted(len(c) for c in classes) == [1, 1, 2]
 
+    def test_class_counts_match_oeis(self):
+        # OEIS A001930: topologies on n = 0..5 points up to homeomorphism
+        for n, want in enumerate((1, 1, 3, 9, 33, 139)):
+            reps = []
+            for t in enumerate_topologies(n):
+                if all(are_homeomorphic(t, r) is None for r in reps):
+                    reps.append(t)
+            assert len(reps) == want, n
+
 
 class TestFilterContinuityAt:
     def test_image_relation_holds_for_point_filters(self):

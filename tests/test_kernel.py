@@ -6,7 +6,7 @@ every topology with n <= 4, and with hypothesis on random preorders
 with n <= 6.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +15,7 @@ import opens_reference as ref
 from fintopo.closure import (SubsetOperator, boundary, check_closure_axioms,
                              check_interior_axioms, closure, closure_operator_of,
                              derived_set, interior, interior_operator_of)
-from fintopo.continuity import SpaceMap, is_continuous_at
+from fintopo.continuity import SpaceMap, are_homeomorphic, is_continuous_at
 from fintopo.convergence import (DirectedSet, EventuallyPeriodicSequence, Net,
                                  filter_adherence, filter_limits, net_cluster_points,
                                  net_limits, sequence_cluster_points, sequence_limits)
@@ -38,10 +38,10 @@ def topology_of_preorder(u):
 
 
 @st.composite
-def preorders(draw, max_n=6):
-    """U of a random preorder on at most max_n points: a random
+def preorders(draw, min_n=1, max_n=6):
+    """U of a random preorder on min_n to max_n points: a random
     relation made reflexive and transitive."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     u = [draw(st.integers(0, full_mask(n))) | 1 << x for x in range(n)]
     changed = True
     while changed:
@@ -99,6 +99,21 @@ def assert_limits_match(t, filters, nets, sequences):
     for seq in sequences:
         assert sequence_limits(t, seq) == ref.sequence_limits(t, seq)
         assert sequence_cluster_points(t, seq) == ref.sequence_cluster_points(t, seq)
+
+
+def relabelled(t, perm):
+    """The topology whose opens are the images of those of t under perm."""
+    f = FiniteMap(t.n, t.n, perm)
+    return Topology(t.n, [f.image_mask(o) for o in t.opens], validate=False)
+
+
+def assert_same_homeomorphism(t1, t2):
+    """Same verdict and the same witness as the permutation scan."""
+    ours, theirs = are_homeomorphic(t1, t2), ref.are_homeomorphic(t1, t2)
+    assert (ours is None) == (theirs is None)
+    if ours is not None:
+        assert ours.images == theirs.images
+    return ours
 
 
 def assert_same_verdict(ours, theirs, table, union):
@@ -161,6 +176,17 @@ class TestAllSmallTopologies:
         assert seen == {'empty-fixed', 'extensive', 'idempotent', 'additive',
                         'whole-fixed', 'contractive', 'multiplicative'}
 
+    def test_homeomorphism_every_pair_n3(self):
+        for n in range(4):
+            tops = enumerate_topologies(n)
+            for t1, t2 in product(tops, repeat=2):
+                assert_same_homeomorphism(t1, t2)
+
+    def test_homeomorphism_to_every_relabelling_n4(self):
+        for t in enumerate_topologies(4):
+            for perm in permutations(range(4)):
+                assert assert_same_homeomorphism(t, relabelled(t, perm)) is not None
+
 
 class TestRandomPreorders:
     @given(preorders())
@@ -204,3 +230,24 @@ class TestRandomPreorders:
         dual = op.dual()
         assert_same_verdict(check_interior_axioms(dual), ref.check_interior_axioms(dual),
                             dual.table, False)
+
+    @given(preorders(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_homeomorphism_to_a_relabelling(self, u, data):
+        t = topology_of_preorder(u)
+        perm = data.draw(st.permutations(range(t.n)))
+        assert assert_same_homeomorphism(t, relabelled(t, perm)) is not None
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(preorders(n, n), preorders(n, n))))
+    @settings(max_examples=60, deadline=None)
+    def test_homeomorphism_of_independent_preorders(self, pair):
+        assert_same_homeomorphism(*map(topology_of_preorder, pair))
+
+    def test_homeomorphism_when_the_invariants_agree(self):
+        # two 6-point preorders with the same number of opens and the same
+        # shape_key that are not homeomorphic, so the search must fail
+        t1 = topology_of_preorder((1, 2, 15, 8, 24, 56))
+        t2 = topology_of_preorder((23, 18, 4, 8, 16, 56))
+        assert len(t1.opens) == len(t2.opens) and t1.shape_key == t2.shape_key
+        assert assert_same_homeomorphism(t1, t2) is None
+        assert assert_same_homeomorphism(t1, relabelled(t1, [5, 3, 1, 0, 4, 2])) is not None

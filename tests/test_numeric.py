@@ -85,6 +85,13 @@ class TestDyadic:
         with pytest.raises(IndexOutOfRange):
             Dyadic(3) ** -2
 
+    def test_normalizing_a_long_power_of_two_is_immediate(self):
+        # stripping 200,000 factors of 2 one division at a time took seconds
+        d = Dyadic(2 ** 200000)
+        assert (d.m, d.e) == (1, 200000)
+        d = Dyadic(-(3 << 100000), -7)
+        assert (d.m, d.e) == (-3, 99993)
+
 
 class TestSeries:
     def test_finite_series_sum(self):
@@ -114,6 +121,17 @@ class TestSeries:
         assert geometric_partial_sum(half, 10) == Dyadic(2047, -10)
         assert geometric_partial_sum(ONE, 4) == Dyadic(5)
         assert geometric_partial_sum(Dyadic(2), 3) == Dyadic(15)
+
+    def test_geometric_partial_sum_matches_closed_form(self):
+        # x = k/8 for k = -16..16 except x = 1, and m = 0..12
+        for k in range(-16, 17):
+            if k == 8:
+                continue
+            x = Dyadic(k, -3)
+            fx = Fraction(k, 8)
+            for m in range(13):
+                closed = (1 - fx ** (m + 1)) / (1 - fx)
+                assert geometric_partial_sum(x, m).to_fraction() == closed, (k, m)
 
     def test_geometric_limit_dyadic(self):
         assert geometric_limit(Dyadic(1, -1)) == Dyadic(2)
