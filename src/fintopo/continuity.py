@@ -124,11 +124,12 @@ def continuity_characterizations(m):
 
 def map_open_closed(m):
     """(open?, closed?) for the map.  The open test checks the images
-    of the minimal base: every open is a union of the U_x, and images
-    preserve unions."""
-    is_open = all(m.f.image_mask(u) in m.target.opens for u in m.source.minimal_opens)
-    closed = all(m.target.is_closed(m.f.image_mask(c))
-                 for c in m.source.closed_sets())
+    of the minimal base and the closed test those of the point
+    closures: every open is a union of the U_x, every closed set a
+    union of the point closures, and images preserve unions."""
+    u = m.source.minimal_opens
+    is_open = all(m.f.image_mask(ux) in m.target.opens for ux in u)
+    closed = all(m.target.is_closed(m.f.image_mask(c)) for c in point_closures(u))
     return is_open, closed
 
 

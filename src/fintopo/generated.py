@@ -4,8 +4,8 @@ direct image, quotient, and universal-property verification."""
 from itertools import product as iproduct
 
 from .errors import CapExceeded, NotEquivalence, UniverseMismatch
-from .setops import FiniteMap, SetSystem, full_mask, identity_map, points_of, psi, theta
-from .topology import Topology, indiscrete_topology, enumerate_topologies
+from .setops import FiniteMap, SetSystem, full_mask, identity_map, points_of
+from .topology import Topology, indiscrete_topology, enumerate_topologies, generated_topology
 
 
 def inverse_image_topology(n, pairs):
@@ -22,7 +22,7 @@ def inverse_image_topology(n, pairs):
             raise UniverseMismatch("map target does not match its topology")
         for o in t.opens:
             subbase.add(f.preimage_mask(o))
-    return Topology(n, theta(psi(SetSystem(n, subbase))), validate=False)
+    return generated_topology(SetSystem(n, subbase))
 
 
 def supremum_topology(topologies):

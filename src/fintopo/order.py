@@ -10,7 +10,7 @@ its own segments.
 from .errors import (MissingFullDomain, MissingFullRange, NoFullField,
                      NotDirected, UniverseMismatch)
 from .setops import SetSystem, full_mask, points_of, psi, theta
-from .topology import Topology
+from .topology import generated_topology
 
 
 class Preorder:
@@ -134,7 +134,7 @@ def relation_properties(p):
 
 
 def _generate(n, subbase):
-    return Topology(n, theta(psi(SetSystem(n, subbase))), validate=False)
+    return generated_topology(SetSystem(n, subbase))
 
 
 def interval_topology(p):

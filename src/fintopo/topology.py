@@ -2,11 +2,12 @@
 duality, comparison, and exhaustive enumeration up to n = 5."""
 
 import random
+from functools import reduce
+from operator import and_
 
 from .errors import (BaseCriterionViolation, CapExceeded, ClosedAxiomViolation,
                      NotABase, SubbaseCriterionViolation, UniverseMismatch)
-from .setops import (SetSystem, full_mask, points_of, psi, relation_from_sections,
-                     supermasks, theta)
+from .setops import SetSystem, full_mask, points_of, relation_from_sections, supermasks
 
 
 class Topology:
@@ -59,11 +60,7 @@ class Topology:
             return self._kernel
         except AttributeError:
             pass
-        u = [full_mask(self.n)] * self.n
-        for o in self.opens:
-            for x in points_of(o):
-                u[x] &= o
-        self._kernel = tuple(u)
+        self._kernel = tuple(kernel_of(self.opens.sets, self.n))
         return self._kernel
 
     @property
@@ -81,6 +78,38 @@ class Topology:
             key = key << 2 * _SHAPE_BITS | s
         self._shape_key = key
         return key
+
+
+def kernel_of(sets, n):
+    """u[x] is the intersection of the given masks that contain x, or
+    the whole carrier if none does."""
+    u = [full_mask(n)] * n
+    for m in sets:
+        for x in points_of(m):
+            u[x] &= m
+    return u
+
+
+def generated_topology(system):
+    """theta(psi(system)), the unions of intersections of members, built
+    from the kernel of the system in O(n * |opens|).
+
+    Each intersection of members is the union of the U_x of its points,
+    so the nonempty opens are the unions of the U_x of the points some
+    member covers, and the empty set is one iff the intersection of all
+    members is empty.  The result keeps this U as its minimal_opens.
+    """
+    n = system.n
+    u = kernel_of(system.sets, n)
+    opens = set()
+    for ux in {u[x] for x in points_of(system.union_mask())}:
+        opens |= {o | ux for o in opens}
+        opens.add(ux)
+    if system.sets and reduce(and_, system.sets) == 0:
+        opens.add(0)
+    t = Topology(n, SetSystem(n, opens), validate=False)
+    t._kernel = tuple(u)
+    return t
 
 
 # every count in a point shape is at most MAX_N = 20 < 2^5
@@ -113,7 +142,12 @@ def is_topology(system):
     Axioms: (i) contains the empty set and the whole carrier,
     (ii) closed under unions of nonempty subfamilies,
     (iii) closed under intersections of nonempty finite subfamilies.
-    Pairwise closure suffices for both on a finite carrier.
+
+    With (i), these hold iff the system contains o | U_x for every
+    member o (the empty set among them) and point x: each member is
+    the union of the U_x of its points, and so is each intersection of
+    two.  That O(n * |system|) test accepts; a system it rejects is
+    scanned pairwise for the witness.
     """
     full = full_mask(system.n)
     members = set(system.sets)
@@ -121,6 +155,9 @@ def is_topology(system):
         return ('contains-empty', 0)
     if full not in members:
         return ('contains-whole', full)
+    kernel = set(kernel_of(members, system.n))
+    if all(o | ux in members for ux in kernel for o in members):
+        return None
     for a in members:
         for b in members:
             if a | b not in members:
@@ -148,12 +185,17 @@ def is_base_system(system):
 
     Criteria: the empty set is a member, the members cover the carrier,
     and every pairwise intersection of members is a union of members.
+    Given the first two, the last holds iff every U_x (the intersection
+    of the members containing x) is a member; a system that fails that
+    test is scanned pairwise for the witness.
     """
     members = set(system.sets)
     if 0 not in members:
         return ('contains-empty', 0)
     if system.union_mask() != full_mask(system.n):
         return ('covers-carrier', system.union_mask())
+    if all(ux in members for ux in kernel_of(members, system.n)):
+        return None
     for a in members:
         for b in members:
             cap = a & b
@@ -171,7 +213,8 @@ def generate_from_base(system):
     verdict = is_base_system(system)
     if verdict is not None:
         raise BaseCriterionViolation(*verdict)
-    return Topology(system.n, theta(system), validate=False)
+    # a base is closed under intersections up to unions: theta(B) = theta(psi(B))
+    return generated_topology(system)
 
 
 def is_subbase_system(system):
@@ -179,13 +222,13 @@ def is_subbase_system(system):
 
     Criteria: the system is nonempty, its members cover the carrier, and
     some nonempty subfamily has empty intersection (so the generated
-    system picks up the empty set).
+    system picks up the empty set), that is, the whole system does.
     """
     if len(system) == 0:
         return 'nonempty'
     if system.union_mask() != full_mask(system.n):
         return 'covers-carrier'
-    if 0 not in psi(system):
+    if reduce(and_, system.sets) != 0:
         return 'empty-set-reachable'
     return None
 
@@ -195,15 +238,17 @@ def generate_from_subbase(system):
     verdict = is_subbase_system(system)
     if verdict is not None:
         raise SubbaseCriterionViolation(verdict)
-    return Topology(system.n, theta(psi(system)), validate=False)
+    return generated_topology(system)
 
 
 def is_base_of(system, topology):
-    """Whether the system is a base of the given topology."""
+    """Whether the system is a base of the given topology: it holds the
+    empty set and every U_x, and all its members are open."""
     if system.n != topology.n:
         raise UniverseMismatch("carriers differ")
-    return (is_base_system(system) is None
-            and theta(system) == topology.opens)
+    members = set(system.sets)
+    return (0 in members and all(u in members for u in topology.minimal_opens)
+            and system <= topology.opens)
 
 
 def minimal_base(topology):

@@ -1,15 +1,21 @@
 """The opens-scanning implementations that the U_x kernel replaced,
-kept as the reference for the differential tests in test_kernel.py.
+kept as the reference for the differential tests in test_kernel.py and
+test_continuity.py.
 
 Each function works from the definition over the open sets (or over the
 neighborhood relation built from them by phi), never from
 Topology.minimal_opens, so agreement with the library is a real check.
+The generated topology and the topology and base checks work pairwise
+over the members of a system (theta, psi and the pairwise scans), never
+from its U_x.
 """
 
 from functools import lru_cache
 from itertools import permutations
 
-from fintopo.setops import FiniteMap, SetSystem, full_mask, phi, relation_from_sections
+from fintopo.setops import (FiniteMap, SetSystem, full_mask, phi, psi,
+                            relation_from_sections, theta)
+from fintopo.topology import Topology
 
 
 def interior(topology, a_mask):
@@ -190,3 +196,56 @@ def are_homeomorphic(t1, t2):
         if set(f.image_mask(o) for o in t1.opens) == opens2:
             return f
     return None
+
+
+def generated_topology(system):
+    """Unions of intersections of members, each by its pairwise fixed
+    point: theta(psi(system))."""
+    return Topology(system.n, theta(psi(system)), validate=False)
+
+
+def is_topology(system):
+    """The axioms checked on every pair of members."""
+    full = full_mask(system.n)
+    members = set(system.sets)
+    if 0 not in members:
+        return ('contains-empty', 0)
+    if full not in members:
+        return ('contains-whole', full)
+    for a in members:
+        for b in members:
+            if a | b not in members:
+                return ('union-closed', (a, b))
+            if a & b not in members:
+                return ('intersection-closed', (a, b))
+    return None
+
+
+def is_base_system(system):
+    """The base criteria with every pairwise intersection tested for
+    being a union of members."""
+    members = set(system.sets)
+    if 0 not in members:
+        return ('contains-empty', 0)
+    if system.union_mask() != full_mask(system.n):
+        return ('covers-carrier', system.union_mask())
+    for a in members:
+        for b in members:
+            cap = a & b
+            u = 0
+            for m in members:
+                if m & ~cap == 0:
+                    u |= m
+            if u != cap:
+                return ('intersections-are-unions', (a, b))
+    return None
+
+
+def is_base_of(system, topology):
+    """A base whose unions are exactly the opens."""
+    return is_base_system(system) is None and theta(system) == topology.opens
+
+
+def map_is_closed(m):
+    """The image of every closed set is closed."""
+    return all(m.target.is_closed(m.f.image_mask(c)) for c in m.source.closed_sets())

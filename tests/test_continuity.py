@@ -3,6 +3,7 @@ open and closed maps, homeomorphisms, and gluing."""
 
 import pytest
 
+import opens_reference as ref
 from fintopo.continuity import (SpaceMap, are_homeomorphic,
                                 continuity_characterizations,
                                 continuous_via_preimage_closure,
@@ -106,6 +107,14 @@ class TestOpenClosedMaps:
                 for f in all_maps(t1.n, t2.n):
                     via_all = all(f.image_mask(o) in t2.opens for o in t1.opens)
                     assert map_open_closed(SpaceMap(t1, t2, f))[0] == via_all
+
+    def test_point_closure_shortcut_agrees_with_image_of_every_closed(self):
+        tops = [t for n in range(4) for t in enumerate_topologies(n)]
+        for t1 in tops:
+            for t2 in tops:
+                for f in all_maps(t1.n, t2.n):
+                    m = SpaceMap(t1, t2, f)
+                    assert map_open_closed(m)[1] == ref.map_is_closed(m)
 
     def test_identity_open_and_closed(self):
         for t in enumerate_topologies(2):

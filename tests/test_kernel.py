@@ -3,7 +3,9 @@
 Everything the library now derives from Topology.minimal_opens is
 compared with the opens-scanning reference in opens_reference.py: on
 every topology with n <= 4, and with hypothesis on random preorders
-with n <= 6.
+with n <= 6.  Topologies generated from a system, and the topology and
+base checks, are compared with the pairwise reference on every system
+with n <= 3, and generation also on random systems with n <= 8.
 """
 
 from itertools import permutations, product
@@ -12,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opens_reference as ref
+from conftest import all_systems
+from fintopo import generated, order, setops, topology
 from fintopo.closure import (SubsetOperator, boundary, check_closure_axioms,
                              check_interior_axioms, closure, closure_operator_of,
                              derived_set, interior, interior_operator_of)
@@ -20,8 +24,10 @@ from fintopo.convergence import (DirectedSet, EventuallyPeriodicSequence, Net,
                                  filter_adherence, filter_limits, net_cluster_points,
                                  net_limits, sequence_cluster_points, sequence_limits)
 from fintopo.filters import enumerate_filters, principal_filter
-from fintopo.setops import FiniteMap, full_mask, points_of
-from fintopo.topology import Topology, enumerate_topologies, minimal_base, neighborhood_relation
+from fintopo.setops import FiniteMap, SetSystem, full_mask, points_of
+from fintopo.topology import (Topology, enumerate_topologies, generated_topology,
+                              is_base_of, is_base_system, is_topology, minimal_base,
+                              neighborhood_relation)
 
 SMALL = [t for n in range(5) for t in enumerate_topologies(n)]
 
@@ -53,6 +59,21 @@ def preorders(draw, min_n=1, max_n=6):
             if grown != u[x]:
                 u[x], changed = grown, True
     return tuple(u)
+
+
+@st.composite
+def systems(draw, max_n=8):
+    """A random system of up to ten masks on 0 to max_n points."""
+    n = draw(st.integers(0, max_n))
+    return SetSystem(n, draw(st.lists(st.integers(0, full_mask(n)), max_size=10)))
+
+
+def assert_same_generated_topology(s):
+    """The kernel builder gives theta(psi(s)), and the U it keeps is the
+    one the opens give."""
+    t = generated_topology(s)
+    assert t.opens == ref.generated_topology(s).opens
+    assert t.minimal_opens == Topology(s.n, t.opens, validate=False).minimal_opens
 
 
 def nets(n):
@@ -251,3 +272,59 @@ class TestRandomPreorders:
         assert len(t1.opens) == len(t2.opens) and t1.shape_key == t2.shape_key
         assert assert_same_homeomorphism(t1, t2) is None
         assert assert_same_homeomorphism(t1, relabelled(t1, [5, 3, 1, 0, 4, 2])) is not None
+
+
+class TestGeneratedTopologies:
+    def test_builder_on_every_system_n3(self):
+        # includes the empty system, systems that miss a point and
+        # systems whose members all share a point
+        for n in range(4):
+            for s in all_systems(n):
+                assert_same_generated_topology(s)
+
+    @given(systems())
+    @settings(max_examples=150, deadline=None)
+    def test_builder_on_random_systems(self, s):
+        assert_same_generated_topology(s)
+
+    def test_topology_check_on_every_system_n3(self):
+        for n in range(4):
+            for s in all_systems(n):
+                assert is_topology(s) == ref.is_topology(s)
+
+    def test_base_checks_on_every_system_n3(self):
+        for n in range(4):
+            tops = enumerate_topologies(n)
+            for s in all_systems(n):
+                assert is_base_system(s) == ref.is_base_system(s)
+                for t in tops:
+                    assert is_base_of(s, t) == ref.is_base_of(s, t)
+
+    def test_generators_form_no_pairwise_closure(self, monkeypatch):
+        # theta and psi close a system pairwise, O(|opens|^2); no
+        # generator may fall back on them
+        line = order.chain(3, 'reflexive')
+        s = topology.sierpinski()
+        calls = [
+            lambda: topology.generate_from_subbase(SetSystem(3, [0b001, 0b110])),
+            lambda: topology.generate_from_base(SetSystem(3, [0, 0b001, 0b010, 0b110])),
+            lambda: topology.is_base_of(SetSystem(2, [0, 0b10, 0b11]), s),
+            lambda: generated.inverse_image_topology(3, [(FiniteMap(3, 2, [0, 1, 1]), s)]),
+            lambda: generated.supremum_topology([s, Topology(2, [0, 0b01, 0b11])]),
+            lambda: generated.product_topology([s, s])[0],
+            lambda: order.interval_topology(order.chain(3)),
+            lambda: order.interval_topology_from_dense(line, 0b111),
+            lambda: order.interval_topology_family([line, order.fence(3)]),
+            lambda: order.one_sided_topology(line, 'lower'),
+            lambda: order.one_sided_topology(line, 'upper'),
+        ]
+        expected = [call() for call in calls]
+
+        def pairwise_closure(system):
+            raise AssertionError("pairwise closure formed")
+
+        for mod in (setops, topology, generated, order):
+            for name in ('psi', 'theta'):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, pairwise_closure)
+        assert [call() for call in calls] == expected
