@@ -2,8 +2,6 @@
 duality, comparison, and exhaustive enumeration up to n = 5."""
 
 import random
-from functools import reduce
-from operator import and_
 
 from .errors import (BaseCriterionViolation, CapExceeded, ClosedAxiomViolation,
                      NotABase, SubbaseCriterionViolation, UniverseMismatch)
@@ -90,6 +88,15 @@ def kernel_of(sets, n):
     return u
 
 
+def meet_of(sets):
+    """The intersection of the given masks, or -1 (every point) if there
+    are none."""
+    meet = -1
+    for m in sets:
+        meet &= m
+    return meet
+
+
 def generated_topology(system):
     """theta(psi(system)), the unions of intersections of members, built
     from the kernel of the system in O(n * |opens|).
@@ -99,14 +106,17 @@ def generated_topology(system):
     member covers, and the empty set is one iff the intersection of all
     members is empty.  The result keeps this U as its minimal_opens.
     """
+    return _unions_of_kernel(system, meet_of(system.sets) == 0)
+
+
+def _unions_of_kernel(system, with_empty):
+    """generated_topology, told whether the empty set is an open."""
     n = system.n
     u = kernel_of(system.sets, n)
-    opens = set()
+    opens = {0} if with_empty else set()
     for ux in {u[x] for x in points_of(system.union_mask())}:
         opens |= {o | ux for o in opens}
         opens.add(ux)
-    if system.sets and reduce(and_, system.sets) == 0:
-        opens.add(0)
     t = Topology(n, SetSystem(n, opens), validate=False)
     t._kernel = tuple(u)
     return t
@@ -142,12 +152,7 @@ def is_topology(system):
     Axioms: (i) contains the empty set and the whole carrier,
     (ii) closed under unions of nonempty subfamilies,
     (iii) closed under intersections of nonempty finite subfamilies.
-
-    With (i), these hold iff the system contains o | U_x for every
-    member o (the empty set among them) and point x: each member is
-    the union of the U_x of its points, and so is each intersection of
-    two.  That O(n * |system|) test accepts; a system it rejects is
-    scanned pairwise for the witness.
+    Pairwise closure suffices for both on a finite carrier.
     """
     full = full_mask(system.n)
     members = set(system.sets)
@@ -155,9 +160,6 @@ def is_topology(system):
         return ('contains-empty', 0)
     if full not in members:
         return ('contains-whole', full)
-    kernel = set(kernel_of(members, system.n))
-    if all(o | ux in members for ux in kernel for o in members):
-        return None
     for a in members:
         for b in members:
             if a | b not in members:
@@ -185,17 +187,12 @@ def is_base_system(system):
 
     Criteria: the empty set is a member, the members cover the carrier,
     and every pairwise intersection of members is a union of members.
-    Given the first two, the last holds iff every U_x (the intersection
-    of the members containing x) is a member; a system that fails that
-    test is scanned pairwise for the witness.
     """
     members = set(system.sets)
     if 0 not in members:
         return ('contains-empty', 0)
     if system.union_mask() != full_mask(system.n):
         return ('covers-carrier', system.union_mask())
-    if all(ux in members for ux in kernel_of(members, system.n)):
-        return None
     for a in members:
         for b in members:
             cap = a & b
@@ -213,8 +210,9 @@ def generate_from_base(system):
     verdict = is_base_system(system)
     if verdict is not None:
         raise BaseCriterionViolation(*verdict)
-    # a base is closed under intersections up to unions: theta(B) = theta(psi(B))
-    return generated_topology(system)
+    # a base is closed under intersections up to unions, so
+    # theta(B) = theta(psi(B)), and it holds the empty set
+    return _unions_of_kernel(system, True)
 
 
 def is_subbase_system(system):
@@ -228,7 +226,7 @@ def is_subbase_system(system):
         return 'nonempty'
     if system.union_mask() != full_mask(system.n):
         return 'covers-carrier'
-    if reduce(and_, system.sets) != 0:
+    if meet_of(system.sets) != 0:
         return 'empty-set-reachable'
     return None
 
@@ -238,12 +236,18 @@ def generate_from_subbase(system):
     verdict = is_subbase_system(system)
     if verdict is not None:
         raise SubbaseCriterionViolation(verdict)
-    return generated_topology(system)
+    return _unions_of_kernel(system, True)
 
 
 def is_base_of(system, topology):
     """Whether the system is a base of the given topology: it holds the
-    empty set and every U_x, and all its members are open."""
+    empty set and every U_x, and all its members are open.
+
+    The topology's opens must satisfy the axioms, as they do in every
+    Topology built with validation or by this library; for a
+    Topology(..., validate=False) whose opens do not, the answer is
+    undefined.
+    """
     if system.n != topology.n:
         raise UniverseMismatch("carriers differ")
     members = set(system.sets)

@@ -5,8 +5,8 @@ test_continuity.py.
 Each function works from the definition over the open sets (or over the
 neighborhood relation built from them by phi), never from
 Topology.minimal_opens, so agreement with the library is a real check.
-The generated topology and the topology and base checks work pairwise
-over the members of a system (theta, psi and the pairwise scans), never
+The generated topology and the base check work pairwise over the
+members of a system (theta, psi and the pairwise base criteria), never
 from its U_x.
 """
 
@@ -15,7 +15,7 @@ from itertools import permutations
 
 from fintopo.setops import (FiniteMap, SetSystem, full_mask, phi, psi,
                             relation_from_sections, theta)
-from fintopo.topology import Topology
+from fintopo.topology import Topology, is_base_system
 
 
 def interior(topology, a_mask):
@@ -202,43 +202,6 @@ def generated_topology(system):
     """Unions of intersections of members, each by its pairwise fixed
     point: theta(psi(system))."""
     return Topology(system.n, theta(psi(system)), validate=False)
-
-
-def is_topology(system):
-    """The axioms checked on every pair of members."""
-    full = full_mask(system.n)
-    members = set(system.sets)
-    if 0 not in members:
-        return ('contains-empty', 0)
-    if full not in members:
-        return ('contains-whole', full)
-    for a in members:
-        for b in members:
-            if a | b not in members:
-                return ('union-closed', (a, b))
-            if a & b not in members:
-                return ('intersection-closed', (a, b))
-    return None
-
-
-def is_base_system(system):
-    """The base criteria with every pairwise intersection tested for
-    being a union of members."""
-    members = set(system.sets)
-    if 0 not in members:
-        return ('contains-empty', 0)
-    if system.union_mask() != full_mask(system.n):
-        return ('covers-carrier', system.union_mask())
-    for a in members:
-        for b in members:
-            cap = a & b
-            u = 0
-            for m in members:
-                if m & ~cap == 0:
-                    u |= m
-            if u != cap:
-                return ('intersections-are-unions', (a, b))
-    return None
 
 
 def is_base_of(system, topology):

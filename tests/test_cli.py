@@ -327,6 +327,13 @@ class TestErrorSurface:
         f = write(tmp_path, 'x.json', {'n': 2, 'sets': [[0]]})
         self.check(capsys, 'BaseCriterionViolation', 'generate', '--base', f)
 
+    def test_base_of_a_space_that_is_not_a_topology(self, capsys, tmp_path):
+        # the space is validated before is_base_of, which assumes a topology
+        space = write(tmp_path, 's.json', {'n': 2, 'sets': [[], [0], [1]]})
+        base = write(tmp_path, 'b.json', {'n': 2, 'sets': [[], [0], [1]]})
+        self.check(capsys, 'BaseCriterionViolation', 'check', '--base', base,
+                   '--space', space)
+
     def test_subbase_criterion(self, capsys, tmp_path):
         f = write(tmp_path, 'x.json', {'n': 2, 'sets': [[0], [0, 1]]})
         self.check(capsys, 'SubbaseCriterionViolation', 'generate', '--subbase', f)

@@ -26,8 +26,7 @@ from fintopo.convergence import (DirectedSet, EventuallyPeriodicSequence, Net,
 from fintopo.filters import enumerate_filters, principal_filter
 from fintopo.setops import FiniteMap, SetSystem, full_mask, points_of
 from fintopo.topology import (Topology, enumerate_topologies, generated_topology,
-                              is_base_of, is_base_system, is_topology, minimal_base,
-                              neighborhood_relation)
+                              is_base_of, minimal_base, neighborhood_relation)
 
 SMALL = [t for n in range(5) for t in enumerate_topologies(n)]
 
@@ -287,16 +286,10 @@ class TestGeneratedTopologies:
     def test_builder_on_random_systems(self, s):
         assert_same_generated_topology(s)
 
-    def test_topology_check_on_every_system_n3(self):
-        for n in range(4):
-            for s in all_systems(n):
-                assert is_topology(s) == ref.is_topology(s)
-
-    def test_base_checks_on_every_system_n3(self):
+    def test_base_of_on_every_system_n3(self):
         for n in range(4):
             tops = enumerate_topologies(n)
             for s in all_systems(n):
-                assert is_base_system(s) == ref.is_base_system(s)
                 for t in tops:
                     assert is_base_of(s, t) == ref.is_base_of(s, t)
 
