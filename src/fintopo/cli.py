@@ -7,6 +7,7 @@ plain table; exit status is 0 on success, 1 on a typed domain error
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -283,7 +284,10 @@ class UsageError(Exception):
     pass
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared by every
+    main call: parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(prog='topo',
                                  description='exact finite point-set topology engine')
     ap.add_argument('--format', choices=['json', 'table'], default='json')

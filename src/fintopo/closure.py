@@ -2,8 +2,8 @@
 and interior operators given as dense tables over all subsets."""
 
 from .errors import InteriorAxiomViolation, KuratowskiViolation, UniverseMismatch
-from .setops import SetSystem, full_mask, points_of
-from .topology import Topology, point_closures
+from .setops import full_mask
+from .topology import Topology, enumerate_topologies, point_closures
 
 
 def interior(topology, a_mask):
@@ -91,7 +91,7 @@ class SubsetOperator:
         return SubsetOperator(self.n, [full ^ self.table[full ^ a] for a in range(1 << self.n)])
 
 
-def _closure_table(topology):
+def closure_table(topology):
     """closure(A) for every subset A.  Closure is additive, so each
     entry is the entry without A's lowest point joined with the closure
     of that point, {x : y in U_x} for the point y."""
@@ -105,13 +105,13 @@ def _closure_table(topology):
 
 
 def closure_operator_of(topology):
-    return SubsetOperator(topology.n, _closure_table(topology))
+    return SubsetOperator(topology.n, closure_table(topology))
 
 
 def interior_operator_of(topology):
     """The dual of the closure operator: int(A) = X minus cl(X minus A)."""
     full = full_mask(topology.n)
-    return SubsetOperator(topology.n, [full ^ c for c in reversed(_closure_table(topology))])
+    return SubsetOperator(topology.n, [full ^ c for c in reversed(closure_table(topology))])
 
 
 def check_closure_axioms(op):
@@ -187,26 +187,7 @@ def topology_from_interior_operator(op):
 
 
 def enumerate_closure_operators(n):
-    """All valid closure-operator tables on n points.
-
-    Additivity together with f(empty) = empty forces
-    f(A) = union of f({x}) over x in A, so it is enough to choose, for
-    each point, a superset of that point as its singleton image and
-    keep the choices whose induced table is idempotent (extensivity and
-    additivity hold by construction).
-    """
-    from itertools import product
-    from .setops import supermasks
-    size = 1 << n
-    choices = [supermasks(1 << x, n) for x in range(n)]
-    ops = []
-    for pick in product(*choices):
-        table = [0] * size
-        for a in range(1, size):
-            u = 0
-            for x in points_of(a):
-                u |= pick[x]
-            table[a] = u
-        if all(table[table[a]] == table[a] for a in range(size)):
-            ops.append(SubsetOperator(n, table))
-    return ops
+    """All valid closure-operator tables on n points, one per topology
+    (the Kuratowski bijection), in the order of enumerate_topologies.
+    n <= 5."""
+    return [closure_operator_of(t) for t in enumerate_topologies(n)]

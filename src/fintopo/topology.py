@@ -1,8 +1,6 @@
 """Finite topologies: validation, generation from (sub)bases, closed-set
 duality, comparison, and exhaustive enumeration up to n = 5."""
 
-import random
-
 from .errors import (BaseCriterionViolation, CapExceeded, ClosedAxiomViolation,
                      NotABase, SubbaseCriterionViolation, UniverseMismatch)
 from .setops import SetSystem, full_mask, points_of, relation_from_sections, supermasks
@@ -111,12 +109,18 @@ def generated_topology(system):
 
 def _unions_of_kernel(system, with_empty):
     """generated_topology, told whether the empty set is an open."""
-    n = system.n
-    u = kernel_of(system.sets, n)
+    u = kernel_of(system.sets, system.n)
+    return _kernel_topology(system.n, u, {u[x] for x in points_of(system.union_mask())},
+                            with_empty)
+
+
+def _kernel_topology(n, u, masks, with_empty):
+    """The topology whose opens are the nonempty unions of the given
+    masks, and the empty set if with_empty, keeping u as its kernel."""
     opens = {0} if with_empty else set()
-    for ux in {u[x] for x in points_of(system.union_mask())}:
-        opens |= {o | ux for o in opens}
-        opens.add(ux)
+    for m in masks:
+        opens |= {o | m for o in opens}
+        opens.add(m)
     t = Topology(n, SetSystem(n, opens), validate=False)
     t._kernel = tuple(u)
     return t
@@ -327,98 +331,53 @@ def neighborhood_relation(topology, kind='all'):
     return relation_from_sections(n, sections)
 
 
-def enumerate_topologies(n, count_only=False, sample_check=None):
-    """All topologies on {0..n-1}, canonically sorted.  n <= 5.
+def enumerate_topologies(n, count_only=False):
+    """All topologies on {0..n-1}, sorted by their opens.  n <= 5.
 
-    For n <= 4 every subsystem of the powerset is scanned.  For n = 5
-    a backtracking search over union- and intersection-closed families
-    is used instead.  sample_check, if given, is a fraction of the
-    results to re-validate with the axiom checker (returns the count of
-    revalidated families alongside).
+    A topology is its kernel U (Alexandrov): a preorder on the points,
+    with y in U_x meaning y lies below x.  The kernels are listed by
+    preorder_kernels, and each space's opens are the unions of its U_x.
+    With count_only, the number of topologies is returned instead.
     """
     if n > 5:
         raise CapExceeded("enumeration supported only for n <= 5")
-    if n <= 4:
-        results = _enumerate_brute(n)
-    else:
-        results = _enumerate_backtrack(n)
-    if sample_check:
-        rng = random.Random(20260824)
-        k = max(1, int(len(results) * sample_check))
-        for sets in rng.sample(results, k):
-            if is_topology(SetSystem(n, sets)) is not None:
-                raise AssertionError("enumeration produced a non-topology: %r" % (sets,))
     if count_only:
-        return len(results)
-    return [Topology(n, SetSystem(n, s), validate=False) for s in results]
+        return sum(1 for _ in preorder_kernels(n))
+    tops = [_kernel_topology(n, u, set(u), True) for u in preorder_kernels(n)]
+    tops.sort(key=lambda t: t.opens.sets)
+    return tops
 
 
-def _enumerate_brute(n):
+def preorder_kernels(n):
+    """Every kernel U on n points, as a tuple: x in U[x], and y in U[x]
+    implies U[y] inside U[x] (reflexive and transitive).
+
+    U[x] is chosen for x = 0..n-1 in turn among the sets holding x
+    inside every earlier U[y] that holds x, and kept if it contains the
+    earlier U[y] of each earlier y in it; a later y in it is checked
+    when U[y] is chosen.
+    """
     full = full_mask(n)
-    nmasks = 1 << n
-    results = []
-    # a candidate system is itself a bit mask over the 2^n subset masks
-    must = (1 << 0) | (1 << full)
-    for sysmask in range(1 << nmasks):
-        if sysmask & must != must:
-            continue
-        members = [m for m in range(nmasks) if sysmask >> m & 1]
-        ok = True
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                if not (sysmask >> (a | b) & 1) or not (sysmask >> (a & b) & 1):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            results.append(tuple(members))
-    return results
+    u = [0] * n
 
-
-def _enumerate_backtrack(n):
-    full = full_mask(n)
-    order = list(range(1, full))  # intermediate masks, decided in increasing order
-    results = []
-    included = {0, full}
-    excluded = set()
-    required = set()
-
-    def rec(i):
-        if i == len(order):
-            results.append(tuple(sorted(included)))
+    def choose(x):
+        if x == n:
+            yield tuple(u)
             return
-        m = order[i]
-        if m not in required:
-            excluded.add(m)
-            rec(i + 1)
-            excluded.remove(m)
-        # try including m: every product with an already-included member
-        # must not be an already-rejected (smaller or excluded) mask
-        forced = set()
-        ok = True
-        for a in included:
-            for w in (a | m, a & m):
-                if w == m or w in included:
-                    continue
-                if w < m:
-                    ok = False
-                    break
-                forced.add(w)
-            if not ok:
+        bit = 1 << x
+        free = full
+        for y in range(x):
+            if u[y] & bit:
+                free &= u[y]
+        free ^= bit
+        s = free
+        while True:
+            ux = s | bit
+            if all(u[y] & ~ux == 0 for y in points_of(ux & (bit - 1))):
+                u[x] = ux
+                yield from choose(x + 1)
+            if not s:
                 break
-        if ok:
-            included.add(m)
-            was_required = m in required
-            required.discard(m)
-            added = forced - required
-            required.update(added)
-            rec(i + 1)
-            required.difference_update(added)
-            if was_required:
-                required.add(m)
-            included.discard(m)
+            s = (s - 1) & free
 
-    rec(0)
-    results.sort()
-    return results
+    return choose(0)

@@ -1,13 +1,14 @@
 """The opens-scanning implementations that the U_x kernel replaced,
-kept as the reference for the differential tests in test_kernel.py and
-test_continuity.py.
+kept as the reference for the differential tests in test_kernel.py,
+test_continuity.py, test_topology.py and test_acceptance.py.
 
 Each function works from the definition over the open sets (or over the
 neighborhood relation built from them by phi), never from
 Topology.minimal_opens, so agreement with the library is a real check.
 The generated topology and the base check work pairwise over the
 members of a system (theta, psi and the pairwise base criteria), never
-from its U_x.
+from its U_x.  The topology families are found by scanning every
+family of subsets, not by listing preorders.
 """
 
 from functools import lru_cache
@@ -212,3 +213,23 @@ def is_base_of(system, topology):
 def map_is_closed(m):
     """The image of every closed set is closed."""
     return all(m.target.is_closed(m.f.image_mask(c)) for c in m.source.closed_sets())
+
+
+def topology_families(n):
+    """The sorted open sets of every topology on n points, in the order
+    of the family bitmasks: each family of subsets is itself a bit mask
+    over the 2^n subset masks, and is kept if it holds the empty set
+    and the carrier and is closed under pairwise unions and
+    intersections.  Scans 2^(2^n) families, so n <= 4."""
+    full = full_mask(n)
+    nmasks = 1 << n
+    results = []
+    must = (1 << 0) | (1 << full)
+    for sysmask in range(1 << nmasks):
+        if sysmask & must != must:
+            continue
+        members = [m for m in range(nmasks) if sysmask >> m & 1]
+        if all(sysmask >> (a | b) & 1 and sysmask >> (a & b) & 1
+               for i, a in enumerate(members) for b in members[i + 1:]):
+            results.append(tuple(members))
+    return results

@@ -12,6 +12,7 @@ import random
 import time
 from fractions import Fraction
 
+import opens_reference as ref
 from fintopo.closure import (check_closure_axioms, closure, closure_operator_of,
                              enumerate_closure_operators,
                              topology_from_closure_operator)
@@ -30,8 +31,8 @@ from fintopo.order import (chain, fence, interval_topology,
                            interval_topology_from_dense, is_order_dense)
 from fintopo.setops import FiniteMap, SetSystem, phi, psi, theta
 from fintopo.topology import (discrete_topology, enumerate_topologies, is_finer,
-                              neighborhood_relation, sierpinski,
-                              _enumerate_brute)
+                              is_topology, kernel_of, neighborhood_relation,
+                              sierpinski)
 from fintopo.neighborhoods import (check_neighborhood_axioms,
                                    neighborhood_system_of,
                                    topology_from_neighborhoods)
@@ -49,17 +50,20 @@ def test_acceptance_01_topology_counts(capsys):
     t0 = time.time()
     small = [enumerate_topologies(n, count_only=True) for n in range(5)]
     ok &= small == [1, 1, 4, 29, 355]
-    ok &= all(len(sorted(_enumerate_brute(n))) == small[n] for n in range(5))
+    ok &= all([t.opens.sets for t in enumerate_topologies(n)]
+              == sorted(ref.topology_families(n)) for n in range(5))
     small_elapsed = time.time() - t0
     ok &= small_elapsed < 10
     t0 = time.time()
-    count5 = enumerate_topologies(5, count_only=True, sample_check=0.1)
+    tops5 = enumerate_topologies(5)
+    ok &= len({t.opens for t in tops5}) == len(tops5) == 6942
+    ok &= all(is_topology(t.opens) is None
+              and tuple(kernel_of(t.opens.sets, 5)) == t.minimal_opens for t in tops5)
     big_elapsed = time.time() - t0
-    ok &= count5 == 6942
     ok &= big_elapsed < 300
     report(capsys, 1,
-           'topology counts 1,1,4,29,355 (<10s) and 6942 on n=5 with 10% '
-           'sample cross-check (<5min)', ok)
+           'topology counts 1,1,4,29,355 (<10s) and 6942 on n=5 with every '
+           'family cross-checked (<5min)', ok)
 
 
 def test_acceptance_02_operator_laws(capsys):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fintopo.cli import main
+from fintopo.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -44,6 +44,31 @@ class TestEnumerate:
         code, out, err = run(capsys, 'enumerate', '--n', '9')
         assert code == 1
         assert json.loads(out)['error'] == 'CapExceeded'
+
+
+class TestParserReuse:
+    CALLS = [
+        ('enumerate', '--n', '2'),
+        ('--format', 'table', 'enumerate', '--n', '2', '--count-only'),
+        ('frobnicate',),
+        ('series', '--geom', '1/2', '--terms', '3'),
+        ('enumerate',),
+        ('enumerate', '--n', '3', '--count-only'),
+        ('series', '--geom', '1/2'),
+        ('root', '--a', '2', '--m', '2', '--tol', '1/8'),
+        ('enumerate', '--n', '6'),
+    ]
+
+    def test_calls_in_turn_match_calls_alone(self, capsys):
+        alone = []
+        for argv in self.CALLS:
+            build_parser.cache_clear()
+            alone.append(run(capsys, *argv)[:2])
+        build_parser.cache_clear()
+        in_turn = [run(capsys, *argv)[:2] for argv in self.CALLS]
+        assert in_turn == alone
+        assert [code for code, _ in alone] == [0, 0, 2, 0, 2, 0, 0, 0, 1]
+        assert build_parser.cache_info().misses == 1
 
 
 class TestGenerate:

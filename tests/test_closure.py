@@ -9,7 +9,7 @@ from fintopo.closure import (SubsetOperator, analyze_subset, boundary,
                              interior_operator_of, is_dense,
                              topology_from_closure_operator,
                              topology_from_interior_operator)
-from fintopo.errors import InteriorAxiomViolation, KuratowskiViolation
+from fintopo.errors import CapExceeded, InteriorAxiomViolation, KuratowskiViolation
 from fintopo.setops import full_mask
 from fintopo.topology import (Topology, discrete_topology, enumerate_topologies,
                               indiscrete_topology, sierpinski)
@@ -108,6 +108,15 @@ class TestClosureOperators:
 
     def test_355_valid_tables_n4(self):
         assert len(enumerate_closure_operators(4)) == 355
+
+    def test_tables_of_the_topologies_n5(self):
+        tables = {op.table for op in enumerate_closure_operators(5)}
+        assert len(tables) == 6942
+        assert tables == {closure_operator_of(t).table for t in enumerate_topologies(5)}
+
+    def test_cap(self):
+        with pytest.raises(CapExceeded):
+            enumerate_closure_operators(6)
 
     def test_violations(self):
         op = SubsetOperator(1, [0b1, 0b1])

@@ -5,7 +5,7 @@ import pytest
 
 import opens_reference as ref
 from fintopo.continuity import (SpaceMap, are_homeomorphic,
-                                continuity_characterizations,
+                                continuity_characterizations, continuous_via_closure,
                                 continuous_via_preimage_closure,
                                 continuous_via_preimage_interior,
                                 filter_continuity_at, homeomorphy,
@@ -79,6 +79,16 @@ class TestCharacterizations:
                     assert vals == {is_continuous(m)}
                     assert continuous_via_preimage_closure(m) == is_continuous(m)
                     assert continuous_via_preimage_interior(m) == is_continuous(m)
+
+    def test_closure_tables_agree_with_per_subset_closures_n3(self):
+        tops = enumerate_topologies(3)
+        for t1 in tops:
+            for t2 in tops:
+                for f in all_maps(3, 3):
+                    m = SpaceMap(t1, t2, f)
+                    expect = all(f.image_mask(ref.closure(t1, a))
+                                 & ~ref.closure(t2, f.image_mask(a)) == 0 for a in range(8))
+                    assert continuous_via_closure(m) == expect
 
     def test_pointwise_iff_global_n2(self):
         tops = enumerate_topologies(2)

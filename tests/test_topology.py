@@ -1,8 +1,11 @@
 """Topology validation, generation from (sub)bases, duality, comparison,
 and the enumeration counts."""
 
+from collections import Counter
+
 import pytest
 
+import opens_reference as ref
 from conftest import all_systems, is_topology_oracle
 from fintopo.errors import (BaseCriterionViolation, CapExceeded,
                             ClosedAxiomViolation, SubbaseCriterionViolation)
@@ -12,9 +15,13 @@ from fintopo.topology import (Topology, compare, discrete_topology,
                               generate_from_subbase, indiscrete_topology,
                               is_base_of, is_base_system, is_closed_system,
                               is_finer, is_subbase_system, is_topology,
-                              minimal_base, sierpinski,
-                              topology_from_closed_system,
-                              _enumerate_backtrack, _enumerate_brute)
+                              kernel_of, minimal_base, preorder_kernels,
+                              sierpinski, topology_from_closed_system)
+
+# OEIS A000798 and A001035: the numbers of topologies and of T0
+# topologies (partial orders) on n = 0..6 labelled points
+A000798 = (1, 1, 4, 29, 355, 6942, 209527)
+A001035 = (1, 1, 3, 19, 219, 4231, 130023)
 
 
 def S(n, *sets):
@@ -172,9 +179,30 @@ class TestEnumeration:
     def test_counts_small(self):
         assert [enumerate_topologies(n, count_only=True) for n in range(4)] == [1, 1, 4, 29]
 
-    def test_backtrack_equals_brute_n_le_4(self):
+    def test_enumerator_equals_reference_n_le_4(self):
         for n in range(5):
-            assert _enumerate_backtrack(n) == sorted(_enumerate_brute(n))
+            tops = enumerate_topologies(n)
+            assert [t.opens.sets for t in tops] == sorted(ref.topology_families(n))
+            for t in tops:
+                assert tuple(kernel_of(t.opens.sets, n)) == t.minimal_opens
+
+    def test_counts_match_oeis(self):
+        for n in range(6):
+            tops = enumerate_topologies(n)
+            assert len(tops) == enumerate_topologies(n, count_only=True) == A000798[n]
+            t0 = [t for t in tops if len(set(t.minimal_opens)) == n]
+            assert len(t0) == A001035[n]
+
+    def test_kernel_counts_n6(self):
+        # beyond the listing cap, the kernels alone, counted as they come
+        is_t0 = Counter(len(set(u)) == 6 for u in preorder_kernels(6))
+        assert is_t0[True] + is_t0[False] == A000798[6]
+        assert is_t0[True] == A001035[6]
+
+    def test_sorted_by_opens(self):
+        for n in range(6):
+            keys = [t.opens.sets for t in enumerate_topologies(n)]
+            assert keys == sorted(keys)
 
     def test_all_results_are_topologies_n3(self):
         for t in enumerate_topologies(3):
@@ -183,6 +211,3 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             enumerate_topologies(6)
-
-    def test_sample_check_runs(self):
-        assert enumerate_topologies(3, count_only=True, sample_check=0.1) == 29
