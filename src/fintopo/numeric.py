@@ -5,13 +5,25 @@ Cauchy-Schwarz / metric-comparison checks.
 A dyadic number is mantissa * 2^exponent with the mantissa odd or zero
 (canonical form).  Addition, subtraction, multiplication and comparison
 are exact; division is deliberately absent.
+
+Polynomials are evaluated by one integer Horner rule on the
+coefficients' common exponent.  Bisection runs on the integer grid
+N * 2^-k that its points lie on and builds a Dyadic only for the result
+and the trace; its results are those of the step-by-step Dyadic loop,
+bit for bit.  A tolerance whose steps, times the degree, pass
+BISECTION_CAP raises CapExceeded before the first step.
 """
 
 import sys
 from fractions import Fraction
+from operator import index
 
-from .errors import (BracketViolation, EmptyArgument, IndexOutOfRange,
+from .errors import (BracketViolation, CapExceeded, EmptyArgument, IndexOutOfRange,
                      LengthMismatch, NonDyadicClosedForm, NonDyadicLiteral)
+
+# Most bit growth one bisection may take: its steps times max(degree, 1).
+# The evaluated integers grow by that many bits over the inputs'.
+BISECTION_CAP = 1 << 14
 
 
 class Dyadic:
@@ -104,12 +116,10 @@ class Dyadic:
         return Dyadic(abs(self.m), self.e)
 
     def __pow__(self, k):
+        k = index(k)
         if k < 0:
             raise IndexOutOfRange("need a nonnegative exponent, got %d" % k)
-        out = Dyadic(1)
-        for _ in range(k):
-            out = out * self
-        return out
+        return Dyadic(self.m ** k, self.e * k)
 
     def half_sum(self, other):
         """The exact midpoint (self + other) / 2."""
@@ -155,19 +165,33 @@ ZERO = Dyadic(0)
 ONE = Dyadic(1)
 
 
-class DyadicPoly:
-    """A polynomial with dyadic coefficients, ascending degree."""
+def _horner(cs, n, k):
+    """The sum of cs[i] * n^i * 2^(k * (d - i)) for d = len(cs) - 1: the
+    integer polynomial cs at n * 2^-k, times 2^(k * d)."""
+    out = 0
+    shift = 0
+    for c in reversed(cs):
+        out = out * n + (c << shift)
+        shift += k
+    return out
 
-    __slots__ = ('coeffs',)
+
+class DyadicPoly:
+    """A polynomial with dyadic coefficients, ascending degree, also held
+    as integers on their common exponent: coeffs[i] = ints[i] * 2^exp."""
+
+    __slots__ = ('coeffs', 'ints', 'exp')
 
     def __init__(self, coeffs):
         self.coeffs = tuple(_coerce(c) for c in coeffs)
+        self.exp = min((c.e for c in self.coeffs), default=0)
+        self.ints = tuple(c.m << (c.e - self.exp) for c in self.coeffs)
 
     def __call__(self, x):
-        out = ZERO
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        x = _coerce(x)
+        if x.e >= 0:
+            return Dyadic(_horner(self.ints, x.m << x.e, 0), self.exp)
+        return Dyadic(_horner(self.ints, x.m, -x.e), self.exp + x.e * (len(self.ints) - 1))
 
     def __repr__(self):
         return 'DyadicPoly(%r)' % (list(self.coeffs),)
@@ -208,46 +232,83 @@ def geometric_limit(x):
         raise NonDyadicClosedForm(val.numerator, val.denominator)
 
 
+def _ceil_log2_ratio(u, v):
+    """The least j with u <= v * 2^j, for u, v > 0."""
+    j = u.bit_length() - v.bit_length()
+    if j >= 0:
+        return j if u <= v << j else j + 1
+    return j if u << -j <= v else j + 1
+
+
 def bisection_invert(p, a, b, w, tol, trace=None):
     """Find x in [a, b] with p(x) close to w by exact bisection.
 
-    Requires a < b, tol > 0, and w bracketed between p(a) and p(b); p
-    should be strictly monotone on [a, b] -- violations surface as a
-    BracketViolation when the invariant min(p(x), p(y)) <= w <=
-    max(p(x), p(y)) breaks.  Stops once the interval width is at most
-    tol (the width after n steps is exactly (b - a) / 2^n) and returns
-    the left endpoint; an exact hit p(z) = w returns z at once.  If
-    given, trace receives one (x, y, p(x), p(y)) tuple per step.
+    p must be a DyadicPoly.  Requires a < b, tol > 0, and w bracketed
+    between p(a) and p(b); p should be strictly monotone on [a, b] --
+    violations surface as a BracketViolation when the invariant
+    min(p(x), p(y)) <= w <= max(p(x), p(y)) breaks.  Stops once the
+    interval width is at most tol (the width after n steps is exactly
+    (b - a) / 2^n) and returns the left endpoint; an exact hit p(z) = w
+    returns z at once.  If given, trace receives one (x, y, p(x), p(y))
+    tuple per step.  Raises CapExceeded, before the first step, when the
+    steps times max(degree, 1) pass BISECTION_CAP.
+
+    Step s visits the grid N * 2^-(k0 + s), so the endpoints are kept as
+    integer numerators x, y: the midpoint is x + y once both are
+    doubled.  The sign of p - w there is that of one integer Horner sum
+    with -w folded into the constant coefficient.
     """
     a, b, w, tol = _coerce(a), _coerce(b), _coerce(w), _coerce(tol)
     if not a < b:
         raise IndexOutOfRange("need a < b")
     if not tol > ZERO:
         raise IndexOutOfRange("need tol > 0")
-    pa, pb = p(a), p(b)
-    if not (min(pa, pb) <= w <= max(pa, pb)):
+    k = -min(a.e, b.e, 0)
+    x = a.m << (a.e + k)
+    y = b.m << (b.e + k)
+    steps = max(0, _ceil_log2_ratio(y - x, tol.m) - tol.e - k)
+    d = max(len(p.ints) - 1, 0)
+    # p is a multiple of 2^g at every point visited.  A w off that
+    # lattice has the signs, and no hits, of the odd multiple of
+    # 2^(g - 1) next to it, so the fold never shifts p to w's exponent.
+    g = p.exp - d * (k + steps)
+    wm, we = (((w.m >> (g - w.e)) << 1) + 1, g - 1) if w.e < g else (w.m, w.e)
+    f = min(p.exp, we)
+    cs = [c << (p.exp - f) for c in p.ints] or [0]
+    cs[0] -= wm << (we - f)
+    fx = _horner(cs, x, k)
+    fy = _horner(cs, y, k)
+    sx = (fx > 0) - (fx < 0)
+    sy = (fy > 0) - (fy < 0)
+    if sx * sy > 0:
         raise BracketViolation(0)
-    if pa == w:
+    if not sx:
         return a
-    if pb == w:
+    if not sy:
         return b
-    x, y, px, py = a, b, pa, pb
-    step = 0
-    while y - x > tol:
-        step += 1
-        z = x.half_sum(y)
-        pz = p(z)
-        if pz == w:
-            return z
-        if min(px, pz) <= w <= max(px, pz):
-            y, py = z, pz
+    if steps * max(d, 1) > BISECTION_CAP:
+        raise CapExceeded("bisection to tol %s takes %d steps at degree %d; "
+                          "steps x degree is capped at %d"
+                          % (tol, steps, d, BISECTION_CAP))
+    for step in range(1, steps + 1):
+        z = x + y
+        x <<= 1
+        y <<= 1
+        k += 1
+        fz = _horner(cs, z, k)
+        if not fz:
+            return Dyadic(z, -k)
+        sz = 1 if fz > 0 else -1
+        if sx * sz <= 0:
+            y, sy = z, sz
         else:
-            x, px = z, pz
-        if not (min(px, py) <= w <= max(px, py)):
+            x, sx = z, sz
+        if sx * sy > 0:
             raise BracketViolation(step)
         if trace is not None:
-            trace.append((x, y, px, py))
-    return x
+            xd, yd = Dyadic(x, -k), Dyadic(y, -k)
+            trace.append((xd, yd, p(xd), p(yd)))
+    return Dyadic(x, -k)
 
 
 def mth_root(a, m, tol):

@@ -168,10 +168,14 @@ def _suite_numeric(n, tally):
         tol = Dyadic(1, -rng.randint(2, 10))
         trace = []
         r = bisection_invert(p, a, b, w, tol, trace=trace)
-        widths_ok = all((y - x).to_fraction() == (b - a).to_fraction() / (1 << (i + 1))
-                        for i, (x, y, _, _) in enumerate(trace))
-        tally.record(a <= r <= b and widths_ok,
-                     lambda: {'poly': [str(c) for c in coeffs], 'w': str(w)})
+        # each step keeps one half of the interval before it, so the
+        # width after step s is (b - a) / 2^s
+        ok, x, y = a <= r <= b, a, b
+        for nx, ny, _, _ in trace:
+            mid = x.half_sum(y)
+            ok = ok and (nx, ny) in ((x, mid), (mid, y))
+            x, y = nx, ny
+        tally.record(ok, lambda: {'poly': [str(c) for c in coeffs], 'w': str(w)})
 
 
 SUITES = {

@@ -9,11 +9,17 @@ The generated topology and the base check work pairwise over the
 members of a system (theta, psi and the pairwise base criteria), never
 from its U_x.  The topology families are found by scanning every
 family of subsets, not by listing preorders.
+
+The bisection that the integer grid replaced is kept here too, with the
+Horner rule it used: every step a Dyadic midpoint, a Dyadic evaluation
+and Dyadic comparisons, for test_numeric.py.
 """
 
 from functools import lru_cache
 from itertools import permutations
 
+from fintopo.errors import BracketViolation, IndexOutOfRange
+from fintopo.numeric import ZERO
 from fintopo.setops import (FiniteMap, SetSystem, full_mask, phi, psi,
                             relation_from_sections, theta)
 from fintopo.topology import Topology, is_base_system
@@ -233,3 +239,45 @@ def topology_families(n):
                for i, a in enumerate(members) for b in members[i + 1:]):
             results.append(tuple(members))
     return results
+
+
+def poly_value(p, x):
+    """p(x) by Horner's rule in Dyadic arithmetic over p.coeffs."""
+    out = ZERO
+    for c in reversed(p.coeffs):
+        out = out * x + c
+    return out
+
+
+def bisection_invert(p, a, b, w, tol, trace=None):
+    """The Dyadic-object bisection: the same contract as
+    fintopo.numeric.bisection_invert without its step cap, for Dyadic
+    arguments."""
+    if not a < b:
+        raise IndexOutOfRange("need a < b")
+    if not tol > ZERO:
+        raise IndexOutOfRange("need tol > 0")
+    pa, pb = poly_value(p, a), poly_value(p, b)
+    if not (min(pa, pb) <= w <= max(pa, pb)):
+        raise BracketViolation(0)
+    if pa == w:
+        return a
+    if pb == w:
+        return b
+    x, y, px, py = a, b, pa, pb
+    step = 0
+    while y - x > tol:
+        step += 1
+        z = x.half_sum(y)
+        pz = poly_value(p, z)
+        if pz == w:
+            return z
+        if min(px, pz) <= w <= max(px, pz):
+            y, py = z, pz
+        else:
+            x, px = z, pz
+        if not (min(px, py) <= w <= max(px, py)):
+            raise BracketViolation(step)
+        if trace is not None:
+            trace.append((x, y, px, py))
+    return x

@@ -1,6 +1,7 @@
 """The `topo` command line tool: outputs, determinism, and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -240,6 +241,14 @@ class TestNumericVerbs:
                            '--tol', '2^-4')
         assert code == 0
         assert json.loads(out) == {'fraction': '11/8', 'root': '11*2^-3'}
+
+    def test_root_past_the_step_cap_fails_fast(self, capsys):
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, 'root', '--a', '2', '--m', '2',
+                           '--tol', '2^-100000000')
+        assert time.perf_counter() - t0 < 1
+        assert code == 1
+        assert json.loads(out)['error'] == 'CapExceeded'
 
     def test_series_geometric(self, capsys):
         code, out, _ = run(capsys, 'series', '--geom', '1/2', '--terms', '10')

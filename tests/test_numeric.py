@@ -2,14 +2,16 @@
 squared-distance comparisons."""
 
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fintopo.errors import (BracketViolation, EmptyArgument, IndexOutOfRange,
+import opens_reference as ref
+from fintopo.errors import (BracketViolation, CapExceeded, EmptyArgument, IndexOutOfRange,
                             LengthMismatch, NonDyadicClosedForm, NonDyadicLiteral)
-from fintopo.numeric import (ONE, ZERO, Dyadic, DyadicPoly, bisection_invert,
+from fintopo.numeric import (BISECTION_CAP, ONE, ZERO, Dyadic, DyadicPoly, bisection_invert,
                              cauchy_schwarz_check, dot, finite_series,
                              geometric_limit, geometric_partial_sum,
                              metric_compare, mth_root, power_exceeds,
@@ -62,6 +64,14 @@ class TestDyadic:
     def test_power(self, a, k):
         assert (a ** k).to_fraction() == a.to_fraction() ** k
 
+    @given(dyadics)
+    @settings(max_examples=50)
+    def test_power_is_repeated_multiplication(self, a):
+        p = ONE
+        for k in range(41):
+            assert ((a ** k).m, (a ** k).e) == (p.m, p.e), k
+            p = p * a
+
     def test_from_fraction_rejects_non_dyadic(self):
         with pytest.raises(NonDyadicLiteral):
             Dyadic.from_fraction(Fraction(1, 3))
@@ -84,6 +94,8 @@ class TestDyadic:
     def test_negative_power_is_a_typed_error(self):
         with pytest.raises(IndexOutOfRange):
             Dyadic(3) ** -2
+        with pytest.raises(TypeError):
+            Dyadic(3) ** 0.5
 
     def test_normalizing_a_long_power_of_two_is_immediate(self):
         # stripping 200,000 factors of 2 one division at a time took seconds
@@ -212,6 +224,110 @@ class TestBisection:
         p = DyadicPoly([ONE, Dyadic(-1)])  # 1 - x
         r = bisection_invert(p, ZERO, ONE, Dyadic(1, -2), Dyadic(1, -10))
         assert r == Dyadic(3, -2)
+
+
+coefficients = st.builds(Dyadic, st.integers(-32, 32), st.integers(-3, 3))
+
+
+class TestPolynomial:
+    @given(st.lists(coefficients, max_size=5), st.builds(Dyadic, st.integers(-64, 64),
+                                                         st.integers(-6, 6)))
+    @settings(max_examples=300)
+    def test_integer_horner_matches_dyadic_horner(self, coeffs, x):
+        p = DyadicPoly(coeffs)
+        v, r = p(x), ref.poly_value(p, x)
+        assert (v.m, v.e) == (r.m, r.e)
+
+
+@st.composite
+def bisection_cases(draw):
+    """Degrees 0..4 with coefficients of either sign, so increasing,
+    decreasing and non-monotone polynomials; endpoints with exponents
+    from -3 to 5; w at a point the bisection may visit (an exact
+    midpoint hit), between p(a) and p(b), between them on a grid finer
+    than any p(z) reached, or anywhere (often not bracketed); tol from
+    2^-12 up to 2^8, often at least b - a."""
+    p = DyadicPoly(draw(st.lists(coefficients, min_size=1, max_size=5)))
+    a = draw(st.builds(Dyadic, st.integers(-40, 40), st.integers(-3, 5)))
+    b = a + draw(st.builds(Dyadic, st.integers(1, 64), st.integers(-3, 5)))
+    kind = draw(st.sampled_from(['grid', 'between', 'fine', 'any']))
+    if kind == 'grid':
+        w = p(a + (b - a) * Dyadic(draw(st.integers(0, 64)), -6))
+    elif kind == 'between':
+        w = p(a) + (p(b) - p(a)) * Dyadic(draw(st.integers(0, 64)), -6)
+    elif kind == 'fine':
+        fine = Dyadic(draw(st.integers(0, 1 << 20)) | 1, -draw(st.integers(1, 120)))
+        w = p(a) + (p(b) - p(a)) * fine
+    else:
+        w = Dyadic(draw(st.integers(-500, 500)), draw(st.integers(-4, 4)))
+    return p, a, b, w, Dyadic(1, draw(st.integers(-12, 8)))
+
+
+def bisection_outcome(invert, p, a, b, w, tol):
+    trace = []
+    try:
+        r = invert(p, a, b, w, tol, trace)
+    except BracketViolation as exc:
+        return 'BracketViolation', exc.step
+    return (r.m, r.e), [tuple((v.m, v.e) for v in t) for t in trace]
+
+
+class TestBisectionReference:
+    """The integer-grid bisection against the Dyadic-object loop it
+    replaced: the same result, trace and BracketViolation step."""
+
+    @given(bisection_cases())
+    @settings(max_examples=500)
+    def test_matches_reference(self, case):
+        expected = bisection_outcome(ref.bisection_invert, *case)
+        assert bisection_outcome(bisection_invert, *case) == expected
+
+    def test_fine_square_root_matches_reference(self):
+        a = Dyadic(1234567, -10)
+        tol = Dyadic(1, -2048)
+        r = mth_root(a, 2, tol)
+        s = ref.bisection_invert(DyadicPoly([ZERO, ZERO, ONE]), ZERO, a, a, tol)
+        assert (r.m, r.e) == (s.m, s.e)
+
+    def test_w_finer_than_the_grid(self):
+        # every p(z) visited here is a multiple of 2^-128, so w is rounded
+        # to that grid instead of the coefficients being shifted to 2^-10^8
+        t0 = time.perf_counter()
+        assert mth_root(Dyadic(1, -100000000), 2, Dyadic(1, -64)) == ZERO
+        assert time.perf_counter() - t0 < 1
+        a, tol = Dyadic(3, -301), Dyadic(1, -64)
+        r = mth_root(a, 2, tol)
+        s = ref.bisection_invert(DyadicPoly([ZERO, ZERO, ONE]), ZERO, ONE, a, tol)
+        assert (r.m, r.e) == (s.m, s.e)
+
+
+class TestStepCap:
+    SQUARE = DyadicPoly([ZERO, ZERO, ONE])
+
+    def test_at_the_cap_runs(self):
+        # on [0, 1], tol 2^-s takes s steps; at degree 2 the cap admits s = CAP / 2
+        tol = Dyadic(1, -(BISECTION_CAP // 2))
+        r = bisection_invert(self.SQUARE, ZERO, ONE, Dyadic(1, -1), tol)
+        assert r * r < Dyadic(1, -1) < (r + tol) * (r + tol)
+
+    def test_past_the_cap_fails_before_the_first_step(self):
+        trace = []
+        with pytest.raises(CapExceeded):
+            bisection_invert(self.SQUARE, ZERO, ONE, Dyadic(1, -1),
+                             Dyadic(1, -(BISECTION_CAP // 2 + 1)), trace)
+        assert trace == []
+        with pytest.raises(CapExceeded):
+            bisection_invert(DyadicPoly([Dyadic(-1, -1), ONE]), ZERO, ONE, ZERO,
+                             Dyadic(1, -(BISECTION_CAP + 1)))
+        with pytest.raises(CapExceeded):
+            mth_root(Dyadic(2), 2, Dyadic(1, -100000000))
+
+    def test_bracket_and_endpoint_hits_come_before_the_cap(self):
+        tiny = Dyadic(1, -100000000)
+        with pytest.raises(BracketViolation):
+            bisection_invert(self.SQUARE, ZERO, ONE, Dyadic(2), tiny)
+        assert mth_root(ZERO, 2, tiny) == ZERO
+        assert mth_root(ONE, 2, tiny) == ONE
 
 
 class TestRoots:
