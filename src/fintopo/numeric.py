@@ -271,8 +271,12 @@ def bisection_invert(p, a, b, w, tol, trace=None):
     # p is a multiple of 2^g at every point visited.  A w off that
     # lattice has the signs, and no hits, of the odd multiple of
     # 2^(g - 1) next to it, so the fold never shifts p to w's exponent.
+    # Zero is on every lattice, whatever its stored exponent.
     g = p.exp - d * (k + steps)
-    wm, we = (((w.m >> (g - w.e)) << 1) + 1, g - 1) if w.e < g else (w.m, w.e)
+    if w.m and w.e < g:
+        wm, we = ((w.m >> (g - w.e)) << 1) + 1, g - 1
+    else:
+        wm, we = w.m, w.e
     f = min(p.exp, we)
     cs = [c << (p.exp - f) for c in p.ints] or [0]
     cs[0] -= wm << (we - f)

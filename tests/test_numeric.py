@@ -245,12 +245,16 @@ def bisection_cases(draw):
     decreasing and non-monotone polynomials; endpoints with exponents
     from -3 to 5; w at a point the bisection may visit (an exact
     midpoint hit), between p(a) and p(b), between them on a grid finer
-    than any p(z) reached, or anywhere (often not bracketed); tol from
-    2^-12 up to 2^8, often at least b - a."""
-    p = DyadicPoly(draw(st.lists(coefficients, min_size=1, max_size=5)))
+    than any p(z) reached, or anywhere (often not bracketed), or w = 0
+    with p moved to vanish at a quarter of [a, b]; tol from 2^-12 up to
+    2^8, often at least b - a.  The coefficients are scaled by up to
+    2^8, so p can be a multiple of a positive power of two at every
+    point visited."""
+    scale = Dyadic(1, draw(st.integers(0, 8)))
+    p = DyadicPoly([c * scale for c in draw(st.lists(coefficients, min_size=1, max_size=5))])
     a = draw(st.builds(Dyadic, st.integers(-40, 40), st.integers(-3, 5)))
     b = a + draw(st.builds(Dyadic, st.integers(1, 64), st.integers(-3, 5)))
-    kind = draw(st.sampled_from(['grid', 'between', 'fine', 'any']))
+    kind = draw(st.sampled_from(['grid', 'between', 'fine', 'root', 'any']))
     if kind == 'grid':
         w = p(a + (b - a) * Dyadic(draw(st.integers(0, 64)), -6))
     elif kind == 'between':
@@ -258,6 +262,10 @@ def bisection_cases(draw):
     elif kind == 'fine':
         fine = Dyadic(draw(st.integers(0, 1 << 20)) | 1, -draw(st.integers(1, 120)))
         w = p(a) + (p(b) - p(a)) * fine
+    elif kind == 'root':
+        z = a + (b - a) * Dyadic(draw(st.integers(0, 4)), -2)
+        p = DyadicPoly((p.coeffs[0] - p(z),) + p.coeffs[1:])
+        w = ZERO
     else:
         w = Dyadic(draw(st.integers(-500, 500)), draw(st.integers(-4, 4)))
     return p, a, b, w, Dyadic(1, draw(st.integers(-12, 8)))
@@ -288,6 +296,18 @@ class TestBisectionReference:
         r = mth_root(a, 2, tol)
         s = ref.bisection_invert(DyadicPoly([ZERO, ZERO, ONE]), ZERO, a, a, tol)
         assert (r.m, r.e) == (s.m, s.e)
+
+    @pytest.mark.parametrize('coeffs, a, b', [
+        ((4, -4), -1, 1),   # p(b) = 0
+        ((-4, -4), -1, 1),  # p(a) = 0
+        ((4, -4), 0, 2),    # p at the first midpoint is 0
+    ])
+    def test_zero_w_on_a_coarse_lattice(self, coeffs, a, b):
+        # every p(z) visited is even, and w = 0 is stored with exponent 0:
+        # it must not be rounded off the lattice as a finer w would be
+        case = (DyadicPoly([Dyadic(c) for c in coeffs]), Dyadic(a), Dyadic(b), ZERO, ONE)
+        expected = bisection_outcome(ref.bisection_invert, *case)
+        assert bisection_outcome(bisection_invert, *case) == expected
 
     def test_w_finer_than_the_grid(self):
         # every p(z) visited here is a multiple of 2^-128, so w is rounded
