@@ -3,7 +3,7 @@ and interior operators given as dense tables over all subsets."""
 
 from .errors import InteriorAxiomViolation, KuratowskiViolation, UniverseMismatch
 from .setops import full_mask
-from .topology import Topology, enumerate_topologies, point_closures
+from .topology import Topology, closure_table, enumerate_topologies, point_closures
 
 
 def interior(topology, a_mask):
@@ -91,27 +91,19 @@ class SubsetOperator:
         return SubsetOperator(self.n, [full ^ self.table[full ^ a] for a in range(1 << self.n)])
 
 
-def closure_table(topology):
-    """closure(A) for every subset A.  Closure is additive, so each
-    entry is the entry without A's lowest point joined with the closure
-    of that point, {x : y in U_x} for the point y."""
-    n = topology.n
-    closures = point_closures(topology.minimal_opens)
-    table = [0] * (1 << n)
-    for a in range(1, 1 << n):
-        low = a & -a
-        table[a] = table[a ^ low] | closures[low.bit_length() - 1]
-    return table
-
-
 def closure_operator_of(topology):
-    return SubsetOperator(topology.n, closure_table(topology))
+    """The closure operator of the space, on a table built anew, not the
+    one kept in topology.views: a caller holding many spaces, as the
+    listing of every space on 5 points does, would keep every table."""
+    return SubsetOperator(topology.n, closure_table(point_closures(topology.minimal_opens)))
 
 
 def interior_operator_of(topology):
-    """The dual of the closure operator: int(A) = X minus cl(X minus A)."""
+    """The dual of the closure operator: int(A) = X minus cl(X minus A),
+    on a table built anew like closure_operator_of's."""
     full = full_mask(topology.n)
-    return SubsetOperator(topology.n, [full ^ c for c in reversed(closure_table(topology))])
+    table = closure_table(point_closures(topology.minimal_opens))
+    return SubsetOperator(topology.n, [full ^ c for c in reversed(table)])
 
 
 def check_closure_axioms(op):

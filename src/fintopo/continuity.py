@@ -2,11 +2,10 @@
 the equivalent global characterizations, open/closed maps, and
 homeomorphisms."""
 
-from .closure import closure, closure_table
 from .convergence import filter_adherence
 from .errors import ClusterPreconditionFailed, UniverseCardinalityMismatch, UniverseMismatch
-from .setops import FiniteMap, full_mask, supermasks
-from .topology import minimal_base, point_closures, point_shapes
+from .setops import FiniteMap, full_mask
+from .topology import point_closures, point_shapes
 
 
 class SpaceMap:
@@ -34,7 +33,9 @@ class SpaceMap:
 def is_continuous(m):
     """Continuous at every point: f[U_x] lies inside U_f(x) for each x.
     (continuous_via_opens is the open-set definition.)"""
-    return all(is_continuous_at(m, x) for x in range(m.source.n))
+    image, images, dst_u = m.f.image_mask, m.f.images, m.target.minimal_opens
+    return all(image(ux) & ~dst_u[images[x]] == 0
+               for x, ux in enumerate(m.source.minimal_opens))
 
 
 def is_continuous_at(m, x):
@@ -47,22 +48,24 @@ def is_continuous_at(m, x):
     return m.f.image_mask(u) & ~m.target.minimal_opens[m.f(x)] == 0
 
 
-# --- the six global characterizations, each computed independently ---
+# --- the six global characterizations, each computed independently;
+# what they read of a space comes from its kept views ---
 
 def continuous_via_opens(m):
-    return all(m.f.preimage_mask(o) in m.source.opens for o in m.target.opens)
+    pre, opens = m.f.preimage_mask, m.source.opens
+    return all(pre(o) in opens for o in m.target.opens)
 
 
 def continuous_via_subbase(m):
     """Preimages of a subbase of the target are open; the minimal base
     serves as the subbase."""
-    sub = minimal_base(m.target)
-    return all(m.f.preimage_mask(s) in m.source.opens for s in sub)
+    pre, opens = m.f.preimage_mask, m.source.opens
+    return all(pre(s) in opens for s in m.target.views.minimal_base)
 
 
 def continuous_via_closeds(m):
-    return all(m.source.is_closed(m.f.preimage_mask(c))
-               for c in m.target.closed_sets())
+    pre, is_closed = m.f.preimage_mask, m.source.is_closed
+    return all(is_closed(pre(c)) for c in m.target.views.closed_sets)
 
 
 def continuous_via_neighborhoods(m):
@@ -73,40 +76,45 @@ def continuous_via_filter_transfer(m):
     """For each x and each neighborhood U of f(x) there is a
     neighborhood V of x with f[V] contained in U.  The neighborhoods of
     a point x are the supersets of U_x."""
-    src_u, dst_u = m.source.minimal_opens, m.target.minimal_opens
-    for x in range(m.source.n):
-        images = [m.f.image_mask(v) for v in supermasks(src_u[x], m.source.n)]
-        for u in supermasks(dst_u[m.f(x)], m.target.n):
-            if not any(img & ~u == 0 for img in images):
+    src_nbhd, dst_nbhd = m.source.views.neighborhoods, m.target.views.neighborhoods
+    image, images = m.f.image_mask, m.f.images
+    for x, nbhd in enumerate(src_nbhd):
+        pushed = [image(v) for v in nbhd]
+        for u in dst_nbhd[images[x]]:
+            for img in pushed:
+                if not img & ~u:
+                    break
+            else:
                 return False
     return True
 
 
 def continuous_via_closure(m):
     """f[cl(A)] is contained in cl(f[A]) for every subset A, read from
-    one closure table per space."""
-    src, dst = closure_table(m.source), closure_table(m.target)
+    the closure tables of the two spaces."""
+    src, dst = m.source.views.closure_table, m.target.views.closure_table
     image = m.f.image_mask
     return all(image(src[a]) & ~dst[image(a)] == 0 for a in range(len(src)))
 
 
 def continuous_via_preimage_closure(m):
-    """cl(f^-1[B]) is contained in f^-1[cl(B)] for every target subset B."""
-    for b in range(1 << m.target.n):
-        pre = m.f.preimage_mask(b)
-        if closure(m.source, pre) & ~m.f.preimage_mask(closure(m.target, b)):
-            return False
-    return True
+    """cl(f^-1[B]) is contained in f^-1[cl(B)] for every target subset B,
+    read from the closure tables of the two spaces."""
+    src, dst = m.source.views.closure_table, m.target.views.closure_table
+    pre = m.f.preimage_mask
+    return all(src[pre(b)] & ~pre(dst[b]) == 0 for b in range(len(dst)))
 
 
 def continuous_via_preimage_interior(m):
-    """f^-1[int(B)] is contained in int(f^-1[B]) for every target subset B."""
-    from .closure import interior
-    for b in range(1 << m.target.n):
-        pre = m.f.preimage_mask(b)
-        if m.f.preimage_mask(interior(m.target, b)) & ~interior(m.source, pre):
-            return False
-    return True
+    """f^-1[int(B)] is contained in int(f^-1[B]) for every target subset B,
+    with int(A) = X minus cl(X minus A) read from the closure tables of
+    the two spaces."""
+    src, dst = m.source.views.closure_table, m.target.views.closure_table
+    full_src, full_dst = len(src) - 1, len(dst) - 1
+    pre = m.f.preimage_mask
+    # f^-1[int(B)] & ~int(f^-1[B]), with ~int(P) = cl(X minus P) on X
+    return all(pre(full_dst ^ dst[full_dst ^ b]) & src[full_src ^ pre(b)] == 0
+               for b in range(len(dst)))
 
 
 def continuity_characterizations(m):
@@ -126,9 +134,9 @@ def map_open_closed(m):
     of the minimal base and the closed test those of the point
     closures: every open is a union of the U_x, every closed set a
     union of the point closures, and images preserve unions."""
-    u = m.source.minimal_opens
-    is_open = all(m.f.image_mask(ux) in m.target.opens for ux in u)
-    closed = all(m.target.is_closed(m.f.image_mask(c)) for c in point_closures(u))
+    image, opens, is_closed = m.f.image_mask, m.target.opens, m.target.is_closed
+    is_open = all(image(ux) in opens for ux in m.source.minimal_opens)
+    closed = all(is_closed(image(c)) for c in m.source.views.point_closures)
     return is_open, closed
 
 

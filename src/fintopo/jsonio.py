@@ -13,7 +13,7 @@ from .convergence import DirectedSet, EventuallyPeriodicSequence, Net
 from .errors import DomainError, UniverseMismatch
 from .metric import PseudoMetric
 from .neighborhoods import SetNeighborhoodMap
-from .numeric import Dyadic
+from .numeric import Dyadic, decimal_digits
 from .order import Preorder
 from .setops import FiniteMap, PointSetRelation, SetSystem, mask_of, points_of
 from .topology import Topology
@@ -127,8 +127,8 @@ def sequence_from_json(data, n):
 def fraction_to_str(fr):
     fr = Fraction(fr)
     if fr.denominator == 1:
-        return str(fr.numerator)
-    return '%d/%d' % (fr.numerator, fr.denominator)
+        return decimal_digits(fr.numerator)
+    return '%s/%s' % (decimal_digits(fr.numerator), decimal_digits(fr.denominator))
 
 
 def metric_to_json(m):

@@ -11,10 +11,12 @@ coefficients' common exponent.  Bisection runs on the integer grid
 N * 2^-k that its points lie on and builds a Dyadic only for the result
 and the trace; its results are those of the step-by-step Dyadic loop,
 bit for bit.  A tolerance whose steps, times the degree, pass
-BISECTION_CAP raises CapExceeded before the first step.
+BISECTION_CAP raises CapExceeded before the first step, as do inputs
+whose Horner sums on the starting grid pass HORNER_BITS_CAP bits.
 """
 
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from operator import index
 
@@ -24,6 +26,19 @@ from .errors import (BracketViolation, CapExceeded, EmptyArgument, IndexOutOfRan
 # Most bit growth one bisection may take: its steps times max(degree, 1).
 # The evaluated integers grow by that many bits over the inputs'.
 BISECTION_CAP = 1 << 14
+
+# Longest Horner sum, in bits, that one bisection may start from.  An
+# endpoint, a coefficient or w far in scale from the others lengthens
+# every sum however few the steps; with BISECTION_CAP this bounds the
+# sums at every step.
+HORNER_BITS_CAP = 1 << 15
+
+
+def decimal_digits(i):
+    """The int i in decimal, exactly and at any length: int-to-str
+    conversion refuses ints past sys.get_int_max_str_digits, decimal's
+    does not."""
+    return str(Decimal(i))
 
 
 class Dyadic:
@@ -77,10 +92,10 @@ class Dyadic:
         return Fraction(self.m, 1 << -self.e)
 
     def __str__(self):
-        return '%d*2^%d' % (self.m, self.e)
+        return '%s*2^%d' % (decimal_digits(self.m), self.e)
 
     def __repr__(self):
-        return 'Dyadic(%d, %d)' % (self.m, self.e)
+        return 'Dyadic(%s, %d)' % (decimal_digits(self.m), self.e)
 
     def __hash__(self):
         """Python's numeric hash of m * 2^e, so a Dyadic hashes like the
@@ -250,8 +265,10 @@ def bisection_invert(p, a, b, w, tol, trace=None):
     interval width is at most tol (the width after n steps is exactly
     (b - a) / 2^n) and returns the left endpoint; an exact hit p(z) = w
     returns z at once.  If given, trace receives one (x, y, p(x), p(y))
-    tuple per step.  Raises CapExceeded, before the first step, when the
-    steps times max(degree, 1) pass BISECTION_CAP.
+    tuple per step.  Raises CapExceeded, before the endpoints are
+    evaluated, when their Horner sums would pass HORNER_BITS_CAP bits,
+    and before the first step when the steps times max(degree, 1) pass
+    BISECTION_CAP.
 
     Step s visits the grid N * 2^-(k0 + s), so the endpoints are kept as
     integer numerators x, y: the midpoint is x + y once both are
@@ -280,6 +297,12 @@ def bisection_invert(p, a, b, w, tol, trace=None):
     f = min(p.exp, we)
     cs = [c << (p.exp - f) for c in p.ints] or [0]
     cs[0] -= wm << (we - f)
+    # each term cs[i] * x^i * 2^(k * (d - i)) has at most this many bits
+    bits = max(c.bit_length() for c in cs) + d * max(x.bit_length(), y.bit_length(), k)
+    if bits > HORNER_BITS_CAP:
+        raise CapExceeded("bisection from [%s, %s] on the grid 2^-%d sums %d-bit terms "
+                          "at degree %d; capped at %d bits"
+                          % (a, b, k, bits, d, HORNER_BITS_CAP))
     fx = _horner(cs, x, k)
     fy = _horner(cs, y, k)
     sx = (fx > 0) - (fx < 0)

@@ -252,9 +252,13 @@ def phi_prime(relation):
 
 
 class FiniteMap:
-    """A map {0..n_src-1} -> {0..n_dst-1} stored as the tuple of images."""
+    """A map {0..n_src-1} -> {0..n_dst-1} stored as the tuple of images.
 
-    __slots__ = ('n_src', 'n_dst', 'images')
+    The fibers, read by preimage_mask, are built on its first call and
+    kept.
+    """
+
+    __slots__ = ('n_src', 'n_dst', 'images', '_fibers')
 
     def __init__(self, n_src, n_dst, images):
         images = tuple(images)
@@ -281,19 +285,33 @@ class FiniteMap:
         return 'FiniteMap(%d, %d, %r)' % (self.n_src, self.n_dst, list(self.images))
 
     def image_mask(self, mask):
-        """f[A] as a mask on the target carrier."""
+        """f[A] as a mask on the target carrier, from the points of A
+        on the source carrier."""
+        images = self.images
+        mask &= (1 << self.n_src) - 1
         out = 0
-        for x in range(self.n_src):
-            if mask >> x & 1:
-                out |= 1 << self.images[x]
+        while mask:
+            low = mask & -mask
+            out |= 1 << images[low.bit_length() - 1]
+            mask ^= low
         return out
 
     def preimage_mask(self, mask):
-        """f^-1[B] as a mask on the source carrier."""
+        """f^-1[B] as a mask on the source carrier: the union of the
+        fibers over the points of B on the target carrier."""
+        try:
+            fibers = self._fibers
+        except AttributeError:
+            fibers = [0] * self.n_dst
+            for x, y in enumerate(self.images):
+                fibers[y] |= 1 << x
+            fibers = self._fibers = tuple(fibers)
+        mask &= (1 << self.n_dst) - 1
         out = 0
-        for x in range(self.n_src):
-            if mask >> self.images[x] & 1:
-                out |= 1 << x
+        while mask:
+            low = mask & -mask
+            out |= fibers[low.bit_length() - 1]
+            mask ^= low
         return out
 
     def image_system(self, system):

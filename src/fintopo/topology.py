@@ -1,6 +1,8 @@
 """Finite topologies: validation, generation from (sub)bases, closed-set
 duality, comparison, and exhaustive enumeration up to n = 5."""
 
+from functools import cached_property
+
 from .errors import (BaseCriterionViolation, CapExceeded, ClosedAxiomViolation,
                      NotABase, SubbaseCriterionViolation, UniverseMismatch)
 from .setops import SetSystem, full_mask, points_of, relation_from_sections, supermasks
@@ -9,11 +11,12 @@ from .setops import SetSystem, full_mask, points_of, relation_from_sections, sup
 class Topology:
     """A topology given by its system of open sets.
 
-    The kernel, minimal_opens, and the homeomorphism invariant
-    shape_key are computed on first use and kept.
+    The kernel, minimal_opens, the homeomorphism invariant shape_key
+    and the views derived from the kernel are computed on first use and
+    kept.
     """
 
-    __slots__ = ('n', 'opens', '_kernel', '_shape_key')
+    __slots__ = ('n', 'opens', '_kernel', '_shape_key', '_views')
 
     def __init__(self, n, opens, validate=True):
         system = opens if isinstance(opens, SetSystem) else SetSystem(n, opens)
@@ -41,10 +44,10 @@ class Topology:
         return mask in self.opens
 
     def is_closed(self, mask):
-        return (full_mask(self.n) ^ mask) in self.opens
+        return (((1 << self.n) - 1) ^ mask) in self.opens
 
     def closed_sets(self):
-        return self.opens.complements()
+        return self.views.closed_sets
 
     @property
     def minimal_opens(self):
@@ -74,6 +77,50 @@ class Topology:
             key = key << 2 * _SHAPE_BITS | s
         self._shape_key = key
         return key
+
+    @property
+    def views(self):
+        """The SpaceViews of this space, made on first use and kept in
+        one slot, so a space never asked for a view pays only that slot."""
+        try:
+            return self._views
+        except AttributeError:
+            pass
+        self._views = SpaceViews(self)
+        return self._views
+
+
+class SpaceViews:
+    """What the continuity tests read of a space, each built from its
+    kernel on first use and kept.  Holds the parts of the space it
+    needs, not the space itself."""
+
+    def __init__(self, topology):
+        self._n = topology.n
+        self._u = topology.minimal_opens
+        self._opens = topology.opens
+
+    @cached_property
+    def point_closures(self):
+        return tuple(point_closures(self._u))
+
+    @cached_property
+    def closure_table(self):
+        return tuple(closure_table(self.point_closures))
+
+    @cached_property
+    def closed_sets(self):
+        return self._opens.complements()
+
+    @cached_property
+    def neighborhoods(self):
+        """The neighborhoods of each point x: the supersets of U_x."""
+        return tuple(tuple(supermasks(ux, self._n)) for ux in self._u)
+
+    @cached_property
+    def minimal_base(self):
+        """The empty set and the U_x; see minimal_base."""
+        return SetSystem(self._n, (0,) + self._u)
 
 
 def kernel_of(sets, n):
@@ -141,6 +188,17 @@ def point_closures(u):
             c[low.bit_length() - 1] |= bit
             ux ^= low
     return c
+
+
+def closure_table(closures):
+    """closure(A) for every subset A, given the closure of each point.
+    Closure is additive, so each entry is the entry without A's lowest
+    point joined with the closure of that point."""
+    table = [0] * (1 << len(closures))
+    for a in range(1, len(table)):
+        low = a & -a
+        table[a] = table[a ^ low] | closures[low.bit_length() - 1]
+    return table
 
 
 def point_shapes(u, closures):
@@ -262,8 +320,9 @@ def is_base_of(system, topology):
 def minimal_base(topology):
     """The unique minimal base: the empty set (which every base must
     contain) and the minimal open neighborhoods U_x, which are exactly
-    the opens that are not unions of strictly smaller opens."""
-    return SetSystem(topology.n, (0,) + topology.minimal_opens)
+    the opens that are not unions of strictly smaller opens.  Kept on
+    the space."""
+    return topology.views.minimal_base
 
 
 def is_closed_system(system):

@@ -10,19 +10,25 @@ members of a system (theta, psi and the pairwise base criteria), never
 from its U_x.  The topology families are found by scanning every
 family of subsets, not by listing preorders.
 
+The continuity tests as they were before each space kept its views are
+kept here too: every call builds what it reads of the two spaces, and
+images and preimages loop over every source point.  The closure
+operators are also found by their axioms alone, by a search over each
+point's singleton image that never builds a topology.
+
 The bisection that the integer grid replaced is kept here too, with the
 Horner rule it used: every step a Dyadic midpoint, a Dyadic evaluation
 and Dyadic comparisons, for test_numeric.py.
 """
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 
 from fintopo.errors import BracketViolation, IndexOutOfRange
 from fintopo.numeric import ZERO
-from fintopo.setops import (FiniteMap, SetSystem, full_mask, phi, psi,
-                            relation_from_sections, theta)
-from fintopo.topology import Topology, is_base_system
+from fintopo.setops import (FiniteMap, SetSystem, full_mask, phi, points_of, psi,
+                            relation_from_sections, supermasks, theta)
+from fintopo.topology import Topology, closure_table, is_base_system, point_closures
 
 
 def interior(topology, a_mask):
@@ -141,7 +147,7 @@ def is_continuous_at(m, x):
     """Preimage of every open neighborhood of f(x) is a neighborhood of x."""
     fx = m.f(x)
     src_nbh = set(_sections(m.source)[x])
-    return all(m.f.preimage_mask(u) in src_nbh
+    return all(preimage_mask(m.f, u) in src_nbh
                for u in m.target.opens if u >> fx & 1)
 
 
@@ -184,6 +190,86 @@ def check_interior_axioms(op):
     return None
 
 
+def kuratowski_tables(n):
+    """Every closure-operator table on n points, as a tuple, found from
+    the axioms alone.  Additivity and f(empty) = empty force f(A) to be
+    the union of the f({x}) over x in A, so a superset of each point is
+    chosen as its singleton image, the table is extended additively,
+    and it is kept if it is idempotent (it is extensive and additive by
+    construction).  Tries prod over x of 2^(n-1) choices, so n <= 4."""
+    size = 1 << n
+    tables = []
+    for pick in product(*(supermasks(1 << x, n) for x in range(n))):
+        table = [0] * size
+        for a in range(1, size):
+            for x in points_of(a):
+                table[a] |= pick[x]
+        if all(table[table[a]] == table[a] for a in range(size)):
+            tables.append(tuple(table))
+    return tables
+
+
+def image_mask(f, mask):
+    """f[A], looping over every source point."""
+    out = 0
+    for x in range(f.n_src):
+        if mask >> x & 1:
+            out |= 1 << f.images[x]
+    return out
+
+
+def preimage_mask(f, mask):
+    """f^-1[B], looping over every source point."""
+    out = 0
+    for x in range(f.n_src):
+        if mask >> f.images[x] & 1:
+            out |= 1 << x
+    return out
+
+
+def is_continuous(m):
+    """f[U_x] inside U_f(x) at every point x."""
+    src_u, dst_u = m.source.minimal_opens, m.target.minimal_opens
+    return all(image_mask(m.f, src_u[x]) & ~dst_u[m.f(x)] == 0 for x in range(m.source.n))
+
+
+def continuity_characterizations(m):
+    """The six global characterizations, each building what it reads of
+    the two spaces on the call."""
+    f, src, dst = m.f, m.source, m.target
+    full_src = full_mask(src.n)
+    src_cl = closure_table(point_closures(src.minimal_opens))
+    dst_cl = closure_table(point_closures(dst.minimal_opens))
+
+    def filter_transfer():
+        for x in range(src.n):
+            images = [image_mask(f, v) for v in supermasks(src.minimal_opens[x], src.n)]
+            for u in supermasks(dst.minimal_opens[f(x)], dst.n):
+                if not any(img & ~u == 0 for img in images):
+                    return False
+        return True
+
+    return {
+        'opens': all(preimage_mask(f, o) in src.opens for o in dst.opens),
+        'subbase': all(preimage_mask(f, s) in src.opens for s in minimal_base(dst)),
+        'closeds': all(full_src ^ preimage_mask(f, full_mask(dst.n) ^ o) in src.opens
+                       for o in dst.opens),
+        'neighborhoods': all(is_continuous_at(m, x) for x in range(src.n)),
+        'filter-transfer': filter_transfer(),
+        'closure': all(image_mask(f, src_cl[a]) & ~dst_cl[image_mask(f, a)] == 0
+                       for a in range(1 << src.n)),
+    }
+
+
+def map_open_closed(m):
+    """Whether the image of every open is open and of every closed set
+    closed."""
+    opens = m.target.opens
+    full_src, full_dst = full_mask(m.source.n), full_mask(m.target.n)
+    return (all(image_mask(m.f, o) in opens for o in m.source.opens),
+            all(full_dst ^ image_mask(m.f, full_src ^ o) in opens for o in m.source.opens))
+
+
 def _degree_sequence(t):
     """Per-point count of opens containing the point, sorted."""
     return sorted(sum(1 for o in t.opens if o >> x & 1) for x in range(t.n))
@@ -200,7 +286,7 @@ def are_homeomorphic(t1, t2):
     opens2 = set(t2.opens.sets)
     for perm in permutations(range(t1.n)):
         f = FiniteMap(t1.n, t2.n, perm)
-        if set(f.image_mask(o) for o in t1.opens) == opens2:
+        if set(image_mask(f, o) for o in t1.opens) == opens2:
             return f
     return None
 
@@ -214,11 +300,6 @@ def generated_topology(system):
 def is_base_of(system, topology):
     """A base whose unions are exactly the opens."""
     return is_base_system(system) is None and theta(system) == topology.opens
-
-
-def map_is_closed(m):
-    """The image of every closed set is closed."""
-    return all(m.target.is_closed(m.f.image_mask(c)) for c in m.source.closed_sets())
 
 
 def topology_families(n):

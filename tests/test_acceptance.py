@@ -106,6 +106,10 @@ def test_acceptance_03_kuratowski_bijection(capsys):
         ops = enumerate_closure_operators(n)
         if len(ops) != expect:
             ok = False
+        # the count by the axioms alone, with no topology built
+        tables = ref.kuratowski_tables(n)
+        if len(tables) != expect or set(tables) != {op.table for op in ops}:
+            ok = False
         for op in ops:
             if closure_operator_of(topology_from_closure_operator(op)) != op:
                 ok = False

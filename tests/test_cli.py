@@ -2,6 +2,8 @@
 
 import json
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -242,6 +244,14 @@ class TestNumericVerbs:
         assert code == 0
         assert json.loads(out) == {'fraction': '11/8', 'root': '11*2^-3'}
 
+    def test_root_at_the_step_cap(self, capsys):
+        # the square root of 2 on [0, 2] to 2^-8191: 8,192 steps at degree 2
+        code, out, _ = run(capsys, 'root', '--a', '2', '--m', '2', '--tol', '2^-8191')
+        assert code == 0
+        r = Fraction(json.loads(out)['fraction'])
+        tol = Fraction(1, 2 ** 8191)
+        assert r * r <= 2 < (r + tol) * (r + tol)
+
     def test_root_past_the_step_cap_fails_fast(self, capsys):
         t0 = time.perf_counter()
         code, out, _ = run(capsys, 'root', '--a', '2', '--m', '2',
@@ -291,6 +301,28 @@ class TestNumericVerbs:
         code, out, _ = run(capsys, 'check', '--invert', data)
         assert code == 0
         assert json.loads(out)['fraction'] == '3/8'
+
+    def test_check_invert_past_the_int_digit_limit(self, capsys, tmp_path):
+        # 3x = 1 to 2^-15000 on [0, 1]: the left end floor(2^15000 / 3) /
+        # 2^15000, with a numerator of 4,515 digits
+        data = write(tmp_path, 'i.json',
+                     {'poly': ['0', '3'], 'a': '0', 'b': '1',
+                      'w': '1', 'tol': '2^-15000'})
+        code, out, _ = run(capsys, 'check', '--invert', data)
+        assert code == 0
+        num = (2 ** 15000 - 1) // 3
+        assert json.loads(out) == {'fraction': '%s/%s' % (Decimal(num), Decimal(2 ** 15000)),
+                                   'result': '%s*2^-15000' % Decimal(num)}
+
+    def test_check_invert_from_a_far_endpoint_fails_fast(self, capsys, tmp_path):
+        data = write(tmp_path, 'i.json',
+                     {'poly': ['0', '0', '1'], 'a': '2^-8000000', 'b': '1',
+                      'w': '1/2', 'tol': '2^-30'})
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, 'check', '--invert', data)
+        assert time.perf_counter() - t0 < 1
+        assert code == 1
+        assert json.loads(out)['error'] == 'CapExceeded'
 
     def test_check_invert_bracket_error(self, capsys, tmp_path):
         data = write(tmp_path, 'i.json',

@@ -2,6 +2,7 @@
 
 import pytest
 
+import opens_reference as ref
 from fintopo.closure import (SubsetOperator, analyze_subset, boundary,
                              check_closure_axioms, check_interior_axioms,
                              closure, closure_operator_of, derived_set,
@@ -100,6 +101,7 @@ class TestClosureOperators:
     def test_exactly_29_valid_tables_n3(self):
         ops = enumerate_closure_operators(3)
         assert len(ops) == 29
+        assert len(ref.kuratowski_tables(3)) == 29
         recon = {topology_from_closure_operator(op) for op in ops}
         assert recon == set(enumerate_topologies(3))
         # converse: each valid table is the closure table of its topology
@@ -108,6 +110,13 @@ class TestClosureOperators:
 
     def test_355_valid_tables_n4(self):
         assert len(enumerate_closure_operators(4)) == 355
+        assert len(ref.kuratowski_tables(4)) == 355
+
+    def test_axiom_search_finds_the_tables_of_the_topologies(self):
+        for n in range(5):
+            tables = ref.kuratowski_tables(n)
+            assert len(set(tables)) == len(tables)
+            assert set(tables) == {op.table for op in enumerate_closure_operators(n)}
 
     def test_tables_of_the_topologies_n5(self):
         tables = {op.table for op in enumerate_closure_operators(5)}

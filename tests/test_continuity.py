@@ -90,6 +90,36 @@ class TestCharacterizations:
                                  & ~ref.closure(t2, f.image_mask(a)) == 0 for a in range(8))
                     assert continuous_via_closure(m) == expect
 
+    def test_every_three_point_map_matches_the_rebuilding_reference(self):
+        tops = enumerate_topologies(3)
+        maps = list(all_maps(3, 3))
+        for t1 in tops:
+            for t2 in tops:
+                for f in maps:
+                    m = SpaceMap(t1, t2, f)
+                    c = is_continuous(m)
+                    assert c == ref.is_continuous(m)
+                    assert continuity_characterizations(m) == ref.continuity_characterizations(m)
+                    assert map_open_closed(m) == ref.map_open_closed(m)
+                    assert continuous_via_preimage_closure(m) == c
+                    assert continuous_via_preimage_interior(m) == c
+
+    def test_preimage_characterizations_read_the_kept_tables(self, monkeypatch):
+        import fintopo.closure
+
+        def per_subset(*args):
+            raise AssertionError("closure or interior computed per subset")
+
+        monkeypatch.setattr(fintopo.closure, 'closure', per_subset)
+        monkeypatch.setattr(fintopo.closure, 'interior', per_subset)
+        for t1 in enumerate_topologies(3):
+            for t2 in enumerate_topologies(2):
+                for f in all_maps(3, 2):
+                    m = SpaceMap(t1, t2, f)
+                    assert continuous_via_preimage_closure(m) == is_continuous(m)
+                    assert continuous_via_preimage_interior(m) == is_continuous(m)
+                assert 'closure_table' in vars(t1.views) and 'closure_table' in vars(t2.views)
+
     def test_pointwise_iff_global_n2(self):
         tops = enumerate_topologies(2)
         for t1 in tops:
@@ -124,7 +154,7 @@ class TestOpenClosedMaps:
             for t2 in tops:
                 for f in all_maps(t1.n, t2.n):
                     m = SpaceMap(t1, t2, f)
-                    assert map_open_closed(m)[1] == ref.map_is_closed(m)
+                    assert map_open_closed(m)[1] == ref.map_open_closed(m)[1]
 
     def test_identity_open_and_closed(self):
         for t in enumerate_topologies(2):

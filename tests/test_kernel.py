@@ -3,9 +3,11 @@
 Everything the library now derives from Topology.minimal_opens is
 compared with the opens-scanning reference in opens_reference.py: on
 every topology with n <= 4, and with hypothesis on random preorders
-with n <= 6.  Topologies generated from a system, and the topology and
-base checks, are compared with the pairwise reference on every system
-with n <= 3, and generation also on random systems with n <= 8.
+with n <= 6 (n <= 8 for the views a space keeps).  Topologies generated
+from a system, and the topology and base checks, are compared with the
+pairwise reference on every system with n <= 3, and generation also on
+random systems with n <= 8.  Images and preimages of masks under a map
+are compared with loops over every source point.
 """
 
 from itertools import permutations, product
@@ -109,6 +111,19 @@ def assert_structure_matches(t):
     assert check_interior_axioms(inte) is None and ref.check_interior_axioms(inte) is None
 
 
+def assert_views_match(t):
+    """Each view the space keeps equals one computed from its opens, and
+    the public names read the kept ones."""
+    n, v = t.n, t.views
+    assert v.closure_table == tuple(ref.closure(t, a) for a in range(1 << n))
+    assert v.point_closures == tuple(ref.closure(t, 1 << x) for x in range(n))
+    assert v.closed_sets == SetSystem(n, [full_mask(n) ^ o for o in t.opens])
+    rel = ref.neighborhood_relation(t)
+    assert v.neighborhoods == tuple(rel.section(x).sets for x in range(n))
+    assert v.minimal_base == ref.minimal_base(t)
+    assert t.closed_sets() is v.closed_sets and minimal_base(t) is v.minimal_base
+
+
 def assert_limits_match(t, filters, nets, sequences):
     for f in filters:
         assert filter_limits(t, f) == ref.filter_limits(t, f)
@@ -161,6 +176,11 @@ class TestAllSmallTopologies:
     def test_base_neighborhoods_tables_and_axioms(self):
         for t in SMALL:
             assert_structure_matches(t)
+
+    def test_kept_views(self):
+        assert len(SMALL) == 390
+        for t in SMALL:
+            assert_views_match(t)
 
     def test_limits_and_cluster_points(self):
         for t in SMALL:
@@ -224,6 +244,11 @@ class TestRandomPreorders:
     def test_base_neighborhoods_tables_and_axioms(self, u):
         assert_structure_matches(topology_of_preorder(u))
 
+    @given(preorders(max_n=8))
+    @settings(max_examples=40, deadline=None)
+    def test_kept_views(self, u):
+        assert_views_match(topology_of_preorder(u))
+
     @given(preorders(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_limits_and_cluster_points(self, u, data):
@@ -271,6 +296,57 @@ class TestRandomPreorders:
         assert len(t1.opens) == len(t2.opens) and t1.shape_key == t2.shape_key
         assert assert_same_homeomorphism(t1, t2) is None
         assert assert_same_homeomorphism(t1, relabelled(t1, [5, 3, 1, 0, 4, 2])) is not None
+
+
+class TestKeptViews:
+    def test_equality_and_hash_ignore_the_views(self):
+        for t in enumerate_topologies(3):
+            u = t.minimal_opens
+            bare = Topology(3, t.opens)
+            filled = topology_of_preorder(u)
+            for name in ('closure_table', 'point_closures', 'closed_sets',
+                         'neighborhoods', 'minimal_base'):
+                getattr(filled.views, name)
+            assert bare == filled == t and hash(bare) == hash(filled) == hash(t)
+            assert len({bare, filled, t}) == 1
+
+    def test_operator_tables_are_built_anew(self):
+        # the operators give fresh tables and leave the space's views
+        # unfilled, so holding many spaces keeps no tables
+        for t in enumerate_topologies(3):
+            assert closure_operator_of(t).table == t.views.closure_table
+        for t in enumerate_topologies(3):
+            closure_operator_of(t)
+            interior_operator_of(t)
+            assert not hasattr(t, '_views')
+
+
+class TestMapMasks:
+    def test_every_mask_of_every_map_n3(self):
+        for n_src, n_dst in product(range(4), repeat=2):
+            for images in product(range(n_dst), repeat=n_src):
+                f = FiniteMap(n_src, n_dst, images)
+                for a in range(1 << n_src):
+                    assert f.image_mask(a) == ref.image_mask(f, a)
+                for b in range(1 << n_dst):
+                    assert f.preimage_mask(b) == ref.preimage_mask(f, b)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_maps_and_masks(self, data):
+        n_src, n_dst = data.draw(st.integers(0, 20)), data.draw(st.integers(1, 20))
+        f = FiniteMap(n_src, n_dst, data.draw(st.lists(st.integers(0, n_dst - 1),
+                                                       min_size=n_src, max_size=n_src)))
+        for a in data.draw(st.lists(st.integers(0, full_mask(n_src)), max_size=20)):
+            assert f.image_mask(a) == ref.image_mask(f, a)
+        for b in data.draw(st.lists(st.integers(0, full_mask(n_dst)), max_size=20)):
+            assert f.preimage_mask(b) == ref.preimage_mask(f, b)
+
+    def test_bits_off_the_carrier_are_ignored(self):
+        f = FiniteMap(3, 2, [1, 0, 1])
+        for mask in (-1, -8, 0b1010, 1 << 40):
+            assert f.image_mask(mask) == ref.image_mask(f, mask)
+            assert f.preimage_mask(mask) == ref.preimage_mask(f, mask)
 
 
 class TestGeneratedTopologies:

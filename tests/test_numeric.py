@@ -3,6 +3,7 @@ squared-distance comparisons."""
 
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 import opens_reference as ref
 from fintopo.errors import (BracketViolation, CapExceeded, EmptyArgument, IndexOutOfRange,
                             LengthMismatch, NonDyadicClosedForm, NonDyadicLiteral)
-from fintopo.numeric import (BISECTION_CAP, ONE, ZERO, Dyadic, DyadicPoly, bisection_invert,
+from fintopo.numeric import (BISECTION_CAP, HORNER_BITS_CAP, ONE, ZERO, Dyadic, DyadicPoly,
+                             bisection_invert,
                              cauchy_schwarz_check, dot, finite_series,
                              geometric_limit, geometric_partial_sum,
                              metric_compare, mth_root, power_exceeds,
@@ -42,6 +44,12 @@ class TestDyadic:
         d = Dyadic(11, -3)
         assert str(d) == '11*2^-3'
         assert Dyadic.parse(str(d)) == d
+
+    def test_str_past_the_int_digit_limit(self):
+        # 5^20000 has 13,980 digits, past the 4,300 that str(int) allows
+        m = -5 ** 20000
+        assert str(Dyadic(m, -7)) == '%s*2^-7' % Decimal(m)
+        assert repr(Dyadic(m, -7)) == 'Dyadic(%s, -7)' % Decimal(m)
 
     @given(dyadics, dyadics)
     @settings(max_examples=200)
@@ -341,6 +349,27 @@ class TestStepCap:
                              Dyadic(1, -(BISECTION_CAP + 1)))
         with pytest.raises(CapExceeded):
             mth_root(Dyadic(2), 2, Dyadic(1, -100000000))
+
+    def test_far_inputs_fail_before_the_endpoints_are_evaluated(self):
+        # few steps, but every Horner sum would be millions of bits long
+        for p, a, b, w in [
+                (self.SQUARE, Dyadic(1, -8000000), ONE, Dyadic(1, -1)),
+                (DyadicPoly([Dyadic(1, -8000000), ONE]), ZERO, ONE, Dyadic(1, -1)),
+                (DyadicPoly([ZERO, ONE]), ZERO, ONE, Dyadic(1, 8000000))]:
+            t0 = time.perf_counter()
+            with pytest.raises(CapExceeded):
+                bisection_invert(p, a, b, w, Dyadic(1, -30))
+            assert time.perf_counter() - t0 < 1
+
+    def test_at_the_bit_budget_runs(self):
+        # cs = (-1, 0, 2) after folding w = 1/2, x = 1 and y = 2^k: the sums
+        # start at 2 + 2 * (k + 1) bits, which is the budget for this k
+        k = HORNER_BITS_CAP // 2 - 2
+        a, tol = Dyadic(1, -k), Dyadic(1, -20)
+        r = bisection_invert(self.SQUARE, a, ONE, Dyadic(1, -1), tol)
+        assert r * r < Dyadic(1, -1) < (r + tol) * (r + tol)
+        with pytest.raises(CapExceeded):
+            bisection_invert(self.SQUARE, Dyadic(1, -k - 1), ONE, Dyadic(1, -1), tol)
 
     def test_bracket_and_endpoint_hits_come_before_the_cap(self):
         tiny = Dyadic(1, -100000000)
