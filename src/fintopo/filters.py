@@ -3,13 +3,15 @@
 On a finite carrier every filter is principal: it is the superset
 closure of its core (the intersection of all members).  This makes the
 counting facts exact: there are 2^n - 1 filters on n points, one per
-nonempty core, and exactly n ultrafilters (the point filters).
+nonempty core, and exactly n ultrafilters (the point filters).  So
+filters are checked, built and compared through their cores.
 """
 
 from itertools import product
 
 from .errors import EmptyArgument, EmptyMeet, FilterBaseViolation, NotSurjective, UniverseMismatch
-from .setops import SetSystem, full_mask, phi, points_of, psi
+from .setops import SetSystem, full_mask, points_of, supermasks, upward_gap
+from .topology import meet_of
 
 
 def is_filter(system):
@@ -18,24 +20,71 @@ def is_filter(system):
     Axioms: (i) the empty set is not a member, (ii) the carrier is a
     member, (iii) closed under pairwise intersection, (iv) closed
     upward under supersets.
+
+    Given (i) and (ii), (iii) and (iv) hold iff the members are all
+    the 2^(n - |core|) supersets of their meet, the core.  Otherwise an
+    upward closed system has two minimal members whose meet is not a
+    member: its least member and its least member not containing that
+    one.  A system that is not upward closed is tested for meets by
+    _meet_fault.
     """
-    members = set(system.sets)
-    if 0 in members:
+    n, members = system.n, system.sets
+    full = full_mask(n)
+    if members and members[0] == 0:
         return ('no-empty-member', 0)
-    if full_mask(system.n) not in members:
-        return ('contains-whole', full_mask(system.n))
-    for a in members:
-        for b in members:
-            if a & b not in members:
-                return ('intersection-closed', (a, b))
-    up = set(phi(system).sets)
-    if up != members:
-        return ('upward-closed', min(up - members))
-    return None
+    if not members or members[-1] != full:
+        return ('contains-whole', full)
+    if len(members) == 1 << n - meet_of(members).bit_count():
+        return None
+    gap = upward_gap(members, n)
+    if gap is None:
+        first = members[0]
+        pair = (first, next(m for m in members if first & ~m))
+    else:
+        pair = _meet_fault(members, n)
+    if pair is not None:
+        return ('intersection-closed', pair)
+    return ('upward-closed', gap)
+
+
+def _meet_fault(members, n):
+    """Two members whose meet is not a member, or None if the members,
+    among them the whole carrier, are closed under meets.
+
+    up[t] is the meet of the members containing t, built in n passes
+    over the 2^n subsets.  Every meet of members is its own up[t], so
+    the members are closed under meets iff every up[t] is a member.
+    For the least t whose up[t] is not one, the members containing t
+    are met in ascending order, and the step that leaves the members
+    names the pair: the meet so far, which is still a member, and the
+    member met at that step.
+    """
+    full = full_mask(n)
+    up = [full] * (full + 1)
+    for m in members:
+        up[m] = m
+    for p in range(n):
+        bit = 1 << p
+        for t in range(full + 1):
+            if not t & bit:
+                up[t] &= up[t | bit]
+    present = set(members)
+    t = next((t for t in range(full + 1) if up[t] not in present), None)
+    if t is None:
+        return None
+    meet = full
+    for m in members:
+        if t & ~m == 0:
+            if meet & m not in present:
+                return (meet, m)
+            meet &= m
 
 
 class Filter:
-    __slots__ = ('n', 'members')
+    """A filter, kept with its core: the members are the supersets of
+    the core."""
+
+    __slots__ = ('n', 'members', '_core')
 
     def __init__(self, n, members):
         system = members if isinstance(members, SetSystem) else SetSystem(n, members)
@@ -46,74 +95,84 @@ class Filter:
             raise FilterBaseViolation(*verdict)
         self.n = n
         self.members = system
+        self._core = system.sets[0]
+
+    @classmethod
+    def from_core(cls, n, core):
+        """The filter of all supersets of a nonempty core."""
+        if core == 0:
+            raise FilterBaseViolation('no-empty-member', 0)
+        SetSystem(n, (core,))  # check n and core before 2^(n - |core|) supersets are built
+        f = cls.__new__(cls)
+        f.n = n
+        f.members = SetSystem(n, supermasks(core, n))
+        f._core = core
+        return f
 
     def __eq__(self, other):
-        return isinstance(other, Filter) and self.n == other.n and self.members == other.members
+        return isinstance(other, Filter) and self.n == other.n and self._core == other._core
 
     def __hash__(self):
-        return hash((self.n, self.members))
+        return hash((self.n, self._core))
 
     def __repr__(self):
-        return 'Filter(%d, core=%r)' % (self.n, points_of(self.core()))
+        return 'Filter(%d, core=%r)' % (self.n, points_of(self._core))
 
     def __contains__(self, mask):
         return mask in self.members
 
     def core(self):
         """Intersection of all members; nonempty on a finite carrier."""
-        c = full_mask(self.n)
-        for m in self.members:
-            c &= m
-        return c
+        return self._core
 
     def is_finer(self, other):
-        """Whether this filter is finer than other (contains it)."""
-        return other.members <= self.members
+        """Whether this filter is finer than other (contains it): iff
+        its core lies inside the other's."""
+        if self.n != other.n:
+            raise UniverseMismatch("carriers differ: %d vs %d" % (other.n, self.n))
+        return self._core & ~other._core == 0
 
     def is_ultrafilter(self):
         """A filter is an ultrafilter iff it contains A or its complement
         for every subset A; on a finite carrier iff its core is a point."""
-        full = full_mask(self.n)
-        members = set(self.members.sets)
-        for a in range(1 << self.n):
-            if a not in members and (full ^ a) not in members:
-                return False
-        return True
+        return self._core.bit_count() == 1
 
 
 def is_filter_base(system):
     """None if the system is a filter base, else the failed condition.
 
     Conditions: no empty member, at least one member, and every
-    pairwise intersection contains a member.  The last is equivalent to
-    psi(system) being a subfamily of phi(system).
+    pairwise intersection contains a member.  The last holds iff the
+    meet of all members is one: the meet of the members then lies in
+    every pairwise intersection, and conversely the meet of all
+    members, met in one at a time, contains a member, which can only be
+    the meet itself.  When it is not one, the least member u and the
+    least member v not containing u fail: a member inside u & v would
+    be below u.
     """
-    members = set(system.sets)
-    if len(members) == 0:
+    members = system.sets
+    if not members:
         return ('nonempty', None)
-    if 0 in members:
+    if members[0] == 0:
         return ('no-empty-member', 0)
-    for a in members:
-        for b in members:
-            cap = a & b
-            if not any(c & ~cap == 0 for c in members):
-                return ('meet-refined', (a, b))
-    return None
+    first = members[0]
+    if meet_of(members) == first:
+        return None
+    return ('meet-refined', (first, next(m for m in members if first & ~m)))
 
 
 def generate_filter(base):
-    """The filter generated by a filter base: its superset closure."""
+    """The filter generated by a filter base: its superset closure, the
+    supersets of the meet of the base, which is its least member."""
     verdict = is_filter_base(base)
     if verdict is not None:
         raise FilterBaseViolation(*verdict)
-    return Filter(base.n, phi(base))
+    return Filter.from_core(base.n, base.sets[0])
 
 
 def principal_filter(n, mask):
     """The filter of all supersets of a nonempty set."""
-    if mask == 0:
-        raise FilterBaseViolation('no-empty-member', 0)
-    return Filter(n, phi(SetSystem(n, [mask])))
+    return Filter.from_core(n, mask)
 
 
 def point_filter(n, x):
@@ -130,8 +189,11 @@ def extend_to_ultrafilter(base):
 
     Deterministic: the point filter at the smallest point of the core.
     """
-    f = generate_filter(base)
-    return point_filter(f.n, points_of(f.core())[0])
+    verdict = is_filter_base(base)
+    if verdict is not None:
+        raise FilterBaseViolation(*verdict)
+    core = base.sets[0]
+    return Filter.from_core(base.n, core & -core)
 
 
 def supremum_of_filter_bases(bases):

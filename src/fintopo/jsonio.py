@@ -13,7 +13,7 @@ from .convergence import DirectedSet, EventuallyPeriodicSequence, Net
 from .errors import DomainError, UniverseMismatch
 from .metric import PseudoMetric
 from .neighborhoods import SetNeighborhoodMap
-from .numeric import Dyadic, decimal_digits
+from .numeric import Dyadic, decimal_digits, decimal_fraction
 from .order import Preorder
 from .setops import FiniteMap, PointSetRelation, SetSystem, mask_of, points_of
 from .topology import Topology
@@ -136,7 +136,8 @@ def metric_to_json(m):
 
 
 def metric_from_json(data):
-    rows = [[Fraction(v) for v in row] for row in data['d']]
+    rows = [[decimal_fraction(v) if isinstance(v, str) else Fraction(v) for v in row]
+            for row in data['d']]
     if len(rows) != data['n']:
         raise UniverseMismatch("matrix size does not match n")
     return PseudoMetric(rows)

@@ -5,13 +5,61 @@ the neighborhoods of x.  The module validates the characterizing axioms,
 reconstructs the topology ({U : U is a neighborhood of each of its
 points}), and handles the set-indexed variant M(A) = neighborhoods of
 the whole set A, plus neighborhood bases.
+
+On a finite carrier each of these families is principal: it is the
+supersets of its core, the meet of its members.  The core of N{x} is
+U_x and the core of M(A) is the open hull of A.  So the axioms are
+decided, and the topology and the set map are built, from the cores.
 """
 
 from .errors import (NeighborhoodAxiomViolation, NeighborhoodBaseViolation,
                      NotABase, SetMapAxiomViolation, UniverseMismatch)
-from .setops import (SetSystem, full_mask, phi, phi_prime, points_of,
-                     powerset_system, relation_from_sections)
-from .topology import Topology, is_base_of, neighborhood_relation
+from .setops import (PointSetRelation, SetSystem, full_mask, points_of,
+                     relation_from_sections, supermasks, upward_gap)
+from .topology import _kernel_topology, is_base_of, meet_of, neighborhood_relation
+
+
+def _sections(rel):
+    """Each point's section as an ascending list, from one pass over
+    the pairs (they are sorted by point, then by mask)."""
+    sections = [[] for _ in range(rel.n)]
+    for x, m in rel.pairs:
+        sections[x].append(m)
+    return sections
+
+
+def _cores(sections, n):
+    """The meet of each family, or the whole carrier for an empty one."""
+    full = full_mask(n)
+    return [meet_of(sec) & full for sec in sections]
+
+
+def _is_up(members, core, n):
+    """Whether the distinct members, all supersets of core, are all of
+    its 2^(n - |core|) supersets."""
+    return len(members) == 1 << n - core.bit_count()
+
+
+def _holds_up(members, core, c, n):
+    """Whether the members, whose meet is core, include every superset
+    of c."""
+    if _is_up(members, core, n):
+        return core & ~c == 0
+    return sum(1 for m in members if c & ~m == 0) == 1 << n - c.bit_count()
+
+
+def _up_fault(members, n):
+    """Why the ascending members are not all the supersets of their
+    meet: ('upward-closed', (least missing superset,)), or, for an
+    upward closed family, ('intersection-closed', (u, v)).  Such a
+    family has two minimal members: u, its least member, and v, its
+    least member not containing u.  Their meet is below u, so it is
+    not a member."""
+    gap = upward_gap(members, n)
+    if gap is not None:
+        return 'upward-closed', (gap,)
+    first = members[0]
+    return 'intersection-closed', (first, next(m for m in members if first & ~m))
 
 
 def check_neighborhood_axioms(rel):
@@ -24,32 +72,31 @@ def check_neighborhood_axioms(rel):
       (iv)  N{x} is closed under pairwise intersection,
       (v)   every U in N{x} contains some V in N{x} with U in N{y}
             for every y in V.
+
+    Each section is decided by its core c, the meet of its members:
+    (ii) holds iff x is in c, and (iii) and (iv) iff the section holds
+    all 2^(n - |c|) supersets of c.  Then c is the best V in (v), which
+    holds iff N{y} holds every superset of c for each y in c; for a
+    section N{y} that is the supersets of its core, iff that core lies
+    inside c.  Each witness is the least in ascending order of masks.
     """
     n = rel.n
-    sections = [set(rel.section(x).sets) for x in range(n)]
-    for x in range(n):
-        sec = sections[x]
+    sections = _sections(rel)
+    cores = _cores(sections, n)
+    for x, (sec, c) in enumerate(zip(sections, cores)):
         if not sec:
             return ('nonempty', x)
-        for u in sec:
-            if not u >> x & 1:
-                return ('point-membership', (x, u))
-        up = set(phi(SetSystem(n, sec)).sets)
-        if up != sec:
-            return ('upward-closed', (x, min(up - sec)))
-        for u in sec:
-            for v in sec:
-                if u & v not in sec:
-                    return ('intersection-closed', (x, u, v))
-        for u in sec:
-            if not any(all(u in sections[y] for y in points_of(v)) for v in sec):
-                return ('interior-witness', (x, u))
+        if not c >> x & 1:
+            return ('point-membership', (x, next(u for u in sec if not u >> x & 1)))
+        if not _is_up(sec, c, n):
+            axiom, witness = _up_fault(sec, n)
+            return (axiom, (x,) + witness)
+        short = [set(sections[y]) for y in points_of(c)
+                 if not _holds_up(sections[y], cores[y], c, n)]
+        if short:
+            u = next(u for u in supermasks(c, n) if any(u not in s for s in short))
+            return ('interior-witness', (x, u))
     return None
-
-
-def neighborhood_system_of(topology, kind='all'):
-    """The neighborhood relation of a topology (all/open/closed flavour)."""
-    return neighborhood_relation(topology, kind)
 
 
 def topology_from_neighborhoods(rel):
@@ -58,15 +105,14 @@ def topology_from_neighborhoods(rel):
     verdict = check_neighborhood_axioms(rel)
     if verdict is not None:
         raise NeighborhoodAxiomViolation(*verdict)
-    return _reconstruct(rel)
+    return _reconstruct(rel.n, _cores(_sections(rel), rel.n))
 
 
-def _reconstruct(rel):
-    n = rel.n
-    sections = [set(rel.section(x).sets) for x in range(n)]
-    opens = [u for u in range(1 << n)
-             if all(u in sections[x] for x in points_of(u))]
-    return Topology(n, opens, validate=False)
+def _reconstruct(n, cores):
+    """The topology whose U_x are the cores: a set is a neighborhood of
+    x iff it contains core x, so the sets that are a neighborhood of
+    each of their points are the unions of cores."""
+    return _kernel_topology(n, cores, set(cores), True)
 
 
 def neighborhoods_of_set(rel, a_mask):
@@ -101,10 +147,14 @@ class SetNeighborhoodMap:
 
 
 def set_map_of(topology):
-    """The set-neighborhood map of a topology."""
-    rel = neighborhood_relation(topology)
-    return SetNeighborhoodMap(topology.n,
-                              [neighborhoods_of_set(rel, a) for a in range(1 << topology.n)])
+    """The set-neighborhood map of a topology: M(A) is the supersets of
+    the open hull of A, the union of the U_x over x in A.  The hulls
+    are built by doubling, one point at a time."""
+    n = topology.n
+    hulls = [0]
+    for ux in topology.minimal_opens:
+        hulls += [h | ux for h in hulls]
+    return SetNeighborhoodMap(n, [SetSystem(n, supermasks(h, n)) for h in hulls])
 
 
 def check_set_map_axioms(smap):
@@ -115,34 +165,37 @@ def check_set_map_axioms(smap):
     the empty set is the powerset; M turns unions into intersections
     (checked through the equivalent singleton decomposition
     M(A) = meet of M({x}) over x in A).
+
+    Decided on the core c of each M(A), subsets in ascending order as
+    for neighborhood systems: c must contain A, and M(A) must hold all
+    supersets of c.  The best interior witness for every U is then
+    V = c, so it suffices that M(c) holds every superset of c; only
+    when it does not are the other V in M(A) consulted.  Every subset
+    below A already passed, so the meet of the M({x}) is the supersets
+    of core(A minus its lowest point) joined with core(lowest point),
+    and M(A) equals it iff c is that union.
     """
     n = smap.n
-    if smap.table[0] != powerset_system(n):
+    sections = [system.sets for system in smap.table]
+    cores = _cores(sections, n)
+    if len(sections[0]) != 1 << n:
         return ('empty-set-full', 0)
-    for a in range(1 << n):
-        sec = set(smap.table[a].sets)
+    for a, (sec, c) in enumerate(zip(sections, cores)):
         if not sec:
             return ('nonempty', a)
-        for u in sec:
-            if a & ~u:
-                return ('set-membership', (a, u))
-        up = set(phi(smap.table[a]).sets)
-        if up != sec:
-            return ('upward-closed', (a, min(up - sec)))
-        for u in sec:
-            for v in sec:
-                if u & v not in sec:
-                    return ('intersection-closed', (a, u, v))
-        for u in sec:
-            if not any(u in smap.table[v] for v in sec):
-                return ('interior-witness', (a, u))
-        if a:
-            meet = None
-            for x in points_of(a):
-                pts = set(smap.table[1 << x].sets)
-                meet = pts if meet is None else meet & pts
-            if sec != meet:
-                return ('union-to-intersection', a)
+        if a & ~c:
+            return ('set-membership', (a, next(u for u in sec if a & ~u)))
+        if not _is_up(sec, c, n):
+            axiom, witness = _up_fault(sec, n)
+            return (axiom, (a,) + witness)
+        if not _holds_up(sections[c], cores[c], c, n):
+            ups = supermasks(c, n)
+            covered = {u for v in ups for u in sections[v] if c & ~u == 0}
+            if len(covered) < len(ups):
+                return ('interior-witness', (a, next(u for u in ups if u not in covered)))
+        low = a & -a
+        if c != cores[a ^ low] | cores[low]:
+            return ('union-to-intersection', a)
     return None
 
 
@@ -156,7 +209,7 @@ def topology_from_set_map(smap):
     verdict = check_set_map_axioms(smap)
     if verdict is not None:
         raise SetMapAxiomViolation(*verdict)
-    return _reconstruct(relation_from_set_map(smap))
+    return _reconstruct(smap.n, _cores([smap.table[1 << x].sets for x in range(smap.n)], smap.n))
 
 
 def check_neighborhood_base_axioms(rel):
@@ -165,35 +218,45 @@ def check_neighborhood_base_axioms(rel):
     Axioms, per point x: B{x} is nonempty; x lies in each member; any
     two members contain a third inside their intersection; every member
     U contains a V in B{x} such that each y in V has a member inside U.
+
+    With c the meet of B{x}: x lies in each member iff x is in c; the
+    members refine each other's meets iff c is a member, since the meet
+    of all of them must then hold one; and then c is the best V and the
+    hardest U, so the last axiom holds iff each y in c has a member
+    inside c.  Each witness is the least in ascending order of masks.
     """
     n = rel.n
-    sections = [set(rel.section(x).sets) for x in range(n)]
-    for x in range(n):
-        sec = sections[x]
+    sections = _sections(rel)
+    cores = _cores(sections, n)
+    for x, (sec, c) in enumerate(zip(sections, cores)):
         if not sec:
             return ('nonempty', x)
-        for u in sec:
-            if not u >> x & 1:
-                return ('point-membership', (x, u))
-        for u in sec:
-            for v in sec:
-                cap = u & v
-                if not any(w & ~cap == 0 for w in sec):
-                    return ('meet-refined', (x, u, v))
-        for u in sec:
-            ok = any(all(any(w & ~u == 0 for w in sections[y]) for y in points_of(v))
-                     for v in sec)
-            if not ok:
-                return ('interior-witness', (x, u))
+        if not c >> x & 1:
+            return ('point-membership', (x, next(u for u in sec if not u >> x & 1)))
+        if sec[0] != c:
+            return ('meet-refined', (x, sec[0], next(m for m in sec if sec[0] & ~m)))
+        if not all(_has_member_inside(sections[y], cores[y], c) for y in points_of(c)):
+            return ('interior-witness', (x, c))
     return None
 
 
+def _has_member_inside(members, core, c):
+    """Whether some member lies inside c; when the meet core is the
+    least member, iff core does."""
+    if members and members[0] == core:
+        return core & ~c == 0
+    return any(m & ~c == 0 for m in members)
+
+
 def neighborhoods_from_base(rel):
-    """The generated neighborhood system: pointwise superset closure."""
+    """The generated neighborhood system: pointwise superset closure.
+    The meet of each section of a base is a member, so the closure of
+    the section is the supersets of that meet."""
     verdict = check_neighborhood_base_axioms(rel)
     if verdict is not None:
         raise NeighborhoodBaseViolation(*verdict)
-    return phi_prime(rel)
+    n = rel.n
+    return relation_from_sections(n, [supermasks(c, n) for c in _cores(_sections(rel), n)])
 
 
 def topology_from_neighborhood_base(rel):
@@ -207,7 +270,6 @@ def neighborhood_base_from_topological_base(base, topology):
         raise NotABase("the system is not a base of the given topology")
     n = topology.n
     pairs = [(x, m) for m in base for x in points_of(m)]
-    from .setops import PointSetRelation
     return PointSetRelation(n, pairs)
 
 

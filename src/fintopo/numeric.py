@@ -15,6 +15,7 @@ BISECTION_CAP raises CapExceeded before the first step, as do inputs
 whose Horner sums on the starting grid pass HORNER_BITS_CAP bits.
 """
 
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -41,6 +42,51 @@ def decimal_digits(i):
     return str(Decimal(i))
 
 
+# The forms int() and Fraction() read.  Their whitespace is str.isspace,
+# less \x1c-\x1f for int(), which passes ASCII through to its own six
+# spaces.  re compiles and caches each on its first use, so a process
+# that reads no number does not pay for them.
+_INT_TEXT = r'[^\S\x1c-\x1f]*[+-]?\d+(?:_\d+)*[^\S\x1c-\x1f]*'
+_FRACTION_TEXT = r"""
+    \s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(?:_\d+)*)
+    (?:/(?P<denom>\d+(?:_\d+)*)
+     |(?:\.(?P<decimal>\d*|\d+(?:_\d+)*))?(?:E(?P<exp>[-+]?\d+(?:_\d+)*))?)
+    \s*"""
+
+
+def decimal_int(text):
+    """int(text) for a decimal string, exactly and at any length.  It
+    accepts the strings int() accepts, and reads their digits through
+    Decimal, which sys.get_int_max_str_digits does not limit."""
+    if not re.fullmatch(_INT_TEXT, text):
+        raise ValueError("invalid literal for int() with base 10: %r" % text)
+    return int(Decimal(text))
+
+
+def decimal_fraction(text):
+    """Fraction(text) for a string, exactly and at any length: the same
+    forms (p/q, decimals with an exponent), each run of digits read by
+    decimal_int."""
+    m = re.fullmatch(_FRACTION_TEXT, text, re.VERBOSE | re.IGNORECASE)
+    if m is None:
+        raise ValueError('Invalid literal for Fraction: %r' % text)
+    num = decimal_int(m['num'] or '0')
+    den = 1
+    if m['denom']:
+        den = decimal_int(m['denom'])
+    else:
+        if m['decimal']:
+            den = 10 ** len(m['decimal'].replace('_', ''))
+            num = num * den + decimal_int(m['decimal'])
+        if m['exp']:
+            exp = decimal_int(m['exp'])
+            if exp >= 0:
+                num *= 10 ** exp
+            else:
+                den *= 10 ** -exp
+    return Fraction(-num if m['sign'] == '-' else num, den)
+
+
 class Dyadic:
     __slots__ = ('m', 'e')
 
@@ -64,7 +110,8 @@ class Dyadic:
         den = fr.denominator
         k = den.bit_length() - 1
         if den != 1 << k:
-            raise NonDyadicLiteral("%s has a non-power-of-two denominator" % fr)
+            raise NonDyadicLiteral("%s/%s has a non-power-of-two denominator"
+                                   % (decimal_digits(fr.numerator), decimal_digits(den)))
         return Dyadic(fr.numerator, -k)
 
     @staticmethod
@@ -74,17 +121,17 @@ class Dyadic:
         text = text.strip()
         if '*2^' in text:
             m, e = text.split('*2^')
-            return Dyadic(int(m), int(e))
+            return Dyadic(decimal_int(m), decimal_int(e))
         if text.startswith('2^'):
-            return Dyadic(1, int(text[2:]))
+            return Dyadic(1, decimal_int(text[2:]))
         if text.startswith('-2^'):
-            return Dyadic(-1, int(text[3:]))
+            return Dyadic(-1, decimal_int(text[3:]))
         if '/' in text:
             p, q = text.split('/')
-            return Dyadic.from_fraction(Fraction(int(p), int(q)))
+            return Dyadic.from_fraction(Fraction(decimal_int(p), decimal_int(q)))
         if '.' in text or 'e' in text or 'E' in text:
-            return Dyadic.from_fraction(Fraction(text))
-        return Dyadic(int(text))
+            return Dyadic.from_fraction(decimal_fraction(text))
+        return Dyadic(decimal_int(text))
 
     def to_fraction(self):
         if self.e >= 0:

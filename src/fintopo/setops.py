@@ -48,23 +48,36 @@ def popcount(mask):
     return bin(mask).count('1')
 
 
-def submasks(mask):
-    """All submasks of mask, including 0 and mask itself."""
-    out = []
-    s = mask
-    while True:
-        out.append(s)
-        if s == 0:
-            break
-        s = (s - 1) & mask
-    out.reverse()
+def supermasks(mask, n):
+    """All supersets of mask inside the carrier of size n, ascending.
+
+    Built by doubling: each point outside mask, lowest first, adds its
+    bit to a copy of the list so far.  That bit is above every bit
+    added before it, so the list stays ascending.
+    """
+    out = [mask]
+    comp = full_mask(n) & ~mask
+    while comp:
+        low = comp & -comp
+        out += [m | low for m in out]
+        comp ^= low
     return out
 
 
-def supermasks(mask, n):
-    """All supersets of mask inside the carrier of size n."""
-    comp = full_mask(n) & ~mask
-    return [mask | s for s in submasks(comp)]
+def upward_gap(sets, n):
+    """The least set of phi(S) that is not in S, or None if S is upward
+    closed, for S the given masks.
+
+    Every set of phi(S) outside S contains one that is a member with
+    one point added: walk up from the member one point at a time to
+    the first set outside S.  That one is no larger, so the least is
+    found among the one-point extensions of the members.
+    """
+    members = set(sets)
+    full = full_mask(n)
+    gaps = [m | 1 << p for m in members for p in points_of(full & ~m)
+            if m | 1 << p not in members]
+    return min(gaps, default=None)
 
 
 class SetSystem:

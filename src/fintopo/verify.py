@@ -9,7 +9,7 @@ from itertools import product as iproduct
 
 from .errors import CapExceeded
 from .setops import FiniteMap, SetSystem, phi, psi, theta
-from .topology import enumerate_topologies
+from .topology import enumerate_topologies, neighborhood_relation
 
 
 class _Tally:
@@ -60,13 +60,12 @@ def _suite_kuratowski(n, tally):
 
 def _suite_neighborhoods(n, tally):
     from . import jsonio
-    from .neighborhoods import (check_neighborhood_axioms, neighborhood_system_of,
-                                set_map_of, topology_from_neighborhoods,
-                                topology_from_set_map)
+    from .neighborhoods import (check_neighborhood_axioms, set_map_of,
+                                topology_from_neighborhoods, topology_from_set_map)
     if n > 3:
         raise CapExceeded("neighborhood suite capped at n = 3")
     for t in enumerate_topologies(n):
-        rel = neighborhood_system_of(t)
+        rel = neighborhood_relation(t)
         ok = (check_neighborhood_axioms(rel) is None
               and topology_from_neighborhoods(rel) == t
               and topology_from_set_map(set_map_of(t)) == t)

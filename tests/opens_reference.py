@@ -16,6 +16,14 @@ images and preimages loop over every source point.  The closure
 operators are also found by their axioms alone, by a search over each
 point's singleton image that never builds a topology.
 
+The neighborhood, set-map, neighborhood-base and filter checks that
+the cores replaced are kept here too: phi of each section or system and
+pairwise scans over its members, reading members in Python set order,
+with the set map built from the meets of the sections, the topology
+from a membership scan over all 2^n subsets, and the filter facts from
+scans over the members.  With ascending=True the checks read members
+in ascending order of masks and name the witness the library names.
+
 The bisection that the integer grid replaced is kept here too, with the
 Horner rule it used: every step a Dyadic midpoint, a Dyadic evaluation
 and Dyadic comparisons, for test_numeric.py.
@@ -26,8 +34,8 @@ from itertools import permutations, product
 
 from fintopo.errors import BracketViolation, IndexOutOfRange
 from fintopo.numeric import ZERO
-from fintopo.setops import (FiniteMap, SetSystem, full_mask, phi, points_of, psi,
-                            relation_from_sections, supermasks, theta)
+from fintopo.setops import (FiniteMap, PointSetRelation, SetSystem, full_mask, phi,
+                            points_of, psi, relation_from_sections, supermasks, theta)
 from fintopo.topology import Topology, closure_table, is_base_system, point_closures
 
 
@@ -362,3 +370,161 @@ def bisection_invert(p, a, b, w, tol, trace=None):
         if trace is not None:
             trace.append((x, y, px, py))
     return x
+
+
+def _order(members, ascending):
+    """The members in the order the scans read them: Python set order,
+    or ascending order of masks."""
+    return sorted(members) if ascending else members
+
+
+def check_neighborhood_axioms(rel, ascending=False):
+    """The five neighborhood axioms point by point: phi of each section
+    for (iii), all pairs of members for (iv), and for (v) every member
+    U against every V in the section."""
+    n = rel.n
+    sections = [set(rel.section(x).sets) for x in range(n)]
+    for x in range(n):
+        sec = sections[x]
+        if not sec:
+            return ('nonempty', x)
+        for u in _order(sec, ascending):
+            if not u >> x & 1:
+                return ('point-membership', (x, u))
+        up = set(phi(SetSystem(n, sec)).sets)
+        if up != sec:
+            return ('upward-closed', (x, min(up - sec)))
+        for u in _order(sec, ascending):
+            for v in _order(sec, ascending):
+                if u & v not in sec:
+                    return ('intersection-closed', (x, u, v))
+        for u in _order(sec, ascending):
+            if not any(all(u in sections[y] for y in points_of(v)) for v in _order(sec, ascending)):
+                return ('interior-witness', (x, u))
+    return None
+
+
+def topology_from_relation(rel):
+    """The sets that are a neighborhood of each of their points, by a
+    scan over all 2^n subsets."""
+    n = rel.n
+    sections = [set(rel.section(x).sets) for x in range(n)]
+    opens = [u for u in range(1 << n)
+             if all(u in sections[x] for x in points_of(u))]
+    return Topology(n, opens, validate=False)
+
+
+def set_map_table(topology):
+    """M(A) as the meet of the neighborhood sections of the points of
+    A, the powerset for the empty set."""
+    rel = neighborhood_relation(topology)
+    return [rel.meet_section(a) for a in range(1 << topology.n)]
+
+
+def check_set_map_axioms(smap, ascending=False):
+    """The set-map axioms subset by subset: phi and pairwise scans of
+    each M(A), every V in M(A) as interior witness, and M(A) against
+    the meet of the M({x})."""
+    n = smap.n
+    if set(smap.table[0].sets) != set(range(1 << n)):
+        return ('empty-set-full', 0)
+    for a in range(1 << n):
+        sec = set(smap.table[a].sets)
+        if not sec:
+            return ('nonempty', a)
+        for u in _order(sec, ascending):
+            if a & ~u:
+                return ('set-membership', (a, u))
+        up = set(phi(smap.table[a]).sets)
+        if up != sec:
+            return ('upward-closed', (a, min(up - sec)))
+        for u in _order(sec, ascending):
+            for v in _order(sec, ascending):
+                if u & v not in sec:
+                    return ('intersection-closed', (a, u, v))
+        for u in _order(sec, ascending):
+            if not any(u in smap.table[v] for v in _order(sec, ascending)):
+                return ('interior-witness', (a, u))
+        if a:
+            meet = None
+            for x in points_of(a):
+                pts = set(smap.table[1 << x].sets)
+                meet = pts if meet is None else meet & pts
+            if sec != meet:
+                return ('union-to-intersection', a)
+    return None
+
+
+def check_neighborhood_base_axioms(rel, ascending=False):
+    """The neighborhood base axioms by scans over triples of members."""
+    n = rel.n
+    sections = [set(rel.section(x).sets) for x in range(n)]
+    for x in range(n):
+        sec = sections[x]
+        if not sec:
+            return ('nonempty', x)
+        for u in _order(sec, ascending):
+            if not u >> x & 1:
+                return ('point-membership', (x, u))
+        for u in _order(sec, ascending):
+            for v in _order(sec, ascending):
+                cap = u & v
+                if not any(w & ~cap == 0 for w in sec):
+                    return ('meet-refined', (x, u, v))
+        for u in _order(sec, ascending):
+            ok = any(all(any(w & ~u == 0 for w in sections[y]) for y in points_of(v))
+                     for v in _order(sec, ascending))
+            if not ok:
+                return ('interior-witness', (x, u))
+    return None
+
+
+def neighborhoods_from_base(rel):
+    """phi of each section of the base."""
+    pairs = [(x, m) for x in range(rel.n) for m in phi(rel.section(x))]
+    return PointSetRelation(rel.n, pairs)
+
+
+def is_filter(system, ascending=False):
+    """The filter axioms: pairwise meets, then phi of the system."""
+    members = set(system.sets)
+    if 0 in members:
+        return ('no-empty-member', 0)
+    if full_mask(system.n) not in members:
+        return ('contains-whole', full_mask(system.n))
+    for a in _order(members, ascending):
+        for b in _order(members, ascending):
+            if a & b not in members:
+                return ('intersection-closed', (a, b))
+    up = set(phi(system).sets)
+    if up != members:
+        return ('upward-closed', min(up - members))
+    return None
+
+
+def is_filter_base(system, ascending=False):
+    """The filter base conditions, every pairwise meet against every
+    member."""
+    members = set(system.sets)
+    if len(members) == 0:
+        return ('nonempty', None)
+    if 0 in members:
+        return ('no-empty-member', 0)
+    for a in _order(members, ascending):
+        for b in _order(members, ascending):
+            cap = a & b
+            if not any(c & ~cap == 0 for c in members):
+                return ('meet-refined', (a, b))
+    return None
+
+
+def filter_members(system):
+    """The filter a base generates: phi of the base."""
+    return phi(system)
+
+
+def is_ultrafilter(members, n):
+    """A or its complement is a member, for every subset A."""
+    full = full_mask(n)
+    present = set(members.sets)
+    return all(a in present or full ^ a in present for a in range(1 << n))

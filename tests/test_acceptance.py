@@ -33,9 +33,7 @@ from fintopo.setops import FiniteMap, SetSystem, phi, psi, theta
 from fintopo.topology import (discrete_topology, enumerate_topologies, is_finer,
                               is_topology, kernel_of, neighborhood_relation,
                               sierpinski)
-from fintopo.neighborhoods import (check_neighborhood_axioms,
-                                   neighborhood_system_of,
-                                   topology_from_neighborhoods)
+from fintopo.neighborhoods import check_neighborhood_axioms, topology_from_neighborhoods
 from fintopo.setops import PointSetRelation
 
 
@@ -127,11 +125,11 @@ def test_acceptance_04_neighborhood_reconstruction(capsys):
                                    if bits >> i & 1])
         if check_neighborhood_axioms(rel) is None:
             valid.append(rel)
-    expected = {neighborhood_system_of(t) for t in enumerate_topologies(2)}
+    expected = {neighborhood_relation(t) for t in enumerate_topologies(2)}
     ok &= len(valid) == 4 and set(valid) == expected
     for n in range(4):
         for t in enumerate_topologies(n):
-            if topology_from_neighborhoods(neighborhood_system_of(t)) != t:
+            if topology_from_neighborhoods(neighborhood_relation(t)) != t:
                 ok = False
     report(capsys, 4,
            'exactly 4 of 256 two-point relations satisfy the neighborhood '

@@ -314,6 +314,24 @@ class TestNumericVerbs:
         assert json.loads(out) == {'fraction': '%s/%s' % (Decimal(num), Decimal(2 ** 15000)),
                                    'result': '%s*2^-15000' % Decimal(num)}
 
+    def test_check_invert_reads_back_its_exact_result(self, capsys, tmp_path):
+        # the 4,515-digit result of 3x = 1 to 2^-15000, given back as the
+        # left end, is read exactly and stays the left end
+        inv = {'poly': ['0', '3'], 'a': '0', 'b': '1', 'w': '1', 'tol': '2^-15000'}
+        code, out, _ = run(capsys, 'check', '--invert', write(tmp_path, 'i.json', inv))
+        result = json.loads(out)['result']
+        inv['a'] = result
+        code, out, _ = run(capsys, 'check', '--invert', write(tmp_path, 'j.json', inv))
+        assert code == 0
+        assert json.loads(out)['result'] == result
+
+    def test_metric_past_the_int_digit_limit(self, capsys, tmp_path):
+        far = '%s/3' % ('7' * 5000)
+        data = write(tmp_path, 'm.json', {'n': 2, 'd': [['0', far], [far, '0']]})
+        code, out, _ = run(capsys, 'generate', '--metric', data)
+        assert code == 0
+        assert json.loads(out) == {'n': 2, 'sets': [[], [0], [1], [0, 1]]}
+
     def test_check_invert_from_a_far_endpoint_fails_fast(self, capsys, tmp_path):
         data = write(tmp_path, 'i.json',
                      {'poly': ['0', '0', '1'], 'a': '2^-8000000', 'b': '1',

@@ -10,14 +10,14 @@ from fintopo.neighborhoods import (check_neighborhood_axioms,
                                    check_set_map_axioms, compare_by_neighborhoods,
                                    neighborhood_base_from_topological_base,
                                    neighborhoods_from_base, neighborhoods_of_set,
-                                   neighborhood_system_of, relation_from_set_map,
+                                   relation_from_set_map,
                                    set_map_of, topology_from_neighborhood_base,
                                    topology_from_neighborhoods,
                                    topology_from_set_map)
 from fintopo.setops import (PointSetRelation, SetSystem, mask_of, phi_prime,
                             powerset_system)
 from fintopo.topology import (compare, discrete_topology, enumerate_topologies,
-                              minimal_base, sierpinski)
+                              minimal_base, neighborhood_relation, sierpinski)
 
 
 def all_relations(n):
@@ -31,12 +31,12 @@ class TestAxiomsAndReconstruction:
         valid = [rel for rel in all_relations(2)
                  if check_neighborhood_axioms(rel) is None]
         assert len(valid) == 4
-        from_topologies = {neighborhood_system_of(t) for t in enumerate_topologies(2)}
+        from_topologies = {neighborhood_relation(t) for t in enumerate_topologies(2)}
         assert set(valid) == from_topologies
 
     def test_round_trip_identity_n3(self):
         for t in enumerate_topologies(3):
-            rel = neighborhood_system_of(t)
+            rel = neighborhood_relation(t)
             assert check_neighborhood_axioms(rel) is None
             assert topology_from_neighborhoods(rel) == t
 
@@ -52,7 +52,7 @@ class TestAxiomsAndReconstruction:
         assert check_neighborhood_axioms(rel)[0] == 'point-membership'
 
     def test_sierpinski_sections(self):
-        rel = neighborhood_system_of(sierpinski())
+        rel = neighborhood_relation(sierpinski())
         assert set(rel.section(1).sets) == {0b10, 0b11}
         assert set(rel.section(0).sets) == {0b11}
 
@@ -60,14 +60,14 @@ class TestAxiomsAndReconstruction:
 class TestKinds:
     def test_open_relation_closes_up_to_full_relation(self):
         for t in enumerate_topologies(3):
-            rel = neighborhood_system_of(t)
-            open_rel = neighborhood_system_of(t, 'open')
+            rel = neighborhood_relation(t)
+            open_rel = neighborhood_relation(t, 'open')
             assert phi_prime(open_rel) == rel
             assert phi_prime(rel) == rel
 
     def test_open_relation_is_a_neighborhood_base(self):
         for t in enumerate_topologies(3):
-            open_rel = neighborhood_system_of(t, 'open')
+            open_rel = neighborhood_relation(t, 'open')
             assert check_neighborhood_base_axioms(open_rel) is None
             assert topology_from_neighborhood_base(open_rel) == t
 
@@ -77,7 +77,7 @@ class TestKinds:
         found = None
         for n in (2, 3, 4):
             for t in enumerate_topologies(n):
-                closed_rel = neighborhood_system_of(t, 'closed')
+                closed_rel = neighborhood_relation(t, 'closed')
                 if check_neighborhood_base_axioms(closed_rel) is not None:
                     found = (n, t)
                     break
@@ -102,7 +102,7 @@ class TestSetMap:
 
     def test_restriction_matches_point_relation(self):
         for t in enumerate_topologies(2):
-            assert relation_from_set_map(set_map_of(t)) == neighborhood_system_of(t)
+            assert relation_from_set_map(set_map_of(t)) == neighborhood_relation(t)
 
     def test_violation_raises(self):
         smap = set_map_of(sierpinski())
@@ -118,13 +118,13 @@ class TestSetMap:
 class TestSetSections:
     def test_meet_section_of_nonempty_set_is_filter(self):
         for t in enumerate_topologies(3):
-            rel = neighborhood_system_of(t)
+            rel = neighborhood_relation(t)
             for a in range(1, 8):
                 sec = neighborhoods_of_set(rel, a)
                 assert is_filter(sec) is None
 
     def test_meet_section_of_empty_set(self):
-        rel = neighborhood_system_of(sierpinski())
+        rel = neighborhood_relation(sierpinski())
         assert neighborhoods_of_set(rel, 0) == powerset_system(2)
 
 
@@ -142,8 +142,8 @@ class TestNeighborhoodBase:
 
     def test_generated_system_matches_full_relation(self):
         for t in enumerate_topologies(3):
-            base_rel = neighborhood_system_of(t, 'open')
-            assert neighborhoods_from_base(base_rel) == neighborhood_system_of(t)
+            base_rel = neighborhood_relation(t, 'open')
+            assert neighborhoods_from_base(base_rel) == neighborhood_relation(t)
 
     def test_base_violation_raises(self):
         rel = PointSetRelation(2, [(0, 0b01)])  # point 1 has no members

@@ -13,7 +13,7 @@ import opens_reference as ref
 from fintopo.errors import (BracketViolation, CapExceeded, EmptyArgument, IndexOutOfRange,
                             LengthMismatch, NonDyadicClosedForm, NonDyadicLiteral)
 from fintopo.numeric import (BISECTION_CAP, HORNER_BITS_CAP, ONE, ZERO, Dyadic, DyadicPoly,
-                             bisection_invert,
+                             bisection_invert, decimal_fraction, decimal_int,
                              cauchy_schwarz_check, dot, finite_series,
                              geometric_limit, geometric_partial_sum,
                              metric_compare, mth_root, power_exceeds,
@@ -50,6 +50,15 @@ class TestDyadic:
         m = -5 ** 20000
         assert str(Dyadic(m, -7)) == '%s*2^-7' % Decimal(m)
         assert repr(Dyadic(m, -7)) == 'Dyadic(%s, -7)' % Decimal(m)
+
+    def test_parse_past_the_int_digit_limit(self):
+        m = -5 ** 20000
+        assert Dyadic.parse(str(Dyadic(m, -7))) == Dyadic(m, -7)
+        assert Dyadic.parse('%s/%s' % (Decimal(m), Decimal(2 ** 9))) == Dyadic(m, -9)
+        # 2^-5000 has 5,000 decimal places
+        assert Dyadic.parse('0.%s' % str(Decimal(5 ** 5000)).zfill(5000)) == Dyadic(1, -5000)
+        with pytest.raises(NonDyadicLiteral):
+            Dyadic.parse('0.%s1' % ('0' * 4999))
 
     @given(dyadics, dyadics)
     @settings(max_examples=200)
@@ -468,3 +477,44 @@ class TestPowers:
             power_exceeds(ONE, Dyadic(2))
         with pytest.raises(IndexOutOfRange):
             power_vanishes(ONE, 3)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+# every character int() or Fraction() treats as a digit or a space, a
+# sample of others, and the ASCII ones int() does not skip
+_CHARS = [chr(c) for c in range(0x3000) if chr(c).isspace() or chr(c).isdigit()
+          or chr(c).isnumeric() or c < 0x250] + ['\U0001d7ce', '\U0001d7ff', '\x1c', '\x1f']
+
+
+class TestDecimalParsing:
+    def test_decimal_int_accepts_what_int_accepts(self):
+        forms = ['%s', '1%s', '%s1', '1%s1', '%s-1', '-%s', '1_%s', '+%s2', '1%s_2']
+        for c in _CHARS:
+            for form in forms:
+                text = form % c
+                assert _outcome(decimal_int, text) == _outcome(int, text), text
+
+    def test_decimal_fraction_accepts_what_fraction_accepts(self):
+        forms = ['%s', '1%s', '%s1', '%s.5', '1%s/2', '1/%s', '1e%s', '.%s', '1.%s',
+                 '1_%s.5', '%s1/2', '-%s1.5e-3', '1.5%s', '1/2%s']
+        for c in _CHARS:
+            for form in forms:
+                text = form % c
+                assert _outcome(decimal_fraction, text) == _outcome(Fraction, text), text
+        for text in ['1/0', '0/0', '1.', '.5', '-1.5E+3', '2e-1_0', '1_0.0_5', '1.d',
+                     '1 /2', '1/-2', '+.5e1', '', ' ', 'nan', 'inf', '1e', '/2']:
+            assert _outcome(decimal_fraction, text) == _outcome(Fraction, text), text
+
+    def test_past_the_int_digit_limit(self):
+        digits = '7' * 5000
+        with pytest.raises(ValueError):
+            int(digits)
+        assert decimal_int(' -%s\n' % digits) == -int(Decimal(digits))
+        assert decimal_fraction('%s/3' % digits) == Fraction(int(Decimal(digits)), 3)
+        assert decimal_fraction('1.%s' % digits) == 1 + Fraction(int(Decimal(digits)), 10 ** 5000)
