@@ -222,9 +222,21 @@ def supremum_of_filter_bases(bases):
 
 
 def supremum_filter(filters):
-    """The coarsest filter finer than all the given ones, if any."""
-    base = supremum_of_filter_bases([f.members for f in filters])
-    return generate_filter(base)
+    """The coarsest filter finer than all the given ones, if any: the
+    supersets of the meet of their cores.  The cores are the least
+    members, so they are the first selection of the cross intersections
+    of supremum_of_filter_bases, and every other selection contains
+    their meet: EmptyMeet names the cores when their meet is empty."""
+    filters = list(filters)
+    if not filters:
+        raise EmptyArgument("need at least one filter base")
+    n = filters[0].n
+    if any(f.n != n for f in filters):
+        raise UniverseMismatch("filter bases on different carriers")
+    cores = tuple(f.core() for f in filters)
+    if meet_of(cores) == 0:
+        raise EmptyMeet(cores)
+    return Filter.from_core(n, meet_of(cores))
 
 
 def image_filter_base(f, base):
@@ -236,7 +248,10 @@ def image_filter_base(f, base):
 
 
 def image_filter(f, filt):
-    return generate_filter(image_filter_base(f, filt.members))
+    """The filter generated by f[[filt]]: the supersets of f[core]."""
+    if filt.n != f.n_src:
+        raise UniverseMismatch("system lives on the wrong carrier")
+    return Filter.from_core(f.n_dst, f.image_mask(filt.core()))
 
 
 def inverse_image_filter_base(f, base):
@@ -250,4 +265,10 @@ def inverse_image_filter_base(f, base):
 
 
 def inverse_image_filter(f, filt):
-    return generate_filter(inverse_image_filter_base(f, filt.members))
+    """The filter generated by f^-1[[filt]]: the supersets of
+    f^-1[core], nonempty as f is surjective."""
+    if not f.is_surjective():
+        raise NotSurjective("inverse image filter needs a surjective map")
+    if filt.n != f.n_dst:
+        raise UniverseMismatch("system lives on the wrong carrier")
+    return Filter.from_core(f.n_src, f.preimage_mask(filt.core()))

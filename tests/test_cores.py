@@ -12,6 +12,7 @@ checked to be a counterexample to its axiom.
 """
 
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -19,16 +20,18 @@ from hypothesis import strategies as st
 
 import opens_reference as ref
 from conftest import all_systems, phi_oracle
-from fintopo.errors import CapExceeded, FilterBaseViolation, UniverseMismatch
+from fintopo.errors import (CapExceeded, EmptyArgument, EmptyMeet, FilterBaseViolation,
+                            NotSurjective, UniverseMismatch)
 from fintopo.filters import (Filter, enumerate_filters, extend_to_ultrafilter,
-                             generate_filter, is_filter, is_filter_base,
-                             principal_filter)
+                             generate_filter, image_filter, inverse_image_filter,
+                             is_filter, is_filter_base, principal_filter,
+                             supremum_filter, supremum_of_filter_bases)
 from fintopo.neighborhoods import (SetNeighborhoodMap, check_neighborhood_axioms,
                                    check_neighborhood_base_axioms,
                                    check_set_map_axioms, neighborhoods_from_base,
                                    set_map_of, topology_from_neighborhoods,
                                    topology_from_set_map)
-from fintopo.setops import (PointSetRelation, SetSystem, full_mask, points_of,
+from fintopo.setops import (FiniteMap, PointSetRelation, SetSystem, full_mask, points_of,
                             supermasks, upward_gap)
 from fintopo.topology import discrete_topology, enumerate_topologies, neighborhood_relation
 
@@ -326,6 +329,46 @@ class TestConstructions:
                     u = extend_to_ultrafilter(s)
                     assert u.core() == 1 << points_of(f.core())[0]
 
+    def test_supremum_and_images_match_the_base_route(self):
+        # the filters generated by the cross intersections, the images
+        # and the preimages of all members, as before
+        for n in range(1, 4):
+            filters = enumerate_filters(n)
+            for f, g in product(filters, repeat=2):
+                try:
+                    base = supremum_of_filter_bases([f.members, g.members])
+                except EmptyMeet as exc:
+                    with pytest.raises(EmptyMeet) as got:
+                        supremum_filter([f, g])
+                    assert got.value.selection == exc.selection
+                else:
+                    assert supremum_filter(iter([f, g])).members == ref.filter_members(base)
+            for k in range(1, 4):
+                for images in product(range(k), repeat=n):
+                    m = FiniteMap(n, k, images)
+                    for f in filters:
+                        image = image_filter(m, f).members
+                        assert image == ref.filter_members(m.image_system(f.members))
+                for images in product(range(n), repeat=k):
+                    m = FiniteMap(k, n, images)
+                    if m.is_surjective():
+                        for f in filters:
+                            pre = inverse_image_filter(m, f).members
+                            assert pre == ref.filter_members(m.preimage_system(f.members))
+
+    def test_supremum_and_images_check_their_arguments(self):
+        f3, f4 = principal_filter(3, 1), principal_filter(4, 1)
+        with pytest.raises(EmptyArgument):
+            supremum_filter([])
+        with pytest.raises(UniverseMismatch):
+            supremum_filter([f3, f4])
+        with pytest.raises(UniverseMismatch):
+            image_filter(FiniteMap(4, 2, [0, 0, 1, 1]), f3)
+        with pytest.raises(NotSurjective):
+            inverse_image_filter(FiniteMap(2, 2, [0, 0]), principal_filter(2, 1))
+        with pytest.raises(UniverseMismatch):
+            inverse_image_filter(FiniteMap(2, 2, [1, 0]), f3)
+
     def test_from_core_checks_its_arguments(self):
         with pytest.raises(FilterBaseViolation):
             Filter.from_core(3, 0)
@@ -374,6 +417,17 @@ class TestBoundedWork:
         assert f.core() == 1 and len(f.members) == 1 << 17
         with pytest.raises(FilterBaseViolation):
             generate_filter(SetSystem(18, [0b011, 0b101]))
+        assert time.perf_counter() - start < self.BOUND_S
+
+    def test_supremum_and_images_on_16_points(self):
+        start = time.perf_counter()
+        f, g = principal_filter(16, 0b01), principal_filter(16, 0b11)
+        assert supremum_filter([f, g]) == f
+        with pytest.raises(EmptyMeet):
+            supremum_filter([f, principal_filter(16, 0b10)])
+        swap = FiniteMap(16, 16, [1, 0] + list(range(2, 16)))
+        assert image_filter(swap, f).core() == 0b10
+        assert inverse_image_filter(swap, f).core() == 0b10
         assert time.perf_counter() - start < self.BOUND_S
 
     def test_neighborhood_axioms_of_discrete_14(self):
