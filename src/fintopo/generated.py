@@ -1,28 +1,35 @@
 """Topologies induced along maps: inverse image, subspace, product,
-direct image, quotient, and universal-property verification."""
+direct image, quotient, and universal-property verification.
+
+Each induced space is built from the minimal open sets U_x of the given
+spaces and kept as its own (Topology.from_kernel), in O(n^2) per space.
+"""
 
 from itertools import product as iproduct
 
 from .errors import CapExceeded, NotEquivalence, UniverseMismatch
-from .setops import FiniteMap, SetSystem, full_mask, identity_map, points_of
-from .topology import Topology, indiscrete_topology, enumerate_topologies, generated_topology
+from .setops import FiniteMap, check_carrier, full_mask, identity_map, points_of
+from .topology import Topology, enumerate_topologies
 
 
 def inverse_image_topology(n, pairs):
     """Coarsest topology on {0..n-1} making every map continuous.
 
     pairs is a list of (FiniteMap from the carrier, Topology on the
-    map's target).  Generated by the subbase of all preimages of opens.
+    map's target).  U_x is the intersection over the pairs of
+    f^-1(U_f(x)), the least set holding x that makes each f continuous
+    at x.
     """
-    subbase = {0, full_mask(n)}
+    check_carrier(n)
+    u = [full_mask(n)] * n
     for f, t in pairs:
         if f.n_src != n:
             raise UniverseMismatch("map does not start at the generated carrier")
         if f.n_dst != t.n:
             raise UniverseMismatch("map target does not match its topology")
-        for o in t.opens:
-            subbase.add(f.preimage_mask(o))
-    return generated_topology(SetSystem(n, subbase))
+        ut = t.minimal_opens
+        u = [ux & f.preimage_mask(ut[y]) for ux, y in zip(u, f.images)]
+    return Topology.from_kernel(n, u)
 
 
 def supremum_topology(topologies):
@@ -45,18 +52,12 @@ def subspace_topology(t, a_mask):
     """(relative topology re-indexed to {0..|A|-1}, point map).
 
     point_map[i] is the carrier point represented by subspace point i;
-    the re-indexing is order preserving.
+    the re-indexing is order preserving.  The relative topology is the
+    inverse image along the inclusion, so A must lie in the carrier.
     """
     point_map = points_of(a_mask)
     k = len(point_map)
-    back = {p: i for i, p in enumerate(point_map)}
-    opens = set()
-    for o in t.opens:
-        m = 0
-        for p in points_of(o & a_mask):
-            m |= 1 << back[p]
-        opens.add(m)
-    return Topology(k, opens, validate=False), point_map
+    return inverse_image_topology(k, [(FiniteMap(k, t.n, point_map), t)]), point_map
 
 
 def product_point_index(coords, sizes):
@@ -90,27 +91,28 @@ def product_topology(topologies):
     return t, projs
 
 
-def pointwise_convergence_topology(domain_size, target):
-    """Topology of pointwise convergence on the finite function space
-    target^domain: the product of domain_size copies of the target."""
-    t, projs = product_topology([target] * domain_size)
-    return t, projs
-
-
 def direct_image_topology(n, pairs):
     """Finest topology on {0..n-1} making every map continuous.
 
     pairs is a list of (FiniteMap into the carrier, Topology on the
     map's source); opens are the sets whose every preimage is open.
+    A set B is such iff it holds f[U_x] whenever it holds f(x), so
+    U'_y is the reflexive-transitive closure of y -> f[U_x] over the
+    x with f(x) = y, closed here by Warshall's rule on bit rows.
     """
+    check_carrier(n)
+    u = [1 << y for y in range(n)]
     for f, t in pairs:
         if f.n_dst != n:
             raise UniverseMismatch("map does not end at the generated carrier")
         if f.n_src != t.n:
             raise UniverseMismatch("map source does not match its topology")
-    opens = [b for b in range(1 << n)
-             if all(f.preimage_mask(b) in t.opens for f, t in pairs)]
-    return Topology(n, opens, validate=False)
+        for y, ux in zip(f.images, t.minimal_opens):
+            u[y] |= f.image_mask(ux)
+    for k in range(n):
+        bit, uk = 1 << k, u[k]
+        u = [uy | uk if uy & bit else uy for uy in u]
+    return Topology.from_kernel(n, u)
 
 
 def validate_equivalence(n, rows):

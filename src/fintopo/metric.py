@@ -8,8 +8,8 @@ tolerance appears anywhere.
 from fractions import Fraction
 
 from .errors import EmptyArgument, InvalidMetric, UniverseMismatch
-from .setops import SetSystem, full_mask, points_of, theta
-from .topology import Topology
+from .setops import SetSystem, points_of
+from .topology import Topology, kernel_of
 
 
 def validate_pseudometric(matrix):
@@ -102,10 +102,10 @@ def sphere_base(m, radii=None):
 
 
 def metric_topology(m, radii=None):
-    """The topology generated by the sphere base (unions of spheres)."""
-    if m.n == 0:
-        return Topology(0, [0], validate=False)
-    return Topology(m.n, theta(sphere_base(m, radii)), validate=False)
+    """The topology the spheres generate: U_x is the meet of the
+    spheres holding x.  With the default radii the spheres form a base,
+    so the opens are the unions of spheres."""
+    return Topology.from_kernel(m.n, kernel_of(sphere_base(m, radii).sets, m.n))
 
 
 def bounded_equivalents(m):

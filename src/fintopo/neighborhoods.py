@@ -16,7 +16,7 @@ from .errors import (NeighborhoodAxiomViolation, NeighborhoodBaseViolation,
                      NotABase, SetMapAxiomViolation, UniverseMismatch)
 from .setops import (PointSetRelation, SetSystem, full_mask, points_of,
                      relation_from_sections, supermasks, upward_gap)
-from .topology import _kernel_topology, is_base_of, meet_of, neighborhood_relation
+from .topology import Topology, is_base_of, meet_of, neighborhood_relation
 
 
 def _sections(rel):
@@ -101,18 +101,12 @@ def check_neighborhood_axioms(rel):
 
 def topology_from_neighborhoods(rel):
     """Reconstruct the topology: open sets are the sets that are a
-    neighborhood of each of their points."""
+    neighborhood of each of their points.  A set is a neighborhood of
+    x iff it contains the core of N{x}, so the cores are the U_x."""
     verdict = check_neighborhood_axioms(rel)
     if verdict is not None:
         raise NeighborhoodAxiomViolation(*verdict)
-    return _reconstruct(rel.n, _cores(_sections(rel), rel.n))
-
-
-def _reconstruct(n, cores):
-    """The topology whose U_x are the cores: a set is a neighborhood of
-    x iff it contains core x, so the sets that are a neighborhood of
-    each of their points are the unions of cores."""
-    return _kernel_topology(n, cores, set(cores), True)
+    return Topology.from_kernel(rel.n, _cores(_sections(rel), rel.n))
 
 
 def neighborhoods_of_set(rel, a_mask):
@@ -209,7 +203,8 @@ def topology_from_set_map(smap):
     verdict = check_set_map_axioms(smap)
     if verdict is not None:
         raise SetMapAxiomViolation(*verdict)
-    return _reconstruct(smap.n, _cores([smap.table[1 << x].sets for x in range(smap.n)], smap.n))
+    return Topology.from_kernel(
+        smap.n, _cores([smap.table[1 << x].sets for x in range(smap.n)], smap.n))
 
 
 def check_neighborhood_base_axioms(rel):

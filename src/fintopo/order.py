@@ -10,7 +10,7 @@ its own segments.
 from .errors import (MissingFullDomain, MissingFullRange, NoFullField,
                      NotDirected, UniverseMismatch)
 from .setops import SetSystem, full_mask, points_of, psi, theta
-from .topology import generated_topology
+from .topology import generate_from_subbase
 
 
 class Preorder:
@@ -133,10 +133,6 @@ def relation_properties(p):
     }
 
 
-def _generate(n, subbase):
-    return generated_topology(SetSystem(n, subbase))
-
-
 def interval_topology(p):
     """Generated by the subbase of all lower and upper segments plus
     the empty set.  Requires full field (so the segments cover X)."""
@@ -146,7 +142,7 @@ def interval_topology(p):
     for x in range(p.n):
         subbase.add(p.lower_segment(x))
         subbase.add(p.upper_segment(x))
-    return _generate(p.n, subbase)
+    return generate_from_subbase(SetSystem(p.n, subbase))
 
 
 def is_order_dense(p, y_mask):
@@ -168,13 +164,7 @@ def interval_topology_from_dense(p, y_mask):
     for y in points_of(y_mask):
         subbase.add(p.lower_segment(y))
         subbase.add(p.upper_segment(y))
-    cover = 0
-    for m in subbase:
-        cover |= m
-    if cover != full_mask(p.n):
-        from .errors import SubbaseCriterionViolation
-        raise SubbaseCriterionViolation('covers-carrier')
-    return _generate(p.n, subbase)
+    return generate_from_subbase(SetSystem(p.n, subbase))
 
 
 def interval_topology_family(preorders):
@@ -196,7 +186,7 @@ def interval_topology_family(preorders):
         cover |= m
     if cover != full_mask(n):
         raise NoFullField("family segments do not cover the carrier")
-    return _generate(n, subbase)
+    return generate_from_subbase(SetSystem(n, subbase))
 
 
 def pullback_preorder(p, f):
@@ -222,7 +212,7 @@ def one_sided_topology(p, side):
         segs = [p.upper_segment(x) for x in range(p.n)]
     else:
         raise ValueError("side must be 'lower' or 'upper'")
-    return _generate(p.n, [0] + segs)
+    return generate_from_subbase(SetSystem(p.n, [0] + segs))
 
 
 def segment_system_is_topology(p, side):

@@ -19,6 +19,12 @@ from .errors import CapExceeded, UniverseMismatch
 MAX_N = 20
 
 
+def check_carrier(n):
+    """Raise CapExceeded unless 0 <= n <= MAX_N."""
+    if not 0 <= n <= MAX_N:
+        raise CapExceeded("carrier size %d outside 0..%d" % (n, MAX_N))
+
+
 def full_mask(n):
     return (1 << n) - 1
 
@@ -90,8 +96,7 @@ class SetSystem:
     __slots__ = ('n', 'sets', '_members')
 
     def __init__(self, n, sets=()):
-        if not 0 <= n <= MAX_N:
-            raise CapExceeded("carrier size %d outside 0..%d" % (n, MAX_N))
+        check_carrier(n)
         full = full_mask(n)
         canon = sorted(set(sets))
         for m in canon:
@@ -201,8 +206,7 @@ class PointSetRelation:
     __slots__ = ('n', 'pairs')
 
     def __init__(self, n, pairs=()):
-        if not 0 <= n <= MAX_N:
-            raise CapExceeded("carrier size %d outside 0..%d" % (n, MAX_N))
+        check_carrier(n)
         full = full_mask(n)
         canon = sorted(set(pairs))
         for x, m in canon:

@@ -5,7 +5,8 @@ from functools import cached_property
 
 from .errors import (BaseCriterionViolation, CapExceeded, ClosedAxiomViolation,
                      NotABase, SubbaseCriterionViolation, UniverseMismatch)
-from .setops import SetSystem, full_mask, points_of, relation_from_sections, supermasks
+from .setops import (SetSystem, check_carrier, full_mask, points_of,
+                     relation_from_sections, supermasks)
 
 
 class Topology:
@@ -30,6 +31,24 @@ class Topology:
                                              "not a topology: %s fails (witness %r)" % (axiom, witness))
         self.n = n
         self.opens = system
+
+    @classmethod
+    def from_kernel(cls, n, u):
+        """The topology whose minimal open sets are u: its opens are the
+        empty set and the unions of the u[x], and u is kept as its
+        minimal_opens.
+
+        u must be a preorder kernel: x in u[x], and y in u[x] implies
+        u[y] inside u[x].  As with validate=False, that is trusted, not
+        checked.  Raises CapExceeded unless 0 <= n <= MAX_N.
+        """
+        check_carrier(n)
+        opens = {0}
+        for m in set(u):
+            opens |= {o | m for o in opens}
+        t = cls(n, SetSystem(n, opens), validate=False)
+        t._kernel = tuple(u)
+        return t
 
     def __eq__(self, other):
         return isinstance(other, Topology) and self.n == other.n and self.opens == other.opens
@@ -142,37 +161,6 @@ def meet_of(sets):
     return meet
 
 
-def generated_topology(system):
-    """theta(psi(system)), the unions of intersections of members, built
-    from the kernel of the system in O(n * |opens|).
-
-    Each intersection of members is the union of the U_x of its points,
-    so the nonempty opens are the unions of the U_x of the points some
-    member covers, and the empty set is one iff the intersection of all
-    members is empty.  The result keeps this U as its minimal_opens.
-    """
-    return _unions_of_kernel(system, meet_of(system.sets) == 0)
-
-
-def _unions_of_kernel(system, with_empty):
-    """generated_topology, told whether the empty set is an open."""
-    u = kernel_of(system.sets, system.n)
-    return _kernel_topology(system.n, u, {u[x] for x in points_of(system.union_mask())},
-                            with_empty)
-
-
-def _kernel_topology(n, u, masks, with_empty):
-    """The topology whose opens are the nonempty unions of the given
-    masks, and the empty set if with_empty, keeping u as its kernel."""
-    opens = {0} if with_empty else set()
-    for m in masks:
-        opens |= {o | m for o in opens}
-        opens.add(m)
-    t = Topology(n, SetSystem(n, opens), validate=False)
-    t._kernel = tuple(u)
-    return t
-
-
 # every count in a point shape is at most MAX_N = 20 < 2^5
 _SHAPE_BITS = 5
 
@@ -272,9 +260,7 @@ def generate_from_base(system):
     verdict = is_base_system(system)
     if verdict is not None:
         raise BaseCriterionViolation(*verdict)
-    # a base is closed under intersections up to unions, so
-    # theta(B) = theta(psi(B)), and it holds the empty set
-    return _unions_of_kernel(system, True)
+    return Topology.from_kernel(system.n, kernel_of(system.sets, system.n))
 
 
 def is_subbase_system(system):
@@ -298,7 +284,7 @@ def generate_from_subbase(system):
     verdict = is_subbase_system(system)
     if verdict is not None:
         raise SubbaseCriterionViolation(verdict)
-    return _unions_of_kernel(system, True)
+    return Topology.from_kernel(system.n, kernel_of(system.sets, system.n))
 
 
 def is_base_of(system, topology):
@@ -402,7 +388,7 @@ def enumerate_topologies(n, count_only=False):
         raise CapExceeded("enumeration supported only for n <= 5")
     if count_only:
         return sum(1 for _ in preorder_kernels(n))
-    tops = [_kernel_topology(n, u, set(u), True) for u in preorder_kernels(n)]
+    tops = [Topology.from_kernel(n, u) for u in preorder_kernels(n)]
     tops.sort(key=lambda t: t.opens.sets)
     return tops
 

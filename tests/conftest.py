@@ -1,4 +1,5 @@
-"""Shared helpers: independent oracles used to cross-check the library.
+"""Shared helpers: independent oracles used to cross-check the library,
+and the random preorders (as U_x kernels) that hypothesis tests draw.
 
 The oracles here deliberately use the definition-by-enumeration route
 (subfamilies, direct scans) rather than the fixed-point implementations
@@ -7,7 +8,10 @@ in the package, so they can serve as independent references.
 
 from itertools import combinations
 
-from fintopo.setops import SetSystem, full_mask
+from hypothesis import strategies as st
+
+from fintopo.setops import SetSystem, full_mask, points_of
+from fintopo.topology import Topology
 
 
 def all_systems(n):
@@ -59,3 +63,28 @@ def is_topology_oracle(system):
     t = theta_oracle(system)
     p = psi_oracle(system)
     return set(t.sets) <= members and set(p.sets) <= members
+
+
+def topology_of_preorder(u):
+    """The Alexandrov topology of U: its opens are the up-sets."""
+    n = len(u)
+    opens = [a for a in range(1 << n) if all(u[x] & ~a == 0 for x in points_of(a))]
+    return Topology(n, opens, validate=False)
+
+
+@st.composite
+def preorders(draw, min_n=1, max_n=6):
+    """U of a random preorder on min_n to max_n points: a random
+    relation made reflexive and transitive."""
+    n = draw(st.integers(min_n, max_n))
+    u = [draw(st.integers(0, full_mask(n))) | 1 << x for x in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            grown = u[x]
+            for y in points_of(u[x]):
+                grown |= u[y]
+            if grown != u[x]:
+                u[x], changed = grown, True
+    return tuple(u)

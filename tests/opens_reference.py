@@ -7,7 +7,9 @@ neighborhood relation built from them by phi), never from
 Topology.minimal_opens, so agreement with the library is a real check.
 The generated topology and the base check work pairwise over the
 members of a system (theta, psi and the pairwise base criteria), never
-from its U_x.  The topology families are found by scanning every
+from its U_x.  So do the induced topologies: the inverse image is
+generated by the preimages of every open, the subspace cuts down every
+open, and the direct image scans all 2^n subsets.  The topology families are found by scanning every
 family of subsets, not by listing preorders.
 
 The continuity tests as they were before each space kept its views are
@@ -303,6 +305,36 @@ def generated_topology(system):
     """Unions of intersections of members, each by its pairwise fixed
     point: theta(psi(system))."""
     return Topology(system.n, theta(psi(system)), validate=False)
+
+
+def inverse_image_topology(n, pairs):
+    """Generated by the subbase of all preimages of all opens of the
+    targets, with the empty set and the carrier."""
+    subbase = {0, full_mask(n)}
+    for f, t in pairs:
+        for o in t.opens:
+            subbase.add(preimage_mask(f, o))
+    return generated_topology(SetSystem(n, subbase))
+
+
+def subspace_topology(t, a_mask):
+    """(every open cut down to A and re-indexed, point map)."""
+    point_map = points_of(a_mask)
+    back = {p: i for i, p in enumerate(point_map)}
+    opens = set()
+    for o in t.opens:
+        m = 0
+        for p in points_of(o & a_mask):
+            m |= 1 << back[p]
+        opens.add(m)
+    return Topology(len(point_map), opens, validate=False), point_map
+
+
+def direct_image_topology(n, pairs):
+    """Every subset of the carrier whose every preimage is open."""
+    opens = [b for b in range(1 << n)
+             if all(preimage_mask(f, b) in t.opens for f, t in pairs)]
+    return Topology(n, opens, validate=False)
 
 
 def is_base_of(system, topology):

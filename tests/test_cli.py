@@ -119,6 +119,17 @@ class TestGenerate:
         assert code == 0
         assert json.loads(out) == {'n': 3, 'sets': [[], [1, 2], [0, 1, 2]]}
 
+    @pytest.mark.parametrize('direct', [False, True])
+    @pytest.mark.parametrize('n', [40, 10**9])
+    def test_family_past_the_carrier_cap_fails_fast(self, capsys, tmp_path, n, direct):
+        fam = write(tmp_path, 'f.json', {'n': n, 'members': []})
+        argv = ['generate', '--family', fam] + (['--direct'] if direct else [])
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1
+        assert code == 1
+        assert json.loads(out)['error'] == 'CapExceeded'
+
     def test_no_option_is_usage_error(self, capsys):
         code, out, err = run(capsys, 'generate')
         assert code == 2

@@ -1,7 +1,15 @@
 """Topologies induced along maps: inverse/direct image, subspace,
-product, quotient, and universal properties."""
+product, quotient, and universal properties.  The kernel builders are
+compared with the opens-based reference in opens_reference.py."""
+
+from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import opens_reference as ref
+from conftest import preorders, topology_of_preorder
 
 from fintopo.closure import closure
 from fintopo.continuity import SpaceMap, is_continuous, map_open_closed
@@ -11,12 +19,11 @@ from fintopo.filters import Filter, enumerate_filters, image_filter
 from fintopo.generated import (check_universal_property, class_map,
                                direct_image_topology, infimum_topology,
                                inverse_image_topology,
-                               pointwise_convergence_topology,
                                product_point_index, product_projections,
                                product_topology, quotient_topology,
                                rows_from_partition, subspace_topology,
                                supremum_topology, validate_equivalence)
-from fintopo.setops import FiniteMap, SetSystem, identity_map, mask_of
+from fintopo.setops import FiniteMap, SetSystem, full_mask, identity_map, mask_of
 from fintopo.topology import (Topology, compare, discrete_topology,
                               enumerate_topologies, indiscrete_topology,
                               is_finer, sierpinski)
@@ -57,6 +64,12 @@ class TestInverseImage:
 
 
 class TestSubspace:
+    def test_mask_outside_the_carrier(self):
+        # the inclusion of {1, 2} would map into point 2, which
+        # sierpinski() does not have
+        with pytest.raises(UniverseMismatch):
+            subspace_topology(sierpinski(), 0b110)
+
     def test_open_subspace_of_sierpinski(self):
         sub, pm = subspace_topology(sierpinski(), 0b10)
         assert sub == discrete_topology(1)
@@ -168,11 +181,6 @@ class TestProduct:
                     filter_limits(s, image_filter(projs[i], f)) >> projs[i](pt) & 1
                     for i in range(2))
                 assert bool(lim >> pt & 1) == comp
-
-    def test_pointwise_convergence_topology(self):
-        t, projs = pointwise_convergence_topology(2, sierpinski())
-        prod, _ = product_topology([sierpinski(), sierpinski()])
-        assert t == prod
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
@@ -294,3 +302,96 @@ class TestUniversalProperty:
     def test_bad_direction(self):
         with pytest.raises(ValueError):
             check_universal_property(2, [], sierpinski(), 'sideways')
+
+
+SPACES = [t for n in range(4) for t in enumerate_topologies(n)]
+SPACES_4 = SPACES + enumerate_topologies(4)
+
+
+def all_maps(n_src, n_dst):
+    return [FiniteMap(n_src, n_dst, images) for images in iproduct(range(n_dst), repeat=n_src)]
+
+
+def partitions(points):
+    """Every partition of the list of points into blocks."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for blocks in partitions(rest):
+        yield [[first]] + blocks
+        for i in range(len(blocks)):
+            yield blocks[:i] + [[first] + blocks[i]] + blocks[i + 1:]
+
+
+def assert_same_as_reference(t, expected):
+    """The same opens, and the U the builder keeps is the one the opens
+    give."""
+    assert t.opens == expected.opens
+    assert t.minimal_opens == Topology(t.n, t.opens, validate=False).minimal_opens
+
+
+class TestAgainstOpensReference:
+    def test_inverse_image_of_every_map_n3(self):
+        for t in SPACES:
+            for n in range(4):
+                for f in all_maps(n, t.n):
+                    assert_same_as_reference(inverse_image_topology(n, [(f, t)]),
+                                             ref.inverse_image_topology(n, [(f, t)]))
+
+    def test_direct_image_of_every_map_n3(self):
+        for t in SPACES:
+            for n in range(4):
+                for f in all_maps(t.n, n):
+                    assert_same_as_reference(direct_image_topology(n, [(f, t)]),
+                                             ref.direct_image_topology(n, [(f, t)]))
+
+    def test_infimum_and_supremum_of_every_pair_n3(self):
+        for n in range(4):
+            tops = enumerate_topologies(n)
+            ident = identity_map(n)
+            for t1 in tops:
+                for t2 in tops:
+                    pairs = [(ident, t1), (ident, t2)]
+                    assert_same_as_reference(infimum_topology([t1, t2]),
+                                             ref.direct_image_topology(n, pairs))
+                    assert_same_as_reference(supremum_topology([t1, t2]),
+                                             ref.inverse_image_topology(n, pairs))
+
+    def test_every_subspace_n4(self):
+        for t in SPACES_4:
+            for a in range(1 << t.n):
+                sub, pm = subspace_topology(t, a)
+                expected, expected_pm = ref.subspace_topology(t, a)
+                assert_same_as_reference(sub, expected)
+                assert list(pm) == expected_pm
+
+    def test_every_quotient_n4(self):
+        for t in SPACES_4:
+            for blocks in partitions(list(range(t.n))):
+                qt, q, _ = quotient_topology(t, rows_from_partition(t.n, blocks))
+                assert_same_as_reference(qt, ref.direct_image_topology(q.n_dst, [(q, t)]))
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_preorders_under_random_maps(self, data):
+        n = data.draw(st.integers(0, 8))
+        spaces = [topology_of_preorder(u)
+                  for u in data.draw(st.lists(preorders(max_n=8), min_size=1, max_size=3))]
+
+        def maps(n_src, n_dst):
+            return FiniteMap(n_src, n_dst, data.draw(
+                st.lists(st.integers(0, n_dst - 1), min_size=n_src, max_size=n_src)))
+
+        inverse = [(maps(n, t.n), t) for t in spaces]
+        assert_same_as_reference(inverse_image_topology(n, inverse),
+                                 ref.inverse_image_topology(n, inverse))
+        if n:
+            direct = [(maps(t.n, n), t) for t in spaces]
+            assert_same_as_reference(direct_image_topology(n, direct),
+                                     ref.direct_image_topology(n, direct))
+        a = data.draw(st.integers(0, full_mask(spaces[0].n)))
+        sub, pm = subspace_topology(spaces[0], a)
+        expected, expected_pm = ref.subspace_topology(spaces[0], a)
+        assert_same_as_reference(sub, expected)
+        assert list(pm) == expected_pm

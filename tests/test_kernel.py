@@ -10,14 +10,15 @@ random systems with n <= 8.  Images and preimages of masks under a map
 are compared with loops over every source point.
 """
 
+from fractions import Fraction
 from itertools import permutations, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opens_reference as ref
-from conftest import all_systems
-from fintopo import generated, order, setops, topology
+from conftest import all_systems, preorders, topology_of_preorder
+from fintopo import generated, metric, order, setops, topology
 from fintopo.closure import (SubsetOperator, boundary, check_closure_axioms,
                              check_interior_axioms, closure, closure_operator_of,
                              derived_set, interior, interior_operator_of)
@@ -27,7 +28,7 @@ from fintopo.convergence import (DirectedSet, EventuallyPeriodicSequence, Net,
                                  net_limits, sequence_cluster_points, sequence_limits)
 from fintopo.filters import enumerate_filters, principal_filter
 from fintopo.setops import FiniteMap, SetSystem, full_mask, points_of
-from fintopo.topology import (Topology, enumerate_topologies, generated_topology,
+from fintopo.topology import (Topology, enumerate_topologies, generate_from_subbase,
                               is_base_of, minimal_base, neighborhood_relation)
 
 SMALL = [t for n in range(5) for t in enumerate_topologies(n)]
@@ -35,31 +36,6 @@ SMALL = [t for n in range(5) for t in enumerate_topologies(n)]
 # 0 <= 1 <= 2 <= 1: a directed set whose top class {1, 2} has two
 # elements, so a net on it can oscillate forever
 DOMAIN = DirectedSet(3, [(0, 1), (0, 2), (1, 2), (2, 1)])
-
-
-def topology_of_preorder(u):
-    """The Alexandrov topology of U: its opens are the up-sets."""
-    n = len(u)
-    opens = [a for a in range(1 << n) if all(u[x] & ~a == 0 for x in points_of(a))]
-    return Topology(n, opens, validate=False)
-
-
-@st.composite
-def preorders(draw, min_n=1, max_n=6):
-    """U of a random preorder on min_n to max_n points: a random
-    relation made reflexive and transitive."""
-    n = draw(st.integers(min_n, max_n))
-    u = [draw(st.integers(0, full_mask(n))) | 1 << x for x in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            grown = u[x]
-            for y in points_of(u[x]):
-                grown |= u[y]
-            if grown != u[x]:
-                u[x], changed = grown, True
-    return tuple(u)
 
 
 @st.composite
@@ -70,9 +46,11 @@ def systems(draw, max_n=8):
 
 
 def assert_same_generated_topology(s):
-    """The kernel builder gives theta(psi(s)), and the U it keeps is the
-    one the opens give."""
-    t = generated_topology(s)
+    """generate_from_subbase on s with the empty set and the carrier
+    added gives theta(psi) of that system, and the U it keeps is the one
+    the opens give."""
+    s = s.with_sets(s.sets + (0, full_mask(s.n)))
+    t = generate_from_subbase(s)
     assert t.opens == ref.generated_topology(s).opens
     assert t.minimal_opens == Topology(s.n, t.opens, validate=False).minimal_opens
 
@@ -374,6 +352,7 @@ class TestGeneratedTopologies:
         # generator may fall back on them
         line = order.chain(3, 'reflexive')
         s = topology.sierpinski()
+        dist = metric.PseudoMetric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         calls = [
             lambda: topology.generate_from_subbase(SetSystem(3, [0b001, 0b110])),
             lambda: topology.generate_from_base(SetSystem(3, [0, 0b001, 0b010, 0b110])),
@@ -386,13 +365,15 @@ class TestGeneratedTopologies:
             lambda: order.interval_topology_family([line, order.fence(3)]),
             lambda: order.one_sided_topology(line, 'lower'),
             lambda: order.one_sided_topology(line, 'upper'),
+            lambda: metric.metric_topology(dist),
+            lambda: metric.metric_topology(dist, [Fraction(3, 2)]),
         ]
         expected = [call() for call in calls]
 
         def pairwise_closure(system):
             raise AssertionError("pairwise closure formed")
 
-        for mod in (setops, topology, generated, order):
+        for mod in (setops, topology, generated, order, metric):
             for name in ('psi', 'theta'):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, pairwise_closure)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fintopo.closure import closure
+from fintopo.closure import closure, interior
 from fintopo.continuity import SpaceMap, is_continuous, map_open_closed
 from fintopo.errors import EmptyArgument, InvalidMetric, UniverseMismatch
 from fintopo.generated import subspace_topology
@@ -14,8 +14,8 @@ from fintopo.metric import (PseudoMetric, bounded_equivalents, default_radius_se
                             metric_topology, quotient_metric, restrict,
                             sphere_base, sup_pseudometric, validate_pseudometric,
                             zero_distance_rows, zero_distance_set)
-from fintopo.setops import FiniteMap
-from fintopo.topology import compare, discrete_topology, indiscrete_topology
+from fintopo.setops import FiniteMap, theta
+from fintopo.topology import compare, discrete_topology, indiscrete_topology, is_topology
 
 
 def M(*rows):
@@ -129,6 +129,23 @@ class TestGeneratedTopology:
     def test_empty_carrier(self):
         m = PseudoMetric([])
         assert metric_topology(m).n == 0
+
+    def test_radii_that_give_no_base(self):
+        # the spheres of radius 3/2 are {0,1}, {0,1,2} and {1,2}; they
+        # are no base, since their meet {1} is no union of them, and
+        # the topology they generate has {1} open
+        m = M([0, 1, 2], [1, 0, 1], [2, 1, 0])
+        t = metric_topology(m, [Fraction(3, 2)])
+        assert t.opens.sets == (0b000, 0b010, 0b011, 0b110, 0b111)
+        assert is_topology(t.opens) is None
+        assert interior(t, 0b010) == 0b010
+
+    def test_default_radii_give_the_unions_of_spheres(self):
+        rng = random.Random(41)
+        for n in range(6):
+            for _ in range(10):
+                m = random_pseudometric(rng, n)
+                assert metric_topology(m).opens == theta(sphere_base(m))
 
 
 class TestBoundedEquivalents:
