@@ -152,21 +152,25 @@ def cmd_analyze(args):
     }
 
 
+def _filter_json(f):
+    return {'filter': jsonio.system_to_json(f.members), 'core': points_of(f.core())}
+
+
 def cmd_filter(args):
     if args.op == 'generate':
         f = generate_filter(jsonio.system_from_json(_load(args.base)))
-        return {'filter': jsonio.system_to_json(f.members), 'core': points_of(f.core())}
+        return _filter_json(f)
     if args.op == 'ultra':
         f = generate_filter(jsonio.system_from_json(_load(args.base)))
         return {'ultrafilter': f.is_ultrafilter()}
     if args.op == 'extend':
         f = extend_to_ultrafilter(jsonio.system_from_json(_load(args.base)))
-        return {'filter': jsonio.system_to_json(f.members), 'core': points_of(f.core())}
+        return _filter_json(f)
     if args.op == 'sup':
         bases = [jsonio.system_from_json(d) for d in _load(args.bases)]
         base = supremum_of_filter_bases(bases)
         f = generate_filter(base)
-        return {'filter': jsonio.system_to_json(f.members), 'core': points_of(f.core())}
+        return _filter_json(f)
     if args.op in ('image', 'inverse-image'):
         base = jsonio.system_from_json(_load(args.base))
         f0 = generate_filter(base)
@@ -177,7 +181,7 @@ def cmd_filter(args):
         else:
             fm = jsonio.map_from_json(mp, n_dst=base.n, n_src=args.target_n or None)
             f = inverse_image_filter(fm, f0)
-        return {'filter': jsonio.system_to_json(f.members), 'core': points_of(f.core())}
+        return _filter_json(f)
     raise UsageError("unknown filter op %r" % args.op)
 
 

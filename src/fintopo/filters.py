@@ -81,10 +81,10 @@ def _meet_fault(members, n):
 
 
 class Filter:
-    """A filter, kept with its core: the members are the supersets of
+    """A filter, kept as its core: the members are the supersets of
     the core."""
 
-    __slots__ = ('n', 'members', '_core')
+    __slots__ = ('n', '_core')
 
     def __init__(self, n, members):
         system = members if isinstance(members, SetSystem) else SetSystem(n, members)
@@ -94,7 +94,6 @@ class Filter:
         if verdict is not None:
             raise FilterBaseViolation(*verdict)
         self.n = n
-        self.members = system
         self._core = system.sets[0]
 
     @classmethod
@@ -102,12 +101,16 @@ class Filter:
         """The filter of all supersets of a nonempty core."""
         if core == 0:
             raise FilterBaseViolation('no-empty-member', 0)
-        SetSystem(n, (core,))  # check n and core before 2^(n - |core|) supersets are built
+        SetSystem(n, (core,))  # check n and core
         f = cls.__new__(cls)
         f.n = n
-        f.members = SetSystem(n, supermasks(core, n))
         f._core = core
         return f
+
+    @property
+    def members(self):
+        """The system of all 2^(n - |core|) members, built on each call."""
+        return SetSystem(self.n, supermasks(self._core, self.n))
 
     def __eq__(self, other):
         return isinstance(other, Filter) and self.n == other.n and self._core == other._core
@@ -119,7 +122,8 @@ class Filter:
         return 'Filter(%d, core=%r)' % (self.n, points_of(self._core))
 
     def __contains__(self, mask):
-        return mask in self.members
+        """Whether mask is a set of the carrier containing the core."""
+        return 0 <= mask <= full_mask(self.n) and self._core & ~mask == 0
 
     def core(self):
         """Intersection of all members; nonempty on a finite carrier."""

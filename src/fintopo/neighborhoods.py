@@ -19,15 +19,6 @@ from .setops import (PointSetRelation, SetSystem, full_mask, points_of,
 from .topology import Topology, is_base_of, meet_of, neighborhood_relation
 
 
-def _sections(rel):
-    """Each point's section as an ascending list, from one pass over
-    the pairs (they are sorted by point, then by mask)."""
-    sections = [[] for _ in range(rel.n)]
-    for x, m in rel.pairs:
-        sections[x].append(m)
-    return sections
-
-
 def _cores(sections, n):
     """The meet of each family, or the whole carrier for an empty one."""
     full = full_mask(n)
@@ -81,7 +72,7 @@ def check_neighborhood_axioms(rel):
     inside c.  Each witness is the least in ascending order of masks.
     """
     n = rel.n
-    sections = _sections(rel)
+    sections = [sec.sets for sec in rel.sections]
     cores = _cores(sections, n)
     for x, (sec, c) in enumerate(zip(sections, cores)):
         if not sec:
@@ -106,7 +97,7 @@ def topology_from_neighborhoods(rel):
     verdict = check_neighborhood_axioms(rel)
     if verdict is not None:
         raise NeighborhoodAxiomViolation(*verdict)
-    return Topology.from_kernel(rel.n, _cores(_sections(rel), rel.n))
+    return Topology.from_kernel(rel.n, _cores(rel.sections, rel.n))
 
 
 def neighborhoods_of_set(rel, a_mask):
@@ -221,7 +212,7 @@ def check_neighborhood_base_axioms(rel):
     inside c.  Each witness is the least in ascending order of masks.
     """
     n = rel.n
-    sections = _sections(rel)
+    sections = [sec.sets for sec in rel.sections]
     cores = _cores(sections, n)
     for x, (sec, c) in enumerate(zip(sections, cores)):
         if not sec:
@@ -251,7 +242,7 @@ def neighborhoods_from_base(rel):
     if verdict is not None:
         raise NeighborhoodBaseViolation(*verdict)
     n = rel.n
-    return relation_from_sections(n, [supermasks(c, n) for c in _cores(_sections(rel), n)])
+    return relation_from_sections(n, [supermasks(c, n) for c in _cores(rel.sections, n)])
 
 
 def topology_from_neighborhood_base(rel):

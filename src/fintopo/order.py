@@ -136,13 +136,7 @@ def relation_properties(p):
 def interval_topology(p):
     """Generated by the subbase of all lower and upper segments plus
     the empty set.  Requires full field (so the segments cover X)."""
-    if not has_full_field(p):
-        raise NoFullField("some point is comparable to nothing")
-    subbase = {0}
-    for x in range(p.n):
-        subbase.add(p.lower_segment(x))
-        subbase.add(p.upper_segment(x))
-    return generate_from_subbase(SetSystem(p.n, subbase))
+    return interval_topology_from_dense(p, full_mask(p.n))
 
 
 def is_order_dense(p, y_mask):

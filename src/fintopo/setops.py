@@ -41,6 +41,8 @@ def mask_of(points, n=None):
 
 def points_of(mask):
     """Sorted list of point indices of a mask."""
+    if mask < 0:
+        raise UniverseMismatch("negative mask %d is not a set of points" % mask)
     pts = []
     i = 0
     while mask >> i:
@@ -48,10 +50,6 @@ def points_of(mask):
             pts.append(i)
         i += 1
     return pts
-
-
-def popcount(mask):
-    return bin(mask).count('1')
 
 
 def supermasks(mask, n):
@@ -152,11 +150,6 @@ def powerset_system(n):
     return SetSystem(n, range(1 << n))
 
 
-def _check_same_carrier(a, b):
-    if a.n != b.n:
-        raise UniverseMismatch("carriers differ: %d vs %d" % (a.n, b.n))
-
-
 def psi(system):
     """All intersections of nonempty subfamilies.
 
@@ -196,50 +189,59 @@ def phi(system):
 
 
 class PointSetRelation:
-    """A relation between points and subsets: a set of (point, mask) pairs.
+    """A relation between points and subsets, kept as its sections:
+    sections[x] is R{x}, the system of sets related to point x.
 
-    Sections come in two flavours: R{x} (the sets related to a point) and
-    the derived section over a subset A, R<A> = intersection of the R{x}
-    with x in A, plus R[A] = union of those sections.
+    Built from (point, mask) pairs, or by relation_from_sections.  Over
+    a subset A there are two derived sections: R<A>, the sets related
+    to every point of A, and R[A], the sets related to some point of A.
     """
 
-    __slots__ = ('n', 'pairs')
+    __slots__ = ('n', 'sections')
 
     def __init__(self, n, pairs=()):
         check_carrier(n)
         full = full_mask(n)
-        canon = sorted(set(pairs))
-        for x, m in canon:
+        sections = [[] for _ in range(n)]
+        for x, m in sorted(set(pairs)):
             if not 0 <= x < n:
                 raise UniverseMismatch("point %d outside carrier of size %d" % (x, n))
             if m < 0 or m & ~full:
                 raise UniverseMismatch("mask %d not a subset of carrier of size %d" % (m, n))
+            sections[x].append(m)
         self.n = n
-        self.pairs = tuple(canon)
+        self.sections = tuple(SetSystem(n, sec) for sec in sections)
+
+    @property
+    def pairs(self):
+        """The (point, mask) pairs, by point, then by mask."""
+        return tuple((x, m) for x, sec in enumerate(self.sections) for m in sec.sets)
 
     def __eq__(self, other):
         return (isinstance(other, PointSetRelation)
-                and self.n == other.n and self.pairs == other.pairs)
+                and self.n == other.n and self.sections == other.sections)
 
     def __hash__(self):
-        return hash((self.n, self.pairs))
+        return hash((self.n, self.sections))
 
     def __iter__(self):
         return iter(self.pairs)
 
     def __len__(self):
-        return len(self.pairs)
+        return sum(len(sec) for sec in self.sections)
 
     def __repr__(self):
         return 'PointSetRelation(%d, %r)' % (self.n, list(self.pairs))
 
     def section(self, x):
-        """R{x}: the system of sets related to point x."""
-        return SetSystem(self.n, [m for p, m in self.pairs if p == x])
+        """R{x}: the system of sets related to point x, empty for a
+        point outside the carrier."""
+        return self.sections[x] if 0 <= x < self.n else SetSystem(self.n)
 
     def union_section(self, a_mask):
         """R[A]: union of the sections over the points of A."""
-        return SetSystem(self.n, [m for p, m in self.pairs if a_mask >> p & 1])
+        return SetSystem(self.n, [m for x, sec in enumerate(self.sections)
+                                  if a_mask >> x & 1 for m in sec.sets])
 
     def meet_section(self, a_mask):
         """R<A>: sets related to *every* point of A.  R<empty> = powerset."""
@@ -251,21 +253,26 @@ class PointSetRelation:
 
 
 def relation_from_sections(n, sections):
-    """Build a relation from a per-point list of systems (index = point)."""
-    pairs = []
-    for x, sys_x in enumerate(sections):
-        for m in sys_x:
-            pairs.append((x, m))
-    return PointSetRelation(n, pairs)
+    """Build a relation from a per-point list of systems (index = point).
+    A point past the end of the list relates to no set; a system kept
+    at an index past the carrier must be empty."""
+    check_carrier(n)
+    kept = []
+    for x, sec in enumerate(sections):
+        if x < n:
+            kept.append(sec if isinstance(sec, SetSystem) and sec.n == n else SetSystem(n, sec))
+        elif list(sec):
+            raise UniverseMismatch("point %d outside carrier of size %d" % (x, n))
+    kept += [SetSystem(n)] * (n - len(kept))
+    rel = PointSetRelation.__new__(PointSetRelation)
+    rel.n = n
+    rel.sections = tuple(kept)
+    return rel
 
 
 def phi_prime(relation):
     """Pointwise superset closure: (phi' R){x} = phi(R{x}) for every x."""
-    pairs = []
-    for x in range(relation.n):
-        for m in phi(relation.section(x)):
-            pairs.append((x, m))
-    return PointSetRelation(relation.n, pairs)
+    return relation_from_sections(relation.n, [phi(sec) for sec in relation.sections])
 
 
 class FiniteMap:

@@ -312,20 +312,11 @@ def minimal_base(topology):
 
 
 def is_closed_system(system):
-    """None if the system satisfies the closed-set axioms, else (axiom, witness)."""
-    full = full_mask(system.n)
-    members = set(system.sets)
-    if 0 not in members:
-        return ('contains-empty', 0)
-    if full not in members:
-        return ('contains-whole', full)
-    for a in members:
-        for b in members:
-            if a & b not in members:
-                return ('intersection-closed', (a, b))
-            if a | b not in members:
-                return ('union-closed', (a, b))
-    return None
+    """None if the system satisfies the closed-set axioms, else (axiom,
+    witness).  They are the open-set axioms: the empty set and the whole
+    carrier are members, and the members are closed under pairwise
+    unions and intersections."""
+    return is_topology(system)
 
 
 def topology_from_closed_system(system):

@@ -119,7 +119,7 @@ def _suite_convergence(n, tally):
             via_adherence = filter_adherence(t, principal_filter(n, a))
             via_convergence = 0
             for f in all_filters:
-                if a in f.members:
+                if a in f:
                     via_convergence |= filter_limits(t, f)
             tally.record(cl == via_adherence == via_convergence,
                          lambda: {'space': jsonio.topology_to_json(t), 'set': a})

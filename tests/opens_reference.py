@@ -25,6 +25,9 @@ with the set map built from the meets of the sections, the topology
 from a membership scan over all 2^n subsets, and the filter facts from
 scans over the members.  With ascending=True the checks read members
 in ascending order of masks and name the witness the library names.
+The filter continuity test that the cores replaced is kept too: every
+member of the target filter against the image of every member of the
+source filter.
 
 The bisection that the integer grid replaced is kept here too, with the
 Horner rule it used: every step a Dyadic midpoint, a Dyadic evaluation
@@ -34,7 +37,8 @@ and Dyadic comparisons, for test_numeric.py.
 from functools import lru_cache
 from itertools import permutations, product
 
-from fintopo.errors import BracketViolation, IndexOutOfRange
+from fintopo.convergence import filter_adherence
+from fintopo.errors import BracketViolation, ClusterPreconditionFailed, IndexOutOfRange
 from fintopo.numeric import ZERO
 from fintopo.setops import (FiniteMap, PointSetRelation, SetSystem, full_mask, phi,
                             points_of, psi, relation_from_sections, supermasks, theta)
@@ -560,3 +564,16 @@ def is_ultrafilter(members, n):
     full = full_mask(n)
     present = set(members.sets)
     return all(a in present or full ^ a in present for a in range(1 << n))
+
+
+def filter_continuity_at(fx, fy, m, x):
+    """Whether every member of fy contains the image of some member of
+    fx, after the cluster-point preconditions at x and f(x)."""
+    if not filter_adherence(m.source, fx) >> x & 1:
+        raise ClusterPreconditionFailed("x is not a cluster point of the source filter")
+    if not filter_adherence(m.target, fy) >> m.f(x) & 1:
+        raise ClusterPreconditionFailed("f(x) is not a cluster point of the target filter")
+    for u in fy.members:
+        if not any(m.f.image_mask(v) & ~u == 0 for v in fx.members):
+            return False
+    return True

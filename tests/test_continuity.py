@@ -1,7 +1,11 @@
 """Continuity: local/global tests, the equivalent characterizations,
 open and closed maps, homeomorphisms, and gluing."""
 
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import opens_reference as ref
 from fintopo.continuity import (SpaceMap, are_homeomorphic,
@@ -13,10 +17,13 @@ from fintopo.continuity import (SpaceMap, are_homeomorphic,
                                 is_continuous_on_closed_pieces, map_open_closed)
 from fintopo.errors import (CapExceeded, ClusterPreconditionFailed,
                             UniverseCardinalityMismatch, UniverseMismatch)
-from fintopo.filters import point_filter, principal_filter
+from fintopo.filters import enumerate_filters, point_filter, principal_filter
 from fintopo.setops import FiniteMap
 from fintopo.topology import (Topology, discrete_topology, enumerate_topologies,
                               indiscrete_topology, sierpinski)
+
+
+TOPOLOGIES = {n: enumerate_topologies(n) for n in range(1, 5)}
 
 
 def all_maps(n_src, n_dst):
@@ -250,6 +257,42 @@ class TestFilterContinuityAt:
         m = SpaceMap(d, d, FiniteMap(2, 2, [0, 0]))
         with pytest.raises(ClusterPreconditionFailed):
             filter_continuity_at(point_filter(2, 0), point_filter(2, 1), m, 0)
+
+
+def filter_outcome(check, fx, fy, m, x):
+    """The verdict of check, or the type of the error it raises."""
+    try:
+        return check(fx, fy, m, x)
+    except ClusterPreconditionFailed:
+        return ClusterPreconditionFailed
+
+
+class TestFilterContinuityByCores:
+    """The core test against the scan over the members of both filters."""
+
+    def test_matches_member_scan_n_le_2(self):
+        for n_src, n_dst in product((1, 2), repeat=2):
+            filters_src, filters_dst = enumerate_filters(n_src), enumerate_filters(n_dst)
+            for s, t in product(TOPOLOGIES[n_src], TOPOLOGIES[n_dst]):
+                for f in all_maps(n_src, n_dst):
+                    m = SpaceMap(s, t, f)
+                    for fx, fy, x in product(filters_src, filters_dst, range(n_src)):
+                        assert (filter_outcome(filter_continuity_at, fx, fy, m, x)
+                                == filter_outcome(ref.filter_continuity_at, fx, fy, m, x))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_member_scan_n_le_4(self, data):
+        n_src, n_dst = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        s = data.draw(st.sampled_from(TOPOLOGIES[n_src]))
+        t = data.draw(st.sampled_from(TOPOLOGIES[n_dst]))
+        images = data.draw(st.lists(st.integers(0, n_dst - 1), min_size=n_src, max_size=n_src))
+        m = SpaceMap(s, t, FiniteMap(n_src, n_dst, images))
+        fx = principal_filter(n_src, data.draw(st.integers(1, (1 << n_src) - 1)))
+        fy = principal_filter(n_dst, data.draw(st.integers(1, (1 << n_dst) - 1)))
+        x = data.draw(st.integers(0, n_src - 1))
+        assert (filter_outcome(filter_continuity_at, fx, fy, m, x)
+                == filter_outcome(ref.filter_continuity_at, fx, fy, m, x))
 
 
 class TestGluing:

@@ -1,5 +1,7 @@
 """Filters and filter bases: axioms, counting facts, suprema, images."""
 
+import time
+
 import pytest
 
 from conftest import all_systems
@@ -159,3 +161,24 @@ class TestImages:
         f = FiniteMap(3, 3, [2, 2, 0])
         for x in range(3):
             assert image_filter(f, point_filter(3, x)).is_ultrafilter()
+
+
+class TestCores:
+    def test_kept_as_core(self):
+        assert Filter.__slots__ == ('n', '_core')
+
+    def test_membership_is_membership_in_members_n3(self):
+        for n in range(4):
+            for f in enumerate_filters(n):
+                members = set(f.members.sets)
+                assert all((a in f) == (a in members) for a in range(-2, 2 << n))
+
+    def test_core_operations_at_n20_take_no_supersets(self):
+        start = time.perf_counter()
+        f, g, h = (principal_filter(20, core) for core in (0b111, 0b110, 0b1110))
+        assert full_mask(20) in f and 0b110 not in f and 1 << 20 not in f
+        assert g.is_finer(f) and not f.is_finer(g)
+        assert supremum_filter([f, g, h]).core() == 0b110
+        shift = FiniteMap(20, 20, [(x + 1) % 20 for x in range(20)])
+        assert image_filter(shift, f).core() == 0b1110
+        assert time.perf_counter() - start < 0.1

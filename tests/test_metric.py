@@ -1,6 +1,7 @@
 """Exact rational pseudo-metrics, sphere bases, and generated topologies."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ from fintopo.metric import (PseudoMetric, bounded_equivalents, default_radius_se
                             sphere_base, sup_pseudometric, validate_pseudometric,
                             zero_distance_rows, zero_distance_set)
 from fintopo.setops import FiniteMap, theta
-from fintopo.topology import compare, discrete_topology, indiscrete_topology, is_topology
+from fintopo.topology import (compare, discrete_topology, indiscrete_topology, is_topology,
+                              sierpinski)
 
 
 def M(*rows):
@@ -270,6 +272,16 @@ class TestRestriction:
                 sub, pm = subspace_topology(t, a)
                 assert list(pts) == list(pm)
                 assert metric_topology(rm) == sub
+
+    def test_negative_mask_rejected_at_once(self):
+        m = M([0, 1], [1, 0])
+        for call in (lambda: subspace_topology(sierpinski(), -1),
+                     lambda: restrict(m, -1),
+                     lambda: distance_to_set(m, -1)):
+            start = time.perf_counter()
+            with pytest.raises(UniverseMismatch):
+                call()
+            assert time.perf_counter() - start < 1.0
 
 
 class TestFineness:

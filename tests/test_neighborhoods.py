@@ -1,7 +1,10 @@
 """Neighborhood systems: axioms, reconstruction, set maps, bases."""
 
+import time
+
 import pytest
 
+from fintopo import jsonio
 from fintopo.errors import (NeighborhoodAxiomViolation, NeighborhoodBaseViolation,
                             NotABase, SetMapAxiomViolation)
 from fintopo.filters import is_filter
@@ -15,7 +18,7 @@ from fintopo.neighborhoods import (check_neighborhood_axioms,
                                    topology_from_neighborhoods,
                                    topology_from_set_map)
 from fintopo.setops import (PointSetRelation, SetSystem, mask_of, phi_prime,
-                            powerset_system)
+                            points_of, powerset_system)
 from fintopo.topology import (compare, discrete_topology, enumerate_topologies,
                               minimal_base, neighborhood_relation, sierpinski)
 
@@ -55,6 +58,31 @@ class TestAxiomsAndReconstruction:
         rel = neighborhood_relation(sierpinski())
         assert set(rel.section(1).sets) == {0b10, 0b11}
         assert set(rel.section(0).sets) == {0b11}
+
+
+class TestPairs:
+    def test_pairs_and_json_by_point_then_mask_n3(self):
+        # pairs sorted by point, then by mask, as the flat pair tuple was
+        for n in range(4):
+            for t in enumerate_topologies(n):
+                u = t.minimal_opens
+                want = {
+                    'all': [(x, m) for x in range(n) for m in range(1 << n) if u[x] & ~m == 0],
+                    'open': [(x, o) for x in range(n) for o in t.opens if o >> x & 1],
+                }
+                for kind, pairs in want.items():
+                    rel = neighborhood_relation(t, kind)
+                    assert list(rel.pairs) == pairs == list(rel)
+                    assert jsonio.relation_to_json(rel) == {
+                        'n': n, 'pairs': [[x, points_of(m)] for x, m in pairs]}
+                    assert jsonio.relation_from_json(jsonio.relation_to_json(rel)) == rel
+
+    def test_discrete_relation_at_n16_in_bounded_time(self):
+        t = discrete_topology(16)
+        start = time.perf_counter()
+        rel = neighborhood_relation(t)
+        assert time.perf_counter() - start < 1.0
+        assert len(rel) == 16 << 15
 
 
 class TestKinds:

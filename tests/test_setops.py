@@ -182,6 +182,41 @@ def test_relation_from_sections_round_trip():
     assert rebuilt == rel
 
 
+class TestRelationSections:
+    def test_kept_as_sections(self):
+        assert PointSetRelation.__slots__ == ('n', 'sections')
+        rel = PointSetRelation(3, [(2, 4), (0, 3), (0, 1), (0, 1)])
+        assert rel.sections == (S(3, [0], [0, 1]), S(3), S(3, [2]))
+        assert all(rel.section(x) is rel.sections[x] for x in range(3))
+        assert rel.section(3) == rel.section(-1) == S(3)
+        assert rel.pairs == ((0, 1), (0, 3), (2, 4)) and len(rel) == 3
+
+    def test_pairs_and_sections_agree_n2(self):
+        for rel in all_relations(2):
+            assert rel.pairs == tuple(sorted(rel.pairs))
+            assert PointSetRelation(2, reversed(rel.pairs)) == rel
+            assert relation_from_sections(2, [list(s) for s in rel.sections]) == rel
+            assert hash(relation_from_sections(2, rel.sections)) == hash(rel)
+
+    @pytest.mark.parametrize('sections, pairs', [
+        ([[1], [], [0, 1]], [(0, 1), (2, 0), (2, 1)]),
+        ([[1, 2]], [(0, 1), (0, 2)]),
+        ([[1], [], [], []], [(0, 1)]),
+        ([[8], [], [], [1]], [(0, 8), (3, 1)]),
+        ([[1], [], [], [1]], [(0, 1), (3, 1)]),
+        ([[-1], [], [], [1]], [(0, -1), (3, 1)]),
+        ([[1], [16, 9]], [(0, 1), (1, 16), (1, 9)]),
+    ])
+    def test_relation_from_sections_raises_as_from_pairs(self, sections, pairs):
+        def outcome(build):
+            try:
+                return build()
+            except UniverseMismatch as e:
+                return str(e)
+        assert outcome(lambda: relation_from_sections(3, sections)) == \
+            outcome(lambda: PointSetRelation(3, pairs))
+
+
 def test_points_of_round_trip():
     for m in range(32):
         assert mask_of(points_of(m), 5) == m

@@ -154,6 +154,19 @@ class TestClosedDuality:
             topology_from_closed_system(S(3, [], [0], [1], [0, 1, 2]))
         assert exc.value.axiom == 'union-closed'
 
+    def test_closed_systems_are_complements_of_topologies(self):
+        for n in (1, 2, 3):
+            for s in all_systems(n):
+                assert (is_closed_system(s) is None) == (is_topology(s.complements()) is None)
+
+    def test_pair_failing_both_tests_named_by_unions(self):
+        # 3 | 6 = 7 and 3 & 6 = 2 are both missing; unions are tested first
+        s = SetSystem(4, [0, 3, 6, 15])
+        assert is_closed_system(s) == ('union-closed', (3, 6))
+        with pytest.raises(ClosedAxiomViolation) as exc:
+            topology_from_closed_system(s)
+        assert (exc.value.axiom, exc.value.witness) == ('union-closed', (3, 6))
+
 
 class TestCompare:
     def test_classifications(self):
