@@ -261,7 +261,10 @@ def neighborhood_base_from_topological_base(base, topology):
 
 def compare_by_neighborhoods(t1, t2):
     """t1 is finer than t2 iff, at every point, every t2-neighborhood is
-    a t1-neighborhood.  Returns the same classification as compare()."""
+    a t1-neighborhood.  Returns the same classification as compare(),
+    and raises UniverseMismatch as it does when the carriers differ."""
+    if t1.n != t2.n:
+        raise UniverseMismatch("carriers differ: %d vs %d" % (t1.n, t2.n))
     r1 = neighborhood_relation(t1)
     r2 = neighborhood_relation(t2)
     finer = all(r2.section(x) <= r1.section(x) for x in range(t1.n))

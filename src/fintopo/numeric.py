@@ -13,12 +13,16 @@ and the trace; its results are those of the step-by-step Dyadic loop,
 bit for bit.  A tolerance whose steps, times the degree, pass
 BISECTION_CAP raises CapExceeded before the first step, as do inputs
 whose Horner sums on the starting grid pass HORNER_BITS_CAP bits.
+mth_root returns the left endpoint that this bisection of x^m ends on
+in closed form, from one integer m-th root, bit for bit and under the
+same two caps.
 """
 
 import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from math import isqrt
 from operator import index
 
 from .errors import (BracketViolation, CapExceeded, EmptyArgument, IndexOutOfRange,
@@ -302,25 +306,17 @@ def _ceil_log2_ratio(u, v):
     return j if u << -j <= v else j + 1
 
 
-def bisection_invert(p, a, b, w, tol, trace=None):
-    """Find x in [a, b] with p(x) close to w by exact bisection.
+def _bisection_start(p, a, b, w, tol):
+    """The checks and the starting grid of a bisection of p on [a, b]
+    towards w, in the order bisection_invert and mth_root raise them:
+    the arguments, the Horner bit budget, the endpoints' bracket and
+    exact hits, then the step cap.
 
-    p must be a DyadicPoly.  Requires a < b, tol > 0, and w bracketed
-    between p(a) and p(b); p should be strictly monotone on [a, b] --
-    violations surface as a BracketViolation when the invariant
-    min(p(x), p(y)) <= w <= max(p(x), p(y)) breaks.  Stops once the
-    interval width is at most tol (the width after n steps is exactly
-    (b - a) / 2^n) and returns the left endpoint; an exact hit p(z) = w
-    returns z at once.  If given, trace receives one (x, y, p(x), p(y))
-    tuple per step.  Raises CapExceeded, before the endpoints are
-    evaluated, when their Horner sums would pass HORNER_BITS_CAP bits,
-    and before the first step when the steps times max(degree, 1) pass
-    BISECTION_CAP.
-
-    Step s visits the grid N * 2^-(k0 + s), so the endpoints are kept as
-    integer numerators x, y: the midpoint is x + y once both are
-    doubled.  The sign of p - w there is that of one integer Horner sum
-    with -w folded into the constant coefficient.
+    Returns (hit, k, x, y, steps, cs, sx).  hit is the endpoint a or b
+    at which p is w, else None.  [a, b] is [x, y] * 2^-k, and steps
+    halvings take it to width at most tol.  cs are p's integers with w
+    folded into the constant coefficient, and sx is the sign of p - w
+    at a.
     """
     a, b, w, tol = _coerce(a), _coerce(b), _coerce(w), _coerce(tol)
     if not a < b:
@@ -356,14 +352,38 @@ def bisection_invert(p, a, b, w, tol, trace=None):
     sy = (fy > 0) - (fy < 0)
     if sx * sy > 0:
         raise BracketViolation(0)
-    if not sx:
-        return a
-    if not sy:
-        return b
-    if steps * max(d, 1) > BISECTION_CAP:
+    hit = a if not sx else b if not sy else None
+    if hit is None and steps * max(d, 1) > BISECTION_CAP:
         raise CapExceeded("bisection to tol %s takes %d steps at degree %d; "
                           "steps x degree is capped at %d"
                           % (tol, steps, d, BISECTION_CAP))
+    return hit, k, x, y, steps, cs, sx
+
+
+def bisection_invert(p, a, b, w, tol, trace=None):
+    """Find x in [a, b] with p(x) close to w by exact bisection.
+
+    p must be a DyadicPoly.  Requires a < b, tol > 0, and w bracketed
+    between p(a) and p(b); p should be strictly monotone on [a, b] --
+    violations surface as a BracketViolation when the invariant
+    min(p(x), p(y)) <= w <= max(p(x), p(y)) breaks.  Stops once the
+    interval width is at most tol (the width after n steps is exactly
+    (b - a) / 2^n) and returns the left endpoint; an exact hit p(z) = w
+    returns z at once.  If given, trace receives one (x, y, p(x), p(y))
+    tuple per step.  Raises CapExceeded, before the endpoints are
+    evaluated, when their Horner sums would pass HORNER_BITS_CAP bits,
+    and before the first step when the steps times max(degree, 1) pass
+    BISECTION_CAP.
+
+    Step s visits the grid N * 2^-(k0 + s), so the endpoints are kept as
+    integer numerators x, y: the midpoint is x + y once both are
+    doubled.  The sign of p - w there is that of one integer Horner sum
+    with -w folded into the constant coefficient.
+    """
+    hit, k, x, y, steps, cs, sx = _bisection_start(p, a, b, w, tol)
+    if hit is not None:
+        return hit
+    sy = -sx
     for step in range(1, steps + 1):
         z = x + y
         x <<= 1
@@ -385,17 +405,56 @@ def bisection_invert(p, a, b, w, tol, trace=None):
     return Dyadic(x, -k)
 
 
+def _iroot(n, m):
+    """The greatest r with r^m <= n, for n >= 0 and m >= 1."""
+    if m == 1 or n < 2:
+        return n
+    if m == 2:
+        return isqrt(n)
+    # From r above the root (r^m > n, so n // r^(m - 1) < r) Newton's
+    # step falls, and by AM-GM never below the root: the first step
+    # that does not fall starts from the root.
+    r = 1 << -(-n.bit_length() // m)
+    while True:
+        s = ((m - 1) * r + n // r ** (m - 1)) // m
+        if s >= r:
+            return r
+        r = s
+
+
 def mth_root(a, m, tol):
     """Approximate the m-th root of a >= 0 from below: the result r
-    satisfies r^m <= a < (r + tol)^m."""
-    a = _coerce(a)
+    satisfies r^m <= a < (r + tol)^m.
+
+    r is the left endpoint bisection_invert reaches for x^m = a on
+    [0, max(a, 1)], bit for bit, with the same error types in the same
+    order, both caps included, but in closed form.  The bisection ends
+    on [j * W, (j + 1) * W], W = y * 2^-K = max(a, 1) / 2^steps, at the
+    greatest j with (j * W)^m <= a; a midpoint hit (j * W)^m = a ends it
+    at that same point.  So j is the integer m-th root of a * 2^(m * K),
+    floor-divided by y, and no step is taken.
+    """
+    a, tol = _coerce(a), _coerce(tol)
     if m < 1:
         raise IndexOutOfRange("need m >= 1")
     if a < ZERO:
         raise IndexOutOfRange("need a >= 0")
+    # [0, max(a, 1)] is never empty, so tol comes next, then the bit
+    # budget: the leading coefficient and y = max(a, 1) * 2^k have a
+    # bit or more each, so the Horner sums have m + 1 bits or more.
+    # Both are checked here too, so that no x^m is built for a huge m.
+    if not tol > ZERO:
+        raise IndexOutOfRange("need tol > 0")
+    if m >= HORNER_BITS_CAP:
+        raise CapExceeded("x^%d sums terms of at least %d bits; capped at %d bits"
+                          % (m, m + 1, HORNER_BITS_CAP))
     hi = a if a > ONE else ONE
-    poly_coeffs = [ZERO] * m + [ONE]
-    return bisection_invert(DyadicPoly(poly_coeffs), ZERO, hi, a, tol)
+    hit, k, _, y, steps, _, _ = _bisection_start(DyadicPoly([ZERO] * m + [ONE]), ZERO, hi, a, tol)
+    if hit is not None:
+        return hit
+    K = k + steps
+    s = a.e + m * K
+    return Dyadic(_iroot(a.m << s if s >= 0 else a.m >> -s, m) // y * y, -K)
 
 
 def dot(xs, ys):

@@ -238,13 +238,19 @@ class PointSetRelation:
         point outside the carrier."""
         return self.sections[x] if 0 <= x < self.n else SetSystem(self.n)
 
+    def _check_subset(self, a_mask):
+        if a_mask < 0 or a_mask & ~full_mask(self.n):
+            raise UniverseMismatch("mask %d not a subset of carrier of size %d" % (a_mask, self.n))
+
     def union_section(self, a_mask):
         """R[A]: union of the sections over the points of A."""
+        self._check_subset(a_mask)
         return SetSystem(self.n, [m for x, sec in enumerate(self.sections)
                                   if a_mask >> x & 1 for m in sec.sets])
 
     def meet_section(self, a_mask):
         """R<A>: sets related to *every* point of A.  R<empty> = powerset."""
+        self._check_subset(a_mask)
         if a_mask == 0:
             return powerset_system(self.n)
         sections = [set(self.section(x).sets) for x in points_of(a_mask)]

@@ -6,7 +6,7 @@ import pytest
 
 from fintopo import jsonio
 from fintopo.errors import (NeighborhoodAxiomViolation, NeighborhoodBaseViolation,
-                            NotABase, SetMapAxiomViolation)
+                            NotABase, SetMapAxiomViolation, UniverseMismatch)
 from fintopo.filters import is_filter
 from fintopo.neighborhoods import (check_neighborhood_axioms,
                                    check_neighborhood_base_axioms,
@@ -155,6 +155,14 @@ class TestSetSections:
         rel = neighborhood_relation(sierpinski())
         assert neighborhoods_of_set(rel, 0) == powerset_system(2)
 
+    def test_set_outside_the_carrier_is_refused(self):
+        rel = neighborhood_relation(sierpinski())
+        for bad in (0b100, -1):
+            with pytest.raises(UniverseMismatch):
+                neighborhoods_of_set(rel, bad)
+            with pytest.raises(UniverseMismatch):
+                rel.union_section(bad)
+
 
 class TestNeighborhoodBase:
     def test_from_topological_base(self):
@@ -185,3 +193,21 @@ class TestComparison:
         for t1 in tops:
             for t2 in tops:
                 assert compare_by_neighborhoods(t1, t2) == compare(t1, t2)
+
+    def test_carriers_differ(self):
+        with pytest.raises(UniverseMismatch):
+            compare(discrete_topology(0), sierpinski())
+        with pytest.raises(UniverseMismatch):
+            compare_by_neighborhoods(discrete_topology(0), sierpinski())
+
+    def test_same_verdict_or_error_as_open_set_comparison_up_to_n3(self):
+        def outcome(fn, t1, t2):
+            try:
+                return fn(t1, t2)
+            except UniverseMismatch:
+                return UniverseMismatch
+
+        tops = [t for n in range(4) for t in enumerate_topologies(n)]
+        for t1 in tops:
+            for t2 in tops:
+                assert outcome(compare_by_neighborhoods, t1, t2) == outcome(compare, t1, t2)

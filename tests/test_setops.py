@@ -142,6 +142,14 @@ class TestPhiPrime:
         rel = PointSetRelation(2, [(0, 0b01)])
         assert rel.meet_section(0) == powerset_system(2)
 
+    def test_sections_over_a_set_outside_the_carrier_are_refused(self):
+        rel = PointSetRelation(2, [(0, 0b01), (1, 0b11)])
+        for bad in (-1, 0b100, 0b111):
+            with pytest.raises(UniverseMismatch):
+                rel.union_section(bad)
+            with pytest.raises(UniverseMismatch):
+                rel.meet_section(bad)
+
     def test_idempotent(self):
         for rel in all_relations(2):
             assert phi_prime(phi_prime(rel)) == phi_prime(rel)
