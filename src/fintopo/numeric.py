@@ -15,7 +15,9 @@ BISECTION_CAP raises CapExceeded before the first step, as do inputs
 whose Horner sums on the starting grid pass HORNER_BITS_CAP bits.
 mth_root returns the left endpoint that this bisection of x^m ends on
 in closed form, from one integer m-th root, bit for bit and under the
-same two caps.
+same two caps.  Comparisons, and the Horner bit budget of an endpoint,
+are settled from bit positions before any mantissa is shifted out to a
+far exponent.
 """
 
 import re
@@ -195,10 +197,22 @@ class Dyadic:
     # -- exact ordering --
 
     def _cmp(self, other):
+        """Settled by sign, then by bit position |m|.bit_length() + e.
+        Only when both agree are the mantissas shifted to a common
+        exponent, and then by no more than their own lengths."""
         other = _coerce(other)
-        e = min(self.e, other.e)
-        a = self.m << (self.e - e)
-        b = other.m << (other.e - e)
+        a, b = self.m, other.m
+        if (a ^ b) < 0 or not a or not b:
+            # the signs differ or one is zero: the mantissas' order
+            return (a > b) - (a < b)
+        c = a.bit_length() + self.e - b.bit_length() - other.e
+        if c:
+            return 1 if (c > 0) == (a > 0) else -1
+        c = self.e - other.e
+        if c > 0:
+            a <<= c
+        else:
+            b <<= -c
         return (a > b) - (a < b)
 
     def __eq__(self, other):
@@ -274,8 +288,16 @@ def finite_series(xs, l, m):
 
 
 def geometric_partial_sum(x, m):
-    """Sum of x^k for k = 0..m, exactly, by the running recursion."""
+    """Sum of x^k for k = 0..m, exactly, by the running recursion.
+
+    The sum grows by about abs(x.m).bit_length() + abs(x.e) bits a term,
+    so the time is quadratic in m.  When m times that passes
+    HORNER_BITS_CAP, CapExceeded is raised before the first term."""
     x = _coerce(x)
+    bits = m * (abs(x.m).bit_length() + abs(x.e))
+    if bits > HORNER_BITS_CAP:
+        raise CapExceeded("%d terms of x = %s grow the sum by about %d bits; capped at %d bits"
+                          % (m, x, bits, HORNER_BITS_CAP))
     s = ONE
     p = ONE
     for _ in range(m):
@@ -324,10 +346,18 @@ def _bisection_start(p, a, b, w, tol):
     if not tol > ZERO:
         raise IndexOutOfRange("need tol > 0")
     k = -min(a.e, b.e, 0)
+    d = max(len(p.ints) - 1, 0)
+    # On the grid a nonzero endpoint is its bit position plus k bits
+    # long, and a zero's position is 0.  d times the longer, or times k,
+    # is in every bound below and needs no shift to compute.
+    reach = d * (k + max(a.m.bit_length() + a.e, b.m.bit_length() + b.e, 0))
+    if reach > HORNER_BITS_CAP:
+        raise CapExceeded("bisection from [%s, %s] on the grid 2^-%d sums terms of at "
+                          "least %d bits at degree %d; capped at %d bits"
+                          % (a, b, k, reach, d, HORNER_BITS_CAP))
     x = a.m << (a.e + k)
     y = b.m << (b.e + k)
     steps = max(0, _ceil_log2_ratio(y - x, tol.m) - tol.e - k)
-    d = max(len(p.ints) - 1, 0)
     # p is a multiple of 2^g at every point visited.  A w off that
     # lattice has the signs, and no hits, of the odd multiple of
     # 2^(g - 1) next to it, so the fold never shifts p to w's exponent.
@@ -341,7 +371,7 @@ def _bisection_start(p, a, b, w, tol):
     cs = [c << (p.exp - f) for c in p.ints] or [0]
     cs[0] -= wm << (we - f)
     # each term cs[i] * x^i * 2^(k * (d - i)) has at most this many bits
-    bits = max(c.bit_length() for c in cs) + d * max(x.bit_length(), y.bit_length(), k)
+    bits = max(c.bit_length() for c in cs) + reach
     if bits > HORNER_BITS_CAP:
         raise CapExceeded("bisection from [%s, %s] on the grid 2^-%d sums %d-bit terms "
                           "at degree %d; capped at %d bits"

@@ -281,14 +281,34 @@ def phi_prime(relation):
     return relation_from_sections(relation.n, [phi(sec) for sec in relation.sections])
 
 
+def _byte_tables(masks):
+    """For masks[i], the mask of point i, i < 24: the mask of all the
+    points, and three lookup tables, one per 8 points.  Table j at
+    index b is the union of masks[8j + i] over the bits i of b.  Each
+    is built by doubling, as topology.closure_table is; a table past
+    the last point is [0]."""
+    tables = [(1 << len(masks)) - 1]
+    for j in (0, 8, 16):
+        t = [0]
+        for m in masks[j:j + 8]:
+            t += [v | m for v in t]
+        tables.append(t)
+    return tuple(tables)
+
+
 class FiniteMap:
     """A map {0..n_src-1} -> {0..n_dst-1} stored as the tuple of images.
 
-    The fibers, read by preimage_mask, are built on its first call and
-    kept.
+    Images and preimages are additive, f[A | B] = f[A] | f[B], so each
+    is read from three byte tables (_byte_tables), one lookup per 8
+    points of the mask, once the bits off the carrier are cleared; both
+    carriers hold at most MAX_N = 20 <= 24 points.  The image tables,
+    over the source points, and the preimage tables, over the fibers of
+    the target points, are each built on the first call that needs them
+    and kept.  Equality and the hash read only n_src, n_dst and images.
     """
 
-    __slots__ = ('n_src', 'n_dst', 'images', '_fibers')
+    __slots__ = ('n_src', 'n_dst', 'images', '_image_tables', '_preimage_tables')
 
     def __init__(self, n_src, n_dst, images):
         images = tuple(images)
@@ -297,6 +317,8 @@ class FiniteMap:
         for y in images:
             if not 0 <= y < n_dst:
                 raise UniverseMismatch("image %d outside carrier of size %d" % (y, n_dst))
+        check_carrier(n_src)
+        check_carrier(n_dst)
         self.n_src = n_src
         self.n_dst = n_dst
         self.images = images
@@ -317,32 +339,25 @@ class FiniteMap:
     def image_mask(self, mask):
         """f[A] as a mask on the target carrier, from the points of A
         on the source carrier."""
-        images = self.images
-        mask &= (1 << self.n_src) - 1
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << images[low.bit_length() - 1]
-            mask ^= low
-        return out
+        try:
+            full, t0, t1, t2 = self._image_tables
+        except AttributeError:
+            full, t0, t1, t2 = self._image_tables = _byte_tables([1 << y for y in self.images])
+        mask &= full
+        return t0[mask & 255] | t1[mask >> 8 & 255] | t2[mask >> 16]
 
     def preimage_mask(self, mask):
         """f^-1[B] as a mask on the source carrier: the union of the
         fibers over the points of B on the target carrier."""
         try:
-            fibers = self._fibers
+            full, t0, t1, t2 = self._preimage_tables
         except AttributeError:
             fibers = [0] * self.n_dst
             for x, y in enumerate(self.images):
                 fibers[y] |= 1 << x
-            fibers = self._fibers = tuple(fibers)
-        mask &= (1 << self.n_dst) - 1
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= fibers[low.bit_length() - 1]
-            mask ^= low
-        return out
+            full, t0, t1, t2 = self._preimage_tables = _byte_tables(fibers)
+        mask &= full
+        return t0[mask & 255] | t1[mask >> 8 & 255] | t2[mask >> 16]
 
     def image_system(self, system):
         """f[[S]]: the system of images of the members of S."""

@@ -271,10 +271,26 @@ class TestNumericVerbs:
         assert code == 1
         assert json.loads(out)['error'] == 'CapExceeded'
 
+    def test_root_of_a_far_argument_fails_fast(self, capsys):
+        # the grid endpoint max(a, 1) would be a 4 * 10^8-bit integer
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, 'root', '--a', '2^400000000', '--m', '2', '--tol', '1')
+        assert time.perf_counter() - t0 < 1
+        assert code == 1
+        assert json.loads(out)['error'] == 'CapExceeded'
+
     def test_series_geometric(self, capsys):
         code, out, _ = run(capsys, 'series', '--geom', '1/2', '--terms', '10')
         assert code == 0
         assert json.loads(out)['fraction'] == '2047/1024'
+
+    def test_long_geometric_series_fails_fast(self, capsys):
+        # 10^7 terms of 3/4 would add about 4 * 10^7 bits, quadratically
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, 'series', '--geom', '3/4', '--terms', '10000000')
+        assert time.perf_counter() - t0 < 1
+        assert code == 1
+        assert json.loads(out)['error'] == 'CapExceeded'
 
     def test_series_limit_non_dyadic_is_domain_error(self, capsys):
         code, out, _ = run(capsys, 'series', '--geom', '1/4', '--limit')

@@ -7,12 +7,17 @@ with n <= 6 (n <= 8 for the views a space keeps).  Topologies generated
 from a system, and the topology and base checks, are compared with the
 pairwise reference on every system with n <= 3, and generation also on
 random systems with n <= 8.  Images and preimages of masks under a map
-are compared with loops over every source point.
+are compared with loops over every source point, on carriers at each
+boundary of the maps' 8-point lookup tables too.
 """
 
+import random
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations, product
+from operator import or_
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,10 +27,12 @@ from fintopo import generated, metric, order, setops, topology
 from fintopo.closure import (SubsetOperator, boundary, check_closure_axioms,
                              check_interior_axioms, closure, closure_operator_of,
                              derived_set, interior, interior_operator_of)
-from fintopo.continuity import SpaceMap, are_homeomorphic, is_continuous_at
+from fintopo.continuity import (SpaceMap, are_homeomorphic, continuity_characterizations,
+                                is_continuous_at, map_open_closed)
 from fintopo.convergence import (DirectedSet, EventuallyPeriodicSequence, Net,
                                  filter_adherence, filter_limits, net_cluster_points,
                                  net_limits, sequence_cluster_points, sequence_limits)
+from fintopo.errors import CapExceeded
 from fintopo.filters import enumerate_filters, principal_filter
 from fintopo.setops import FiniteMap, SetSystem, full_mask, points_of
 from fintopo.topology import (Topology, enumerate_topologies, generate_from_subbase,
@@ -325,6 +332,66 @@ class TestMapMasks:
         for mask in (-1, -8, 0b1010, 1 << 40):
             assert f.image_mask(mask) == ref.image_mask(f, mask)
             assert f.preimage_mask(mask) == ref.preimage_mask(f, mask)
+
+    def test_masks_at_the_table_boundaries(self):
+        # each table covers 8 points: carriers just below, on and above
+        # 8 and 16 points, and the largest, in both directions
+        rng = random.Random(12)
+        sizes = (0, 1, 7, 8, 9, 15, 16, 17, 20)
+        for n_src, n_dst in product(sizes, repeat=2):
+            if n_src and not n_dst:
+                continue
+            f = FiniteMap(n_src, n_dst, [rng.randrange(n_dst) for _ in range(n_src)])
+            for n, mine, theirs in ((n_src, f.image_mask, ref.image_mask),
+                                    (n_dst, f.preimage_mask, ref.preimage_mask)):
+                for mask in [0, full_mask(n), -1, 1 << 24] + [1 << x for x in range(n)]:
+                    assert mine(mask) == theirs(f, mask), (f, mask)
+
+    def test_tables_leave_equality_and_hash_alone(self):
+        f = FiniteMap(17, 9, [x % 9 for x in range(17)])
+        g = FiniteMap(17, 9, [x % 9 for x in range(17)])
+        masks = (0, 0b1011, 1 << 16, -1)
+        first = [(f.image_mask(a), f.preimage_mask(a)) for a in masks]
+        assert f == g and hash(f) == hash(g) and {f: 1}[g] == 1
+        assert [(f.image_mask(a), f.preimage_mask(a)) for a in masks] == first
+        assert [(g.image_mask(a), g.preimage_mask(a)) for a in masks] == first
+        assert first == [(ref.image_mask(f, a), ref.preimage_mask(f, a)) for a in masks]
+
+    def test_carriers_past_the_cap_are_refused(self):
+        # three tables of 8 points cover every carrier the library admits
+        with pytest.raises(CapExceeded):
+            FiniteMap(21, 1, [0] * 21)
+        with pytest.raises(CapExceeded):
+            FiniteMap(0, 21, [])
+
+    def test_continuity_past_the_first_table_boundary(self):
+        # sparse random preorders on 9 to 12 points, so the spaces have
+        # many opens; constant and identity maps are continuous, random
+        # maps mostly not
+        rng = random.Random(12)
+
+        def space(n):
+            u = [1 << x | rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+                 for x in range(n)]
+            for _ in range(n):
+                u = [reduce(or_, (u[y] for y in points_of(ux)), ux) for ux in u]
+            return Topology.from_kernel(n, u)
+
+        for _ in range(12):
+            src, dst = space(rng.randint(9, 12)), space(rng.randint(9, 12))
+            maps = [[rng.randrange(dst.n)] * src.n,
+                    [rng.randrange(dst.n) for _ in range(src.n)]]
+            if src.n == dst.n:
+                maps.append(range(src.n))
+                src_again = Topology.from_kernel(src.n, src.minimal_opens)
+                pairs = [(src, dst), (src, src_again)]
+            else:
+                pairs = [(src, dst)]
+            for s, t in pairs:
+                for images in maps:
+                    m = SpaceMap(s, t, FiniteMap(s.n, t.n, images))
+                    assert continuity_characterizations(m) == ref.continuity_characterizations(m)
+                    assert map_open_closed(m) == ref.map_open_closed(m)
 
 
 class TestGeneratedTopologies:

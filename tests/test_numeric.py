@@ -3,6 +3,7 @@ squared-distance comparisons."""
 
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -68,8 +69,24 @@ class TestDyadic:
         assert (a - b).to_fraction() == fa - fb
         assert (a * b).to_fraction() == fa * fb
         assert abs(a).to_fraction() == abs(fa)
-        assert (a < b) == (fa < fb)
-        assert (a == b) == (fa == fb)
+        # a and b often share sign and bit position, where the order is
+        # that of the mantissas on a common exponent
+        assert [a < b, a <= b, a > b, a >= b, a == b] == [fa < fb, fa <= fb, fa > fb,
+                                                          fa >= fb, fa == fb]
+        assert [a < 3, a > -3, a == int(fa)] == [fa < 3, fa > -3, fa == int(fa)]
+
+    def test_order_of_far_numbers_builds_no_long_int(self):
+        # each pair is settled by sign or bit position, or shifted by one
+        # bit; bringing them to a common exponent took 12.5 MB each
+        big, tiny = Dyadic(3, 10 ** 8), Dyadic(-5, -10 ** 8)
+        tracemalloc.start()
+        try:
+            assert big > ONE and tiny < ZERO < big and tiny < Dyadic(-1, -10 ** 8)
+            assert Dyadic(5, 10 ** 8 - 1) < big and not big < big and -big < tiny
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @given(dyadics, dyadics)
     @settings(max_examples=100)
@@ -161,6 +178,21 @@ class TestSeries:
             for m in range(13):
                 closed = (1 - fx ** (m + 1)) / (1 - fx)
                 assert geometric_partial_sum(x, m).to_fraction() == closed, (k, m)
+
+    def test_geometric_partial_sum_cap(self):
+        # 3/4 adds about 2 + 2 bits a term: 8,192 terms are within
+        # HORNER_BITS_CAP, one more is not, and 10^7 fail before a term
+        x = Dyadic(3, -2)
+        s = geometric_partial_sum(x, HORNER_BITS_CAP // 4)
+        assert s.to_fraction() == 4 * (1 - Fraction(3, 4) ** (HORNER_BITS_CAP // 4 + 1))
+        with pytest.raises(CapExceeded):
+            geometric_partial_sum(x, HORNER_BITS_CAP // 4 + 1)
+        t0 = time.perf_counter()
+        with pytest.raises(CapExceeded):
+            geometric_partial_sum(x, 10 ** 7)
+        assert time.perf_counter() - t0 < 0.1
+        assert geometric_partial_sum(ONE, HORNER_BITS_CAP) == Dyadic(HORNER_BITS_CAP + 1)
+        assert geometric_partial_sum(x, -5) == ONE
 
     def test_geometric_limit_dyadic(self):
         assert geometric_limit(Dyadic(1, -1)) == Dyadic(2)
@@ -438,6 +470,29 @@ class TestStepCap:
             with pytest.raises(CapExceeded):
                 bisection_invert(p, a, b, w, Dyadic(1, -30))
             assert time.perf_counter() - t0 < 1
+
+    def test_far_endpoints_fail_before_they_are_shifted(self):
+        # the endpoint 2^(10^8), or 1 on the grid 2^-(10^8), is a 10^8-bit
+        # numerator: its bit position alone passes the budget.  Measured
+        # on a 2-CPU host: 0.25 ms and 2.3 kB traced for the root, where
+        # the shifting version took 0.08 s and 40 MB.  The bounds are
+        # 0.02 s and 1 MiB.
+        calls = [lambda: mth_root(Dyadic(1, 10 ** 8), 2, ONE),
+                 lambda: bisection_invert(self.SQUARE, ZERO, Dyadic(1, 10 ** 8), ONE, ONE),
+                 lambda: bisection_invert(self.SQUARE, Dyadic(1, -10 ** 8), ONE, ONE, ONE)]
+        for call in calls:
+            t0 = time.perf_counter()
+            with pytest.raises(CapExceeded):
+                call()
+            assert time.perf_counter() - t0 < 0.02
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapExceeded):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
     def test_at_the_bit_budget_runs(self):
         # cs = (-1, 0, 2) after folding w = 1/2, x = 1 and y = 2^k: the sums
