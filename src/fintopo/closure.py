@@ -6,33 +6,34 @@ from .setops import full_mask
 from .topology import Topology, closure_table, enumerate_topologies, point_closures
 
 
+def _union(tables, a_mask):
+    """The union of the point masks over the points of A, from their
+    byte tables (setops._byte_tables); bits of A off the carrier are
+    ignored."""
+    full, t0, t1, t2 = tables
+    a = a_mask & full
+    return t0[a & 255] | t1[a >> 8 & 255] | t2[a >> 16]
+
+
 def interior(topology, a_mask):
-    """The largest open set inside A: the points x with U_x inside A."""
-    i = 0
-    for x, u in enumerate(topology.minimal_opens):
-        if u & ~a_mask == 0:
-            i |= 1 << x
-    return i
+    """The largest open set inside A: the complement of the closure of
+    the complement."""
+    tables = topology.views.closure_bytes
+    return tables[0] ^ _union(tables, ~a_mask)
 
 
 def closure(topology, a_mask):
-    """The smallest closed superset of A: the points x with U_x meeting A."""
-    c = 0
-    for x, u in enumerate(topology.minimal_opens):
-        if u & a_mask:
-            c |= 1 << x
-    return c
+    """The smallest closed superset of A: the points x with U_x meeting
+    A, that is, the union of cl{y} over the points y of A."""
+    return _union(topology.views.closure_bytes, a_mask)
 
 
 def derived_set(topology, a_mask):
     """Limit points of A: x such that every neighborhood of x meets
     A away from x.  It suffices to check U_x, which every neighborhood
-    of x contains."""
-    d = 0
-    for x, u in enumerate(topology.minimal_opens):
-        if u & a_mask & ~(1 << x):
-            d |= 1 << x
-    return d
+    of x contains, so this is the union of cl{y} minus y over the
+    points y of A."""
+    return _union(topology.views.derived_bytes, a_mask)
 
 
 def boundary(topology, a_mask):
@@ -46,13 +47,17 @@ def is_dense(topology, a_mask):
 
 
 def analyze_subset(topology, a_mask):
-    """Interior, closure, derived set, boundary and density of A."""
+    """Interior, closure, derived set, boundary and density of A, all
+    but the derived set from the closures of A and of its complement."""
+    full = full_mask(topology.n)
+    c = closure(topology, a_mask)
+    co = closure(topology, full ^ a_mask)
     return {
-        'interior': interior(topology, a_mask),
-        'closure': closure(topology, a_mask),
+        'interior': full ^ co,
+        'closure': c,
         'derived': derived_set(topology, a_mask),
-        'boundary': boundary(topology, a_mask),
-        'dense': is_dense(topology, a_mask),
+        'boundary': c & co,
+        'dense': c == full,
     }
 
 
@@ -66,9 +71,11 @@ class SubsetOperator:
         if len(table) != 1 << n:
             raise UniverseMismatch("need one value per subset of the carrier")
         full = full_mask(n)
-        for v in table:
-            if v < 0 or v & ~full:
-                raise UniverseMismatch("table value %d outside the carrier" % v)
+        # the loop names the first value off the carrier
+        if min(table) < 0 or max(table) > full:
+            for v in table:
+                if v < 0 or v & ~full:
+                    raise UniverseMismatch("table value %d outside the carrier" % v)
         self.n = n
         self.table = table
 
@@ -88,7 +95,7 @@ class SubsetOperator:
     def dual(self):
         """g(A) = complement of f(complement of A)."""
         full = full_mask(self.n)
-        return SubsetOperator(self.n, [full ^ self.table[full ^ a] for a in range(1 << self.n)])
+        return SubsetOperator(self.n, [full ^ v for v in reversed(self.table)])
 
 
 def closure_operator_of(topology):
@@ -106,6 +113,17 @@ def interior_operator_of(topology):
     return SubsetOperator(topology.n, [full ^ c for c in reversed(table)])
 
 
+def _from_points(t, n):
+    """Whether the table t on n points is the closure table of its
+    values at the points, each holding its point and fixed by t.  Such
+    a table satisfies every closure axiom, and every closure operator
+    is such a table, so a valid table is accepted after n point checks
+    and one comparison with a table built by doubling."""
+    points = [t[1 << x] for x in range(n)]
+    return (all(c >> x & 1 and t[c] == c for x, c in enumerate(points))
+            and tuple(closure_table(points)) == t)
+
+
 def check_closure_axioms(op):
     """None if op satisfies the closure-operator axioms, else
     (axiom, witness): fixes the empty set, is extensive, is idempotent,
@@ -114,10 +132,13 @@ def check_closure_axioms(op):
     Given f(empty) = empty, additivity holds iff f(A) = f(A minus
     {a}) | f({a}) for a the lowest point of each nonempty A, so one
     pass over the 2^n subsets decides it.  A failure there is reported
-    with the pair (A minus {a}, {a}), a true counterexample."""
+    with the pair (A minus {a}, {a}), a true counterexample.  A table
+    that passes _from_points is accepted without that pass."""
     t = op.table
     if t[0] != 0:
         return ('empty-fixed', 0)
+    if _from_points(t, op.n):
+        return None
     size = 1 << op.n
     for a in range(size):
         if a & ~t[a]:
@@ -137,7 +158,7 @@ def topology_from_closure_operator(op):
     if verdict is not None:
         raise KuratowskiViolation(*verdict)
     full = full_mask(op.n)
-    opens = [full ^ a for a in range(1 << op.n) if op.table[a] == a]
+    opens = [full ^ a for a, v in enumerate(op.table) if v == a]
     return Topology(op.n, opens, validate=False)
 
 
@@ -150,11 +171,14 @@ def check_interior_axioms(op):
     holds iff f(A) = f(A | {a}) & f(X minus {a}) for a the lowest point
     outside each proper subset A, so one pass over the 2^n subsets
     decides it.  A failure there is reported with the pair
-    (A | {a}, X minus {a}), whose intersection is A."""
+    (A | {a}, X minus {a}), whose intersection is A.  A table whose
+    dual passes _from_points is accepted without that pass."""
     t = op.table
     full = full_mask(op.n)
     if t[full] != full:
         return ('whole-fixed', full)
+    if _from_points(op.dual().table, op.n):
+        return None
     size = 1 << op.n
     for a in range(size):
         if t[a] & ~a:
@@ -174,7 +198,7 @@ def topology_from_interior_operator(op):
     verdict = check_interior_axioms(op)
     if verdict is not None:
         raise InteriorAxiomViolation(*verdict)
-    opens = [a for a in range(1 << op.n) if op.table[a] == a]
+    opens = [a for a, v in enumerate(op.table) if v == a]
     return Topology(op.n, opens, validate=False)
 
 

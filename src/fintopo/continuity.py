@@ -155,12 +155,13 @@ def are_homeomorphic(t1, t2):
 
     A bijection f is a homeomorphism iff f[U_x] = U_f(x) for every x,
     that is, iff z in U_x <=> f(z) in U_f(x) for all x and z: f is an
-    isomorphism of the specialization preorders.  Once the invariants
-    (the number of opens and shape_key) agree, the points are mapped in
-    order, each to the least unused point of the same shape that keeps
-    this equivalence, both ways round, with every point already mapped;
-    a dead end backtracks.  So the witness is the lexicographically
-    least homeomorphism.
+    isomorphism of the specialization preorders.  Once the invariant
+    shape_key agrees, the points are mapped in order, each to the least
+    unused point of the same shape that keeps this equivalence, both
+    ways round, with every point already mapped; a dead end backtracks.
+    So the witness is the lexicographically least homeomorphism.  The
+    number of opens is not compared: the search decides without it, and
+    on up to 5 points spaces with equal shape_key are homeomorphic.
     """
     n = t1.n
     if n != t2.n:
@@ -168,7 +169,7 @@ def are_homeomorphic(t1, t2):
     if n > 6:
         from .errors import CapExceeded
         raise CapExceeded("homeomorphism search capped at 6 points")
-    if len(t1.opens.sets) != len(t2.opens.sets) or t1.shape_key != t2.shape_key:
+    if not t1.same_shape(t2):
         return None
     u1, u2 = t1.minimal_opens, t2.minimal_opens
     c1, c2 = point_closures(u1), point_closures(u2)

@@ -292,8 +292,11 @@ def geometric_partial_sum(x, m):
 
     The sum grows by about abs(x.m).bit_length() + abs(x.e) bits a term,
     so the time is quadratic in m.  When m times that passes
-    HORNER_BITS_CAP, CapExceeded is raised before the first term."""
+    HORNER_BITS_CAP, CapExceeded is raised before the first term.
+    For x = 0 the sum is 1, whatever m."""
     x = _coerce(x)
+    if x.m == 0:
+        return ONE
     bits = m * (abs(x.m).bit_length() + abs(x.e))
     if bits > HORNER_BITS_CAP:
         raise CapExceeded("%d terms of x = %s grow the sum by about %d bits; capped at %d bits"
@@ -368,6 +371,15 @@ def _bisection_start(p, a, b, w, tol):
     else:
         wm, we = w.m, w.e
     f = min(p.exp, we)
+    # w's bit position on the exponent f, before w is shifted there.
+    # When it passes every coefficient's by 2 or more, the folded cs[0]
+    # is at most 1 bit shorter, so the check below would refuse too.
+    wtop = wm.bit_length() + we - f
+    if (wtop - 1 + reach > HORNER_BITS_CAP
+            and wtop > max((c.bit_length() for c in p.ints), default=0) + p.exp - f + 1):
+        raise CapExceeded("bisection from [%s, %s] on the grid 2^-%d towards w sums terms "
+                          "of at least %d bits at degree %d; capped at %d bits"
+                          % (a, b, k, wtop - 1 + reach, d, HORNER_BITS_CAP))
     cs = [c << (p.exp - f) for c in p.ints] or [0]
     cs[0] -= wm << (we - f)
     # each term cs[i] * x^i * 2^(k * (d - i)) has at most this many bits

@@ -97,9 +97,12 @@ class SetSystem:
         check_carrier(n)
         full = full_mask(n)
         canon = sorted(set(sets))
-        for m in canon:
-            if m < 0 or m & ~full:
-                raise UniverseMismatch("mask %d not a subset of carrier of size %d" % (m, n))
+        # sorted, so a mask off the carrier shows at one end; the loop
+        # names the first one
+        if canon and (canon[0] < 0 or canon[-1] > full):
+            for m in canon:
+                if m < 0 or m & ~full:
+                    raise UniverseMismatch("mask %d not a subset of carrier of size %d" % (m, n))
         self.n = n
         self.sets = tuple(canon)
 
@@ -286,7 +289,9 @@ def _byte_tables(masks):
     points, and three lookup tables, one per 8 points.  Table j at
     index b is the union of masks[8j + i] over the bits i of b.  Each
     is built by doubling, as topology.closure_table is; a table past
-    the last point is [0]."""
+    the last point is [0].  For a mask A, the union over its points is
+    t0[A & 255] | t1[A >> 8 & 255] | t2[A >> 16] once A is cut to the
+    points."""
     tables = [(1 << len(masks)) - 1]
     for j in (0, 8, 16):
         t = [0]

@@ -5,7 +5,7 @@ from functools import cached_property
 
 from .errors import (BaseCriterionViolation, CapExceeded, ClosedAxiomViolation,
                      NotABase, SubbaseCriterionViolation, UniverseMismatch)
-from .setops import (SetSystem, check_carrier, full_mask, points_of,
+from .setops import (SetSystem, _byte_tables, check_carrier, full_mask, points_of,
                      relation_from_sections, supermasks)
 
 
@@ -97,6 +97,16 @@ class Topology:
         self._shape_key = key
         return key
 
+    def same_shape(self, other):
+        """Whether the two spaces have equal shape_key.  The keys are
+        read straight from their slot once both are kept: the
+        homeomorphism search rejects most pairs here, and two property
+        calls would cost it more than the rest of such a rejection."""
+        try:
+            return self._shape_key == other._shape_key
+        except AttributeError:
+            return self.shape_key == other.shape_key
+
     @property
     def views(self):
         """The SpaceViews of this space, made on first use and kept in
@@ -126,6 +136,19 @@ class SpaceViews:
     @cached_property
     def closure_table(self):
         return tuple(closure_table(self.point_closures))
+
+    @cached_property
+    def closure_bytes(self):
+        """The byte tables (setops._byte_tables) of the point closures:
+        closure is additive, so cl(A) is one lookup per 8 points of A."""
+        return _byte_tables(self.point_closures)
+
+    @cached_property
+    def derived_bytes(self):
+        """The byte tables of the point closures with the point itself
+        removed: x is a limit point of A iff cl{y} holds x for some y in A
+        other than x, so the derived set is additive too."""
+        return _byte_tables([c & ~(1 << y) for y, c in enumerate(self.point_closures)])
 
     @cached_property
     def closed_sets(self):
@@ -180,12 +203,12 @@ def point_closures(u):
 
 def closure_table(closures):
     """closure(A) for every subset A, given the closure of each point.
-    Closure is additive, so each entry is the entry without A's lowest
-    point joined with the closure of that point."""
-    table = [0] * (1 << len(closures))
-    for a in range(1, len(table)):
-        low = a & -a
-        table[a] = table[a ^ low] | closures[low.bit_length() - 1]
+    Closure is additive, so it is built by doubling: point y adds a copy
+    of the table so far, each entry joined with the closure of y, at the
+    subsets that hold y."""
+    table = [0]
+    for c in closures:
+        table += [v | c for v in table]
     return table
 
 

@@ -32,6 +32,15 @@ source filter.
 The bisection that the integer grid replaced is kept here too, with the
 Horner rule it used: every step a Dyadic midpoint, a Dyadic evaluation
 and Dyadic comparisons, for test_numeric.py.
+
+So are the interior, closure and derived set that the closure byte
+tables replaced: one loop over the points, reading U_x from
+Topology.minimal_opens, for test_closure.py.  They are defined on every
+mask, bits off the carrier and negative masks included.  With them are
+the closure- and interior-axiom checks that scan all 2^n entries of a
+table, with additivity and multiplicativity decided in one pass; the
+library now accepts a valid table from its n point values first, and
+must give the verdicts and witnesses of these scans.
 """
 
 from functools import lru_cache
@@ -78,6 +87,33 @@ def derived_set(topology, a_mask):
 
 def boundary(topology, a_mask):
     return closure(topology, a_mask) & closure(topology, full_mask(topology.n) ^ a_mask)
+
+
+def kernel_interior(topology, a_mask):
+    """The points x with U_x inside A."""
+    i = 0
+    for x, u in enumerate(topology.minimal_opens):
+        if u & ~a_mask == 0:
+            i |= 1 << x
+    return i
+
+
+def kernel_closure(topology, a_mask):
+    """The points x with U_x meeting A."""
+    c = 0
+    for x, u in enumerate(topology.minimal_opens):
+        if u & a_mask:
+            c |= 1 << x
+    return c
+
+
+def kernel_derived_set(topology, a_mask):
+    """The points x with U_x meeting A away from x."""
+    d = 0
+    for x, u in enumerate(topology.minimal_opens):
+        if u & a_mask & ~(1 << x):
+            d |= 1 << x
+    return d
 
 
 def minimal_base(topology):
@@ -201,6 +237,47 @@ def check_interior_axioms(op):
         for b in range(size):
             if t[a & b] != t[a] & t[b]:
                 return ('multiplicative', (a, b))
+    return None
+
+
+def check_closure_axioms_in_one_pass(op):
+    """The closure-operator axioms on every entry, with additivity
+    tested at the lowest point of each nonempty A."""
+    t = op.table
+    if t[0] != 0:
+        return ('empty-fixed', 0)
+    size = 1 << op.n
+    for a in range(size):
+        if a & ~t[a]:
+            return ('extensive', a)
+        if t[t[a]] != t[a]:
+            return ('idempotent', a)
+    for a in range(1, size):
+        low = a & -a
+        if t[a] != t[a ^ low] | t[low]:
+            return ('additive', (a ^ low, low))
+    return None
+
+
+def check_interior_axioms_in_one_pass(op):
+    """The interior-operator axioms on every entry, with
+    multiplicativity tested at the lowest point outside each proper
+    subset A."""
+    t = op.table
+    full = full_mask(op.n)
+    if t[full] != full:
+        return ('whole-fixed', full)
+    size = 1 << op.n
+    for a in range(size):
+        if t[a] & ~a:
+            return ('contractive', a)
+        if t[t[a]] != t[a]:
+            return ('idempotent', a)
+    for a in range(full):
+        outside = full ^ a
+        low = outside & -outside
+        if t[a] != t[a | low] & t[full ^ low]:
+            return ('multiplicative', (a | low, full ^ low))
     return None
 
 

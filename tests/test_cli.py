@@ -292,6 +292,13 @@ class TestNumericVerbs:
         assert code == 1
         assert json.loads(out)['error'] == 'CapExceeded'
 
+    def test_long_geometric_series_of_zero_is_one(self, capsys):
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, 'series', '--geom', '0', '--terms', '1000000000')
+        assert time.perf_counter() - t0 < 1
+        assert code == 0
+        assert json.loads(out)['fraction'] == '1'
+
     def test_series_limit_non_dyadic_is_domain_error(self, capsys):
         code, out, _ = run(capsys, 'series', '--geom', '1/4', '--limit')
         assert code == 1

@@ -1,8 +1,17 @@
-"""Closure/interior/derived/boundary and the axiomatic operators."""
+"""Closure/interior/derived/boundary and the axiomatic operators.
+
+The operators read from byte tables are compared with the per-point
+loops over U_x, and the axiom checks, which accept a valid table from
+its point values, with the one-pass scans (opens_reference.py)."""
+
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import opens_reference as ref
+from conftest import preorders
 from fintopo.closure import (SubsetOperator, analyze_subset, boundary,
                              check_closure_axioms, check_interior_axioms,
                              closure, closure_operator_of, derived_set,
@@ -10,10 +19,48 @@ from fintopo.closure import (SubsetOperator, analyze_subset, boundary,
                              interior_operator_of, is_dense,
                              topology_from_closure_operator,
                              topology_from_interior_operator)
-from fintopo.errors import CapExceeded, InteriorAxiomViolation, KuratowskiViolation
-from fintopo.setops import full_mask
-from fintopo.topology import (Topology, discrete_topology, enumerate_topologies,
-                              indiscrete_topology, sierpinski)
+from fintopo.errors import (CapExceeded, InteriorAxiomViolation, KuratowskiViolation,
+                            UniverseMismatch)
+from fintopo.setops import SetSystem, full_mask
+from fintopo.topology import (SpaceViews, Topology, closure_table, discrete_topology,
+                              enumerate_topologies, indiscrete_topology, sierpinski)
+
+
+class KernelSpace:
+    """A space given by its kernel U alone, with the views of a
+    Topology: what the point operators read, on carriers whose opens
+    are too many to list."""
+
+    def __init__(self, u):
+        self.n = len(u)
+        self.minimal_opens = tuple(u)
+        self.opens = None
+        self.views = SpaceViews(self)
+
+
+def assert_point_operators_match(t, a):
+    """The operators on A equal the per-point loops over U_x."""
+    full = full_mask(t.n)
+    cl = ref.kernel_closure(t, a)
+    co = ref.kernel_closure(t, full ^ a)
+    inte = ref.kernel_interior(t, a)
+    derived = ref.kernel_derived_set(t, a)
+    assert closure(t, a) == cl
+    assert interior(t, a) == inte
+    assert derived_set(t, a) == derived
+    assert boundary(t, a) == cl & co
+    assert is_dense(t, a) == (cl == full)
+    assert analyze_subset(t, a) == {'interior': inte, 'closure': cl, 'derived': derived,
+                                    'boundary': cl & co, 'dense': cl == full}
+
+
+def assert_same_axiom_verdicts(n, table):
+    """Both checks, on the table and on its dual, give the verdict and
+    the witness of the one-pass scans."""
+    op = SubsetOperator(n, table)
+    for f in (op, op.dual()):
+        assert check_closure_axioms(f) == ref.check_closure_axioms_in_one_pass(f)
+        assert check_interior_axioms(f) == ref.check_interior_axioms_in_one_pass(f)
 
 
 class TestPointSetOperations:
@@ -194,3 +241,53 @@ class TestInteriorOperators:
     def test_dual_of_valid_closure_is_valid_interior_n2(self):
         for t in enumerate_topologies(2):
             assert check_interior_axioms(closure_operator_of(t).dual()) is None
+
+
+class TestByteTables:
+    """The operators read from the byte tables of the point closures,
+    and the axiom checks that accept from the point values first,
+    against the loops they replaced."""
+
+    def test_every_mask_of_every_space_n4(self):
+        for n in range(5):
+            full = full_mask(n)
+            masks = list(range(1 << n)) + [-1, -2, ~full, 1 << n, 1 << 24, full | 1 << 24]
+            for t in enumerate_topologies(n):
+                for a in masks:
+                    assert_point_operators_match(t, a)
+
+    @given(preorders(max_n=20), st.lists(st.integers(-(1 << 25), 1 << 25), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_random_preorders(self, u, masks):
+        t = KernelSpace(u)
+        full = full_mask(t.n)
+        for a in masks + [0, -1, full, 1 << 24, full ^ 1 << t.n - 1]:
+            assert_point_operators_match(t, a)
+
+    def test_random_and_changed_tables_n5(self):
+        rng = random.Random(13)
+        tops = {n: enumerate_topologies(n) for n in range(6)}
+        for _ in range(400):
+            n = rng.randint(0, 5)
+            size, full = 1 << n, full_mask(n)
+            table = list(closure_operator_of(rng.choice(tops[n])).table)
+            if rng.random() < 0.5:
+                table[rng.randrange(size)] = rng.randrange(size)
+            assert_same_axiom_verdicts(n, table)
+            # the additive extension of random point values: it passes
+            # the table test of the fast path, and may fail the others
+            points = [rng.randrange(size) | (1 << x if rng.random() < 0.9 else 0)
+                      for x in range(n)]
+            assert_same_axiom_verdicts(n, closure_table(points))
+            assert_same_axiom_verdicts(n, [0] + [rng.randrange(size) | rng.choice((0, full))
+                                                 for _ in range(size - 1)])
+
+    def test_values_off_the_carrier_are_named(self):
+        with pytest.raises(UniverseMismatch, match='table value 5 outside'):
+            SubsetOperator(2, [0, 1, 5, -1])
+        with pytest.raises(UniverseMismatch, match='table value -1 outside'):
+            SubsetOperator(2, [0, -1, 5, 3])
+        with pytest.raises(UniverseMismatch, match='mask -3 not a subset'):
+            SetSystem(2, [5, -3, 9])
+        with pytest.raises(UniverseMismatch, match='mask 5 not a subset'):
+            SetSystem(2, [9, 3, 5])

@@ -8,7 +8,9 @@ from a system, and the topology and base checks, are compared with the
 pairwise reference on every system with n <= 3, and generation also on
 random systems with n <= 8.  Images and preimages of masks under a map
 are compared with loops over every source point, on carriers at each
-boundary of the maps' 8-point lookup tables too.
+boundary of the maps' 8-point lookup tables too.  The closure- and
+interior-axiom checks also give the verdicts and witnesses of the
+one-pass scans they fall back on.
 """
 
 import random
@@ -194,9 +196,11 @@ class TestAllSmallTopologies:
                 op = SubsetOperator(3, table)
                 ours = check_closure_axioms(op)
                 assert_same_verdict(ours, ref.check_closure_axioms(op), op.table, True)
+                assert ours == ref.check_closure_axioms_in_one_pass(op)
                 dual = op.dual()
                 ours_dual = check_interior_axioms(dual)
                 assert_same_verdict(ours_dual, ref.check_interior_axioms(dual), dual.table, False)
+                assert ours_dual == ref.check_interior_axioms_in_one_pass(dual)
                 seen.update(verdict[0] for verdict in (ours, ours_dual) if verdict is not None)
         assert seen == {'empty-fixed', 'extensive', 'idempotent', 'additive',
                         'whole-fixed', 'contractive', 'multiplicative'}
@@ -257,9 +261,11 @@ class TestRandomPreorders:
         op = SubsetOperator(t.n, table)
         assert_same_verdict(check_closure_axioms(op), ref.check_closure_axioms(op),
                             op.table, True)
+        assert check_closure_axioms(op) == ref.check_closure_axioms_in_one_pass(op)
         dual = op.dual()
         assert_same_verdict(check_interior_axioms(dual), ref.check_interior_axioms(dual),
                             dual.table, False)
+        assert check_interior_axioms(dual) == ref.check_interior_axioms_in_one_pass(dual)
 
     @given(preorders(), st.data())
     @settings(max_examples=60, deadline=None)

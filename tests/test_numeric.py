@@ -194,6 +194,14 @@ class TestSeries:
         assert geometric_partial_sum(ONE, HORNER_BITS_CAP) == Dyadic(HORNER_BITS_CAP + 1)
         assert geometric_partial_sum(x, -5) == ONE
 
+    def test_geometric_partial_sum_of_zero(self):
+        # every term past the first is 0, and no bit count passes the cap
+        assert geometric_partial_sum(ZERO, 0) == ONE
+        assert geometric_partial_sum(ZERO, 3) == ONE
+        t0 = time.perf_counter()
+        assert geometric_partial_sum(ZERO, 10 ** 12) == ONE
+        assert time.perf_counter() - t0 < 0.01
+
     def test_geometric_limit_dyadic(self):
         assert geometric_limit(Dyadic(1, -1)) == Dyadic(2)
 
@@ -493,6 +501,22 @@ class TestStepCap:
             finally:
                 tracemalloc.stop()
             assert peak < 1 << 20
+
+    def test_far_target_fails_before_it_is_shifted(self):
+        # w = 2^(4 * 10^7) folded into p's constant term would be a
+        # 4 * 10^7-bit integer: its bit position alone passes the budget.
+        # The shifting version traced 10.7 MB on a 2-CPU host; the bound
+        # is 1 MiB
+        call = lambda: bisection_invert(DyadicPoly([ZERO, ONE]), ZERO, ONE,
+                                        Dyadic(1, 4 * 10 ** 7), ONE)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_at_the_bit_budget_runs(self):
         # cs = (-1, 0, 2) after folding w = 1/2, x = 1 and y = 2^k: the sums
