@@ -315,7 +315,6 @@ def build_parser():
     p.add_argument('--interval')
     p.add_argument('--side', choices=['lower', 'upper'])
     p.add_argument('--family')
-    p.add_argument('--inverse', action='store_true')
     p.add_argument('--direct', action='store_true')
     p.set_defaults(fn=cmd_generate)
 

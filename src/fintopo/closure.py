@@ -2,7 +2,7 @@
 and interior operators given as dense tables over all subsets."""
 
 from .errors import InteriorAxiomViolation, KuratowskiViolation, UniverseMismatch
-from .setops import full_mask
+from .setops import SetSystem, full_mask
 from .topology import Topology, closure_table, enumerate_topologies, point_closures
 
 
@@ -159,7 +159,7 @@ def topology_from_closure_operator(op):
         raise KuratowskiViolation(*verdict)
     full = full_mask(op.n)
     opens = [full ^ a for a, v in enumerate(op.table) if v == a]
-    return Topology(op.n, opens, validate=False)
+    return Topology._trusted(SetSystem(op.n, opens))
 
 
 def check_interior_axioms(op):
@@ -199,7 +199,7 @@ def topology_from_interior_operator(op):
     if verdict is not None:
         raise InteriorAxiomViolation(*verdict)
     opens = [a for a, v in enumerate(op.table) if v == a]
-    return Topology(op.n, opens, validate=False)
+    return Topology._trusted(SetSystem(op.n, opens))
 
 
 def enumerate_closure_operators(n):

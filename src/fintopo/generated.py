@@ -73,8 +73,7 @@ def product_projections(sizes):
     total = 1
     for s in sizes:
         total *= s
-    if total > 20:
-        raise CapExceeded("product carrier exceeds 20 points")
+    check_carrier(total)
     points = list(iproduct(*[range(s) for s in sizes]))
     projs = []
     for i in range(len(sizes)):

@@ -44,9 +44,9 @@ def topology_to_json(t):
     return system_to_json(t.opens)
 
 
-def topology_from_json(data, validate=True):
+def topology_from_json(data):
     system = system_from_json(data)
-    return Topology(system.n, system, validate=validate)
+    return Topology(system.n, system)
 
 
 def relation_to_json(rel):

@@ -16,7 +16,7 @@ from .errors import (NeighborhoodAxiomViolation, NeighborhoodBaseViolation,
                      NotABase, SetMapAxiomViolation, UniverseMismatch)
 from .setops import (PointSetRelation, SetSystem, full_mask, points_of,
                      relation_from_sections, supermasks, upward_gap)
-from .topology import Topology, is_base_of, meet_of, neighborhood_relation
+from .topology import Topology, closure_table, is_base_of, meet_of, neighborhood_relation
 
 
 def _cores(sections, n):
@@ -134,11 +134,10 @@ class SetNeighborhoodMap:
 def set_map_of(topology):
     """The set-neighborhood map of a topology: M(A) is the supersets of
     the open hull of A, the union of the U_x over x in A.  The hulls
-    are built by doubling, one point at a time."""
+    are the closure table of the U_x (topology.closure_table): both
+    are unions over the points of A."""
     n = topology.n
-    hulls = [0]
-    for ux in topology.minimal_opens:
-        hulls += [h | ux for h in hulls]
+    hulls = closure_table(topology.minimal_opens)
     return SetNeighborhoodMap(n, [SetSystem(n, supermasks(h, n)) for h in hulls])
 
 

@@ -380,7 +380,20 @@ def _bisection_start(p, a, b, w, tol):
         raise CapExceeded("bisection from [%s, %s] on the grid 2^-%d towards w sums terms "
                           "of at least %d bits at degree %d; capped at %d bits"
                           % (a, b, k, wtop - 1 + reach, d, HORNER_BITS_CAP))
-    cs = [c << (p.exp - f) for c in p.ints] or [0]
+    shift = p.exp - f
+    if shift + reach >= HORNER_BITS_CAP:
+        # A shift this long could pass the budget by far, so the
+        # coefficients' bit lengths on the exponent f are taken before
+        # the shift: exact for the non-constant ones, and at most 1 bit
+        # short for the folded constant where p's passes w's by 2 or more.
+        least = [c.bit_length() + shift for c in p.ints[1:] if c]
+        if p.ints and p.ints[0] and p.ints[0].bit_length() + shift >= wtop + 2:
+            least.append(p.ints[0].bit_length() + shift - 1)
+        if max(least, default=0) + reach > HORNER_BITS_CAP:
+            raise CapExceeded("bisection from [%s, %s] on the grid 2^-%d sums terms of at "
+                              "least %d bits at degree %d; capped at %d bits"
+                              % (a, b, k, max(least) + reach, d, HORNER_BITS_CAP))
+    cs = [c << shift for c in p.ints] or [0]
     cs[0] -= wm << (we - f)
     # each term cs[i] * x^i * 2^(k * (d - i)) has at most this many bits
     bits = max(c.bit_length() for c in cs) + reach

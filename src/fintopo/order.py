@@ -7,9 +7,11 @@ upper segments are written ]-inf,x[ = {y : y rel x} and
 its own segments.
 """
 
+from operator import and_, or_
+
 from .errors import (MissingFullDomain, MissingFullRange, NoFullField,
                      NotDirected, UniverseMismatch)
-from .setops import SetSystem, full_mask, points_of, psi, theta
+from .setops import SetSystem, full_mask, points_of
 from .topology import generate_from_subbase
 
 
@@ -88,10 +90,16 @@ def is_connective(p):
 
 def has_interval_intersection_property(p):
     """Lower and upper segment systems (with the empty set) are fixed
-    points of the finite-intersection operator."""
-    lo = p.lower_segments()
-    up = p.upper_segments()
-    return psi(lo) == lo and psi(up) == up
+    points of the finite-intersection operator: on each side, the meet
+    of any two segments is empty or a segment."""
+    lower = [p.lower_segment(x) for x in range(p.n)]
+    return _pairwise_closed(lower, and_, {0}) and _pairwise_closed(p.succ, and_, {0})
+
+
+def _pairwise_closed(segs, op, extra):
+    """Whether op of any two of the segments is a segment or in extra."""
+    members = set(segs) | extra
+    return all(op(s, t) in members for i, s in enumerate(segs) for t in segs[i + 1:])
 
 
 def is_interval_relation(p):
@@ -211,11 +219,11 @@ def one_sided_topology(p, side):
 
 def segment_system_is_topology(p, side):
     """Whether the one-sided segment system plus {empty, X} is already
-    union-closed (hence a topology): true for total orders with the
+    union-closed (hence a topology): the union of any two segments is a
+    segment, empty or X.  True for total orders with the
     least-upper-bound property."""
-    segs = p.lower_segments() if side == 'lower' else p.upper_segments()
-    system = SetSystem(p.n, list(segs) + [0, full_mask(p.n)])
-    return theta(system) == system
+    segs = [p.lower_segment(x) for x in range(p.n)] if side == 'lower' else p.succ
+    return _pairwise_closed(segs, or_, {0, full_mask(p.n)})
 
 
 def chain(n, flavor='strict'):

@@ -4,7 +4,7 @@ duality, comparison, and exhaustive enumeration up to n = 5."""
 from functools import cached_property
 
 from .errors import (BaseCriterionViolation, CapExceeded, ClosedAxiomViolation,
-                     NotABase, SubbaseCriterionViolation, UniverseMismatch)
+                     SubbaseCriterionViolation, UniverseMismatch)
 from .setops import (SetSystem, _byte_tables, check_carrier, full_mask, points_of,
                      relation_from_sections, supermasks)
 
@@ -19,18 +19,36 @@ class Topology:
 
     __slots__ = ('n', 'opens', '_kernel', '_shape_key', '_views')
 
-    def __init__(self, n, opens, validate=True):
+    def __init__(self, n, opens):
+        """The space with these opens, which must satisfy the open-set
+        axioms: raises BaseCriterionViolation, named as by is_topology,
+        when they do not.  The kernel the check computes is kept as
+        minimal_opens."""
         system = opens if isinstance(opens, SetSystem) else SetSystem(n, opens)
         if system.n != n:
             raise UniverseMismatch("open system lives on carrier %d, not %d" % (system.n, n))
-        if validate:
-            verdict = is_topology(system)
-            if verdict is not None:
-                axiom, witness = verdict
-                raise BaseCriterionViolation(axiom, witness,
-                                             "not a topology: %s fails (witness %r)" % (axiom, witness))
+        u = kernel_of(system.sets, n)
+        verdict = _open_fault(system, u)
+        if verdict is not None:
+            axiom, witness = verdict
+            raise BaseCriterionViolation(axiom, witness,
+                                         "not a topology: %s fails (witness %r)" % (axiom, witness))
         self.n = n
         self.opens = system
+        self._kernel = tuple(u)
+
+    @classmethod
+    def _trusted(cls, system, u=None):
+        """The space whose opens are the SetSystem system, which the
+        caller guarantees to be a topology: nothing is checked.  Only
+        builders that make a topology by construction use it.  u, when
+        given, must be the kernel of system and is kept as minimal_opens."""
+        t = cls.__new__(cls)
+        t.n = system.n
+        t.opens = system
+        if u is not None:
+            t._kernel = tuple(u)
+        return t
 
     @classmethod
     def from_kernel(cls, n, u):
@@ -39,16 +57,14 @@ class Topology:
         minimal_opens.
 
         u must be a preorder kernel: x in u[x], and y in u[x] implies
-        u[y] inside u[x].  As with validate=False, that is trusted, not
-        checked.  Raises CapExceeded unless 0 <= n <= MAX_N.
+        u[y] inside u[x].  That is trusted, not checked.  Raises
+        CapExceeded unless 0 <= n <= MAX_N.
         """
         check_carrier(n)
         opens = {0}
         for m in set(u):
             opens |= {o | m for o in opens}
-        t = cls(n, SetSystem(n, opens), validate=False)
-        t._kernel = tuple(u)
-        return t
+        return cls._trusted(SetSystem(n, opens), u)
 
     def __eq__(self, other):
         return isinstance(other, Topology) and self.n == other.n and self.opens == other.opens
@@ -167,11 +183,17 @@ class SpaceViews:
 
 def kernel_of(sets, n):
     """u[x] is the intersection of the given masks that contain x, or
-    the whole carrier if none does."""
-    u = [full_mask(n)] * n
-    for m in sets:
-        for x in points_of(m):
-            u[x] &= m
+    the whole carrier if none does.  sets is a sequence, read once per
+    point."""
+    full = full_mask(n)
+    u = []
+    for x in range(n):
+        bit = 1 << x
+        meet = full
+        for m in sets:
+            if m & bit:
+                meet &= m
+        u.append(meet)
     return u
 
 
@@ -225,34 +247,66 @@ def is_topology(system):
     Axioms: (i) contains the empty set and the whole carrier,
     (ii) closed under unions of nonempty subfamilies,
     (iii) closed under intersections of nonempty finite subfamilies.
-    Pairwise closure suffices for both on a finite carrier.
+
+    Decided on the kernel U of the system (kernel_of) in O(n * |S|):
+    beyond (i), it is a topology iff every U_x and every o | U_x, o a
+    member, is a member.  Each member a is then the union of the U_x
+    over x in a, so a | b and a & b are unions of U_x built one U_x at
+    a time.  The witness is a pair (a, b), a < b, of members:
+      - unions first: for x ascending, skipping any x whose U_x is not a
+        member, and for o ascending, the first o | U_x that is not a
+        member names ('union-closed', (min, max) of o and U_x);
+      - then meets: at the least x whose U_x is not a member, see
+        _meet_fault, ('intersection-closed', (a, b)).
     """
-    full = full_mask(system.n)
-    members = set(system.sets)
+    return _open_fault(system, kernel_of(system.sets, system.n))
+
+
+def _open_fault(system, u):
+    """is_topology's verdict, given the kernel u of the system."""
+    sets = system.sets
+    members = set(sets)
     if 0 not in members:
         return ('contains-empty', 0)
+    full = full_mask(system.n)
     if full not in members:
         return ('contains-whole', full)
-    for a in members:
-        for b in members:
-            if a | b not in members:
-                return ('union-closed', (a, b))
-            if a & b not in members:
-                return ('intersection-closed', (a, b))
+    for ux in u:
+        if ux in members:
+            for o in sets:
+                if o | ux not in members:
+                    return ('union-closed', (o, ux) if o < ux else (ux, o))
+    return _meet_fault(sets, members, u, 'intersection-closed')
+
+
+def _meet_fault(sets, members, u, axiom):
+    """None if every u[x] is a member, else (axiom, (a, b)) at the least
+    x whose u[x] is not.  Of the ascending members holding x, a is the
+    least, and b the least not containing a.  Both are minimal among
+    the members holding x, and distinct, so no member holding x lies
+    inside a & b: that meet is neither a member nor a union of members.
+    u[x], the meet of those members, is not one of them, so b exists."""
+    for x, ux in enumerate(u):
+        if ux not in members:
+            bit = 1 << x
+            holding = [m for m in sets if m & bit]
+            a = holding[0]
+            return (axiom, (a, next(m for m in holding if a & ~m)))
     return None
 
 
 def discrete_topology(n):
-    return Topology(n, range(1 << n), validate=False)
+    return Topology._trusted(SetSystem(n, range(1 << n)), [1 << x for x in range(n)])
 
 
 def indiscrete_topology(n):
-    return Topology(n, [0, full_mask(n)], validate=False)
+    full = full_mask(n)
+    return Topology._trusted(SetSystem(n, [0, full]), [full] * n)
 
 
 def sierpinski():
     """Carrier {0,1} with {1} open (and {0} not)."""
-    return Topology(2, [0b00, 0b10, 0b11], validate=False)
+    return Topology._trusted(SetSystem(2, [0b00, 0b10, 0b11]), [0b11, 0b10])
 
 
 def is_base_system(system):
@@ -260,22 +314,19 @@ def is_base_system(system):
 
     Criteria: the empty set is a member, the members cover the carrier,
     and every pairwise intersection of members is a union of members.
+    Given the cover, the last holds iff every U_x of the kernel U of the
+    system (kernel_of) is a member: a & b is then the union of the U_x
+    over x in a & b.  Its witness is is_topology's meet witness, named
+    ('intersections-are-unions', (a, b)); see _meet_fault.
     """
-    members = set(system.sets)
+    sets = system.sets
+    members = set(sets)
     if 0 not in members:
         return ('contains-empty', 0)
-    if system.union_mask() != full_mask(system.n):
-        return ('covers-carrier', system.union_mask())
-    for a in members:
-        for b in members:
-            cap = a & b
-            u = 0
-            for m in members:
-                if m & ~cap == 0:
-                    u |= m
-            if u != cap:
-                return ('intersections-are-unions', (a, b))
-    return None
+    cover = system.union_mask()
+    if cover != full_mask(system.n):
+        return ('covers-carrier', cover)
+    return _meet_fault(sets, members, kernel_of(sets, system.n), 'intersections-are-unions')
 
 
 def generate_from_base(system):
@@ -312,13 +363,7 @@ def generate_from_subbase(system):
 
 def is_base_of(system, topology):
     """Whether the system is a base of the given topology: it holds the
-    empty set and every U_x, and all its members are open.
-
-    The topology's opens must satisfy the axioms, as they do in every
-    Topology built with validation or by this library; for a
-    Topology(..., validate=False) whose opens do not, the answer is
-    undefined.
-    """
+    empty set and every U_x, and all its members are open."""
     if system.n != topology.n:
         raise UniverseMismatch("carriers differ")
     members = set(system.sets)
@@ -347,7 +392,7 @@ def topology_from_closed_system(system):
     verdict = is_closed_system(system)
     if verdict is not None:
         raise ClosedAxiomViolation(*verdict)
-    return Topology(system.n, system.complements(), validate=False)
+    return Topology._trusted(system.complements())
 
 
 def is_finer(t1, t2):

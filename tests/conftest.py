@@ -69,7 +69,7 @@ def topology_of_preorder(u):
     """The Alexandrov topology of U: its opens are the up-sets."""
     n = len(u)
     opens = [a for a in range(1 << n) if all(u[x] & ~a == 0 for x in points_of(a))]
-    return Topology(n, opens, validate=False)
+    return Topology(n, opens)
 
 
 @st.composite

@@ -7,7 +7,9 @@ neighborhood relation built from them by phi), never from
 Topology.minimal_opens, so agreement with the library is a real check.
 The generated topology and the base check work pairwise over the
 members of a system (theta, psi and the pairwise base criteria), never
-from its U_x.  So do the induced topologies: the inverse image is
+from its U_x.  So do the open-set axiom scan and the base-criterion
+scan that the kernel checks replaced: every pair of members, and for
+the base criterion every member inside their meet.  So do the induced topologies: the inverse image is
 generated by the preimages of every open, the subspace cuts down every
 open, and the direct image scans all 2^n subsets.  The topology families are found by scanning every
 family of subsets, not by listing preorders.
@@ -51,7 +53,7 @@ from fintopo.errors import BracketViolation, ClusterPreconditionFailed, IndexOut
 from fintopo.numeric import ZERO
 from fintopo.setops import (FiniteMap, PointSetRelation, SetSystem, full_mask, phi,
                             points_of, psi, relation_from_sections, supermasks, theta)
-from fintopo.topology import Topology, closure_table, is_base_system, point_closures
+from fintopo.topology import Topology, closure_table, point_closures
 
 
 def interior(topology, a_mask):
@@ -385,7 +387,7 @@ def are_homeomorphic(t1, t2):
 def generated_topology(system):
     """Unions of intersections of members, each by its pairwise fixed
     point: theta(psi(system))."""
-    return Topology(system.n, theta(psi(system)), validate=False)
+    return Topology(system.n, theta(psi(system)))
 
 
 def inverse_image_topology(n, pairs):
@@ -408,19 +410,74 @@ def subspace_topology(t, a_mask):
         for p in points_of(o & a_mask):
             m |= 1 << back[p]
         opens.add(m)
-    return Topology(len(point_map), opens, validate=False), point_map
+    return Topology(len(point_map), opens), point_map
 
 
 def direct_image_topology(n, pairs):
     """Every subset of the carrier whose every preimage is open."""
     opens = [b for b in range(1 << n)
              if all(preimage_mask(f, b) in t.opens for f, t in pairs)]
-    return Topology(n, opens, validate=False)
+    return Topology(n, opens)
+
+
+def is_topology(system):
+    """None, or (failed-axiom, witness): the empty set and the carrier
+    are members, then every pair of members, in set order, has its
+    union and its intersection among the members."""
+    full = full_mask(system.n)
+    members = set(system.sets)
+    if 0 not in members:
+        return ('contains-empty', 0)
+    if full not in members:
+        return ('contains-whole', full)
+    for a in members:
+        for b in members:
+            if a | b not in members:
+                return ('union-closed', (a, b))
+            if a & b not in members:
+                return ('intersection-closed', (a, b))
+    return None
+
+
+def is_base_system(system):
+    """None, or (criterion, witness): the empty set is a member, the
+    members cover the carrier, and for every pair of members, in set
+    order, the union of the members inside their intersection is that
+    intersection."""
+    members = set(system.sets)
+    if 0 not in members:
+        return ('contains-empty', 0)
+    if system.union_mask() != full_mask(system.n):
+        return ('covers-carrier', system.union_mask())
+    for a in members:
+        for b in members:
+            cap = a & b
+            u = 0
+            for m in members:
+                if m & ~cap == 0:
+                    u |= m
+            if u != cap:
+                return ('intersections-are-unions', (a, b))
+    return None
 
 
 def is_base_of(system, topology):
     """A base whose unions are exactly the opens."""
     return is_base_system(system) is None and theta(system) == topology.opens
+
+
+def has_interval_intersection_property(p):
+    """psi of the lower and of the upper segment system is that system."""
+    lo, up = p.lower_segments(), p.upper_segments()
+    return psi(lo) == lo and psi(up) == up
+
+
+def segment_system_is_topology(p, side):
+    """theta of the one-sided segments with the empty set and the
+    carrier is that system."""
+    segs = p.lower_segments() if side == 'lower' else p.upper_segments()
+    system = SetSystem(p.n, list(segs) + [0, full_mask(p.n)])
+    return theta(system) == system
 
 
 def topology_families(n):
@@ -524,7 +581,7 @@ def topology_from_relation(rel):
     sections = [set(rel.section(x).sets) for x in range(n)]
     opens = [u for u in range(1 << n)
              if all(u in sections[x] for x in points_of(u))]
-    return Topology(n, opens, validate=False)
+    return Topology(n, opens)
 
 
 def set_map_table(topology):

@@ -118,6 +118,10 @@ class TestGenerate:
         code, out, _ = run(capsys, 'generate', '--family', fam)
         assert code == 0
         assert json.loads(out) == {'n': 3, 'sets': [[], [1, 2], [0, 1, 2]]}
+        # the inverse image is the default; there is no --inverse option
+        code, out, err = run(capsys, 'generate', '--family', fam, '--inverse')
+        assert code == 2 and out == ''
+        assert 'unrecognized arguments: --inverse' in err
 
     @pytest.mark.parametrize('direct', [False, True])
     @pytest.mark.parametrize('n', [40, 10**9])
@@ -446,7 +450,7 @@ class TestErrorSurface:
         self.check(capsys, 'BaseCriterionViolation', 'generate', '--base', f)
 
     def test_base_of_a_space_that_is_not_a_topology(self, capsys, tmp_path):
-        # the space is validated before is_base_of, which assumes a topology
+        # the space is refused as it is read, before is_base_of runs
         space = write(tmp_path, 's.json', {'n': 2, 'sets': [[], [0], [1]]})
         base = write(tmp_path, 'b.json', {'n': 2, 'sets': [[], [0], [1]]})
         self.check(capsys, 'BaseCriterionViolation', 'check', '--base', base,

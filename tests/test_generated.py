@@ -183,8 +183,10 @@ class TestProduct:
                 assert bool(lim >> pt & 1) == comp
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
+        # the product carrier is checked as every carrier is
+        with pytest.raises(CapExceeded, match='carrier size 25 outside 0..20'):
             product_projections([5, 5])
+        assert [p.n_src for p in product_projections([4, 5])] == [20, 20]
 
 
 class TestDirectImage:
@@ -328,7 +330,7 @@ def assert_same_as_reference(t, expected):
     """The same opens, and the U the builder keeps is the one the opens
     give."""
     assert t.opens == expected.opens
-    assert t.minimal_opens == Topology(t.n, t.opens, validate=False).minimal_opens
+    assert t.minimal_opens == Topology(t.n, t.opens).minimal_opens
 
 
 class TestAgainstOpensReference:

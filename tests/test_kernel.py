@@ -61,7 +61,7 @@ def assert_same_generated_topology(s):
     s = s.with_sets(s.sets + (0, full_mask(s.n)))
     t = generate_from_subbase(s)
     assert t.opens == ref.generated_topology(s).opens
-    assert t.minimal_opens == Topology(s.n, t.opens, validate=False).minimal_opens
+    assert t.minimal_opens == Topology(s.n, t.opens).minimal_opens
 
 
 def nets(n):
@@ -126,7 +126,7 @@ def assert_limits_match(t, filters, nets, sequences):
 def relabelled(t, perm):
     """The topology whose opens are the images of those of t under perm."""
     f = FiniteMap(t.n, t.n, perm)
-    return Topology(t.n, [f.image_mask(o) for o in t.opens], validate=False)
+    return Topology(t.n, [f.image_mask(o) for o in t.opens])
 
 
 def assert_same_homeomorphism(t1, t2):

@@ -518,6 +518,25 @@ class TestStepCap:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_fine_tolerance_fails_before_the_coefficients_are_shifted(self):
+        # w off the grid's lattice puts the exponent f about 10^7 bits
+        # below p's, so shifted there each coefficient of p would be a
+        # 10^7-bit integer: their bit lengths alone pass the budget.  The
+        # shifting version traced 1.3 MB for x and 2.7 MB for the
+        # constant 1 on a 2-CPU host, this one under 4 kB; the bound is
+        # 64 kB
+        tol = Dyadic(1, -10 ** 7)
+        w = Dyadic(3, -(10 ** 7 + 5))
+        for p in (DyadicPoly([ZERO, ONE]), DyadicPoly([ONE, ZERO])):
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapExceeded, match='at least 1000000[23] bits'):
+                    bisection_invert(p, ZERO, ONE, w, tol)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 16
+
     def test_at_the_bit_budget_runs(self):
         # cs = (-1, 0, 2) after folding w = 1/2, x = 1 and y = 2^k: the sums
         # start at 2 + 2 * (k + 1) bits, which is the budget for this k

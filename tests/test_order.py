@@ -2,6 +2,7 @@
 
 import pytest
 
+import opens_reference as ref
 from fintopo.errors import (MissingFullDomain, MissingFullRange, NoFullField,
                             NotDirected, SubbaseCriterionViolation)
 from fintopo.generated import product_topology
@@ -123,6 +124,23 @@ class TestOneSided:
         p = Preorder(4, [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (2, 3)],
                      'reflexive')
         assert not segment_system_is_topology(p, 'lower')
+
+
+    def test_segment_checks_match_the_operators_n_le_4(self):
+        # the pairwise meets and joins of the n segments give the
+        # verdicts of psi and theta on the segment systems
+        seen = set()
+        for n in range(5):
+            for flavor in ('strict', 'reflexive'):
+                for p in all_preorders(n, flavor):
+                    verdicts = (has_interval_intersection_property(p),
+                                segment_system_is_topology(p, 'lower'),
+                                segment_system_is_topology(p, 'upper'))
+                    assert verdicts == (ref.has_interval_intersection_property(p),
+                                        ref.segment_system_is_topology(p, 'lower'),
+                                        ref.segment_system_is_topology(p, 'upper'))
+                    seen.add(verdicts)
+        assert all({v[i] for v in seen} == {True, False} for i in range(3))
 
 
 class TestOrderDensity:
