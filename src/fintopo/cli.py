@@ -18,12 +18,12 @@ from .continuity import (SpaceMap, are_homeomorphic, continuity_characterization
                          filter_continuity_at, is_continuous, is_continuous_at,
                          map_open_closed)
 from .convergence import net_limits, net_cluster_points
-from .errors import DomainError, EmptyArgument, IndexOutOfRange
-from .filters import (Filter, extend_to_ultrafilter, generate_filter,
-                      image_filter, inverse_image_filter, supremum_of_filter_bases)
+from .errors import DomainError, EmptyArgument
+from .filters import (extend_to_ultrafilter, generate_filter, image_filter,
+                      inverse_image_filter, supremum_of_filter_bases)
 from .generated import (direct_image_topology, inverse_image_topology,
                         product_topology, quotient_topology, rows_from_partition)
-from .metric import PseudoMetric, distance_to_set, metric_topology, validate_pseudometric
+from .metric import distance_to_set, metric_topology, validate_pseudometric
 from .neighborhoods import (neighborhood_base_from_topological_base,
                             topology_from_neighborhood_base,
                             topology_from_neighborhoods, topology_from_set_map)
@@ -32,9 +32,9 @@ from .numeric import (Dyadic, DyadicPoly, bisection_invert, cauchy_schwarz_check
                       finite_series, geometric_limit, geometric_partial_sum,
                       metric_compare, mth_root)
 from .order import interval_topology, one_sided_topology, relation_properties
-from .setops import SetSystem, mask_of, points_of
-from .topology import (Topology, enumerate_topologies, generate_from_base,
-                       generate_from_subbase, topology_from_closed_system)
+from .setops import mask_of, points_of
+from .topology import (enumerate_topologies, generate_from_base, generate_from_subbase,
+                       topology_from_closed_system)
 
 
 def _load(path):

@@ -2,7 +2,7 @@
 and interior operators given as dense tables over all subsets."""
 
 from .errors import InteriorAxiomViolation, KuratowskiViolation, UniverseMismatch
-from .setops import SetSystem, full_mask
+from .setops import full_mask
 from .topology import Topology, closure_table, enumerate_topologies, point_closures
 
 
@@ -153,13 +153,14 @@ def check_closure_axioms(op):
 
 
 def topology_from_closure_operator(op):
-    """The topology whose closed sets are the fixed points of op."""
+    """The topology whose closed sets are the fixed points of op.  A
+    valid op is the closure table of its point values cl{x}, and U is
+    their transpose."""
     verdict = check_closure_axioms(op)
     if verdict is not None:
         raise KuratowskiViolation(*verdict)
-    full = full_mask(op.n)
-    opens = [full ^ a for a, v in enumerate(op.table) if v == a]
-    return Topology._trusted(SetSystem(op.n, opens))
+    t = op.table
+    return Topology.from_kernel(op.n, point_closures([t[1 << x] for x in range(op.n)]))
 
 
 def check_interior_axioms(op):
@@ -194,12 +195,14 @@ def check_interior_axioms(op):
 
 
 def topology_from_interior_operator(op):
-    """The topology whose open sets are the fixed points of op."""
+    """The topology whose open sets are the fixed points of op: U is the
+    transpose of the point closures cl{x} = X minus op(X minus {x})."""
     verdict = check_interior_axioms(op)
     if verdict is not None:
         raise InteriorAxiomViolation(*verdict)
-    opens = [a for a, v in enumerate(op.table) if v == a]
-    return Topology._trusted(SetSystem(op.n, opens))
+    t, full = op.table, full_mask(op.n)
+    return Topology.from_kernel(op.n, point_closures([full ^ t[full ^ 1 << x]
+                                                      for x in range(op.n)]))
 
 
 def enumerate_closure_operators(n):

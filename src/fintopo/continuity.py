@@ -49,17 +49,26 @@ def is_continuous_at(m, x):
 
 
 # --- the six global characterizations, each computed independently;
-# what they read of a space comes from its kept views ---
+# what they read of a space comes from its kept views.  The opens are
+# read from their slot once built, and through the property (which
+# builds them) only before: the continuity sweep reads them millions of
+# times, and a property call each time costs it ---
 
 def continuous_via_opens(m):
-    pre, opens = m.f.preimage_mask, m.source.opens
-    return all(pre(o) in opens for o in m.target.opens)
+    src, dst = m.source._opens, m.target._opens
+    if src is None or dst is None:
+        src, dst = m.source.opens, m.target.opens
+    pre = m.f.preimage_mask
+    return all(pre(o) in src for o in dst)
 
 
 def continuous_via_subbase(m):
     """Preimages of a subbase of the target are open; the minimal base
     serves as the subbase."""
-    pre, opens = m.f.preimage_mask, m.source.opens
+    opens = m.source._opens
+    if opens is None:
+        opens = m.source.opens
+    pre = m.f.preimage_mask
     return all(pre(s) in opens for s in m.target.views.minimal_base)
 
 
@@ -133,8 +142,12 @@ def map_open_closed(m):
     """(open?, closed?) for the map.  The open test checks the images
     of the minimal base and the closed test those of the point
     closures: every open is a union of the U_x, every closed set a
-    union of the point closures, and images preserve unions."""
-    image, opens, is_closed = m.f.image_mask, m.target.opens, m.target.is_closed
+    union of the point closures, and images preserve unions.  The
+    target's opens are read from their slot once built."""
+    opens = m.target._opens
+    if opens is None:
+        opens = m.target.opens
+    image, is_closed = m.f.image_mask, m.target.is_closed
     is_open = all(image(ux) in opens for ux in m.source.minimal_opens)
     closed = all(is_closed(image(c)) for c in m.source.views.point_closures)
     return is_open, closed

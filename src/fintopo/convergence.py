@@ -3,8 +3,8 @@ eventually periodic sequences."""
 
 from .closure import closure
 from .errors import EmptyArgument, NotDirected, UniverseMismatch
-from .filters import Filter, generate_filter, is_filter_base
-from .setops import SetSystem, full_mask, points_of
+from .filters import generate_filter, is_filter_base
+from .setops import SetSystem, points_of
 
 
 def _points_where(topology, test):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .closure import SubsetOperator
 from .convergence import DirectedSet, EventuallyPeriodicSequence, Net
-from .errors import DomainError, UniverseMismatch
+from .errors import UniverseMismatch
 from .metric import PseudoMetric
 from .neighborhoods import SetNeighborhoodMap
 from .numeric import Dyadic, decimal_digits, decimal_fraction

@@ -87,8 +87,8 @@ def upward_gap(sets, n):
 class SetSystem:
     """A canonical family of subsets of {0,...,n-1}.
 
-    The frozenset behind membership tests is built on the first test,
-    not here: most systems are never probed.
+    The frozenset behind membership tests (members) is built on the
+    first test, not here: most systems are never probed.
     """
 
     __slots__ = ('n', 'sets', '_members')
@@ -106,6 +106,16 @@ class SetSystem:
         self.n = n
         self.sets = tuple(canon)
 
+    @classmethod
+    def _canonical(cls, n, sets):
+        """The system of sets, which the caller guarantees to be distinct
+        masks on the carrier of size n in ascending order: nothing is
+        checked."""
+        s = cls.__new__(cls)
+        s.n = n
+        s.sets = tuple(sets)
+        return s
+
     def __eq__(self, other):
         return isinstance(other, SetSystem) and self.n == other.n and self.sets == other.sets
 
@@ -120,10 +130,20 @@ class SetSystem:
 
     def __contains__(self, mask):
         try:
-            members = self._members
+            return mask in self._members
         except AttributeError:
-            members = self._members = frozenset(self.sets)
-        return mask in members
+            return mask in self.members
+
+    @property
+    def members(self):
+        """The frozenset of the masks, built on first use and kept:
+        membership tests and the topology check read it."""
+        try:
+            return self._members
+        except AttributeError:
+            pass
+        self._members = frozenset(self.sets)
+        return self._members
 
     def __le__(self, other):
         """Subfamily test (same carrier required)."""

@@ -10,14 +10,17 @@ from .setops import (SetSystem, _byte_tables, check_carrier, full_mask, points_o
 
 
 class Topology:
-    """A topology given by its system of open sets.
+    """A finite topology, kept as its kernel U (minimal_opens): U_x is
+    the smallest open set holding the point x, and the opens are the
+    unions of the U_x (Alexandrov).  Equality and the hash go by the
+    kernel.
 
-    The kernel, minimal_opens, the homeomorphism invariant shape_key
-    and the views derived from the kernel are computed on first use and
-    kept.
+    The opens are given to Topology(n, opens), or else built on their
+    first read and kept.  The homeomorphism invariant shape_key and the
+    views derived from the kernel are computed on first use and kept.
     """
 
-    __slots__ = ('n', 'opens', '_kernel', '_shape_key', '_views')
+    __slots__ = ('n', '_kernel', '_opens', '_shape_key', '_views')
 
     def __init__(self, n, opens):
         """The space with these opens, which must satisfy the open-set
@@ -34,52 +37,68 @@ class Topology:
             raise BaseCriterionViolation(axiom, witness,
                                          "not a topology: %s fails (witness %r)" % (axiom, witness))
         self.n = n
-        self.opens = system
+        self._opens = system
         self._kernel = tuple(u)
 
     @classmethod
-    def _trusted(cls, system, u=None):
-        """The space whose opens are the SetSystem system, which the
-        caller guarantees to be a topology: nothing is checked.  Only
-        builders that make a topology by construction use it.  u, when
-        given, must be the kernel of system and is kept as minimal_opens."""
-        t = cls.__new__(cls)
-        t.n = system.n
-        t.opens = system
-        if u is not None:
-            t._kernel = tuple(u)
-        return t
-
-    @classmethod
     def from_kernel(cls, n, u):
-        """The topology whose minimal open sets are u: its opens are the
-        empty set and the unions of the u[x], and u is kept as its
-        minimal_opens.
+        """The topology whose minimal open sets are u, kept as its
+        minimal_opens.  Its opens, the empty set and the unions of the
+        u[x], are built when first read.
 
         u must be a preorder kernel: x in u[x], and y in u[x] implies
         u[y] inside u[x].  That is trusted, not checked.  Raises
         CapExceeded unless 0 <= n <= MAX_N.
         """
         check_carrier(n)
-        opens = {0}
-        for m in set(u):
-            opens |= {o | m for o in opens}
-        return cls._trusted(SetSystem(n, opens), u)
+        t = cls.__new__(cls)
+        t.n = n
+        t._kernel = tuple(u)
+        t._opens = None
+        return t
 
     def __eq__(self, other):
-        return isinstance(other, Topology) and self.n == other.n and self.opens == other.opens
+        return isinstance(other, Topology) and self.n == other.n and self._kernel == other._kernel
 
     def __hash__(self):
-        return hash((self.n, self.opens))
+        return hash((self.n, self._kernel))
 
     def __repr__(self):
         return 'Topology(%d, %r)' % (self.n, list(self.opens))
 
+    @property
+    def opens(self):
+        """The SetSystem of open sets: the empty set and the unions of
+        the U_x.  Built on first read, unless given, and kept in the
+        slot _opens, which holds None until then."""
+        if self._opens is None:
+            self._opens = union_closure(self._kernel, self.n)
+        return self._opens
+
     def is_open(self, mask):
-        return mask in self.opens
+        """Whether the mask is an open set: a member of the opens once
+        they are built, else a mask on the carrier whose complement is
+        closed."""
+        opens = self._opens
+        if opens is not None:
+            return mask in opens
+        full = (1 << self.n) - 1
+        return mask & full == mask and self._fixed_by_closure(full ^ mask)
 
     def is_closed(self, mask):
-        return (((1 << self.n) - 1) ^ mask) in self.opens
+        """Whether the mask is a closed set: its complement is a member
+        of the opens once they are built, else a mask on the carrier
+        that is its own closure."""
+        opens = self._opens
+        if opens is not None:
+            return (((1 << self.n) - 1) ^ mask) in opens
+        return mask & ((1 << self.n) - 1) == mask and self._fixed_by_closure(mask)
+
+    def _fixed_by_closure(self, mask):
+        """Whether cl(mask) = mask, for a mask on the carrier, read from
+        the closure byte tables of the views."""
+        _, t0, t1, t2 = self.views.closure_bytes
+        return (t0[mask & 255] | t1[mask >> 8 & 255] | t2[mask >> 16]) == mask
 
     def closed_sets(self):
         return self.views.closed_sets
@@ -90,11 +109,6 @@ class Topology:
         smallest open neighborhood of x (Alexandrov).  The opens are
         exactly the unions of these n masks, so they determine the
         topology."""
-        try:
-            return self._kernel
-        except AttributeError:
-            pass
-        self._kernel = tuple(kernel_of(self.opens.sets, self.n))
         return self._kernel
 
     @property
@@ -106,7 +120,7 @@ class Topology:
             return self._shape_key
         except AttributeError:
             pass
-        u = self.minimal_opens
+        u = self._kernel
         key = 0
         for s in sorted(point_shapes(u, point_closures(u))):
             key = key << 2 * _SHAPE_BITS | s
@@ -137,13 +151,13 @@ class Topology:
 
 class SpaceViews:
     """What the continuity tests read of a space, each built from its
-    kernel on first use and kept.  Holds the parts of the space it
-    needs, not the space itself."""
+    kernel on first use and kept.  Holds the carrier size and the
+    kernel, not the space itself, so a space and its views make no
+    reference cycle."""
 
     def __init__(self, topology):
         self._n = topology.n
         self._u = topology.minimal_opens
-        self._opens = topology.opens
 
     @cached_property
     def point_closures(self):
@@ -168,7 +182,8 @@ class SpaceViews:
 
     @cached_property
     def closed_sets(self):
-        return self._opens.complements()
+        """The empty set and the unions of the point closures."""
+        return union_closure(self.point_closures, self._n)
 
     @cached_property
     def neighborhoods(self):
@@ -179,6 +194,25 @@ class SpaceViews:
     def minimal_base(self):
         """The empty set and the U_x; see minimal_base."""
         return SetSystem(self._n, (0,) + self._u)
+
+
+def union_closure(masks, n):
+    """The SetSystem on n points of the empty set and every union of the
+    given masks, which lie on the carrier, built one distinct mask at a
+    time.  Past 8 masks the largest go first: each joins few sets while
+    there are few, and the small masks that multiply the sets come
+    last.  On fewer masks, as on every space of 5 points, sorting them
+    and listing each step's unions before adding them cost more than
+    they save."""
+    distinct = set(masks)
+    sets = {0}
+    if len(distinct) > 8:
+        for m in sorted(distinct, key=int.bit_count, reverse=True):
+            sets.update([o | m for o in sets])
+    else:
+        for m in distinct:
+            sets |= {o | m for o in sets}
+    return SetSystem._canonical(n, sorted(sets))
 
 
 def kernel_of(sets, n):
@@ -263,9 +297,10 @@ def is_topology(system):
 
 
 def _open_fault(system, u):
-    """is_topology's verdict, given the kernel u of the system."""
+    """is_topology's verdict, given the kernel u of the system.  It reads
+    the system's own membership set, which the system keeps."""
     sets = system.sets
-    members = set(sets)
+    members = system.members
     if 0 not in members:
         return ('contains-empty', 0)
     full = full_mask(system.n)
@@ -296,17 +331,16 @@ def _meet_fault(sets, members, u, axiom):
 
 
 def discrete_topology(n):
-    return Topology._trusted(SetSystem(n, range(1 << n)), [1 << x for x in range(n)])
+    return Topology.from_kernel(n, [1 << x for x in range(n)])
 
 
 def indiscrete_topology(n):
-    full = full_mask(n)
-    return Topology._trusted(SetSystem(n, [0, full]), [full] * n)
+    return Topology.from_kernel(n, [full_mask(n)] * n)
 
 
 def sierpinski():
     """Carrier {0,1} with {1} open (and {0} not)."""
-    return Topology._trusted(SetSystem(2, [0b00, 0b10, 0b11]), [0b11, 0b10])
+    return Topology.from_kernel(2, [0b11, 0b10])
 
 
 def is_base_system(system):
@@ -366,9 +400,9 @@ def is_base_of(system, topology):
     empty set and every U_x, and all its members are open."""
     if system.n != topology.n:
         raise UniverseMismatch("carriers differ")
-    members = set(system.sets)
+    members, is_open = system.members, topology.is_open
     return (0 in members and all(u in members for u in topology.minimal_opens)
-            and system <= topology.opens)
+            and all(is_open(m) for m in system.sets))
 
 
 def minimal_base(topology):
@@ -388,16 +422,22 @@ def is_closed_system(system):
 
 
 def topology_from_closed_system(system):
-    """Topology whose closed sets are exactly the given system."""
-    verdict = is_closed_system(system)
+    """Topology whose closed sets are exactly the given system, checked
+    as is_closed_system checks it.  The kernel of the system gives the
+    closure of each point, and U is its transpose."""
+    u = kernel_of(system.sets, system.n)
+    verdict = _open_fault(system, u)
     if verdict is not None:
         raise ClosedAxiomViolation(*verdict)
-    return Topology._trusted(system.complements())
+    return Topology.from_kernel(system.n, point_closures(u))
 
 
 def is_finer(t1, t2):
-    """Whether t1 is finer than t2 (every t2-open is t1-open)."""
-    return t2.opens <= t1.opens
+    """Whether t1 is finer than t2 (every t2-open is t1-open): each
+    U2_x is t1-open iff U1_x lies inside U2_x at every point x."""
+    if t1.n != t2.n:
+        raise UniverseMismatch("carriers differ: %d vs %d" % (t2.n, t1.n))
+    return all(a & ~b == 0 for a, b in zip(t1.minimal_opens, t2.minimal_opens))
 
 
 def compare(t1, t2):

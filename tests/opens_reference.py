@@ -43,6 +43,11 @@ the closure- and interior-axiom checks that scan all 2^n entries of a
 table, with additivity and multiplicativity decided in one pass; the
 library now accepts a valid table from its n point values first, and
 must give the verdicts and witnesses of these scans.
+
+So are the Topology readers that went by the opens before a space was
+kept as its kernel: equality, open and closed tests, fineness and
+comparison, each reading the opens of the space, and the union closure
+of a kernel by theta's pairwise fixed point, for test_kernel_first.py.
 """
 
 from functools import lru_cache
@@ -464,6 +469,39 @@ def is_base_system(system):
 def is_base_of(system, topology):
     """A base whose unions are exactly the opens."""
     return is_base_system(system) is None and theta(system) == topology.opens
+
+
+def union_closure(n, masks):
+    """The empty set and every union of the masks: theta's pairwise
+    fixed point."""
+    return theta(SetSystem(n, [0, *masks]))
+
+
+def same_topology(t1, t2):
+    """The same carrier and the same opens."""
+    return t1.n == t2.n and t1.opens == t2.opens
+
+
+def is_open(t, mask):
+    return mask in set(t.opens.sets)
+
+
+def is_closed(t, mask):
+    return full_mask(t.n) ^ mask in set(t.opens.sets)
+
+
+def is_finer(t1, t2):
+    """Every t2-open is t1-open (same carrier required)."""
+    return t2.opens <= t1.opens
+
+
+def compare(t1, t2):
+    fine, coarse = is_finer(t1, t2), is_finer(t2, t1)
+    if fine and coarse:
+        return 'equal'
+    if fine or coarse:
+        return 'strictly-finer' if fine else 'strictly-coarser'
+    return 'incomparable'
 
 
 def has_interval_intersection_property(p):
