@@ -243,29 +243,11 @@ def supremum_filter(filters):
     return Filter.from_core(n, meet_of(cores))
 
 
-def image_filter_base(f, base):
-    """f[[base]] is a base of the image filter."""
-    verdict = is_filter_base(base)
-    if verdict is not None:
-        raise FilterBaseViolation(*verdict)
-    return f.image_system(base)
-
-
 def image_filter(f, filt):
     """The filter generated by f[[filt]]: the supersets of f[core]."""
     if filt.n != f.n_src:
         raise UniverseMismatch("system lives on the wrong carrier")
     return Filter.from_core(f.n_dst, f.image_mask(filt.core()))
-
-
-def inverse_image_filter_base(f, base):
-    """f^-1[[base]]; requires f surjective so no preimage is empty."""
-    if not f.is_surjective():
-        raise NotSurjective("inverse image filter needs a surjective map")
-    verdict = is_filter_base(base)
-    if verdict is not None:
-        raise FilterBaseViolation(*verdict)
-    return f.preimage_system(base)
 
 
 def inverse_image_filter(f, filt):

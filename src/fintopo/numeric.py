@@ -11,13 +11,14 @@ coefficients' common exponent.  Bisection runs on the integer grid
 N * 2^-k that its points lie on and builds a Dyadic only for the result
 and the trace; its results are those of the step-by-step Dyadic loop,
 bit for bit.  A tolerance whose steps, times the degree, pass
-BISECTION_CAP raises CapExceeded before the first step, as do inputs
-whose Horner sums on the starting grid pass HORNER_BITS_CAP bits.
-mth_root returns the left endpoint that this bisection of x^m ends on
-in closed form, from one integer m-th root, bit for bit and under the
-same two caps.  Comparisons, and the Horner bit budget of an endpoint,
-are settled from bit positions before any mantissa is shifted out to a
-far exponent.
+BISECTION_CAP raises CapExceeded before the first step.  One bit
+budget, HORNER_BITS_CAP, bounds the longest Horner term on the starting
+grid, the degree of mth_root and geometric_partial_sum; each refusal
+reads "... at least N bits; capped at 32768 bits".  That length, and
+every comparison, is taken from bit positions before anything is
+shifted out to a far exponent.  mth_root returns the left endpoint that
+this bisection of x^m ends on in closed form, from one integer m-th
+root, bit for bit and under the same caps.
 """
 
 import re
@@ -39,6 +40,13 @@ BISECTION_CAP = 1 << 14
 # every sum however few the steps; with BISECTION_CAP this bounds the
 # sums at every step.
 HORNER_BITS_CAP = 1 << 15
+
+
+def _over_budget(bits, what, *args):
+    """The one refusal of the Horner bit budget: raise CapExceeded for
+    what % args, at least bits long, past HORNER_BITS_CAP."""
+    raise CapExceeded("%s at least %d bits; capped at %d bits"
+                      % (what % args, bits, HORNER_BITS_CAP))
 
 
 def decimal_digits(i):
@@ -297,10 +305,9 @@ def geometric_partial_sum(x, m):
     x = _coerce(x)
     if x.m == 0:
         return ONE
-    bits = m * (abs(x.m).bit_length() + abs(x.e))
-    if bits > HORNER_BITS_CAP:
-        raise CapExceeded("%d terms of x = %s grow the sum by about %d bits; capped at %d bits"
-                          % (m, x, bits, HORNER_BITS_CAP))
+    per = abs(x.m).bit_length() + abs(x.e)
+    if m * per > HORNER_BITS_CAP:
+        _over_budget(m * per, "%d terms of x = %s, counted at %d bits a term, take", m, x, per)
     s = ONE
     p = ONE
     for _ in range(m):
@@ -331,6 +338,25 @@ def _ceil_log2_ratio(u, v):
     return j if u << -j <= v else j + 1
 
 
+def _horner_bits(ints, shift, wm, wshift, reach):
+    """The longest Horner term on the starting grid, reach plus the
+    longest of [c << shift for c in ints] with wm << wshift taken from
+    the first: exact, or a lower bound past HORNER_BITS_CAP.  Only those
+    two parts are shifted, where their bit positions lie within 1 of
+    each other or the result is at most HORNER_BITS_CAP + 2 bits."""
+    # bit positions on the common exponent, a zero's being 0
+    top = max(map(int.bit_length, ints[1:]), default=0)
+    top = top and top + shift
+    c = ints[0] if ints else 0
+    u = c and c.bit_length() + shift
+    v = wm and wm.bit_length() + wshift
+    # 2 or more apart, their difference is the longer's length give or take 1
+    least = max(top, u - 1, v - 1) + reach
+    if least > HORNER_BITS_CAP and abs(u - v) > 1:
+        return least
+    return max(top, ((c << shift) - (wm << wshift)).bit_length()) + reach
+
+
 def _bisection_start(p, a, b, w, tol):
     """The checks and the starting grid of a bisection of p on [a, b]
     towards w, in the order bisection_invert and mth_root raise them:
@@ -351,13 +377,12 @@ def _bisection_start(p, a, b, w, tol):
     k = -min(a.e, b.e, 0)
     d = max(len(p.ints) - 1, 0)
     # On the grid a nonzero endpoint is its bit position plus k bits
-    # long, and a zero's position is 0.  d times the longer, or times k,
-    # is in every bound below and needs no shift to compute.
+    # long, and a zero's position is 0.  So the Horner term
+    # cs[i] * x^i * 2^(k * (d - i)) is at most reach bits longer than cs[i].
     reach = d * (k + max(a.m.bit_length() + a.e, b.m.bit_length() + b.e, 0))
+    what = "bisection from [%s, %s] on the grid 2^-%d at degree %d sums terms of"
     if reach > HORNER_BITS_CAP:
-        raise CapExceeded("bisection from [%s, %s] on the grid 2^-%d sums terms of at "
-                          "least %d bits at degree %d; capped at %d bits"
-                          % (a, b, k, reach, d, HORNER_BITS_CAP))
+        _over_budget(reach, what, a, b, k, d)
     x = a.m << (a.e + k)
     y = b.m << (b.e + k)
     steps = max(0, _ceil_log2_ratio(y - x, tol.m) - tol.e - k)
@@ -371,36 +396,12 @@ def _bisection_start(p, a, b, w, tol):
     else:
         wm, we = w.m, w.e
     f = min(p.exp, we)
-    # w's bit position on the exponent f, before w is shifted there.
-    # When it passes every coefficient's by 2 or more, the folded cs[0]
-    # is at most 1 bit shorter, so the check below would refuse too.
-    wtop = wm.bit_length() + we - f
-    if (wtop - 1 + reach > HORNER_BITS_CAP
-            and wtop > max((c.bit_length() for c in p.ints), default=0) + p.exp - f + 1):
-        raise CapExceeded("bisection from [%s, %s] on the grid 2^-%d towards w sums terms "
-                          "of at least %d bits at degree %d; capped at %d bits"
-                          % (a, b, k, wtop - 1 + reach, d, HORNER_BITS_CAP))
     shift = p.exp - f
-    if shift + reach >= HORNER_BITS_CAP:
-        # A shift this long could pass the budget by far, so the
-        # coefficients' bit lengths on the exponent f are taken before
-        # the shift: exact for the non-constant ones, and at most 1 bit
-        # short for the folded constant where p's passes w's by 2 or more.
-        least = [c.bit_length() + shift for c in p.ints[1:] if c]
-        if p.ints and p.ints[0] and p.ints[0].bit_length() + shift >= wtop + 2:
-            least.append(p.ints[0].bit_length() + shift - 1)
-        if max(least, default=0) + reach > HORNER_BITS_CAP:
-            raise CapExceeded("bisection from [%s, %s] on the grid 2^-%d sums terms of at "
-                              "least %d bits at degree %d; capped at %d bits"
-                              % (a, b, k, max(least) + reach, d, HORNER_BITS_CAP))
+    bits = _horner_bits(p.ints, shift, wm, we - f, reach)
+    if bits > HORNER_BITS_CAP:
+        _over_budget(bits, what, a, b, k, d)
     cs = [c << shift for c in p.ints] or [0]
     cs[0] -= wm << (we - f)
-    # each term cs[i] * x^i * 2^(k * (d - i)) has at most this many bits
-    bits = max(c.bit_length() for c in cs) + reach
-    if bits > HORNER_BITS_CAP:
-        raise CapExceeded("bisection from [%s, %s] on the grid 2^-%d sums %d-bit terms "
-                          "at degree %d; capped at %d bits"
-                          % (a, b, k, bits, d, HORNER_BITS_CAP))
     fx = _horner(cs, x, k)
     fy = _horner(cs, y, k)
     sx = (fx > 0) - (fx < 0)
@@ -495,14 +496,12 @@ def mth_root(a, m, tol):
     if a < ZERO:
         raise IndexOutOfRange("need a >= 0")
     # [0, max(a, 1)] is never empty, so tol comes next, then the bit
-    # budget: the leading coefficient and y = max(a, 1) * 2^k have a
-    # bit or more each, so the Horner sums have m + 1 bits or more.
-    # Both are checked here too, so that no x^m is built for a huge m.
+    # budget, here too so that no x^m is built for a huge m: its leading
+    # coefficient and y = max(a, 1) * 2^k have a bit or more each.
     if not tol > ZERO:
         raise IndexOutOfRange("need tol > 0")
-    if m >= HORNER_BITS_CAP:
-        raise CapExceeded("x^%d sums terms of at least %d bits; capped at %d bits"
-                          % (m, m + 1, HORNER_BITS_CAP))
+    if m + 1 > HORNER_BITS_CAP:
+        _over_budget(m + 1, "x^%d sums terms of", m)
     hi = a if a > ONE else ONE
     hit, k, _, y, steps, _, _ = _bisection_start(DyadicPoly([ZERO] * m + [ONE]), ZERO, hi, a, tol)
     if hit is not None:

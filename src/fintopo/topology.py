@@ -64,7 +64,7 @@ class Topology:
         return hash((self.n, self._kernel))
 
     def __repr__(self):
-        return 'Topology(%d, %r)' % (self.n, list(self.opens))
+        return 'Topology.from_kernel(%d, %r)' % (self.n, list(self._kernel))
 
     @property
     def opens(self):
@@ -413,18 +413,12 @@ def minimal_base(topology):
     return topology.views.minimal_base
 
 
-def is_closed_system(system):
-    """None if the system satisfies the closed-set axioms, else (axiom,
-    witness).  They are the open-set axioms: the empty set and the whole
-    carrier are members, and the members are closed under pairwise
-    unions and intersections."""
-    return is_topology(system)
-
-
 def topology_from_closed_system(system):
-    """Topology whose closed sets are exactly the given system, checked
-    as is_closed_system checks it.  The kernel of the system gives the
-    closure of each point, and U is its transpose."""
+    """Topology whose closed sets are exactly the given system.  The
+    closed-set axioms are the open-set axioms, so the system is checked
+    as is_topology checks it, raising ClosedAxiomViolation with its
+    verdict.  The kernel of the system gives the closure of each point,
+    and U is its transpose."""
     u = kernel_of(system.sets, system.n)
     verdict = _open_fault(system, u)
     if verdict is not None:

@@ -33,7 +33,10 @@ source filter.
 
 The bisection that the integer grid replaced is kept here too, with the
 Horner rule it used: every step a Dyadic midpoint, a Dyadic evaluation
-and Dyadic comparisons, for test_numeric.py.
+and Dyadic comparisons, for test_numeric.py.  So is the start of the
+integer-grid bisection as it was with four successive Horner bit-budget
+checks, each made before some shift, before one length from bit
+positions replaced them.
 
 So are the interior, closure and derived set that the closure byte
 tables replaced: one loop over the points, reading U_x from
@@ -54,8 +57,10 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from fintopo.convergence import filter_adherence
-from fintopo.errors import BracketViolation, ClusterPreconditionFailed, IndexOutOfRange
-from fintopo.numeric import ZERO
+from fintopo.errors import (BracketViolation, CapExceeded, ClusterPreconditionFailed,
+                            IndexOutOfRange)
+from fintopo.numeric import (BISECTION_CAP, HORNER_BITS_CAP, ZERO, _ceil_log2_ratio, _coerce,
+                             _horner)
 from fintopo.setops import (FiniteMap, PointSetRelation, SetSystem, full_mask, phi,
                             points_of, psi, relation_from_sections, supermasks, theta)
 from fintopo.topology import Topology, closure_table, point_closures
@@ -578,6 +583,95 @@ def bisection_invert(p, a, b, w, tol, trace=None):
         if trace is not None:
             trace.append((x, y, px, py))
     return x
+
+
+def bisection_start(p, a, b, w, tol):
+    """fintopo.numeric._bisection_start as it was with four successive
+    HORNER_BITS_CAP checks, each made before some shift.  Its check of
+    w's bit position takes w = 0 to lie at exponent 0, so with w = 0 it
+    refuses coefficients 2^-32768 and finer on w's account.
+
+    The checks and the starting grid of a bisection of p on [a, b]
+    towards w, in the order bisection_invert and mth_root raise them:
+    the arguments, the Horner bit budget, the endpoints' bracket and
+    exact hits, then the step cap.
+
+    Returns (hit, k, x, y, steps, cs, sx).  hit is the endpoint a or b
+    at which p is w, else None.  [a, b] is [x, y] * 2^-k, and steps
+    halvings take it to width at most tol.  cs are p's integers with w
+    folded into the constant coefficient, and sx is the sign of p - w
+    at a.
+    """
+    a, b, w, tol = _coerce(a), _coerce(b), _coerce(w), _coerce(tol)
+    if not a < b:
+        raise IndexOutOfRange("need a < b")
+    if not tol > ZERO:
+        raise IndexOutOfRange("need tol > 0")
+    k = -min(a.e, b.e, 0)
+    d = max(len(p.ints) - 1, 0)
+    # On the grid a nonzero endpoint is its bit position plus k bits
+    # long, and a zero's position is 0.  d times the longer, or times k,
+    # is in every bound below and needs no shift to compute.
+    reach = d * (k + max(a.m.bit_length() + a.e, b.m.bit_length() + b.e, 0))
+    if reach > HORNER_BITS_CAP:
+        raise CapExceeded("bisection from [%s, %s] on the grid 2^-%d sums terms of at "
+                          "least %d bits at degree %d; capped at %d bits"
+                          % (a, b, k, reach, d, HORNER_BITS_CAP))
+    x = a.m << (a.e + k)
+    y = b.m << (b.e + k)
+    steps = max(0, _ceil_log2_ratio(y - x, tol.m) - tol.e - k)
+    # p is a multiple of 2^g at every point visited.  A w off that
+    # lattice has the signs, and no hits, of the odd multiple of
+    # 2^(g - 1) next to it, so the fold never shifts p to w's exponent.
+    # Zero is on every lattice, whatever its stored exponent.
+    g = p.exp - d * (k + steps)
+    if w.m and w.e < g:
+        wm, we = ((w.m >> (g - w.e)) << 1) + 1, g - 1
+    else:
+        wm, we = w.m, w.e
+    f = min(p.exp, we)
+    # w's bit position on the exponent f, before w is shifted there.
+    # When it passes every coefficient's by 2 or more, the folded cs[0]
+    # is at most 1 bit shorter, so the check below would refuse too.
+    wtop = wm.bit_length() + we - f
+    if (wtop - 1 + reach > HORNER_BITS_CAP
+            and wtop > max((c.bit_length() for c in p.ints), default=0) + p.exp - f + 1):
+        raise CapExceeded("bisection from [%s, %s] on the grid 2^-%d towards w sums terms "
+                          "of at least %d bits at degree %d; capped at %d bits"
+                          % (a, b, k, wtop - 1 + reach, d, HORNER_BITS_CAP))
+    shift = p.exp - f
+    if shift + reach >= HORNER_BITS_CAP:
+        # A shift this long could pass the budget by far, so the
+        # coefficients' bit lengths on the exponent f are taken before
+        # the shift: exact for the non-constant ones, and at most 1 bit
+        # short for the folded constant where p's passes w's by 2 or more.
+        least = [c.bit_length() + shift for c in p.ints[1:] if c]
+        if p.ints and p.ints[0] and p.ints[0].bit_length() + shift >= wtop + 2:
+            least.append(p.ints[0].bit_length() + shift - 1)
+        if max(least, default=0) + reach > HORNER_BITS_CAP:
+            raise CapExceeded("bisection from [%s, %s] on the grid 2^-%d sums terms of at "
+                              "least %d bits at degree %d; capped at %d bits"
+                              % (a, b, k, max(least) + reach, d, HORNER_BITS_CAP))
+    cs = [c << shift for c in p.ints] or [0]
+    cs[0] -= wm << (we - f)
+    # each term cs[i] * x^i * 2^(k * (d - i)) has at most this many bits
+    bits = max(c.bit_length() for c in cs) + reach
+    if bits > HORNER_BITS_CAP:
+        raise CapExceeded("bisection from [%s, %s] on the grid 2^-%d sums %d-bit terms "
+                          "at degree %d; capped at %d bits"
+                          % (a, b, k, bits, d, HORNER_BITS_CAP))
+    fx = _horner(cs, x, k)
+    fy = _horner(cs, y, k)
+    sx = (fx > 0) - (fx < 0)
+    sy = (fy > 0) - (fy < 0)
+    if sx * sy > 0:
+        raise BracketViolation(0)
+    hit = a if not sx else b if not sy else None
+    if hit is None and steps * max(d, 1) > BISECTION_CAP:
+        raise CapExceeded("bisection to tol %s takes %d steps at degree %d; "
+                          "steps x degree is capped at %d"
+                          % (tol, steps, d, BISECTION_CAP))
+    return hit, k, x, y, steps, cs, sx
 
 
 def _order(members, ascending):

@@ -1,10 +1,16 @@
-"""Every name a fintopo module imports is read somewhere in that module.
+"""Every name a fintopo module imports is read somewhere in that module,
+and every function or class it defines at top level is read somewhere.
 
 Each module under src/fintopo is parsed with ast.  A name bound by an
 import statement counts as read when the module loads it by that name
 anywhere (a Name in Load context, which covers attribute access through
 it too).  The package's __init__.py is exempt: its imports are the
 public re-exports.
+
+A top-level def or class counts as read when some file under src/,
+tests/ or topobench/ loads its name, or an attribute of that name,
+outside the definition itself.  The names in __init__.py's __all__ are
+the public API and count as read.
 """
 
 import ast
@@ -12,8 +18,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / 'src' / 'fintopo'
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / 'src' / 'fintopo'
 MODULES = sorted(p for p in PACKAGE.glob('*.py') if p.name != '__init__.py')
+READERS = sorted(p for d in ('src', 'tests', 'topobench') for p in (ROOT / d).rglob('*.py'))
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def imported_names(tree):
@@ -53,3 +62,66 @@ def test_the_scan_sees_an_unused_import():
               'def f(n):\n'
               '    return full_mask(n), jsonio.dumps\n')
     assert unused_imports(source) == [('os', 1), ('SetSystem', 2)]
+
+
+def names_read(source):
+    """Each name the source loads, as a Name or as an attribute, except
+    a top-level definition's own name inside that definition."""
+    out = set()
+    for top in ast.parse(source).body:
+        names = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(top)
+                 if isinstance(node, ast.Attribute)
+                 or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if isinstance(top, DEFINITIONS):
+            names.discard(top.name)
+        out |= names
+    return out
+
+
+def unused_definitions(modules, readers, allowed):
+    """(module, name, line) for each top-level def or class in the
+    {module: source} map whose name no reader source reads and that is
+    not allowed."""
+    read = set(allowed).union(*(names_read(source) for source in readers))
+    return [(module, node.name, node.lineno) for module, source in sorted(modules.items())
+            for node in ast.parse(source).body
+            if isinstance(node, DEFINITIONS) and node.name not in read]
+
+
+def public_names():
+    """The __all__ list of the package's __init__.py."""
+    for node in ast.parse((PACKAGE / '__init__.py').read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ['__all__']:
+            return ast.literal_eval(node.value)
+    return []
+
+
+def test_every_definition_is_read():
+    modules = {p.name: p.read_text() for p in PACKAGE.glob('*.py')}
+    readers = [p.read_text() for p in READERS]
+    assert 'Topology' in public_names()
+    assert unused_definitions(modules, readers, public_names()) == []
+
+
+def test_the_scan_sees_an_unused_definition():
+    module = ('def used(n):\n'
+              '    return n\n'
+              'def recursive(n):\n'
+              '    return recursive(n - 1) if n else 0\n'
+              'class Public:\n'
+              '    pass\n'
+              'def by_attribute():\n'
+              '    pass\n'
+              'def unused():\n'
+              '    pass\n'
+              'def caller():\n'
+              '    return helper()\n'
+              'def helper():\n'
+              '    return helper\n')
+    reader = ('from m import used, unused\n'
+              'import m\n'
+              'm.by_attribute()\n'
+              'used(1), m.caller()\n')
+    assert unused_definitions({'m.py': module}, [module, reader], ['Public']) == [
+        ('m.py', 'recursive', 3), ('m.py', 'unused', 9)]

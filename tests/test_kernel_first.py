@@ -168,6 +168,8 @@ class TestTwentyPoints:
         for name, u in BIG.items():
             t, out = ask_without_opens(u)
             assert out == answers[name]
+            assert repr(t) == 'Topology.from_kernel(20, %r)' % list(u)
+            assert eval(repr(t), {'Topology': Topology}) == t
             assert not built(t)
             with pytest.raises(AssertionError, match='opens built'):
                 t.opens

@@ -14,7 +14,8 @@ import opens_reference as ref
 from fintopo.errors import (BracketViolation, CapExceeded, EmptyArgument, IndexOutOfRange,
                             LengthMismatch, NonDyadicClosedForm, NonDyadicLiteral)
 from fintopo.numeric import (BISECTION_CAP, HORNER_BITS_CAP, ONE, ZERO, Dyadic, DyadicPoly,
-                             bisection_invert, decimal_fraction, decimal_int,
+                             _bisection_start, _horner_bits, bisection_invert,
+                             decimal_fraction, decimal_int,
                              cauchy_schwarz_check, dot, finite_series,
                              geometric_limit, geometric_partial_sum,
                              metric_compare, mth_root, power_exceeds,
@@ -556,6 +557,152 @@ class TestStepCap:
         assert mth_root(Dyadic(4), 1, tiny) == Dyadic(4)
         with pytest.raises(CapExceeded):
             mth_root(Dyadic(4), 2, tiny)
+
+
+# a small exponent, one within HORNER_BITS_CAP, or one up to 10^8 either way
+far_exponents = st.one_of(st.integers(-40, 40), st.integers(-HORNER_BITS_CAP, HORNER_BITS_CAP),
+                          st.integers(-10 ** 8, 10 ** 8))
+
+
+@st.composite
+def budget_cases(draw):
+    """Inputs to _bisection_start on both sides of the Horner bit
+    budget.  Degrees 0..6 with coefficients on a common exponent up to
+    10^8 away, spread by up to the budget; endpoints small, at
+    2^-(HORNER_BITS_CAP // 2 +- 2) against 1, or far, of either sign;
+    w at an endpoint's value, between the two, anywhere up to 10^8
+    away, far finer than the grid, between them or not, or zero; tol
+    up to 10^8 away, now and then zero or negative."""
+    base = draw(far_exponents)
+    spread = st.integers(0, draw(st.sampled_from([8, HORNER_BITS_CAP + 64])))
+    mantissas = st.one_of(st.integers(-40, 40), st.integers(-(1 << 80), 1 << 80))
+    p = DyadicPoly([Dyadic(draw(mantissas), base + draw(spread))
+                    for _ in range(draw(st.integers(0, 7)))])
+    kind = draw(st.sampled_from(['small', 'near', 'far', 'signs']))
+    if kind == 'small':
+        a = Dyadic(draw(st.integers(-40, 40)), draw(st.integers(-6, 6)))
+        b = a + Dyadic(draw(st.integers(1, 64)), draw(st.integers(-6, 6)))
+    elif kind == 'near':
+        a, b = Dyadic(1, -(HORNER_BITS_CAP // 2 + draw(st.integers(-2, 2)))), ONE
+    elif kind == 'far':
+        m = draw(st.integers(-(1 << 20), 1 << 20))
+        e = draw(far_exponents)
+        a, b = Dyadic(m, e), Dyadic(m + draw(st.integers(1, 1 << 20)), e)
+    else:
+        a = Dyadic(-draw(st.integers(0, 1 << 20)), draw(far_exponents))
+        b = Dyadic(draw(st.integers(1, 1 << 20)), draw(far_exponents))
+    wkind = draw(st.sampled_from(['endpoint', 'between', 'any', 'fine', 'zero']))
+    if wkind == 'zero':
+        w = ZERO
+    elif kind in ('small', 'near') and wkind != 'any':
+        # p(a) + (p(b) - p(a)) * t for t = 0, 1, or t in (0, 1) of up
+        # to 10^6 bits
+        t = {'endpoint': Dyadic(draw(st.integers(0, 1))),
+             'between': Dyadic(draw(st.integers(0, 64)), -6),
+             'fine': Dyadic(1, -draw(st.one_of(st.integers(1, 2 * HORNER_BITS_CAP),
+                                               st.integers(1, 10 ** 6))))}[wkind]
+        w = p(a) + (p(b) - p(a)) * t
+    elif wkind == 'fine':
+        w = Dyadic(draw(st.integers(-(1 << 20), 1 << 20)) | 1,
+                   -draw(st.integers(10 ** 6, 10 ** 8)))
+    else:
+        w = Dyadic(draw(mantissas), draw(far_exponents))
+    tol = Dyadic(draw(st.integers(-1, 1 << 8)), draw(far_exponents))
+    return p, a, b, w, tol
+
+
+def start_outcome(start, case):
+    try:
+        hit, k, x, y, steps, cs, sx = start(*case)
+    except (BracketViolation, CapExceeded, IndexOutOfRange) as exc:
+        return type(exc)
+    return None if hit is None else (hit.m, hit.e), k, x, y, steps, list(cs), sx
+
+
+class TestOneBitBudget:
+    """The one Horner bit budget of the bisection against the four
+    successive checks it replaced, and its length against the true one."""
+
+    @given(budget_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_four_checks(self, case):
+        p, a, b, w, tol = case
+        if w == ZERO and p.exp < 0:
+            # The four checks took w = 0 to lie at exponent 0, so they
+            # refused coefficients 2^-32768 and finer on w's account.  p
+            # moved to exponent 0 has the same integers, grid and signs.
+            p = DyadicPoly([c * Dyadic(1, -p.exp) for c in p.coeffs])
+        assert start_outcome(_bisection_start, case) == start_outcome(ref.bisection_start,
+                                                                      (p, a, b, w, tol))
+
+    def test_zero_w_below_far_coefficients(self):
+        # p = (x - 1/3) * 2^-40000 on [0, 1]: w = 0 adds no bits, so the
+        # sums are a few bits long, where the four checks refused
+        p = DyadicPoly([Dyadic(-1, -40000), Dyadic(3, -40000)])
+        case = (p, ZERO, ONE, ZERO, Dyadic(1, -20))
+        assert start_outcome(ref.bisection_start, case) is CapExceeded
+        r = bisection_invert(*case)
+        assert p(r) <= ZERO < p(r + Dyadic(1, -20))
+
+    @given(st.lists(st.integers(-(1 << 40), 1 << 40), max_size=7),
+           st.integers(0, HORNER_BITS_CAP + 64), st.booleans(),
+           st.integers(-(1 << 40), 1 << 40), st.integers(0, 2 * HORNER_BITS_CAP),
+           st.sampled_from([None, -2, -1, 0, 1, 2]))
+    @settings(max_examples=400)
+    def test_exact_or_a_lower_bound_past_the_cap(self, ints, shift, on_w, wm, reach, cancel):
+        # one of the two shifts is zero: the exponent f is p's or w's
+        shift, wshift = (0, shift) if on_w else (shift, 0)
+        if cancel is not None and ints:
+            # the two parts of the constant a few units apart
+            if on_w:
+                ints[0] = (wm << wshift) + cancel
+            else:
+                wm = (ints[0] << shift) + cancel
+        cs = [c << shift for c in ints] or [0]
+        cs[0] -= wm << wshift
+        true = max(c.bit_length() for c in cs) + reach
+        bits = _horner_bits(tuple(ints), shift, wm, wshift, reach)
+        assert bits == true or HORNER_BITS_CAP < bits <= true
+
+    @pytest.mark.parametrize('ints, shift, wm, wshift, bits', [
+        # parts 1 bit apart that cancel to 1
+        ((1,), HORNER_BITS_CAP + 5, (1 << HORNER_BITS_CAP + 5) - 1, 0, 1),
+        # 2 apart: 2^CAP - 2^(CAP - 2) loses a bit and is within the cap,
+        # -2^CAP - 2^(CAP - 2) gains one
+        ((1,), HORNER_BITS_CAP, 1, HORNER_BITS_CAP - 2, HORNER_BITS_CAP),
+        ((-1,), HORNER_BITS_CAP, 1, HORNER_BITS_CAP - 2, HORNER_BITS_CAP + 1),
+        ((1 << 40, 3), 0, 1, HORNER_BITS_CAP - 2, HORNER_BITS_CAP - 2),
+    ], ids=['cancel', 'loses-a-bit', 'gains-a-bit', 'w-alone'])
+    def test_at_the_cap(self, ints, shift, wm, wshift, bits):
+        assert _horner_bits(ints, shift, wm, wshift, 0) == bits
+
+    @pytest.mark.parametrize('ints, shift, wm, wshift', [
+        ((1, 0), 10 ** 8, 1, 0),        # p's constant far above w
+        ((0, 1), 10 ** 8, 1, 0),        # x far above w, w next to the constant
+        ((1 << 64,), 0, 3, 10 ** 8),    # w far above p
+        ((0, 0, 1), 10 ** 8, 0, 0),     # x^2 far above w = 0
+    ])
+    def test_far_inputs_are_not_shifted(self, ints, shift, wm, wshift):
+        # the longest term has about 10^8 bits; taking it from bit
+        # positions traces a few hundred bytes, shifting 12 MB
+        tracemalloc.start()
+        try:
+            bits = _horner_bits(ints, shift, wm, wshift, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 10 ** 8 - 64 < bits < 10 ** 8 + 72
+        assert peak < 1 << 16
+
+    def test_one_message_form(self):
+        cases = [lambda: geometric_partial_sum(Dyadic(3, -2), HORNER_BITS_CAP // 4 + 1),
+                 lambda: mth_root(ZERO, HORNER_BITS_CAP, ONE),
+                 lambda: bisection_invert(TestStepCap.SQUARE, ZERO, Dyadic(1, 10 ** 8), ONE, ONE),
+                 lambda: bisection_invert(DyadicPoly([ZERO, ONE]), ZERO, ONE,
+                                          Dyadic(1, 4 * 10 ** 7), ONE)]
+        for call in cases:
+            with pytest.raises(CapExceeded, match=r' at least \d+ bits; capped at 32768 bits$'):
+                call()
 
 
 class TestRoots:

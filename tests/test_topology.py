@@ -18,8 +18,8 @@ from fintopo.setops import SetSystem, full_mask, mask_of, points_of, theta
 from fintopo.topology import (Topology, compare, discrete_topology,
                               enumerate_topologies, generate_from_base,
                               generate_from_subbase, indiscrete_topology,
-                              is_base_of, is_base_system, is_closed_system,
-                              is_finer, is_subbase_system, is_topology,
+                              is_base_of, is_base_system, is_finer,
+                              is_subbase_system, is_topology,
                               kernel_of, minimal_base, preorder_kernels,
                               sierpinski, topology_from_closed_system)
 
@@ -113,7 +113,6 @@ def assert_checks_agree(system):
         assert_real_counterexample(system, base)
         if base[0] == 'intersections-are-unions':
             assert documented_meet_pair(system) == base[1]
-    assert is_closed_system(system) == verdict
 
 
 @st.composite
@@ -288,7 +287,7 @@ class TestClosedDuality:
     def test_round_trip_n3(self):
         for t in enumerate_topologies(3):
             c = t.closed_sets()
-            assert is_closed_system(c) is None
+            assert is_topology(c) is None
             assert topology_from_closed_system(c) == t
 
     def test_violation_reported(self):
@@ -299,12 +298,12 @@ class TestClosedDuality:
     def test_closed_systems_are_complements_of_topologies(self):
         for n in (1, 2, 3):
             for s in all_systems(n):
-                assert (is_closed_system(s) is None) == (is_topology(s.complements()) is None)
+                assert (is_topology(s) is None) == (is_topology(s.complements()) is None)
 
     def test_pair_failing_both_tests_named_by_unions(self):
         # 3 | 6 = 7 and 3 & 6 = 2 are both missing; unions are tested first
         s = SetSystem(4, [0, 3, 6, 15])
-        assert is_closed_system(s) == ('union-closed', (3, 6))
+        assert is_topology(s) == ('union-closed', (3, 6))
         with pytest.raises(ClosedAxiomViolation) as exc:
             topology_from_closed_system(s)
         assert (exc.value.axiom, exc.value.witness) == ('union-closed', (3, 6))
