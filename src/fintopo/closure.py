@@ -2,8 +2,9 @@
 and interior operators given as dense tables over all subsets."""
 
 from .errors import InteriorAxiomViolation, KuratowskiViolation, UniverseMismatch
-from .setops import full_mask
-from .topology import Topology, closure_table, enumerate_topologies, point_closures
+from .setops import check_carrier, full_mask
+from .topology import (Topology, closure_table, enumerate_topologies, interior_table,
+                       is_closure_table, point_closures)
 
 
 def _union(tables, a_mask):
@@ -67,6 +68,7 @@ class SubsetOperator:
     __slots__ = ('n', 'table')
 
     def __init__(self, n, table):
+        check_carrier(n)
         table = tuple(table)
         if len(table) != 1 << n:
             raise UniverseMismatch("need one value per subset of the carrier")
@@ -78,6 +80,15 @@ class SubsetOperator:
                     raise UniverseMismatch("table value %d outside the carrier" % v)
         self.n = n
         self.table = table
+
+    @classmethod
+    def _trusted(cls, n, table):
+        """The operator with this table, which the caller guarantees to be
+        a tuple of 2^n masks on the carrier: nothing is checked."""
+        op = cls.__new__(cls)
+        op.n = n
+        op.table = table
+        return op
 
     def __eq__(self, other):
         return (isinstance(other, SubsetOperator)
@@ -102,26 +113,28 @@ def closure_operator_of(topology):
     """The closure operator of the space, on a table built anew, not the
     one kept in topology.views: a caller holding many spaces, as the
     listing of every space on 5 points does, would keep every table."""
-    return SubsetOperator(topology.n, closure_table(point_closures(topology.minimal_opens)))
+    return SubsetOperator._trusted(topology.n,
+                                   closure_table(point_closures(topology.minimal_opens)))
 
 
 def interior_operator_of(topology):
     """The dual of the closure operator: int(A) = X minus cl(X minus A),
     on a table built anew like closure_operator_of's."""
-    full = full_mask(topology.n)
-    table = closure_table(point_closures(topology.minimal_opens))
-    return SubsetOperator(topology.n, [full ^ c for c in reversed(table)])
+    return SubsetOperator._trusted(topology.n,
+                                   interior_table(point_closures(topology.minimal_opens)))
 
 
-def _from_points(t, n):
-    """Whether the table t on n points is the closure table of its
-    values at the points, each holding its point and fixed by t.  Such
-    a table satisfies every closure axiom, and every closure operator
-    is such a table, so a valid table is accepted after n point checks
-    and one comparison with a table built by doubling."""
-    points = [t[1 << x] for x in range(n)]
-    return (all(c >> x & 1 and t[c] == c for x, c in enumerate(points))
-            and tuple(closure_table(points)) == t)
+def _from_points(t, n, dual=False):
+    """Whether the table t on n points, or with dual the table
+    f(A) = X minus t(X minus A), is the closure table of f's values at
+    the points, each holding its point and fixed by f.  Such a table
+    satisfies every closure axiom, and every closure operator is such a
+    table, so a valid table is accepted after n point checks and one
+    comparison with the table the point values build."""
+    flip = full_mask(n) if dual else 0
+    points = [flip ^ t[flip ^ 1 << x] for x in range(n)]
+    return (all(c >> x & 1 and flip ^ t[flip ^ c] == c for x, c in enumerate(points))
+            and is_closure_table(t, points, dual))
 
 
 def check_closure_axioms(op):
@@ -178,7 +191,7 @@ def check_interior_axioms(op):
     full = full_mask(op.n)
     if t[full] != full:
         return ('whole-fixed', full)
-    if _from_points(op.dual().table, op.n):
+    if _from_points(t, op.n, dual=True):
         return None
     size = 1 << op.n
     for a in range(size):

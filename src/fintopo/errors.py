@@ -7,6 +7,8 @@ Each error carries a short machine-readable name and, where it makes
 sense, a witness of the violation.
 """
 
+from decimal import Decimal
+
 
 class DomainError(Exception):
     """Base class for all typed domain errors."""
@@ -151,7 +153,9 @@ class NonDyadicClosedForm(DomainError):
     def __init__(self, numerator, denominator):
         self.numerator = numerator
         self.denominator = denominator
-        super().__init__("closed form %d/%d is not a dyadic rational" % (numerator, denominator))
+        # decimal, unlike int-to-str, writes a pair of any length
+        super().__init__("closed form %s/%s is not a dyadic rational"
+                         % (Decimal(numerator), Decimal(denominator)))
 
 
 class BracketViolation(DomainError):

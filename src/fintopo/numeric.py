@@ -13,8 +13,9 @@ and the trace; its results are those of the step-by-step Dyadic loop,
 bit for bit.  A tolerance whose steps, times the degree, pass
 BISECTION_CAP raises CapExceeded before the first step.  One bit
 budget, HORNER_BITS_CAP, bounds the longest Horner term on the starting
-grid, the degree of mth_root and geometric_partial_sum; each refusal
-reads "... at least N bits; capped at 32768 bits".  That length, and
+grid, the degree of mth_root and geometric_partial_sum, and the
+numerator of a non-dyadic geometric_limit; each refusal reads
+"... at least N bits; capped at 32768 bits".  That length, and
 every comparison, is taken from bit positions before anything is
 shifted out to a far exponent.  mth_root returns the left endpoint that
 this bisection of x^m ends on in closed form, from one integer m-th
@@ -317,17 +318,22 @@ def geometric_partial_sum(x, m):
 
 
 def geometric_limit(x):
-    """The value 1 / (1 - x) the partial sums approach for |x| < 1;
-    dyadic when the division is exact, otherwise NonDyadicClosedForm
-    carrying the exact rational pair."""
+    """The value 1 / (1 - x) the partial sums approach for |x| < 1.
+
+    1 - x is a Dyadic m * 2^e with m odd and positive, so 1 / (1 - x)
+    is 2^-e / m: dyadic iff m = 1.  Otherwise NonDyadicClosedForm
+    carries that exact pair, in lowest terms; e < 0 there, so 2^-e is
+    the longer of the two.  When it is longer than HORNER_BITS_CAP bits,
+    CapExceeded is raised before the pair is built."""
     x = _coerce(x)
     if not (abs(x) < ONE):
         raise IndexOutOfRange("limit exists only for |x| < 1")
-    val = 1 / (ONE - x).to_fraction()
-    try:
-        return Dyadic.from_fraction(val)
-    except NonDyadicLiteral:
-        raise NonDyadicClosedForm(val.numerator, val.denominator)
+    d = ONE - x
+    if d.m == 1:
+        return Dyadic(1, -d.e)
+    if 1 - d.e > HORNER_BITS_CAP:
+        _over_budget(1 - d.e, "1/(1 - x) for x = %s is not dyadic; its numerator has", x)
+    raise NonDyadicClosedForm(1 << -d.e, d.m)
 
 
 def _ceil_log2_ratio(u, v):
@@ -394,7 +400,8 @@ def _bisection_start(p, a, b, w, tol):
     if w.m and w.e < g:
         wm, we = ((w.m >> (g - w.e)) << 1) + 1, g - 1
     else:
-        wm, we = w.m, w.e
+        # zero lies on every lattice, so it does not set the exponent f
+        wm, we = w.m, w.e if w.m else p.exp
     f = min(p.exp, we)
     shift = p.exp - f
     bits = _horner_bits(p.ints, shift, wm, we - f, reach)

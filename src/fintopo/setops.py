@@ -308,8 +308,9 @@ def _byte_tables(masks):
     """For masks[i], the mask of point i, i < 24: the mask of all the
     points, and three lookup tables, one per 8 points.  Table j at
     index b is the union of masks[8j + i] over the bits i of b.  Each
-    is built by doubling, as topology.closure_table is; a table past
-    the last point is [0].  For a mask A, the union over its points is
+    is a list built by doubling: mask i adds a copy of the table so
+    far, each entry joined with mask i.  A table past the last point is
+    [0].  For a mask A, the union over its points is
     t0[A & 255] | t1[A >> 8 & 255] | t2[A >> 16] once A is cut to the
     points."""
     tables = [(1 << len(masks)) - 1]

@@ -47,6 +47,10 @@ table, with additivity and multiplicativity decided in one pass; the
 library now accepts a valid table from its n point values first, and
 must give the verdicts and witnesses of these scans.
 
+So is the closure table as it was built before its entries were packed
+into the lanes of one int: a list doubled one entry at a time, for
+test_lane_tables.py.
+
 So are the Topology readers that went by the opens before a space was
 kept as its kernel: equality, open and closed tests, fineness and
 comparison, each reading the opens of the space, and the union closure
@@ -63,7 +67,7 @@ from fintopo.numeric import (BISECTION_CAP, HORNER_BITS_CAP, ZERO, _ceil_log2_ra
                              _horner)
 from fintopo.setops import (FiniteMap, PointSetRelation, SetSystem, full_mask, phi,
                             points_of, psi, relation_from_sections, supermasks, theta)
-from fintopo.topology import Topology, closure_table, point_closures
+from fintopo.topology import Topology, point_closures
 
 
 def interior(topology, a_mask):
@@ -211,6 +215,16 @@ def is_continuous_at(m, x):
     src_nbh = set(_sections(m.source)[x])
     return all(preimage_mask(m.f, u) in src_nbh
                for u in m.target.opens if u >> fx & 1)
+
+
+def closure_table(closures):
+    """closure(A) for every subset A, as a list, given the closure of
+    each point: point y adds a copy of the table so far, each entry
+    joined with the closure of y, at the subsets that hold y."""
+    table = [0]
+    for c in closures:
+        table += [v | c for v in table]
+    return table
 
 
 def check_closure_axioms(op):

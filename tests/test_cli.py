@@ -309,6 +309,28 @@ class TestNumericVerbs:
         data = json.loads(out)
         assert data['error'] == 'NonDyadicClosedForm'
 
+    def test_series_limit_long_pair(self, capsys):
+        # the pair passes the 4300 digits of int-to-str conversion
+        code, out, _ = run(capsys, 'series', '--geom', '2^-20000', '--limit')
+        assert code == 1
+        data = json.loads(out)
+        assert data['error'] == 'NonDyadicClosedForm'
+        assert data['detail'] == 'closed form %s/%s is not a dyadic rational' % (
+            Decimal(1 << 20000), Decimal((1 << 20000) - 1))
+
+    @pytest.mark.parametrize('geom', ['2^-1000000', '1*2^-40273750'])
+    def test_series_limit_far_is_capped(self, capsys, geom):
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, 'series', '--geom=' + geom, '--limit')
+        assert time.perf_counter() - t0 < 1
+        assert code == 1
+        assert json.loads(out)['error'] == 'CapExceeded'
+
+    def test_series_limit_dyadic(self, capsys):
+        code, out, _ = run(capsys, 'series', '--geom', '1/2', '--limit')
+        assert code == 0
+        assert json.loads(out) == {'limit': '1*2^1'}
+
     def test_finite_series(self, capsys, tmp_path):
         xs = write(tmp_path, 'xs.json', ['1', '1/2', '1/4'])
         code, out, _ = run(capsys, 'series', '--xs', xs, '--start', '1',

@@ -15,7 +15,7 @@ from fintopo.errors import (BracketViolation, CapExceeded, EmptyArgument, IndexO
                             LengthMismatch, NonDyadicClosedForm, NonDyadicLiteral)
 from fintopo.numeric import (BISECTION_CAP, HORNER_BITS_CAP, ONE, ZERO, Dyadic, DyadicPoly,
                              _bisection_start, _horner_bits, bisection_invert,
-                             decimal_fraction, decimal_int,
+                             decimal_digits, decimal_fraction, decimal_int,
                              cauchy_schwarz_check, dot, finite_series,
                              geometric_limit, geometric_partial_sum,
                              metric_compare, mth_root, power_exceeds,
@@ -210,6 +210,37 @@ class TestSeries:
         with pytest.raises(NonDyadicClosedForm) as exc:
             geometric_limit(Dyadic(1, -2))  # 1 / (1 - 1/4) = 4/3
         assert (exc.value.numerator, exc.value.denominator) == (4, 3)
+
+    def test_geometric_limit_long_pair(self):
+        # 1 / (1 - 2^-20000) = 2^20000 / (2^20000 - 1), each past the
+        # 4300 digits that int-to-str conversion allows
+        with pytest.raises(NonDyadicClosedForm) as exc:
+            geometric_limit(Dyadic(1, -20000))
+        num, den = 1 << 20000, (1 << 20000) - 1
+        assert (exc.value.numerator, exc.value.denominator) == (num, den)
+        assert str(exc.value) == ("closed form %s/%s is not a dyadic rational"
+                                  % (decimal_digits(num), decimal_digits(den)))
+
+    @pytest.mark.parametrize('e', [-(HORNER_BITS_CAP + 1), -10 ** 6, -40273750])
+    def test_geometric_limit_pair_past_the_cap(self, e):
+        # the numerator 2^-e is 1 - e bits long; refused before it is
+        # built, in well under a second even for e = -40273750
+        t0 = time.perf_counter()
+        with pytest.raises(CapExceeded, match=r'at least %d bits; capped at' % (1 - e)):
+            geometric_limit(Dyadic(1, e))
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_geometric_limit_at_the_cap(self):
+        # a numerator of exactly HORNER_BITS_CAP bits is still given
+        with pytest.raises(NonDyadicClosedForm) as exc:
+            geometric_limit(Dyadic(1, 1 - HORNER_BITS_CAP))
+        assert exc.value.numerator == 1 << HORNER_BITS_CAP - 1
+
+    def test_geometric_limit_far_but_dyadic(self):
+        # 1 - x = 2^-40000: the limit 2^40000 is dyadic, whatever its size
+        x = ONE - Dyadic(1, -40000)
+        assert geometric_limit(x) == Dyadic(1, 40000)
+        assert geometric_limit(ZERO) == ONE
 
     def test_geometric_limit_domain(self):
         with pytest.raises(IndexOutOfRange):
@@ -627,10 +658,11 @@ class TestOneBitBudget:
     @settings(max_examples=400, deadline=None)
     def test_matches_the_four_checks(self, case):
         p, a, b, w, tol = case
-        if w == ZERO and p.exp < 0:
+        if w == ZERO and p.exp != 0:
             # The four checks took w = 0 to lie at exponent 0, so they
-            # refused coefficients 2^-32768 and finer on w's account.  p
-            # moved to exponent 0 has the same integers, grid and signs.
+            # refused coefficients 2^-32768 and finer, or 2^32768 and
+            # coarser, on w's account.  p moved to exponent 0 has the
+            # same integers, grid and signs.
             p = DyadicPoly([c * Dyadic(1, -p.exp) for c in p.coeffs])
         assert start_outcome(_bisection_start, case) == start_outcome(ref.bisection_start,
                                                                       (p, a, b, w, tol))
@@ -643,6 +675,17 @@ class TestOneBitBudget:
         assert start_outcome(ref.bisection_start, case) is CapExceeded
         r = bisection_invert(*case)
         assert p(r) <= ZERO < p(r + Dyadic(1, -20))
+
+    def test_zero_w_above_far_coefficients(self):
+        # the same p at 2^40000: zero lies on every lattice, so p is not
+        # shifted down to w's stored exponent 0, and the bisection ends
+        # where it does for p at 2^0
+        p = DyadicPoly([Dyadic(-1, 40000), Dyadic(3, 40000)])
+        case = (p, ZERO, ONE, ZERO, Dyadic(1, -20))
+        assert start_outcome(ref.bisection_start, case) is CapExceeded
+        r = bisection_invert(*case)
+        assert r == bisection_invert(DyadicPoly([-1, 3]), ZERO, ONE, ZERO, Dyadic(1, -20))
+        assert r == Dyadic(349525, -20)
 
     @given(st.lists(st.integers(-(1 << 40), 1 << 40), max_size=7),
            st.integers(0, HORNER_BITS_CAP + 64), st.booleans(),
