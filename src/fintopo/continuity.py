@@ -33,9 +33,12 @@ class SpaceMap:
 def is_continuous(m):
     """Continuous at every point: f[U_x] lies inside U_f(x) for each x.
     (continuous_via_opens is the open-set definition.)"""
-    image, images, dst_u = m.f.image_mask, m.f.images, m.target.minimal_opens
-    return all(image(ux) & ~dst_u[images[x]] == 0
-               for x, ux in enumerate(m.source.minimal_opens))
+    _, t0, t1, t2 = m.f.image_tables
+    dst_u = m.target.minimal_opens
+    for u, y in zip(m.source.minimal_opens, m.f.images):
+        if (t0[u & 255] | t1[u >> 8 & 255] | t2[u >> 16]) & ~dst_u[y]:
+            return False
+    return True
 
 
 def is_continuous_at(m, x):
@@ -48,18 +51,26 @@ def is_continuous_at(m, x):
     return m.f.image_mask(u) & ~m.target.minimal_opens[m.f(x)] == 0
 
 
-# --- the six global characterizations, each computed independently;
-# what they read of a space comes from its kept views.  The opens are
-# read from their slot once built, and through the property (which
-# builds them) only before: the continuity sweep reads them millions of
-# times, and a property call each time costs it ---
+# --- the six global characterizations, each computed independently.
+# Each reads its tables once and looks every mask up inline: f[A] or
+# f^-1[A] as t0[A & 255] | t1[A >> 8 & 255] | t2[A >> 16] from the
+# map's byte tables, membership in the opens' kept frozenset, and
+# closedness from the closure byte tables of the views (a set is closed
+# iff it is its own closure).  Plain loops, not all() or comprehensions,
+# which would make t0, t1 and t2 closure cells: on 3 points the loops
+# took half the time.  The opens are read from their slot once built,
+# and through the property (which builds them) only before ---
 
 def continuous_via_opens(m):
     src, dst = m.source._opens, m.target._opens
     if src is None or dst is None:
         src, dst = m.source.opens, m.target.opens
-    pre = m.f.preimage_mask
-    return all(pre(o) in src for o in dst)
+    src = src.members
+    _, t0, t1, t2 = m.f.preimage_tables
+    for o in dst.sets:
+        if (t0[o & 255] | t1[o >> 8 & 255] | t2[o >> 16]) not in src:
+            return False
+    return True
 
 
 def continuous_via_subbase(m):
@@ -68,17 +79,34 @@ def continuous_via_subbase(m):
     opens = m.source._opens
     if opens is None:
         opens = m.source.opens
-    pre = m.f.preimage_mask
-    return all(pre(s) in opens for s in m.target.views.minimal_base)
+    src = opens.members
+    _, t0, t1, t2 = m.f.preimage_tables
+    for s in m.target.views.minimal_base.sets:
+        if (t0[s & 255] | t1[s >> 8 & 255] | t2[s >> 16]) not in src:
+            return False
+    return True
 
 
 def continuous_via_closeds(m):
-    pre, is_closed = m.f.preimage_mask, m.source.is_closed
-    return all(is_closed(pre(c)) for c in m.target.views.closed_sets)
+    _, t0, t1, t2 = m.f.preimage_tables
+    _, c0, c1, c2 = m.source.views.closure_bytes
+    for c in m.target.views.closed_sets.sets:
+        a = t0[c & 255] | t1[c >> 8 & 255] | t2[c >> 16]
+        if c0[a & 255] | c1[a >> 8 & 255] | c2[a >> 16] != a:
+            return False
+    return True
 
 
 def continuous_via_neighborhoods(m):
-    return all(is_continuous_at(m, x) for x in range(m.source.n))
+    """The preimage of each neighborhood of f(x), a superset of U_f(x),
+    is a neighborhood of x: f^-1[U_f(x)] holds U_x, at every x."""
+    _, t0, t1, t2 = m.f.preimage_tables
+    dst_u = m.target.minimal_opens
+    for u, y in zip(m.source.minimal_opens, m.f.images):
+        v = dst_u[y]
+        if u & ~(t0[v & 255] | t1[v >> 8 & 255] | t2[v >> 16]):
+            return False
+    return True
 
 
 def continuous_via_filter_transfer(m):
@@ -86,10 +114,12 @@ def continuous_via_filter_transfer(m):
     neighborhood V of x with f[V] contained in U.  The neighborhoods of
     a point x are the supersets of U_x."""
     src_nbhd, dst_nbhd = m.source.views.neighborhoods, m.target.views.neighborhoods
-    image, images = m.f.image_mask, m.f.images
-    for x, nbhd in enumerate(src_nbhd):
-        pushed = [image(v) for v in nbhd]
-        for u in dst_nbhd[images[x]]:
+    _, t0, t1, t2 = m.f.image_tables
+    for nbhd, y in zip(src_nbhd, m.f.images):
+        pushed = []
+        for v in nbhd:
+            pushed.append(t0[v & 255] | t1[v >> 8 & 255] | t2[v >> 16])
+        for u in dst_nbhd[y]:
             for img in pushed:
                 if not img & ~u:
                     break
@@ -102,16 +132,24 @@ def continuous_via_closure(m):
     """f[cl(A)] is contained in cl(f[A]) for every subset A, read from
     the closure tables of the two spaces."""
     src, dst = m.source.views.closure_table, m.target.views.closure_table
-    image = m.f.image_mask
-    return all(image(src[a]) & ~dst[image(a)] == 0 for a in range(len(src)))
+    _, t0, t1, t2 = m.f.image_tables
+    for a, c in enumerate(src):
+        if ((t0[c & 255] | t1[c >> 8 & 255] | t2[c >> 16])
+                & ~dst[t0[a & 255] | t1[a >> 8 & 255] | t2[a >> 16]]):
+            return False
+    return True
 
 
 def continuous_via_preimage_closure(m):
     """cl(f^-1[B]) is contained in f^-1[cl(B)] for every target subset B,
     read from the closure tables of the two spaces."""
     src, dst = m.source.views.closure_table, m.target.views.closure_table
-    pre = m.f.preimage_mask
-    return all(src[pre(b)] & ~pre(dst[b]) == 0 for b in range(len(dst)))
+    _, t0, t1, t2 = m.f.preimage_tables
+    for b, c in enumerate(dst):
+        if (src[t0[b & 255] | t1[b >> 8 & 255] | t2[b >> 16]]
+                & ~(t0[c & 255] | t1[c >> 8 & 255] | t2[c >> 16])):
+            return False
+    return True
 
 
 def continuous_via_preimage_interior(m):
@@ -120,10 +158,14 @@ def continuous_via_preimage_interior(m):
     the two spaces."""
     src, dst = m.source.views.closure_table, m.target.views.closure_table
     full_src, full_dst = len(src) - 1, len(dst) - 1
-    pre = m.f.preimage_mask
+    _, t0, t1, t2 = m.f.preimage_tables
     # f^-1[int(B)] & ~int(f^-1[B]), with ~int(P) = cl(X minus P) on X
-    return all(pre(full_dst ^ dst[full_dst ^ b]) & src[full_src ^ pre(b)] == 0
-               for b in range(len(dst)))
+    for b in range(len(dst)):
+        i = full_dst ^ dst[full_dst ^ b]
+        if ((t0[i & 255] | t1[i >> 8 & 255] | t2[i >> 16])
+                & src[full_src ^ (t0[b & 255] | t1[b >> 8 & 255] | t2[b >> 16])]):
+            return False
+    return True
 
 
 def continuity_characterizations(m):
@@ -147,9 +189,19 @@ def map_open_closed(m):
     opens = m.target._opens
     if opens is None:
         opens = m.target.opens
-    image, is_closed = m.f.image_mask, m.target.is_closed
-    is_open = all(image(ux) in opens for ux in m.source.minimal_opens)
-    closed = all(is_closed(image(c)) for c in m.source.views.point_closures)
+    dst = opens.members
+    _, t0, t1, t2 = m.f.image_tables
+    is_open = closed = True
+    for u in m.source.minimal_opens:
+        if (t0[u & 255] | t1[u >> 8 & 255] | t2[u >> 16]) not in dst:
+            is_open = False
+            break
+    _, c0, c1, c2 = m.target.views.closure_bytes
+    for c in m.source.views.point_closures:
+        b = t0[c & 255] | t1[c >> 8 & 255] | t2[c >> 16]
+        if c0[b & 255] | c1[b >> 8 & 255] | c2[b >> 16] != b:
+            closed = False
+            break
     return is_open, closed
 
 

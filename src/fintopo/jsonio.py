@@ -15,7 +15,7 @@ from .metric import PseudoMetric
 from .neighborhoods import SetNeighborhoodMap
 from .numeric import decimal_digits, decimal_fraction
 from .order import Preorder
-from .setops import FiniteMap, PointSetRelation, SetSystem, mask_of, points_of
+from .setops import FiniteMap, PointSetRelation, SetSystem, check_carrier, mask_of, points_of
 from .topology import Topology
 
 
@@ -52,6 +52,7 @@ def relation_from_json(data):
 
 def set_map_from_json(data):
     n = data['n']
+    check_carrier(n)
     table = [None] * (1 << n)
     for a_arr, systems in data['table']:
         table[mask_of(a_arr, n)] = SetSystem(n, [mask_of(u, n) for u in systems])
@@ -62,6 +63,7 @@ def set_map_from_json(data):
 
 def operator_from_json(data):
     n = data['n']
+    check_carrier(n)
     table = [None] * (1 << n)
     for a_arr, v_arr in data['table']:
         table[mask_of(a_arr, n)] = mask_of(v_arr, n)

@@ -371,7 +371,8 @@ def _bisection_start(p, a, b, w, tol):
 
     Returns (hit, k, x, y, steps, cs, sx).  hit is the endpoint a or b
     at which p is w, else None.  [a, b] is [x, y] * 2^-k, and steps
-    halvings take it to width at most tol.  cs are p's integers with w
+    halvings take it to width at most tol; for a constant p, which hits
+    or raises, x, y and steps are 0.  cs are p's integers with w
     folded into the constant coefficient, and sx is the sign of p - w
     at a.
     """
@@ -389,9 +390,15 @@ def _bisection_start(p, a, b, w, tol):
     what = "bisection from [%s, %s] on the grid 2^-%d at degree %d sums terms of"
     if reach > HORNER_BITS_CAP:
         _over_budget(reach, what, a, b, k, d)
-    x = a.m << (a.e + k)
-    y = b.m << (b.e + k)
-    steps = max(0, _ceil_log2_ratio(y - x, tol.m) - tol.e - k)
+    if d:
+        x = a.m << (a.e + k)
+        y = b.m << (b.e + k)
+        steps = max(0, _ceil_log2_ratio(y - x, tol.m) - tol.e - k)
+    else:
+        # p - w is a constant, of one sign on all of [a, b]: it hits at
+        # a or raises BracketViolation(0) below, so the endpoints are
+        # never placed on the grid, however far out they lie
+        x = y = steps = 0
     # p is a multiple of 2^g at every point visited.  A w off that
     # lattice has the signs, and no hits, of the odd multiple of
     # 2^(g - 1) next to it, so the fold never shifts p to w's exponent.

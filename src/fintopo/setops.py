@@ -330,8 +330,9 @@ class FiniteMap:
     points of the mask, once the bits off the carrier are cleared; both
     carriers hold at most MAX_N = 20 <= 24 points.  The image tables,
     over the source points, and the preimage tables, over the fibers of
-    the target points, are each built on the first call that needs them
-    and kept.  Equality and the hash read only n_src, n_dst and images.
+    the target points, are each built on first use and kept
+    (image_tables, preimage_tables).  Equality and the hash read only
+    n_src, n_dst and images.
     """
 
     __slots__ = ('n_src', 'n_dst', 'images', '_image_tables', '_preimage_tables')
@@ -362,26 +363,38 @@ class FiniteMap:
     def __repr__(self):
         return 'FiniteMap(%d, %d, %r)' % (self.n_src, self.n_dst, list(self.images))
 
+    @property
+    def image_tables(self):
+        """The byte tables of the images of the source points."""
+        try:
+            return self._image_tables
+        except AttributeError:
+            self._image_tables = tables = _byte_tables([1 << y for y in self.images])
+            return tables
+
+    @property
+    def preimage_tables(self):
+        """The byte tables of the fibers of the target points."""
+        try:
+            return self._preimage_tables
+        except AttributeError:
+            fibers = [0] * self.n_dst
+            for x, y in enumerate(self.images):
+                fibers[y] |= 1 << x
+            self._preimage_tables = tables = _byte_tables(fibers)
+            return tables
+
     def image_mask(self, mask):
         """f[A] as a mask on the target carrier, from the points of A
         on the source carrier."""
-        try:
-            full, t0, t1, t2 = self._image_tables
-        except AttributeError:
-            full, t0, t1, t2 = self._image_tables = _byte_tables([1 << y for y in self.images])
+        full, t0, t1, t2 = self.image_tables
         mask &= full
         return t0[mask & 255] | t1[mask >> 8 & 255] | t2[mask >> 16]
 
     def preimage_mask(self, mask):
         """f^-1[B] as a mask on the source carrier: the union of the
         fibers over the points of B on the target carrier."""
-        try:
-            full, t0, t1, t2 = self._preimage_tables
-        except AttributeError:
-            fibers = [0] * self.n_dst
-            for x, y in enumerate(self.images):
-                fibers[y] |= 1 << x
-            full, t0, t1, t2 = self._preimage_tables = _byte_tables(fibers)
+        full, t0, t1, t2 = self.preimage_tables
         mask &= full
         return t0[mask & 255] | t1[mask >> 8 & 255] | t2[mask >> 16]
 

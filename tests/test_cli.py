@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -133,6 +134,25 @@ class TestGenerate:
         assert time.perf_counter() - t0 < 1
         assert code == 1
         assert json.loads(out)['error'] == 'CapExceeded'
+
+    @pytest.mark.parametrize('flag', ['--closure-op', '--interior-op', '--set-map'])
+    @pytest.mark.parametrize('n', [-1, 21])
+    def test_table_off_the_carrier_is_refused_before_it_is_made(self, capsys, tmp_path,
+                                                                 flag, n):
+        # n = -1 once exited 2 on a negative shift count, and n = 21 made
+        # a 2^21-entry table (16 MB traced) before it was refused; the
+        # refusal now traces about 250 kB, argument parsing included
+        table = write(tmp_path, 't.json', {'n': n, 'table': []})
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, 'generate', flag, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert json.loads(out) == {'error': 'CapExceeded',
+                                   'detail': 'carrier size %d outside 0..20' % n}
+        assert peak < 1 << 20
 
     def test_no_option_is_usage_error(self, capsys):
         code, out, err = run(capsys, 'generate')

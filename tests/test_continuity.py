@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opens_reference as ref
+from conftest import preorders
 from fintopo.continuity import (SpaceMap, are_homeomorphic,
                                 continuity_characterizations, continuous_via_closure,
                                 continuous_via_preimage_closure,
@@ -18,7 +19,7 @@ from fintopo.continuity import (SpaceMap, are_homeomorphic,
 from fintopo.errors import (CapExceeded, ClusterPreconditionFailed,
                             UniverseCardinalityMismatch, UniverseMismatch)
 from fintopo.filters import enumerate_filters, point_filter, principal_filter
-from fintopo.setops import FiniteMap
+from fintopo.setops import FiniteMap, SetSystem
 from fintopo.topology import (Topology, discrete_topology, enumerate_topologies,
                               indiscrete_topology, sierpinski)
 
@@ -30,6 +31,33 @@ def all_maps(n_src, n_dst):
     import itertools
     for images in itertools.product(range(n_dst), repeat=n_src):
         yield FiniteMap(n_src, n_dst, images)
+
+
+@st.composite
+def monotone_images(draw, u1, u2):
+    """The images of a continuous map between the preorders with kernels
+    u1 and u2: open sets O_1 inside ... inside O_k = X of the source and
+    target points y_1 <= ... <= y_k (each y_i in U_y_j for i <= j), and
+    x goes to y_i for the least i with x in O_i.  Then f[U_x] lies in
+    {y_1, ..., y_i}, inside U_y_i."""
+    n1 = len(u1)
+    ys = [draw(st.integers(0, len(u2) - 1))]
+    for _ in range(draw(st.integers(0, 4))):
+        ys.append(draw(st.sampled_from([z for z in range(len(u2)) if u2[ys[-1]] >> z & 1])))
+    ys.reverse()
+    images, reached = [None] * n1, 0
+    for i, y in enumerate(ys):
+        if i == len(ys) - 1:
+            grown = (1 << n1) - 1
+        else:
+            grown = reached
+            for x in draw(st.lists(st.integers(0, n1 - 1), max_size=n1)):
+                grown |= u1[x]
+        for x in range(n1):
+            if grown >> x & 1 and images[x] is None:
+                images[x] = y
+        reached = grown
+    return images
 
 
 class TestBasics:
@@ -126,6 +154,62 @@ class TestCharacterizations:
                     assert continuous_via_preimage_closure(m) == is_continuous(m)
                     assert continuous_via_preimage_interior(m) == is_continuous(m)
                 assert 'closure_table' in vars(t1.views) and 'closure_table' in vars(t2.views)
+
+    def test_every_map_on_up_to_three_points_reads_the_kept_tables(self, monkeypatch):
+        # each function reads its tables once and looks every mask up
+        # inline, with no image_mask, preimage_mask, membership test
+        # (SetSystem.__contains__) or is_closed call per mask.  The spaces
+        # are fresh, so each function meets a space whose opens are not
+        # built yet as well as spaces whose opens it reads from the slot
+        tops = [t for n in range(4) for t in enumerate_topologies(n)]
+        expected = {}
+        for s, t in product(tops, repeat=2):
+            for f in all_maps(s.n, t.n):
+                m = SpaceMap(Topology.from_kernel(s.n, s.minimal_opens),
+                             Topology.from_kernel(t.n, t.minimal_opens), f)
+                c = ref.is_continuous(m)
+                expected[s, t, f] = (ref.continuity_characterizations(m), c,
+                                     ref.map_open_closed(m), c, c)
+
+        def per_mask(*args):
+            raise AssertionError("a per-mask method call")
+
+        for cls, name in ((FiniteMap, 'image_mask'), (FiniteMap, 'preimage_mask'),
+                          (SetSystem, '__contains__'), (Topology, 'is_closed')):
+            monkeypatch.setattr(cls, name, per_mask)
+        for (s, t, f), want in expected.items():
+            m = SpaceMap(s, t, f)
+            assert (continuity_characterizations(m), is_continuous(m), map_open_closed(m),
+                    continuous_via_preimage_closure(m),
+                    continuous_via_preimage_interior(m)) == want
+
+    @given(preorders(min_n=7, max_n=12), preorders(min_n=7, max_n=12),
+           st.sampled_from(['random', 'monotone', 'one-moved', 'identity']), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_reference_across_the_byte_boundary(self, u1, u2, kind, data):
+        # on 9 or more points a mask reaches the second byte table, where
+        # a wrong shift or cut shows; on 3 points it cannot
+        if kind == 'identity':
+            u2 = u1
+        n1, n2 = len(u1), len(u2)
+        if kind == 'random':
+            images = data.draw(st.lists(st.integers(0, n2 - 1), min_size=n1, max_size=n1))
+        elif kind == 'identity':
+            images = list(range(n1))
+        else:
+            images = data.draw(monotone_images(u1, u2))
+            if kind == 'one-moved':
+                # one point moved, past the first byte where there is one
+                x = data.draw(st.integers(min(8, n1 - 1), n1 - 1))
+                images[x] = data.draw(st.integers(0, n2 - 1))
+        m = SpaceMap(Topology.from_kernel(n1, u1), Topology.from_kernel(n2, u2),
+                     FiniteMap(n1, n2, images))
+        c = ref.is_continuous(m)
+        assert is_continuous(m) == c
+        assert continuity_characterizations(m) == ref.continuity_characterizations(m)
+        assert map_open_closed(m) == ref.map_open_closed(m)
+        assert continuous_via_preimage_closure(m) == c
+        assert continuous_via_preimage_interior(m) == c
 
     def test_pointwise_iff_global_n2(self):
         tops = enumerate_topologies(2)

@@ -642,11 +642,24 @@ def budget_cases(draw):
     return p, a, b, w, tol
 
 
+@st.composite
+def constant_cases(draw):
+    """budget_cases with p cut to its constant coefficient or to the zero
+    polynomial, and w half the time at p's value, a hit."""
+    p, a, b, w, tol = draw(budget_cases())
+    p = DyadicPoly(p.coeffs[:draw(st.integers(0, 1))])
+    return p, a, b, p(a) if draw(st.booleans()) else w, tol
+
+
 def start_outcome(start, case):
     try:
         hit, k, x, y, steps, cs, sx = start(*case)
     except (BracketViolation, CapExceeded, IndexOutOfRange) as exc:
         return type(exc)
+    if hit is not None and len(case[0].ints) <= 1:
+        # a constant p hits at a without placing a and b on the grid,
+        # and the callers read nothing of a hit but the endpoint
+        x = y = steps = None
     return None if hit is None else (hit.m, hit.e), k, x, y, steps, list(cs), sx
 
 
@@ -663,6 +676,32 @@ class TestOneBitBudget:
             # refused coefficients 2^-32768 and finer, or 2^32768 and
             # coarser, on w's account.  p moved to exponent 0 has the
             # same integers, grid and signs.
+            p = DyadicPoly([c * Dyadic(1, -p.exp) for c in p.coeffs])
+        assert start_outcome(_bisection_start, case) == start_outcome(ref.bisection_start,
+                                                                      (p, a, b, w, tol))
+
+    def test_constant_p_does_not_place_far_endpoints_on_the_grid(self):
+        # p - w is one constant on [a, b], so its sign alone gives the hit
+        # at a or BracketViolation(0).  Placing a and b on the grid shifted
+        # them by 10^8 bits: 53 MB traced and 40-50 ms; the bound is 64 kB
+        a, b = Dyadic(1, 10 ** 8), Dyadic(3, 10 ** 8)
+        tracemalloc.start()
+        try:
+            assert bisection_invert(DyadicPoly([1]), a, b, ONE, ONE) == a
+            with pytest.raises(BracketViolation):
+                bisection_invert(DyadicPoly([1]), a, b, Dyadic(2), ONE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    @given(constant_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_constant_p_matches_the_oracle(self, case):
+        p, a, b, w, tol = case
+        if w == ZERO and p.exp != 0:
+            # as in test_matches_the_four_checks: the oracle takes w = 0
+            # to lie at exponent 0
             p = DyadicPoly([c * Dyadic(1, -p.exp) for c in p.coeffs])
         assert start_outcome(_bisection_start, case) == start_outcome(ref.bisection_start,
                                                                       (p, a, b, w, tol))
