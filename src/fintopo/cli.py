@@ -195,6 +195,8 @@ def cmd_cont(args):
     f = jsonio.map_from_json(_load(args.map), n_src=src.n, n_dst=dst.n)
     m = SpaceMap(src, dst, f)
     if args.fx and args.fy:
+        if args.at is None:
+            raise UsageError("--fx and --fy need --at")
         fx = generate_filter(jsonio.system_from_json(_load(args.fx)))
         fy = generate_filter(jsonio.system_from_json(_load(args.fy)))
         return {'filter_continuous_at': filter_continuity_at(fx, fy, m, args.at)}

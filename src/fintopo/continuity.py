@@ -3,9 +3,9 @@ the equivalent global characterizations, open/closed maps, and
 homeomorphisms."""
 
 from .convergence import filter_adherence
-from .errors import ClusterPreconditionFailed, UniverseCardinalityMismatch, UniverseMismatch
+from .errors import (ClusterPreconditionFailed, IndexOutOfRange, UniverseCardinalityMismatch,
+                     UniverseMismatch)
 from .setops import FiniteMap, full_mask
-from .topology import point_closures, point_shapes
 
 
 class SpaceMap:
@@ -46,9 +46,18 @@ def is_continuous_at(m, x):
 
     The neighborhoods of f(x) are the supersets of U_f(x) and those of
     x the supersets of U_x, so this holds iff f[U_x] lies inside U_f(x).
+    Raises IndexOutOfRange unless x is a point of the source.
     """
+    _check_point(m, x)
     u = m.source.minimal_opens[x]
     return m.f.image_mask(u) & ~m.target.minimal_opens[m.f(x)] == 0
+
+
+def _check_point(m, x):
+    """Raises IndexOutOfRange unless x is a point of the source of m."""
+    if not 0 <= x < m.source.n:
+        raise IndexOutOfRange("point %d is not in the source carrier of size %d"
+                              % (x, m.source.n))
 
 
 # --- the six global characterizations, each computed independently.
@@ -227,6 +236,10 @@ def are_homeomorphic(t1, t2):
     So the witness is the lexicographically least homeomorphism.  The
     number of opens is not compared: the search decides without it, and
     on up to 5 points spaces with equal shape_key are homeomorphic.
+
+    Most calls reject on shape_key, so the keys are read straight from
+    their slot once both are kept.  The search reads the point closures
+    and shapes that computing shape_key kept (Topology._shape).
     """
     n = t1.n
     if n != t2.n:
@@ -234,34 +247,50 @@ def are_homeomorphic(t1, t2):
     if n > 6:
         from .errors import CapExceeded
         raise CapExceeded("homeomorphism search capped at 6 points")
-    if not t1.same_shape(t2):
-        return None
-    u1, u2 = t1.minimal_opens, t2.minimal_opens
-    c1, c2 = point_closures(u1), point_closures(u2)
-    s1, s2 = point_shapes(u1, c1), point_shapes(u2, c2)
-    f = []
-
-    def extend(x, used):
-        if x == n:
-            return True
+    try:
+        if t1._shape_key != t2._shape_key:
+            return None
+    except AttributeError:
+        if t1.shape_key != t2.shape_key:
+            return None
+    u1, u2 = t1._kernel, t2._kernel
+    k1, k2 = t1._shape, t2._shape
+    # the candidate images of each point x: the points of its shape,
+    # ascending; equal shape_keys make every such list nonempty
+    by_shape = {}
+    for y in range(n):
+        by_shape.setdefault(k2[n + y], []).append(y)
+    cands = [by_shape[s] for s in k1[n:]]
+    f = [0] * n
+    nxt = [0] * n
+    used = x = 0
+    while x < n:
         # the images of the mapped points in U_x and in cl{x} (the z with
         # x in U_z): y fits iff U_y and cl{y} meet used exactly there
+        ux, cx = u1[x], k1[x]
         up = down = 0
-        for z, fz in enumerate(f):
-            if u1[x] >> z & 1:
-                up |= 1 << fz
-            if c1[x] >> z & 1:
-                down |= 1 << fz
-        for y in range(n):
-            if (not used >> y & 1 and s1[x] == s2[y]
-                    and u2[y] & used == up and c2[y] & used == down):
-                f.append(y)
-                if extend(x + 1, used | 1 << y):
-                    return True
-                f.pop()
-        return False
-
-    return FiniteMap(n, n, f) if extend(0, 0) else None
+        for z in range(x):
+            if ux >> z & 1:
+                up |= 1 << f[z]
+            if cx >> z & 1:
+                down |= 1 << f[z]
+        ys = cands[x]
+        for i in range(nxt[x], len(ys)):
+            y = ys[i]
+            if not used >> y & 1 and u2[y] & used == up and k2[y] & used == down:
+                f[x] = y
+                nxt[x] = i + 1
+                used |= 1 << y
+                x += 1
+                break
+        else:
+            # a dead end: try the next candidate of the point before
+            if not x:
+                return None
+            nxt[x] = 0
+            x -= 1
+            used ^= 1 << f[x]
+    return FiniteMap(n, n, f)
 
 
 def filter_continuity_at(fx, fy, m, x):
@@ -271,8 +300,10 @@ def filter_continuity_at(fx, fy, m, x):
     member of fy, so this holds iff f[core fx] lies inside core fy.
 
     Preconditions: x is a cluster point of fx in the source and f(x) is
-    a cluster point of fy in the target.
+    a cluster point of fy in the target.  Raises IndexOutOfRange unless
+    x is a point of the source.
     """
+    _check_point(m, x)
     if not filter_adherence(m.source, fx) >> x & 1:
         raise ClusterPreconditionFailed("x is not a cluster point of the source filter")
     if not filter_adherence(m.target, fy) >> m.f(x) & 1:

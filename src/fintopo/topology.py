@@ -21,7 +21,7 @@ class Topology:
     views derived from the kernel are computed on first use and kept.
     """
 
-    __slots__ = ('n', '_kernel', '_opens', '_shape_key', '_views')
+    __slots__ = ('n', '_kernel', '_opens', '_shape_key', '_shape', '_views')
 
     def __init__(self, n, opens):
         """The space with these opens, which must satisfy the open-set
@@ -116,27 +116,24 @@ class Topology:
     def shape_key(self):
         """The sorted point_shapes packed into one int: equal for
         homeomorphic spaces.  One int, not a tuple, so that keeping it
-        on every space costs little memory."""
+        on every space costs little memory.
+
+        Computing it also keeps, in the slot _shape, the point_closures
+        and then the point_shapes as one flat tuple of 2n ints, which
+        the homeomorphism search reads rather than computes again."""
         try:
             return self._shape_key
         except AttributeError:
             pass
         u = self._kernel
+        closures = point_closures(u)
+        shapes = point_shapes(u, closures)
         key = 0
-        for s in sorted(point_shapes(u, point_closures(u))):
+        for s in sorted(shapes):
             key = key << 2 * _SHAPE_BITS | s
+        self._shape = (*closures, *shapes)
         self._shape_key = key
         return key
-
-    def same_shape(self, other):
-        """Whether the two spaces have equal shape_key.  The keys are
-        read straight from their slot once both are kept: the
-        homeomorphism search rejects most pairs here, and two property
-        calls would cost it more than the rest of such a rejection."""
-        try:
-            return self._shape_key == other._shape_key
-        except AttributeError:
-            return self.shape_key == other.shape_key
 
     @property
     def views(self):
@@ -162,7 +159,7 @@ class SpaceViews:
 
     @cached_property
     def point_closures(self):
-        return tuple(point_closures(self._u))
+        return point_closures(self._u)
 
     @cached_property
     def closure_table(self):
@@ -246,16 +243,47 @@ _SHAPE_BITS = 5
 
 
 def point_closures(u):
-    """The transpose of the kernel u: entry y is {x : y in U_x}, the
-    closure of {y}."""
-    c = [0] * len(u)
-    for x, ux in enumerate(u):
-        bit = 1 << x
-        while ux:
-            low = ux & -ux
-            c[low.bit_length() - 1] |= bit
-            ux ^= low
-    return c
+    """The transpose of the kernel u, whose masks lie on the carrier:
+    entry y is {x : y in U_x}, the closure of {y}.  A tuple.
+
+    The n masks are packed as the rows of a w x w bit matrix in one int,
+    w = 8, 16 or 32, and it is transposed by a few big-int delta swaps
+    over all its bits at once (see _swap_steps)."""
+    rows, steps = _TRANSPOSE[len(u)]
+    a = int.from_bytes(rows.pack(*u), 'little')
+    for d, m in steps:
+        t = (a ^ a >> d) & m
+        a ^= t ^ t << d
+    return rows.unpack(a.to_bytes(rows.size, 'little'))
+
+
+def _swap_steps(w):
+    """The delta swaps, (distance, mask), that transpose a w x w bit
+    matrix kept in one int, row x in bits x*w to x*w + w - 1.  For each
+    block size j = w/2, ..., 1 the bit (x, y) with x & j clear and y & j
+    set trades places with (x + j, y - j), j*(w - 1) bits higher; the
+    mask holds the lower bit of each pair (Warren, Hacker's Delight, 2nd
+    ed., 2012, section 7-3)."""
+    steps = []
+    j = w >> 1
+    while j:
+        row = sum(1 << y for y in range(w) if y & j)
+        steps.append((j * (w - 1), sum(row << x * w for x in range(w) if not x & j)))
+        j >>= 1
+    return tuple(steps)
+
+
+def _transpose_plan(n):
+    """The struct of n masks on n points as the rows of a square bit
+    matrix of side w = 8, 16 or 32, little-endian, the w - n rows past
+    them zero pad bytes, with the swaps that transpose it."""
+    w, code = (8, 'B') if n <= 8 else (16, 'H') if n <= 16 else (32, 'I')
+    return struct.Struct('<%d%s%dx' % (n, code, (w - n) * w // 8)), _SWAPS[w]
+
+
+_SWAPS = {w: _swap_steps(w) for w in (8, 16, 32)}
+# _TRANSPOSE[n], for n = 0..MAX_N: see _transpose_plan
+_TRANSPOSE = tuple(_transpose_plan(n) for n in range(MAX_N + 1))
 
 
 def _lane_structs(n):

@@ -51,6 +51,10 @@ So is the closure table as it was built before its entries were packed
 into the lanes of one int: a list doubled one entry at a time, for
 test_lane_tables.py.
 
+So is the transpose of a kernel as it was before the block-swap
+transpose replaced it: one loop over the set bits of each U_x, for
+test_kernel.py and the continuity reference here.
+
 So are the Topology readers that went by the opens before a space was
 kept as its kernel: equality, open and closed tests, fineness and
 comparison, each reading the opens of the space, and the union closure
@@ -67,7 +71,20 @@ from fintopo.numeric import (BISECTION_CAP, HORNER_BITS_CAP, ZERO, _ceil_log2_ra
                              _horner)
 from fintopo.setops import (FiniteMap, PointSetRelation, SetSystem, full_mask, phi,
                             points_of, psi, relation_from_sections, supermasks, theta)
-from fintopo.topology import Topology, point_closures
+from fintopo.topology import Topology
+
+
+def point_closures(u):
+    """The transpose of the kernel u: entry y is {x : y in U_x}, the
+    closure of {y}, set one bit at a time."""
+    c = [0] * len(u)
+    for x, ux in enumerate(u):
+        bit = 1 << x
+        while ux:
+            low = ux & -ux
+            c[low.bit_length() - 1] |= bit
+            ux ^= low
+    return c
 
 
 def interior(topology, a_mask):

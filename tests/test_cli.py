@@ -244,6 +244,30 @@ class TestCont:
         assert code == 0
         assert json.loads(out) == {'homeomorphic': True, 'witness': [1, 0]}
 
+    @pytest.mark.parametrize('at', ['2', '-1'])
+    @pytest.mark.parametrize('filters', [False, True])
+    def test_point_off_the_carrier_is_refused(self, capsys, tmp_path, at, filters):
+        # a point past the carrier raised an uncaught IndexError, and -1
+        # was read from the end of the kernel and answered with exit 0
+        src = write(tmp_path, 's.json', SIERPINSKI)
+        fmap = write(tmp_path, 'f.json', {'f': [1, 0]})
+        argv = ['cont', '--src', src, '--dst', src, '--map', fmap, '--at', at]
+        if filters:
+            base = write(tmp_path, 'b.json', {'n': 2, 'sets': [[0, 1]]})
+            argv += ['--fx', base, '--fy', base]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert json.loads(out)['error'] == 'IndexOutOfRange'
+
+    def test_filters_without_a_point_are_a_usage_error(self, capsys, tmp_path):
+        src = write(tmp_path, 's.json', SIERPINSKI)
+        fmap = write(tmp_path, 'f.json', {'f': [1, 0]})
+        base = write(tmp_path, 'b.json', {'n': 2, 'sets': [[0, 1]]})
+        code, out, err = run(capsys, 'cont', '--src', src, '--dst', src, '--map', fmap,
+                             '--fx', base, '--fy', base)
+        assert code == 2 and out == ''
+        assert err == 'usage error: --fx and --fy need --at\n'
+
 
 class TestProductQuotient:
     def test_product(self, capsys, tmp_path):

@@ -1,6 +1,8 @@
 """Continuity: local/global tests, the equivalent characterizations,
 open and closed maps, homeomorphisms, and gluing."""
 
+import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -313,6 +315,37 @@ class TestHomeomorphisms:
                 if all(are_homeomorphic(t, r) is None for r in reps):
                     reps.append(t)
             assert len(reps) == want, n
+
+    def test_five_point_census_in_bounded_time_and_memory(self):
+        # the lookup of the census benchmark: each space against the
+        # representatives found so far until one gives a witness.  On a
+        # shared 2-CPU host the lookups took 0.29-0.30 s (0.54-0.56 s
+        # when each found witness recomputed the point closures and
+        # shapes), and the shape data kept 117-152 bytes a space: the
+        # shape_key int (32) and the tuple of 5 closures and 5 shapes
+        # (120).  Bounds: 1.5 s and 176 bytes a space
+        tops = enumerate_topologies(5)
+        reps = []
+        start = time.perf_counter()
+        for t in tops:
+            for r in reps:
+                if are_homeomorphic(t, r) is not None:
+                    break
+            else:
+                reps.append(t)
+        elapsed = time.perf_counter() - start
+        assert len(tops) == 6942 and len(reps) == 139
+        assert elapsed < 1.5
+        fresh = enumerate_topologies(5)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for t in fresh:
+                t.shape_key
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= 176 * len(fresh)
 
 
 class TestFilterContinuityAt:

@@ -10,7 +10,9 @@ random systems with n <= 8.  Images and preimages of masks under a map
 are compared with loops over every source point, on carriers at each
 boundary of the maps' 8-point lookup tables too.  The closure- and
 interior-axiom checks also give the verdicts and witnesses of the
-one-pass scans they fall back on.
+one-pass scans they fall back on.  The transpose of a kernel is compared
+with the bit loop it replaced, at each edge of the bit squares it packs
+a kernel into.
 """
 
 import random
@@ -25,10 +27,11 @@ from hypothesis import strategies as st
 
 import opens_reference as ref
 from conftest import all_systems, preorders, topology_of_preorder
-from fintopo import generated, metric, order, setops, topology
+from fintopo import continuity, generated, metric, order, setops, topology
 from fintopo.closure import (SubsetOperator, boundary, check_closure_axioms,
                              check_interior_axioms, closure, closure_operator_of,
-                             derived_set, interior, interior_operator_of)
+                             derived_set, interior, interior_operator_of,
+                             topology_from_closure_operator)
 from fintopo.continuity import (SpaceMap, are_homeomorphic, continuity_characterizations,
                                 is_continuous_at, map_open_closed)
 from fintopo.convergence import (DirectedSet, EventuallyPeriodicSequence, Net,
@@ -41,6 +44,19 @@ from fintopo.topology import (Topology, enumerate_topologies, generate_from_subb
                               is_base_of, minimal_base, neighborhood_relation)
 
 SMALL = [t for n in range(5) for t in enumerate_topologies(n)]
+
+
+@pytest.fixture(scope='module')
+def n4_classes():
+    """The 219 spaces on 4 points and the first space of each of their
+    33 homeomorphism classes, by the reference's permutation scan."""
+    tops, reps = enumerate_topologies(4), []
+    for t in tops:
+        if all(ref.are_homeomorphic(t, r) is None for r in reps):
+            reps.append(t)
+    assert len(reps) == 33
+    return tops, reps
+
 
 # 0 <= 1 <= 2 <= 1: a directed set whose top class {1, 2} has two
 # elements, so a net on it can oscillate forever
@@ -216,6 +232,39 @@ class TestAllSmallTopologies:
             for perm in permutations(range(4)):
                 assert assert_same_homeomorphism(t, relabelled(t, perm)) is not None
 
+    def test_homeomorphism_n4_against_the_class_representatives(self, n4_classes):
+        # each 4-point space, built afresh three ways, so that its
+        # shape_key is computed inside the call, on either side
+        builds = (lambda t: Topology(t.n, t.opens),
+                  lambda t: Topology.from_kernel(t.n, t.minimal_opens),
+                  lambda t: topology_from_closure_operator(closure_operator_of(t)))
+        tops, reps = n4_classes
+        for t, r in product(tops, reps):
+            want = [ref.are_homeomorphic(t, r), ref.are_homeomorphic(r, t)]
+            want = [None if w is None else w.images for w in want]
+            for build in builds:
+                got = [are_homeomorphic(build(t), r), are_homeomorphic(r, build(t))]
+                assert [None if w is None else w.images for w in got] == want
+
+    def test_homeomorphism_reads_the_kept_shape_data(self, n4_classes, monkeypatch):
+        # once both spaces keep their shape_key, the search recomputes
+        # neither the point closures nor the point shapes
+        tops, reps = n4_classes
+        want = {(t, r): ref.are_homeomorphic(t, r) for t, r in product(tops, reps)}
+        for t in tops:
+            t.shape_key
+
+        def recomputed(*args):
+            raise AssertionError('shape data recomputed')
+
+        for module in (topology, continuity):
+            monkeypatch.setattr(module, 'point_closures', recomputed, raising=False)
+            monkeypatch.setattr(module, 'point_shapes', recomputed, raising=False)
+        for (t, r), w in want.items():
+            got = are_homeomorphic(t, r)
+            assert (got is None) == (w is None)
+            assert got is None or got.images == w.images
+
 
 class TestRandomPreorders:
     @given(preorders())
@@ -286,7 +335,36 @@ class TestRandomPreorders:
         t2 = topology_of_preorder((23, 18, 4, 8, 16, 56))
         assert len(t1.opens) == len(t2.opens) and t1.shape_key == t2.shape_key
         assert assert_same_homeomorphism(t1, t2) is None
+        assert assert_same_homeomorphism(t2, t1) is None
         assert assert_same_homeomorphism(t1, relabelled(t1, [5, 3, 1, 0, 4, 2])) is not None
+
+
+# carrier sizes at and around the 8, 16 and 32 bit squares that
+# point_closures packs a kernel into
+SQUARE_EDGES = (0, 1, 7, 8, 9, 15, 16, 17, 20)
+
+
+class TestPointClosures:
+    """The block-swap transpose against the bit loop it replaced."""
+
+    def test_every_kernel_up_to_five_points(self):
+        for n in range(6):
+            for t in enumerate_topologies(n):
+                u = t.minimal_opens
+                assert topology.point_closures(u) == tuple(ref.point_closures(u))
+
+    @pytest.mark.parametrize('n', SQUARE_EDGES)
+    def test_discrete_indiscrete_and_chain(self, n):
+        full = full_mask(n)
+        for u in ([1 << x for x in range(n)], [full] * n, [full >> x << x for x in range(n)]):
+            assert topology.point_closures(u) == tuple(ref.point_closures(u))
+
+    @given(st.sampled_from(SQUARE_EDGES).flatmap(
+        lambda n: st.one_of(preorders(n, n),
+                            st.lists(st.integers(0, full_mask(n)), min_size=n, max_size=n))))
+    @settings(max_examples=200, deadline=None)
+    def test_random_kernels_and_relations(self, u):
+        assert topology.point_closures(u) == tuple(ref.point_closures(u))
 
 
 class TestKeptViews:
