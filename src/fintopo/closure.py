@@ -2,31 +2,22 @@
 and interior operators given as dense tables over all subsets."""
 
 from .errors import InteriorAxiomViolation, KuratowskiViolation, UniverseMismatch
-from .setops import check_carrier, full_mask
+from .setops import byte_union, check_carrier, full_mask
 from .topology import (Topology, closure_table, enumerate_topologies, interior_table,
                        is_closure_table, point_closures)
-
-
-def _union(tables, a_mask):
-    """The union of the point masks over the points of A, from their
-    byte tables (setops._byte_tables); bits of A off the carrier are
-    ignored."""
-    full, t0, t1, t2 = tables
-    a = a_mask & full
-    return t0[a & 255] | t1[a >> 8 & 255] | t2[a >> 16]
 
 
 def interior(topology, a_mask):
     """The largest open set inside A: the complement of the closure of
     the complement."""
-    tables = topology.views.closure_bytes
-    return tables[0] ^ _union(tables, ~a_mask)
+    tables = topology.closure_bytes
+    return tables[0] ^ byte_union(tables, ~a_mask)
 
 
 def closure(topology, a_mask):
     """The smallest closed superset of A: the points x with U_x meeting
     A, that is, the union of cl{y} over the points y of A."""
-    return _union(topology.views.closure_bytes, a_mask)
+    return byte_union(topology.closure_bytes, a_mask)
 
 
 def derived_set(topology, a_mask):
@@ -34,7 +25,7 @@ def derived_set(topology, a_mask):
     A away from x.  It suffices to check U_x, which every neighborhood
     of x contains, so this is the union of cl{y} minus y over the
     points y of A."""
-    return _union(topology.views.derived_bytes, a_mask)
+    return byte_union(topology.derived_bytes, a_mask)
 
 
 def boundary(topology, a_mask):
@@ -111,8 +102,9 @@ class SubsetOperator:
 
 def closure_operator_of(topology):
     """The closure operator of the space, on a table built anew, not the
-    one kept in topology.views: a caller holding many spaces, as the
-    listing of every space on 5 points does, would keep every table."""
+    one the space keeps (Topology.closure_table): a caller holding many
+    spaces, as the listing of every space on 5 points does, would keep
+    every table."""
     return SubsetOperator._trusted(topology.n,
                                    closure_table(point_closures(topology.minimal_opens)))
 

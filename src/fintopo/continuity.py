@@ -64,11 +64,12 @@ def _check_point(m, x):
 # Each reads its tables once and looks every mask up inline: f[A] or
 # f^-1[A] as t0[A & 255] | t1[A >> 8 & 255] | t2[A >> 16] from the
 # map's byte tables, membership in the opens' kept frozenset, and
-# closedness from the closure byte tables of the views (a set is closed
-# iff it is its own closure).  Plain loops, not all() or comprehensions,
-# which would make t0, t1 and t2 closure cells: on 3 points the loops
-# took half the time.  The opens are read from their slot once built,
-# and through the property (which builds them) only before ---
+# closedness from the closure byte tables the space keeps (a set is
+# closed iff it is its own closure).  Plain loops, not all() or
+# comprehensions, which would make t0, t1 and t2 closure cells: on 3
+# points the loops took half the time.  The opens are read from their
+# slot once built, and through the property (which builds them) only
+# before ---
 
 def continuous_via_opens(m):
     src, dst = m.source._opens, m.target._opens
@@ -90,7 +91,7 @@ def continuous_via_subbase(m):
         opens = m.source.opens
     src = opens.members
     _, t0, t1, t2 = m.f.preimage_tables
-    for s in m.target.views.minimal_base.sets:
+    for s in m.target.minimal_base.sets:
         if (t0[s & 255] | t1[s >> 8 & 255] | t2[s >> 16]) not in src:
             return False
     return True
@@ -98,8 +99,8 @@ def continuous_via_subbase(m):
 
 def continuous_via_closeds(m):
     _, t0, t1, t2 = m.f.preimage_tables
-    _, c0, c1, c2 = m.source.views.closure_bytes
-    for c in m.target.views.closed_sets.sets:
+    _, c0, c1, c2 = m.source.closure_bytes
+    for c in m.target.closed_system.sets:
         a = t0[c & 255] | t1[c >> 8 & 255] | t2[c >> 16]
         if c0[a & 255] | c1[a >> 8 & 255] | c2[a >> 16] != a:
             return False
@@ -122,7 +123,7 @@ def continuous_via_filter_transfer(m):
     """For each x and each neighborhood U of f(x) there is a
     neighborhood V of x with f[V] contained in U.  The neighborhoods of
     a point x are the supersets of U_x."""
-    src_nbhd, dst_nbhd = m.source.views.neighborhoods, m.target.views.neighborhoods
+    src_nbhd, dst_nbhd = m.source.neighborhoods, m.target.neighborhoods
     _, t0, t1, t2 = m.f.image_tables
     for nbhd, y in zip(src_nbhd, m.f.images):
         pushed = []
@@ -140,7 +141,7 @@ def continuous_via_filter_transfer(m):
 def continuous_via_closure(m):
     """f[cl(A)] is contained in cl(f[A]) for every subset A, read from
     the closure tables of the two spaces."""
-    src, dst = m.source.views.closure_table, m.target.views.closure_table
+    src, dst = m.source.closure_table, m.target.closure_table
     _, t0, t1, t2 = m.f.image_tables
     for a, c in enumerate(src):
         if ((t0[c & 255] | t1[c >> 8 & 255] | t2[c >> 16])
@@ -152,7 +153,7 @@ def continuous_via_closure(m):
 def continuous_via_preimage_closure(m):
     """cl(f^-1[B]) is contained in f^-1[cl(B)] for every target subset B,
     read from the closure tables of the two spaces."""
-    src, dst = m.source.views.closure_table, m.target.views.closure_table
+    src, dst = m.source.closure_table, m.target.closure_table
     _, t0, t1, t2 = m.f.preimage_tables
     for b, c in enumerate(dst):
         if (src[t0[b & 255] | t1[b >> 8 & 255] | t2[b >> 16]]
@@ -165,7 +166,7 @@ def continuous_via_preimage_interior(m):
     """f^-1[int(B)] is contained in int(f^-1[B]) for every target subset B,
     with int(A) = X minus cl(X minus A) read from the closure tables of
     the two spaces."""
-    src, dst = m.source.views.closure_table, m.target.views.closure_table
+    src, dst = m.source.closure_table, m.target.closure_table
     full_src, full_dst = len(src) - 1, len(dst) - 1
     _, t0, t1, t2 = m.f.preimage_tables
     # f^-1[int(B)] & ~int(f^-1[B]), with ~int(P) = cl(X minus P) on X
@@ -205,8 +206,8 @@ def map_open_closed(m):
         if (t0[u & 255] | t1[u >> 8 & 255] | t2[u >> 16]) not in dst:
             is_open = False
             break
-    _, c0, c1, c2 = m.target.views.closure_bytes
-    for c in m.source.views.point_closures:
+    _, c0, c1, c2 = m.target.closure_bytes
+    for c in m.source.point_closures:
         b = t0[c & 255] | t1[c >> 8 & 255] | t2[c >> 16]
         if c0[b & 255] | c1[b >> 8 & 255] | c2[b >> 16] != b:
             closed = False

@@ -34,11 +34,20 @@ class UniverseCardinalityMismatch(DomainError):
     pass
 
 
-class BaseCriterionViolation(DomainError):
+class AxiomViolation(DomainError):
+    """A named axiom or criterion that fails, with a witness.  The
+    default message is the class's prefix, the axiom and the witness."""
+
+    prefix = "axiom"
+
     def __init__(self, axiom, witness, message=""):
         self.axiom = axiom
         self.witness = witness
-        super().__init__(message or "base criterion %s violated (witness %r)" % (axiom, witness))
+        super().__init__(message or "%s %s violated (witness %r)" % (self.prefix, axiom, witness))
+
+
+class BaseCriterionViolation(AxiomViolation):
+    prefix = "base criterion"
 
 
 class SubbaseCriterionViolation(DomainError):
@@ -47,11 +56,8 @@ class SubbaseCriterionViolation(DomainError):
         super().__init__(message or "subbase criterion violated: %s" % criterion)
 
 
-class ClosedAxiomViolation(DomainError):
-    def __init__(self, axiom, witness, message=""):
-        self.axiom = axiom
-        self.witness = witness
-        super().__init__(message or "closed-system axiom %s violated (witness %r)" % (axiom, witness))
+class ClosedAxiomViolation(AxiomViolation):
+    prefix = "closed-system axiom"
 
 
 class FilterBaseViolation(DomainError):
@@ -71,43 +77,28 @@ class NotSurjective(DomainError):
     pass
 
 
-class NeighborhoodAxiomViolation(DomainError):
-    def __init__(self, axiom, witness, message=""):
-        self.axiom = axiom
-        self.witness = witness
-        super().__init__(message or "neighborhood axiom %s violated (witness %r)" % (axiom, witness))
+class NeighborhoodAxiomViolation(AxiomViolation):
+    prefix = "neighborhood axiom"
 
 
-class SetMapAxiomViolation(DomainError):
-    def __init__(self, axiom, witness, message=""):
-        self.axiom = axiom
-        self.witness = witness
-        super().__init__(message or "set-neighborhood-map axiom %s violated (witness %r)" % (axiom, witness))
+class SetMapAxiomViolation(AxiomViolation):
+    prefix = "set-neighborhood-map axiom"
 
 
-class NeighborhoodBaseViolation(DomainError):
-    def __init__(self, axiom, witness, message=""):
-        self.axiom = axiom
-        self.witness = witness
-        super().__init__(message or "neighborhood base axiom %s violated (witness %r)" % (axiom, witness))
+class NeighborhoodBaseViolation(AxiomViolation):
+    prefix = "neighborhood base axiom"
 
 
 class NotABase(DomainError):
     pass
 
 
-class KuratowskiViolation(DomainError):
-    def __init__(self, axiom, witness, message=""):
-        self.axiom = axiom
-        self.witness = witness
-        super().__init__(message or "closure-operator axiom %s violated (witness %r)" % (axiom, witness))
+class KuratowskiViolation(AxiomViolation):
+    prefix = "closure-operator axiom"
 
 
-class InteriorAxiomViolation(DomainError):
-    def __init__(self, axiom, witness, message=""):
-        self.axiom = axiom
-        self.witness = witness
-        super().__init__(message or "interior-operator axiom %s violated (witness %r)" % (axiom, witness))
+class InteriorAxiomViolation(AxiomViolation):
+    prefix = "interior-operator axiom"
 
 
 class NotDirected(DomainError):

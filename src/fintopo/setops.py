@@ -6,7 +6,7 @@ is set iff point i belongs to the subset.  A set system is a canonical
 module provides the four structural operators used everywhere else:
 
   psi        all intersections of nonempty subfamilies
-  theta      all unions of nonempty subfamilies
+  theta      all unions of nonempty subfamilies (union_closure)
   phi        all supersets of members
   phi_prime  pointwise phi on a point/set relation
 
@@ -173,34 +173,45 @@ def powerset_system(n):
     return SetSystem(n, range(1 << n))
 
 
-def psi(system):
-    """All intersections of nonempty subfamilies.
-
-    Computed as the fixed point of adjoining pairwise intersections;
-    on a finite carrier this equals the subfamily-enumeration definition.
-    """
-    return system.with_sets(_pairwise_closure(system.sets, lambda a, b: a & b))
+def union_closure(masks, n):
+    """The SetSystem on n points of the empty set and every union of the
+    given masks, which lie on the carrier, built one distinct mask at a
+    time.  Past 8 masks the largest go first: each joins few sets while
+    there are few, and the small masks that multiply the sets come
+    last.  On fewer masks, as on every space of 5 points, sorting them
+    and listing each step's unions before adding them cost more than
+    they save."""
+    distinct = set(masks)
+    sets = {0}
+    if len(distinct) > 8:
+        for m in sorted(distinct, key=int.bit_count, reverse=True):
+            sets.update([o | m for o in sets])
+    else:
+        for m in distinct:
+            sets |= {o | m for o in sets}
+    return SetSystem._canonical(n, sorted(sets))
 
 
 def theta(system):
-    """All unions of nonempty subfamilies, via pairwise-union fixed point."""
-    return system.with_sets(_pairwise_closure(system.sets, lambda a, b: a | b))
+    """All unions of nonempty subfamilies.  O(|S| * |theta(S)|)."""
+    return SetSystem._canonical(system.n, _unions(system.sets, system.n))
 
 
-def _pairwise_closure(sets, op):
-    members = set(sets)
-    frontier = list(members)
-    while frontier:
-        m = frontier.pop()
-        fresh = []
-        for a in members:
-            c = op(a, m)
-            if c not in members:
-                fresh.append(c)
-        for c in fresh:
-            members.add(c)
-            frontier.append(c)
-    return members
+def psi(system):
+    """All intersections of nonempty subfamilies: the complements of the
+    unions of the complements, since the intersection of a family is the
+    complement of the union of its complements."""
+    full = full_mask(system.n)
+    dual = _unions([full ^ m for m in reversed(system.sets)], system.n)
+    return SetSystem._canonical(system.n, [full ^ m for m in reversed(dual)])
+
+
+def _unions(sets, n):
+    """The unions of nonempty subfamilies of the ascending masks sets,
+    ascending: their union closure, without the empty union unless the
+    empty set is one of them."""
+    out = union_closure(sets, n).sets
+    return out if sets and not sets[0] else out[1:]
 
 
 def phi(system):
@@ -312,7 +323,7 @@ def _byte_tables(masks):
     far, each entry joined with mask i.  A table past the last point is
     [0].  For a mask A, the union over its points is
     t0[A & 255] | t1[A >> 8 & 255] | t2[A >> 16] once A is cut to the
-    points."""
+    points: byte_union."""
     tables = [(1 << len(masks)) - 1]
     for j in (0, 8, 16):
         t = [0]
@@ -322,11 +333,20 @@ def _byte_tables(masks):
     return tuple(tables)
 
 
+def byte_union(tables, mask):
+    """The union of the point masks over the points of mask, read from
+    their byte tables (_byte_tables) with one lookup per 8 points; bits
+    of mask off the points are ignored."""
+    full, t0, t1, t2 = tables
+    mask &= full
+    return t0[mask & 255] | t1[mask >> 8 & 255] | t2[mask >> 16]
+
+
 class FiniteMap:
     """A map {0..n_src-1} -> {0..n_dst-1} stored as the tuple of images.
 
     Images and preimages are additive, f[A | B] = f[A] | f[B], so each
-    is read from three byte tables (_byte_tables), one lookup per 8
+    is read from three byte tables by byte_union, one lookup per 8
     points of the mask, once the bits off the carrier are cleared; both
     carriers hold at most MAX_N = 20 <= 24 points.  The image tables,
     over the source points, and the preimage tables, over the fibers of
@@ -387,16 +407,12 @@ class FiniteMap:
     def image_mask(self, mask):
         """f[A] as a mask on the target carrier, from the points of A
         on the source carrier."""
-        full, t0, t1, t2 = self.image_tables
-        mask &= full
-        return t0[mask & 255] | t1[mask >> 8 & 255] | t2[mask >> 16]
+        return byte_union(self.image_tables, mask)
 
     def preimage_mask(self, mask):
         """f^-1[B] as a mask on the source carrier: the union of the
         fibers over the points of B on the target carrier."""
-        full, t0, t1, t2 = self.preimage_tables
-        mask &= full
-        return t0[mask & 255] | t1[mask >> 8 & 255] | t2[mask >> 16]
+        return byte_union(self.preimage_tables, mask)
 
     def image_system(self, system):
         """f[[S]]: the system of images of the members of S."""

@@ -6,8 +6,8 @@ from functools import cached_property
 
 from .errors import (BaseCriterionViolation, CapExceeded, ClosedAxiomViolation,
                      SubbaseCriterionViolation, UniverseMismatch)
-from .setops import (MAX_N, SetSystem, _byte_tables, check_carrier, full_mask, points_of,
-                     relation_from_sections, supermasks)
+from .setops import (MAX_N, SetSystem, _byte_tables, check_carrier, full_mask,
+                     points_of, relation_from_sections, supermasks, union_closure)
 
 
 class Topology:
@@ -17,11 +17,13 @@ class Topology:
     kernel.
 
     The opens are given to Topology(n, opens), or else built on their
-    first read and kept.  The homeomorphism invariant shape_key and the
-    views derived from the kernel are computed on first use and kept.
+    first read and kept.  The homeomorphism invariant shape_key is kept
+    in a slot.  The views, what else the space derives from its kernel,
+    are each a cached_property, built on first read and kept in the
+    instance dict, so a space that reads none keeps an empty one.
     """
 
-    __slots__ = ('n', '_kernel', '_opens', '_shape_key', '_shape', '_views')
+    __slots__ = ('n', '_kernel', '_opens', '_shape_key', '_shape', '__dict__')
 
     def __init__(self, n, opens):
         """The space with these opens, which must satisfy the open-set
@@ -77,32 +79,30 @@ class Topology:
         return self._opens
 
     def is_open(self, mask):
-        """Whether the mask is an open set: a member of the opens once
-        they are built, else a mask on the carrier whose complement is
-        closed."""
-        opens = self._opens
-        if opens is not None:
-            return mask in opens
-        full = (1 << self.n) - 1
-        return mask & full == mask and self._fixed_by_closure(full ^ mask)
+        """Whether the mask is an open set: a mask on the carrier that
+        holds U_x at each of its points x."""
+        return mask & ((1 << self.n) - 1) == mask and self._holds_kernel(mask)
 
     def is_closed(self, mask):
-        """Whether the mask is a closed set: its complement is a member
-        of the opens once they are built, else a mask on the carrier
-        that is its own closure."""
-        opens = self._opens
-        if opens is not None:
-            return (((1 << self.n) - 1) ^ mask) in opens
-        return mask & ((1 << self.n) - 1) == mask and self._fixed_by_closure(mask)
+        """Whether the mask is a closed set: a mask on the carrier whose
+        complement is open."""
+        full = (1 << self.n) - 1
+        return mask & full == mask and self._holds_kernel(full ^ mask)
 
-    def _fixed_by_closure(self, mask):
-        """Whether cl(mask) = mask, for a mask on the carrier, read from
-        the closure byte tables of the views."""
-        _, t0, t1, t2 = self.views.closure_bytes
-        return (t0[mask & 255] | t1[mask >> 8 & 255] | t2[mask >> 16]) == mask
+    def _holds_kernel(self, mask):
+        """Whether U_x lies inside the mask for each point x of the mask,
+        one kernel entry a point, so the test builds nothing."""
+        u = self._kernel
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if u[low.bit_length() - 1] & ~mask:
+                return False
+            rest ^= low
+        return True
 
     def closed_sets(self):
-        return self.views.closed_sets
+        return self.closed_system
 
     @property
     def minimal_opens(self):
@@ -135,31 +135,11 @@ class Topology:
         self._shape_key = key
         return key
 
-    @property
-    def views(self):
-        """The SpaceViews of this space, made on first use and kept in
-        one slot, so a space never asked for a view pays only that slot."""
-        try:
-            return self._views
-        except AttributeError:
-            pass
-        self._views = SpaceViews(self)
-        return self._views
-
-
-class SpaceViews:
-    """What the continuity tests read of a space, each built from its
-    kernel on first use and kept.  Holds the carrier size and the
-    kernel, not the space itself, so a space and its views make no
-    reference cycle."""
-
-    def __init__(self, topology):
-        self._n = topology.n
-        self._u = topology.minimal_opens
+    # --- the views, each derived from the kernel on its first read ---
 
     @cached_property
     def point_closures(self):
-        return point_closures(self._u)
+        return point_closures(self._kernel)
 
     @cached_property
     def closure_table(self):
@@ -179,38 +159,20 @@ class SpaceViews:
         return _byte_tables([c & ~(1 << y) for y, c in enumerate(self.point_closures)])
 
     @cached_property
-    def closed_sets(self):
-        """The empty set and the unions of the point closures."""
-        return union_closure(self.point_closures, self._n)
+    def closed_system(self):
+        """The closed sets, which closed_sets() returns: the empty set and
+        the unions of the point closures."""
+        return union_closure(self.point_closures, self.n)
 
     @cached_property
     def neighborhoods(self):
         """The neighborhoods of each point x: the supersets of U_x."""
-        return tuple(tuple(supermasks(ux, self._n)) for ux in self._u)
+        return tuple(tuple(supermasks(ux, self.n)) for ux in self._kernel)
 
     @cached_property
     def minimal_base(self):
         """The empty set and the U_x; see minimal_base."""
-        return SetSystem(self._n, (0,) + self._u)
-
-
-def union_closure(masks, n):
-    """The SetSystem on n points of the empty set and every union of the
-    given masks, which lie on the carrier, built one distinct mask at a
-    time.  Past 8 masks the largest go first: each joins few sets while
-    there are few, and the small masks that multiply the sets come
-    last.  On fewer masks, as on every space of 5 points, sorting them
-    and listing each step's unions before adding them cost more than
-    they save."""
-    distinct = set(masks)
-    sets = {0}
-    if len(distinct) > 8:
-        for m in sorted(distinct, key=int.bit_count, reverse=True):
-            sets.update([o | m for o in sets])
-    else:
-        for m in distinct:
-            sets |= {o | m for o in sets}
-    return SetSystem._canonical(n, sorted(sets))
+        return SetSystem(self.n, (0,) + self._kernel)
 
 
 def kernel_of(sets, n):
@@ -486,7 +448,7 @@ def minimal_base(topology):
     contain) and the minimal open neighborhoods U_x, which are exactly
     the opens that are not unions of strictly smaller opens.  Kept on
     the space."""
-    return topology.views.minimal_base
+    return topology.minimal_base
 
 
 def topology_from_closed_system(system):

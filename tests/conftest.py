@@ -65,6 +65,12 @@ def is_topology_oracle(system):
     return set(t.sets) <= members and set(p.sets) <= members
 
 
+# every view a Topology derives from its kernel and keeps, each a
+# cached_property; test_kernel.py checks the list is complete
+VIEWS = ('point_closures', 'closure_table', 'closure_bytes', 'derived_bytes',
+         'closed_system', 'neighborhoods', 'minimal_base')
+
+
 def topology_of_preorder(u):
     """The Alexandrov topology of U: its opens are the up-sets."""
     n = len(u)

@@ -59,6 +59,10 @@ So are the Topology readers that went by the opens before a space was
 kept as its kernel: equality, open and closed tests, fineness and
 comparison, each reading the opens of the space, and the union closure
 of a kernel by theta's pairwise fixed point, for test_kernel_first.py.
+
+So are psi and theta, each as the fixed point of adjoining pairwise
+intersections or unions, where the library reads both from its one
+union closure; test_setops.py and the references here use them.
 """
 
 from functools import lru_cache
@@ -70,8 +74,36 @@ from fintopo.errors import (BracketViolation, CapExceeded, ClusterPreconditionFa
 from fintopo.numeric import (BISECTION_CAP, HORNER_BITS_CAP, ZERO, _ceil_log2_ratio, _coerce,
                              _horner)
 from fintopo.setops import (FiniteMap, PointSetRelation, SetSystem, full_mask, phi,
-                            points_of, psi, relation_from_sections, supermasks, theta)
+                            points_of, relation_from_sections, supermasks)
 from fintopo.topology import Topology
+
+
+def psi(system):
+    """All intersections of nonempty subfamilies: the fixed point of
+    adjoining pairwise intersections."""
+    return system.with_sets(_pairwise_closure(system.sets, lambda a, b: a & b))
+
+
+def theta(system):
+    """All unions of nonempty subfamilies: the fixed point of adjoining
+    pairwise unions."""
+    return system.with_sets(_pairwise_closure(system.sets, lambda a, b: a | b))
+
+
+def _pairwise_closure(sets, op):
+    members = set(sets)
+    frontier = list(members)
+    while frontier:
+        m = frontier.pop()
+        fresh = []
+        for a in members:
+            c = op(a, m)
+            if c not in members:
+                fresh.append(c)
+        for c in fresh:
+            members.add(c)
+            frontier.append(c)
+    return members
 
 
 def point_closures(u):

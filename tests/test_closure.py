@@ -22,20 +22,8 @@ from fintopo.closure import (SubsetOperator, analyze_subset, boundary,
 from fintopo.errors import (CapExceeded, InteriorAxiomViolation, KuratowskiViolation,
                             UniverseMismatch)
 from fintopo.setops import SetSystem, full_mask
-from fintopo.topology import (SpaceViews, Topology, closure_table, discrete_topology,
+from fintopo.topology import (Topology, closure_table, discrete_topology,
                               enumerate_topologies, indiscrete_topology, sierpinski)
-
-
-class KernelSpace:
-    """A space given by its kernel U alone, with the views of a
-    Topology: what the point operators read, on carriers whose opens
-    are too many to list."""
-
-    def __init__(self, u):
-        self.n = len(u)
-        self.minimal_opens = tuple(u)
-        self.opens = None
-        self.views = SpaceViews(self)
 
 
 def assert_point_operators_match(t, a):
@@ -259,10 +247,13 @@ class TestByteTables:
     @given(preorders(max_n=20), st.lists(st.integers(-(1 << 25), 1 << 25), max_size=8))
     @settings(max_examples=60, deadline=None)
     def test_random_preorders(self, u, masks):
-        t = KernelSpace(u)
+        # a space given by its kernel alone: the point operators read
+        # its views, on carriers whose opens are too many to list
+        t = Topology.from_kernel(len(u), u)
         full = full_mask(t.n)
         for a in masks + [0, -1, full, 1 << 24, full ^ 1 << t.n - 1]:
             assert_point_operators_match(t, a)
+        assert t._opens is None
 
     def test_random_and_changed_tables_n5(self):
         rng = random.Random(13)

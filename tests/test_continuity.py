@@ -155,7 +155,7 @@ class TestCharacterizations:
                     m = SpaceMap(t1, t2, f)
                     assert continuous_via_preimage_closure(m) == is_continuous(m)
                     assert continuous_via_preimage_interior(m) == is_continuous(m)
-                assert 'closure_table' in vars(t1.views) and 'closure_table' in vars(t2.views)
+                assert 'closure_table' in vars(t1) and 'closure_table' in vars(t2)
 
     def test_every_map_on_up_to_three_points_reads_the_kept_tables(self, monkeypatch):
         # each function reads its tables once and looks every mask up

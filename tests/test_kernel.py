@@ -17,7 +17,7 @@ a kernel into.
 
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import permutations, product
 from operator import or_
 
@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opens_reference as ref
-from conftest import all_systems, preorders, topology_of_preorder
+from conftest import VIEWS, all_systems, preorders, topology_of_preorder
 from fintopo import continuity, generated, metric, order, setops, topology
 from fintopo.closure import (SubsetOperator, boundary, check_closure_axioms,
                              check_interior_axioms, closure, closure_operator_of,
@@ -117,14 +117,14 @@ def assert_structure_matches(t):
 def assert_views_match(t):
     """Each view the space keeps equals one computed from its opens, and
     the public names read the kept ones."""
-    n, v = t.n, t.views
-    assert v.closure_table == tuple(ref.closure(t, a) for a in range(1 << n))
-    assert v.point_closures == tuple(ref.closure(t, 1 << x) for x in range(n))
-    assert v.closed_sets == SetSystem(n, [full_mask(n) ^ o for o in t.opens])
+    n = t.n
+    assert t.closure_table == tuple(ref.closure(t, a) for a in range(1 << n))
+    assert t.point_closures == tuple(ref.closure(t, 1 << x) for x in range(n))
+    assert t.closed_system == SetSystem(n, [full_mask(n) ^ o for o in t.opens])
     rel = ref.neighborhood_relation(t)
-    assert v.neighborhoods == tuple(rel.section(x).sets for x in range(n))
-    assert v.minimal_base == ref.minimal_base(t)
-    assert t.closed_sets() is v.closed_sets and minimal_base(t) is v.minimal_base
+    assert t.neighborhoods == tuple(rel.section(x).sets for x in range(n))
+    assert t.minimal_base == ref.minimal_base(t)
+    assert t.closed_sets() is t.closed_system and minimal_base(t) is t.minimal_base
 
 
 def assert_limits_match(t, filters, nets, sequences):
@@ -373,9 +373,8 @@ class TestKeptViews:
             u = t.minimal_opens
             bare = Topology(3, t.opens)
             filled = topology_of_preorder(u)
-            for name in ('closure_table', 'point_closures', 'closed_sets',
-                         'neighborhoods', 'minimal_base'):
-                getattr(filled.views, name)
+            for name in VIEWS:
+                getattr(filled, name)
             assert bare == filled == t and hash(bare) == hash(filled) == hash(t)
             assert len({bare, filled, t}) == 1
 
@@ -383,11 +382,16 @@ class TestKeptViews:
         # the operators give fresh tables and leave the space's views
         # unfilled, so holding many spaces keeps no tables
         for t in enumerate_topologies(3):
-            assert closure_operator_of(t).table == t.views.closure_table
+            assert closure_operator_of(t).table == t.closure_table
         for t in enumerate_topologies(3):
             closure_operator_of(t)
             interior_operator_of(t)
-            assert not hasattr(t, '_views')
+            assert vars(t) == {}
+
+    def test_every_view_is_listed(self):
+        # VIEWS, which these tests read, names every cached_property
+        kept = tuple(k for k, v in vars(Topology).items() if isinstance(v, cached_property))
+        assert kept == VIEWS
 
 
 class TestMapMasks:
@@ -499,8 +503,9 @@ class TestGeneratedTopologies:
                     assert is_base_of(s, t) == ref.is_base_of(s, t)
 
     def test_generators_form_no_pairwise_closure(self, monkeypatch):
-        # theta and psi close a system pairwise, O(|opens|^2); no
-        # generator may fall back on them
+        # theta and psi list every union (or meet) of a system, up to
+        # 2^n sets; no generator may fall back on them, each builds its
+        # space from the kernel
         line = order.chain(3, 'reflexive')
         s = topology.sierpinski()
         dist = metric.PseudoMetric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 import opens_reference as ref
-from conftest import all_systems, preorders, topology_of_preorder
+from conftest import VIEWS, all_systems, preorders, topology_of_preorder
 from fintopo import topology
 from fintopo.closure import (analyze_subset, closure, closure_operator_of, interior,
                              interior_operator_of, topology_from_closure_operator,
@@ -117,13 +117,12 @@ class TestKernelBuilders:
 
     def test_views_hold_no_reference_to_the_space(self):
         t = Topology.from_kernel(3, (1, 3, 7))
-        v = t.views
-        for name in ('point_closures', 'closure_table', 'closed_sets', 'neighborhoods',
-                     'minimal_base'):
-            getattr(v, name)
-        assert all(value is not t for value in vars(v).values())
+        for name in VIEWS:
+            getattr(t, name)
+        assert sorted(vars(t)) == sorted(VIEWS)
+        assert all(value is not t for value in vars(t).values())
         assert not built(t)
-        assert v.closed_sets == t.opens.complements()
+        assert t.closed_system == t.opens.complements()
 
 
 def chain_kernel(n):
@@ -212,10 +211,9 @@ class TestTwentyPoints:
 
 
 def test_membership_set_is_built_once():
-    # The topology check keeps the system's membership set, so the first
-    # is_open builds none.  Measured: 96 B of tracemalloc peak for the
-    # first is_open and is_closed, against 656 kB when the check and the
-    # membership test each hashed the 2^14 opens
+    # The first is_open and is_closed build neither a membership set nor
+    # the closure byte tables: they test the kernel.  Measured: 624 B of
+    # tracemalloc peak for the two
     tracemalloc.start()
     try:
         t = Topology(14, range(1 << 14))

@@ -60,7 +60,7 @@ def assert_tables_match(u, flips=()):
     t = Topology.from_kernel(n, u)
     cl, inte = reference_tables(u)
     assert closure_table(point_closures(u)) == cl
-    assert t.views.closure_table == cl
+    assert t.closure_table == cl
     c, i = closure_operator_of(t), interior_operator_of(t)
     assert type(c.table) is tuple and type(i.table) is tuple
     assert c.table == cl and i.table == inte
