@@ -28,9 +28,8 @@ from .neighborhoods import (neighborhood_base_from_topological_base,
                             topology_from_neighborhood_base,
                             topology_from_neighborhoods, topology_from_set_map)
 from .closure import topology_from_closure_operator, topology_from_interior_operator
-from .numeric import (Dyadic, DyadicPoly, bisection_invert, cauchy_schwarz_check,
-                      finite_series, geometric_limit, geometric_partial_sum,
-                      metric_compare, mth_root)
+from .numeric import (Dyadic, DyadicPoly, bisection_invert, finite_series,
+                      geometric_limit, geometric_partial_sum, metric_compare, mth_root)
 from .order import interval_topology, one_sided_topology, relation_properties
 from .setops import mask_of, points_of
 from .topology import (enumerate_topologies, generate_from_base, generate_from_subbase,
@@ -251,7 +250,7 @@ def cmd_check(args):
         xs = [Dyadic.parse(v) for v in data['x']]
         ys = [Dyadic.parse(v) for v in data['y']]
         rep = metric_compare(xs, ys)
-        return {'cauchy_schwarz': cauchy_schwarz_check(xs, ys),
+        return {'cauchy_schwarz': rep['cauchy_schwarz'],
                 'dmax_sq': str(rep['dmax_sq']), 'e_sq': str(rep['e_sq']),
                 'sandwich': rep['lower_ok'] and rep['upper_ok']}
     if args.metric:
@@ -305,18 +304,19 @@ def build_parser():
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser('generate', help='generate a topology from a description')
-    p.add_argument('--base')
-    p.add_argument('--subbase')
-    p.add_argument('--closed')
-    p.add_argument('--neighborhoods')
-    p.add_argument('--neighborhood-base')
-    p.add_argument('--set-map')
-    p.add_argument('--closure-op')
-    p.add_argument('--interior-op')
-    p.add_argument('--metric')
-    p.add_argument('--interval')
+    source = p.add_mutually_exclusive_group()
+    source.add_argument('--base')
+    source.add_argument('--subbase')
+    source.add_argument('--closed')
+    source.add_argument('--neighborhoods')
+    source.add_argument('--neighborhood-base')
+    source.add_argument('--set-map')
+    source.add_argument('--closure-op')
+    source.add_argument('--interior-op')
+    source.add_argument('--metric')
+    source.add_argument('--interval')
+    source.add_argument('--family')
     p.add_argument('--side', choices=['lower', 'upper'])
-    p.add_argument('--family')
     p.add_argument('--direct', action='store_true')
     p.set_defaults(fn=cmd_generate)
 

@@ -3,8 +3,9 @@ the equivalent global characterizations, open/closed maps, and
 homeomorphisms."""
 
 from .convergence import filter_adherence
-from .errors import (ClusterPreconditionFailed, IndexOutOfRange, UniverseCardinalityMismatch,
-                     UniverseMismatch)
+from .errors import (CapExceeded, ClusterPreconditionFailed, IndexOutOfRange,
+                     UniverseCardinalityMismatch, UniverseMismatch)
+from .generated import subspace_topology
 from .setops import FiniteMap, full_mask
 
 
@@ -98,9 +99,16 @@ def continuous_via_subbase(m):
 
 
 def continuous_via_closeds(m):
+    """The preimage of each closed set of the target, the complement of
+    an open, is closed."""
+    opens = m.target._opens
+    if opens is None:
+        opens = m.target.opens
+    full = (1 << m.target.n) - 1
     _, t0, t1, t2 = m.f.preimage_tables
     _, c0, c1, c2 = m.source.closure_bytes
-    for c in m.target.closed_system.sets:
+    for o in opens.sets:
+        c = full ^ o
         a = t0[c & 255] | t1[c >> 8 & 255] | t2[c >> 16]
         if c0[a & 255] | c1[a >> 8 & 255] | c2[a >> 16] != a:
             return False
@@ -122,19 +130,29 @@ def continuous_via_neighborhoods(m):
 def continuous_via_filter_transfer(m):
     """For each x and each neighborhood U of f(x) there is a
     neighborhood V of x with f[V] contained in U.  The neighborhoods of
-    a point x are the supersets of U_x."""
-    src_nbhd, dst_nbhd = m.source.neighborhoods, m.target.neighborhoods
+    a point x are the sets U_x | s, s over the subsets of the points
+    outside U_x, walked in ascending order (s = (s - out) & out) and
+    never listed."""
+    full_src, full_dst = (1 << m.source.n) - 1, (1 << m.target.n) - 1
+    dst_u = m.target.minimal_opens
     _, t0, t1, t2 = m.f.image_tables
-    for nbhd, y in zip(src_nbhd, m.f.images):
-        pushed = []
-        for v in nbhd:
-            pushed.append(t0[v & 255] | t1[v >> 8 & 255] | t2[v >> 16])
-        for u in dst_nbhd[y]:
-            for img in pushed:
-                if not img & ~u:
+    for ux, y in zip(m.source.minimal_opens, m.f.images):
+        uy = dst_u[y]
+        out_v, out_u = full_src ^ ux, full_dst ^ uy
+        s = 0
+        while True:
+            u = uy | s
+            r = 0
+            while True:
+                v = ux | r
+                if not (t0[v & 255] | t1[v >> 8 & 255] | t2[v >> 16]) & ~u:
                     break
-            else:
-                return False
+                if r == out_v:
+                    return False
+                r = (r - out_v) & out_v
+            if s == out_u:
+                break
+            s = (s - out_u) & out_u
     return True
 
 
@@ -246,7 +264,6 @@ def are_homeomorphic(t1, t2):
     if n != t2.n:
         raise UniverseCardinalityMismatch("carriers have different sizes")
     if n > 6:
-        from .errors import CapExceeded
         raise CapExceeded("homeomorphism search capped at 6 points")
     try:
         if t1._shape_key != t2._shape_key:
@@ -316,7 +333,6 @@ def is_continuous_on_closed_pieces(m, pieces):
     """Gluing test: X covered by closed sets, each restriction
     continuous.  Returns the gluing verdict (equivalent to global
     continuity when the pieces are closed and cover X)."""
-    from .generated import subspace_topology
     cover = 0
     for a in pieces:
         cover |= a

@@ -2,7 +2,7 @@
 eventually periodic sequences."""
 
 from .closure import closure
-from .errors import EmptyArgument, NotDirected, UniverseMismatch
+from .errors import EmptyArgument, FilterBaseViolation, NotDirected, UniverseMismatch
 from .filters import generate_filter, is_filter_base
 from .setops import SetSystem, points_of
 
@@ -120,7 +120,6 @@ def net_from_filter_base(base):
     Domain elements are pairs (x, B) with x a point of the base member
     B, ordered by reverse inclusion of the member; the net value is x.
     """
-    from .errors import FilterBaseViolation
     verdict = is_filter_base(base)
     if verdict is not None:
         raise FilterBaseViolation(*verdict)

@@ -28,6 +28,7 @@ def system_to_json(system):
 
 
 def system_from_json(data):
+    """{"n": n, "sets": [[point, ...], ...]}, each set a list of points."""
     n = data['n']
     return SetSystem(n, [mask_of(s, n) for s in data['sets']])
 
@@ -37,6 +38,7 @@ def topology_to_json(t):
 
 
 def topology_from_json(data):
+    """The opens as system_from_json reads them: {"n": n, "sets": [...]}."""
     system = system_from_json(data)
     return Topology(system.n, system)
 
@@ -46,11 +48,13 @@ def relation_to_json(rel):
 
 
 def relation_from_json(data):
+    """{"n": n, "pairs": [[x, [point, ...]], ...]}: point x related to each set."""
     n = data['n']
     return PointSetRelation(n, [(x, mask_of(s, n)) for x, s in data['pairs']])
 
 
 def set_map_from_json(data):
+    """{"n": n, "table": [[A, [set, ...]], ...]}, sets as point lists, every subset A once."""
     n = data['n']
     check_carrier(n)
     table = [None] * (1 << n)
@@ -62,6 +66,7 @@ def set_map_from_json(data):
 
 
 def operator_from_json(data):
+    """{"n": n, "table": [[A, image of A], ...]}, sets as point lists, every subset A once."""
     n = data['n']
     check_carrier(n)
     table = [None] * (1 << n)
@@ -73,6 +78,7 @@ def operator_from_json(data):
 
 
 def map_from_json(data, n_src=None, n_dst=None):
+    """{"f": [f(0), f(1), ...]}, the image of each source point."""
     images = data['f']
     if n_src is None:
         n_src = len(images)
@@ -82,6 +88,7 @@ def map_from_json(data, n_src=None, n_dst=None):
 
 
 def net_from_json(data, n):
+    """{"domain": {"n": k, "leq": [[i, j], ...]}, "values": [point, ...]}, a point per index."""
     dom = data['domain']
     domain = DirectedSet(dom['n'], [tuple(p) for p in dom['leq']])
     return Net(domain, data['values'], n)
@@ -99,6 +106,7 @@ def metric_to_json(m):
 
 
 def metric_from_json(data):
+    """{"n": n, "d": [[d(0, 0), d(0, 1), ...], ...]}, numbers or decimal or fraction strings."""
     rows = [[decimal_fraction(v) if isinstance(v, str) else Fraction(v) for v in row]
             for row in data['d']]
     if len(rows) != data['n']:
@@ -107,4 +115,5 @@ def metric_from_json(data):
 
 
 def preorder_from_json(data):
+    """{"n": n, "pairs": [[i, j], ...], "flavor": "strict" or "reflexive"}, i rel j."""
     return Preorder(data['n'], [tuple(q) for q in data['pairs']], data['flavor'])

@@ -8,6 +8,7 @@ tolerance appears anywhere.
 from fractions import Fraction
 
 from .errors import EmptyArgument, InvalidMetric, UniverseMismatch
+from .generated import class_map
 from .setops import SetSystem, points_of
 from .topology import Topology, kernel_of
 
@@ -133,7 +134,6 @@ def zero_distance_rows(m):
 def quotient_metric(m):
     """(classes, D, class map): the metric induced on the zero-distance
     classes.  D is well defined and a genuine metric."""
-    from .generated import class_map
     q, classes = class_map(m.n, zero_distance_rows(m))
     reps = [points_of(c)[0] for c in classes]
     d = [[m.d[a][b] for b in reps] for a in reps]

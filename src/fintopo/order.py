@@ -7,6 +7,7 @@ upper segments are written ]-inf,x[ = {y : y rel x} and
 its own segments.
 """
 
+from itertools import product as iproduct
 from operator import and_, or_
 
 from .errors import (MissingFullDomain, MissingFullRange, NoFullField,
@@ -247,7 +248,6 @@ def fence(n):
 
 def product_preorder(ps):
     """Componentwise comparison on the row-major flattened product."""
-    from itertools import product as iproduct
     sizes = [p.n for p in ps]
     total = 1
     for s in sizes:

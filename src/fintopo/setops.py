@@ -161,9 +161,10 @@ class SetSystem:
         return u
 
     def complements(self):
-        """The system of complements of the members."""
+        """The system of complements of the members: taken in reverse
+        order they ascend, so nothing is sorted."""
         full = full_mask(self.n)
-        return SetSystem(self.n, [full ^ m for m in self.sets])
+        return SetSystem._canonical(self.n, [full ^ m for m in reversed(self.sets)])
 
     def with_sets(self, sets):
         return SetSystem(self.n, sets)
@@ -176,19 +177,10 @@ def powerset_system(n):
 def union_closure(masks, n):
     """The SetSystem on n points of the empty set and every union of the
     given masks, which lie on the carrier, built one distinct mask at a
-    time.  Past 8 masks the largest go first: each joins few sets while
-    there are few, and the small masks that multiply the sets come
-    last.  On fewer masks, as on every space of 5 points, sorting them
-    and listing each step's unions before adding them cost more than
-    they save."""
-    distinct = set(masks)
+    time: each joins every set so far."""
     sets = {0}
-    if len(distinct) > 8:
-        for m in sorted(distinct, key=int.bit_count, reverse=True):
-            sets.update([o | m for o in sets])
-    else:
-        for m in distinct:
-            sets |= {o | m for o in sets}
+    for m in set(masks):
+        sets |= {o | m for o in sets}
     return SetSystem._canonical(n, sorted(sets))
 
 

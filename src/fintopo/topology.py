@@ -102,7 +102,8 @@ class Topology:
         return True
 
     def closed_sets(self):
-        return self.closed_system
+        """The SetSystem of closed sets, the complements of the opens."""
+        return self.opens.complements()
 
     @property
     def minimal_opens(self):
@@ -157,17 +158,6 @@ class Topology:
         removed: x is a limit point of A iff cl{y} holds x for some y in A
         other than x, so the derived set is additive too."""
         return _byte_tables([c & ~(1 << y) for y, c in enumerate(self.point_closures)])
-
-    @cached_property
-    def closed_system(self):
-        """The closed sets, which closed_sets() returns: the empty set and
-        the unions of the point closures."""
-        return union_closure(self.point_closures, self.n)
-
-    @cached_property
-    def neighborhoods(self):
-        """The neighborhoods of each point x: the supersets of U_x."""
-        return tuple(tuple(supermasks(ux, self.n)) for ux in self._kernel)
 
     @cached_property
     def minimal_base(self):

@@ -5,9 +5,21 @@ serialized as a replayable input.
 """
 
 import random
+from fractions import Fraction
 from itertools import product as iproduct
 
+from . import jsonio
+from .closure import (closure, closure_operator_of, enumerate_closure_operators,
+                      topology_from_closure_operator)
+from .continuity import SpaceMap, continuity_characterizations
+from .convergence import filter_adherence, filter_limits
 from .errors import CapExceeded
+from .filters import enumerate_filters, extend_to_ultrafilter, principal_filter
+from .metric import (PseudoMetric, bounded_equivalents, metric_topology,
+                     validate_pseudometric, zero_distance_set)
+from .neighborhoods import (check_neighborhood_axioms, set_map_of,
+                            topology_from_neighborhoods, topology_from_set_map)
+from .numeric import Dyadic, DyadicPoly, bisection_invert
 from .setops import FiniteMap, SetSystem, phi, psi, theta
 from .topology import enumerate_topologies, neighborhood_relation
 
@@ -34,7 +46,6 @@ def _systems(n):
 def _suite_operators(n, tally):
     if n > 3:
         raise CapExceeded("operator suite scans all systems; n <= 3 only")
-    from . import jsonio
     for s in _systems(n):
         ps, ts, fs = psi(s), theta(s), phi(s)
         ok = (psi(ps) == ps and theta(ts) == ts and phi(fs) == fs
@@ -44,9 +55,6 @@ def _suite_operators(n, tally):
 
 
 def _suite_kuratowski(n, tally):
-    from . import jsonio
-    from .closure import (closure_operator_of, enumerate_closure_operators,
-                          topology_from_closure_operator)
     if n > 4:
         raise CapExceeded("closure-operator suite capped at n = 4")
     tops = enumerate_topologies(n)
@@ -59,9 +67,6 @@ def _suite_kuratowski(n, tally):
 
 
 def _suite_neighborhoods(n, tally):
-    from . import jsonio
-    from .neighborhoods import (check_neighborhood_axioms, set_map_of,
-                                topology_from_neighborhoods, topology_from_set_map)
     if n > 3:
         raise CapExceeded("neighborhood suite capped at n = 3")
     for t in enumerate_topologies(n):
@@ -73,8 +78,6 @@ def _suite_neighborhoods(n, tally):
 
 
 def _suite_filters(n, tally):
-    from . import jsonio
-    from .filters import enumerate_filters, extend_to_ultrafilter
     if n > 4:
         raise CapExceeded("filter suite capped at n = 4")
     filters = enumerate_filters(n)
@@ -88,8 +91,6 @@ def _suite_filters(n, tally):
 
 
 def _suite_continuity(n, tally):
-    from . import jsonio
-    from .continuity import SpaceMap, continuity_characterizations
     if n > 3:
         raise CapExceeded("continuity suite capped at n = 3")
     tops = enumerate_topologies(n)
@@ -106,10 +107,6 @@ def _suite_continuity(n, tally):
 
 
 def _suite_convergence(n, tally):
-    from . import jsonio
-    from .closure import closure
-    from .convergence import filter_adherence, filter_limits
-    from .filters import enumerate_filters, principal_filter
     if n > 3:
         raise CapExceeded("convergence suite capped at n = 3")
     all_filters = enumerate_filters(n)
@@ -126,11 +123,6 @@ def _suite_convergence(n, tally):
 
 
 def _suite_metric(n, tally):
-    from fractions import Fraction
-    from . import jsonio
-    from .closure import closure
-    from .metric import (PseudoMetric, bounded_equivalents, metric_topology,
-                         validate_pseudometric, zero_distance_set)
     if not 1 <= n <= 5:
         raise CapExceeded("metric suite needs 1 <= n <= 5")
     rng = random.Random(101)
@@ -154,7 +146,6 @@ def _suite_metric(n, tally):
 
 
 def _suite_numeric(n, tally):
-    from .numeric import Dyadic, DyadicPoly, bisection_invert
     rng = random.Random(404)
     for _ in range(200):
         deg = rng.randint(1, 3)

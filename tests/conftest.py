@@ -67,8 +67,7 @@ def is_topology_oracle(system):
 
 # every view a Topology derives from its kernel and keeps, each a
 # cached_property; test_kernel.py checks the list is complete
-VIEWS = ('point_closures', 'closure_table', 'closure_bytes', 'derived_bytes',
-         'closed_system', 'neighborhoods', 'minimal_base')
+VIEWS = ('point_closures', 'closure_table', 'closure_bytes', 'derived_bytes', 'minimal_base')
 
 
 def topology_of_preorder(u):

@@ -159,6 +159,15 @@ class TestGenerate:
         assert code == 2
         assert 'usage error' in err
 
+    def test_two_inputs_are_a_usage_error(self, capsys, tmp_path):
+        # neither input may be dropped: the base alone gives the
+        # Sierpinski space, which this call must not print
+        base = write(tmp_path, 'b.json', {'n': 2, 'sets': [[], [1], [0, 1]]})
+        sub = write(tmp_path, 's.json', {'n': 2, 'sets': [[0], [1]]})
+        code, out, err = run(capsys, 'generate', '--subbase', sub, '--base', base)
+        assert code == 2 and out == ''
+        assert 'not allowed with argument' in err
+
 
 class TestAnalyze:
     def test_subset_report(self, capsys, tmp_path):

@@ -120,11 +120,9 @@ def assert_views_match(t):
     n = t.n
     assert t.closure_table == tuple(ref.closure(t, a) for a in range(1 << n))
     assert t.point_closures == tuple(ref.closure(t, 1 << x) for x in range(n))
-    assert t.closed_system == SetSystem(n, [full_mask(n) ^ o for o in t.opens])
-    rel = ref.neighborhood_relation(t)
-    assert t.neighborhoods == tuple(rel.section(x).sets for x in range(n))
+    assert t.closed_sets() == SetSystem(n, [full_mask(n) ^ o for o in t.opens])
     assert t.minimal_base == ref.minimal_base(t)
-    assert t.closed_sets() is t.closed_system and minimal_base(t) is t.minimal_base
+    assert minimal_base(t) is t.minimal_base
 
 
 def assert_limits_match(t, filters, nets, sequences):
