@@ -10,7 +10,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import jsonio, verify
 from .closure import analyze_subset
@@ -23,7 +22,7 @@ from .filters import (extend_to_ultrafilter, generate_filter, image_filter,
                       inverse_image_filter, supremum_of_filter_bases)
 from .generated import (direct_image_topology, inverse_image_topology,
                         product_topology, quotient_topology, rows_from_partition)
-from .metric import distance_to_set, metric_topology, validate_pseudometric
+from .metric import PseudoMetric, distance_to_set, metric_topology, validate_pseudometric
 from .neighborhoods import (neighborhood_base_from_topological_base,
                             topology_from_neighborhood_base,
                             topology_from_neighborhoods, topology_from_set_map)
@@ -85,6 +84,10 @@ def cmd_enumerate(args):
 
 
 def cmd_generate(args):
+    if args.side and not args.interval:
+        raise UsageError("--side needs --interval")
+    if args.direct and not args.family:
+        raise UsageError("--direct needs --family")
     if args.base:
         t = generate_from_base(jsonio.system_from_json(_load(args.base)))
     elif args.subbase:
@@ -102,7 +105,7 @@ def cmd_generate(args):
     elif args.interior_op:
         t = topology_from_interior_operator(jsonio.operator_from_json(_load(args.interior_op)))
     elif args.metric:
-        t = metric_topology(jsonio.metric_from_json(_load(args.metric)))
+        t = metric_topology(PseudoMetric(jsonio.matrix_from_json(_load(args.metric))))
     elif args.interval:
         p = jsonio.preorder_from_json(_load(args.interval))
         t = one_sided_topology(p, args.side) if args.side else interval_topology(p)
@@ -130,11 +133,11 @@ def cmd_analyze(args):
     if args.preorder:
         p = jsonio.preorder_from_json(_load(args.preorder))
         return {'properties': relation_properties(p)}
+    if args.set is None:
+        raise UsageError("analyze --%s needs --set" % ('metric' if args.metric else 'space'))
     if args.metric:
-        m = jsonio.metric_from_json(_load(args.metric))
-        a = mask_of(_parse_set(args.set), m.n) if args.set is not None else None
-        if a is None:
-            raise UsageError("analyze --metric needs --set")
+        m = PseudoMetric(jsonio.matrix_from_json(_load(args.metric)))
+        a = mask_of(_parse_set(args.set), m.n)
         if a == 0:
             raise EmptyArgument("distance to the empty set is undefined")
         return {'distances': [jsonio.fraction_to_str(v) for v in distance_to_set(m, a)]}
@@ -237,11 +240,9 @@ def cmd_series(args):
             return {'limit': str(v)}
         s = geometric_partial_sum(x, args.terms)
         return {'sum': str(s), 'fraction': jsonio.fraction_to_str(s.to_fraction())}
-    if args.xs:
-        xs = [Dyadic.parse(v) for v in _load(args.xs)]
-        s = finite_series(xs, args.start, args.end)
-        return {'sum': str(s), 'fraction': jsonio.fraction_to_str(s.to_fraction())}
-    raise UsageError("series needs --geom or --xs")
+    xs = [Dyadic.parse(v) for v in _load(args.xs)]
+    s = finite_series(xs, args.start, args.end)
+    return {'sum': str(s), 'fraction': jsonio.fraction_to_str(s.to_fraction())}
 
 
 def cmd_check(args):
@@ -254,8 +255,7 @@ def cmd_check(args):
                 'dmax_sq': str(rep['dmax_sq']), 'e_sq': str(rep['e_sq']),
                 'sandwich': rep['lower_ok'] and rep['upper_ok']}
     if args.metric:
-        kind, witness = validate_pseudometric(
-            [[Fraction(v) for v in row] for row in _load(args.metric)['d']])
+        kind, witness = validate_pseudometric(jsonio.matrix_from_json(_load(args.metric)))
         out = {'classification': kind, 'reason': None, 'witness': None}
         if kind == 'invalid':
             out['reason'] = witness[0]
@@ -277,7 +277,7 @@ def cmd_check(args):
         r = bisection_invert(p, Dyadic.parse(data['a']), Dyadic.parse(data['b']),
                              Dyadic.parse(data['w']), Dyadic.parse(data['tol']))
         return {'result': str(r), 'fraction': jsonio.fraction_to_str(r.to_fraction())}
-    raise UsageError("check needs a target option")
+    raise UsageError("check --base and --net need --space")
 
 
 def cmd_verify(args):
@@ -321,10 +321,11 @@ def build_parser():
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser('analyze', help='interior/closure/derived/boundary of a set')
-    p.add_argument('--space')
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument('--space')
+    source.add_argument('--preorder')
+    source.add_argument('--metric')
     p.add_argument('--set')
-    p.add_argument('--preorder')
-    p.add_argument('--metric')
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser('filter', help='filter operations')
@@ -339,9 +340,10 @@ def build_parser():
     p = sub.add_parser('cont', help='continuity of a map between spaces')
     p.add_argument('--src', required=True)
     p.add_argument('--dst', required=True)
-    p.add_argument('--map')
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument('--map')
+    source.add_argument('--homeo', action='store_true')
     p.add_argument('--at', type=int)
-    p.add_argument('--homeo', action='store_true')
     p.add_argument('--fx')
     p.add_argument('--fy')
     p.set_defaults(fn=cmd_cont)
@@ -362,21 +364,23 @@ def build_parser():
     p.set_defaults(fn=cmd_root)
 
     p = sub.add_parser('series', help='exact finite and geometric series')
-    p.add_argument('--geom')
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument('--geom')
+    source.add_argument('--xs')
     p.add_argument('--terms', type=int, default=10)
     p.add_argument('--limit', action='store_true')
-    p.add_argument('--xs')
     p.add_argument('--start', type=int, default=1)
     p.add_argument('--end', type=int, default=1)
     p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser('check', help='exact numeric and structural checks')
-    p.add_argument('--cauchy-schwarz')
-    p.add_argument('--metric')
-    p.add_argument('--base')
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument('--cauchy-schwarz')
+    source.add_argument('--metric')
+    source.add_argument('--base')
+    source.add_argument('--net')
+    source.add_argument('--invert')
     p.add_argument('--space')
-    p.add_argument('--net')
-    p.add_argument('--invert')
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser('verify', help='run a module invariant suite')

@@ -4,7 +4,7 @@ eventually periodic sequences."""
 from .closure import closure
 from .errors import EmptyArgument, FilterBaseViolation, NotDirected, UniverseMismatch
 from .filters import generate_filter, is_filter_base
-from .setops import SetSystem, points_of
+from .setops import SetSystem, intransitive_pair, mask_of, points_of
 
 
 def _points_where(topology, test):
@@ -49,10 +49,9 @@ class DirectedSet:
             if not (0 <= i < size and 0 <= j < size):
                 raise UniverseMismatch("pair (%d, %d) outside domain of size %d" % (i, j, size))
             up[i] |= 1 << j
-        for i in range(size):
-            for j in range(size):
-                if up[i] >> j & 1 and up[j] & ~up[i]:
-                    raise NotDirected("order not transitive at (%d, %d)" % (i, j))
+        pair = intransitive_pair(up)
+        if pair is not None:
+            raise NotDirected("order not transitive at (%d, %d)" % pair)
         for i in range(size):
             for j in range(size):
                 if not up[i] & up[j]:
@@ -85,11 +84,7 @@ class Net:
 
     def tail_mask(self, i):
         """Values taken from position i onward."""
-        t = 0
-        for j in range(self.domain.size):
-            if self.domain.up[i] >> j & 1:
-                t |= 1 << self.values[j]
-        return t
+        return mask_of(self.values[j] for j in points_of(self.domain.up[i]))
 
     def eventually_in(self, u_mask):
         return any(self.tail_mask(i) & ~u_mask == 0 for i in range(self.domain.size))

@@ -10,8 +10,8 @@ filters are checked, built and compared through their cores.
 from itertools import product
 
 from .errors import EmptyArgument, EmptyMeet, FilterBaseViolation, NotSurjective, UniverseMismatch
-from .setops import SetSystem, full_mask, points_of, supermasks, upward_gap
-from .topology import meet_of
+from .setops import (SetSystem, full_mask, is_up_set, meet_of, points_of, supermasks,
+                     two_minimal, upward_gap)
 
 
 def is_filter(system):
@@ -24,9 +24,8 @@ def is_filter(system):
     Given (i) and (ii), (iii) and (iv) hold iff the members are all
     the 2^(n - |core|) supersets of their meet, the core.  Otherwise an
     upward closed system has two minimal members whose meet is not a
-    member: its least member and its least member not containing that
-    one.  A system that is not upward closed is tested for meets by
-    _meet_fault.
+    member, its two_minimal pair.  A system that is not upward closed
+    is tested for meets by _meet_fault.
     """
     n, members = system.n, system.sets
     full = full_mask(n)
@@ -34,14 +33,10 @@ def is_filter(system):
         return ('no-empty-member', 0)
     if not members or members[-1] != full:
         return ('contains-whole', full)
-    if len(members) == 1 << n - meet_of(members).bit_count():
+    if is_up_set(members, meet_of(members), n):
         return None
     gap = upward_gap(members, n)
-    if gap is None:
-        first = members[0]
-        pair = (first, next(m for m in members if first & ~m))
-    else:
-        pair = _meet_fault(members, n)
+    pair = two_minimal(members) if gap is None else _meet_fault(members, n)
     if pair is not None:
         return ('intersection-closed', pair)
     return ('upward-closed', gap)
@@ -150,19 +145,16 @@ def is_filter_base(system):
     meet of all members is one: the meet of the members then lies in
     every pairwise intersection, and conversely the meet of all
     members, met in one at a time, contains a member, which can only be
-    the meet itself.  When it is not one, the least member u and the
-    least member v not containing u fail: a member inside u & v would
-    be below u.
+    the meet itself.  When it is not one, the two_minimal pair fails.
     """
     members = system.sets
     if not members:
         return ('nonempty', None)
     if members[0] == 0:
         return ('no-empty-member', 0)
-    first = members[0]
-    if meet_of(members) == first:
+    if meet_of(members) == members[0]:
         return None
-    return ('meet-refined', (first, next(m for m in members if first & ~m)))
+    return ('meet-refined', two_minimal(members))
 
 
 def generate_filter(base):
@@ -216,9 +208,7 @@ def supremum_of_filter_bases(bases):
             raise FilterBaseViolation(*verdict)
     meets = set()
     for pick in product(*[b.sets for b in bases]):
-        cap = full_mask(n)
-        for m in pick:
-            cap &= m
+        cap = meet_of(pick)
         if cap == 0:
             raise EmptyMeet(pick)
         meets.add(cap)

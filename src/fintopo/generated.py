@@ -8,7 +8,7 @@ spaces and kept as its own (Topology.from_kernel), in O(n^2) per space.
 from itertools import product as iproduct
 
 from .errors import CapExceeded, NotEquivalence, UniverseMismatch
-from .setops import FiniteMap, check_carrier, full_mask, identity_map, points_of
+from .setops import FiniteMap, check_carrier, full_mask, identity_map, mask_of, points_of
 from .topology import Topology, enumerate_topologies
 
 
@@ -150,11 +150,7 @@ def rows_from_partition(n, blocks):
     rows = [0] * n
     seen = 0
     for block in blocks:
-        m = 0
-        for p in block:
-            if not 0 <= p < n:
-                raise UniverseMismatch("point %d outside carrier of size %d" % (p, n))
-            m |= 1 << p
+        m = mask_of(block, n)
         if m & seen:
             raise NotEquivalence("partition blocks overlap")
         seen |= m

@@ -11,7 +11,6 @@ from fractions import Fraction
 from .closure import SubsetOperator
 from .convergence import DirectedSet, Net
 from .errors import UniverseMismatch
-from .metric import PseudoMetric
 from .neighborhoods import SetNeighborhoodMap
 from .numeric import decimal_digits, decimal_fraction
 from .order import Preorder
@@ -105,13 +104,14 @@ def metric_to_json(m):
     return {'n': m.n, 'd': [[fraction_to_str(v) for v in row] for row in m.d]}
 
 
-def metric_from_json(data):
-    """{"n": n, "d": [[d(0, 0), d(0, 1), ...], ...]}, numbers or decimal or fraction strings."""
+def matrix_from_json(data):
+    """{"n": n, "d": [[d(0, 0), d(0, 1), ...], ...]}, numbers or decimal or fraction strings,
+    read exactly: the n rows of Fractions, unchecked beyond their count."""
     rows = [[decimal_fraction(v) if isinstance(v, str) else Fraction(v) for v in row]
             for row in data['d']]
     if len(rows) != data['n']:
         raise UniverseMismatch("matrix size does not match n")
-    return PseudoMetric(rows)
+    return rows
 
 
 def preorder_from_json(data):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .errors import EmptyArgument, InvalidMetric, UniverseMismatch
 from .generated import class_map
-from .setops import SetSystem, points_of
+from .setops import SetSystem, mask_of, points_of
 from .topology import Topology, kernel_of
 
 
@@ -64,18 +64,10 @@ class PseudoMetric:
 
     def open_sphere(self, x, r):
         """B(x, r) = points strictly closer than r to x, as a mask."""
-        m = 0
-        for y in range(self.n):
-            if self.d[x][y] < r:
-                m |= 1 << y
-        return m
+        return mask_of(y for y, v in enumerate(self.d[x]) if v < r)
 
     def closed_sphere(self, x, r):
-        m = 0
-        for y in range(self.n):
-            if self.d[x][y] <= r:
-                m |= 1 << y
-        return m
+        return mask_of(y for y, v in enumerate(self.d[x]) if v <= r)
 
     def distance_values(self):
         """Sorted distinct positive distances."""
@@ -121,14 +113,7 @@ def bounded_equivalents(m):
 def zero_distance_rows(m):
     """rows[x] = mask of points at distance zero from x (an equivalence
     relation by the triangle inequality)."""
-    rows = []
-    for x in range(m.n):
-        r = 0
-        for y in range(m.n):
-            if m.d[x][y] == 0:
-                r |= 1 << y
-        rows.append(r)
-    return rows
+    return [mask_of(y for y, v in enumerate(row) if v == 0) for row in m.d]
 
 
 def quotient_metric(m):
@@ -162,12 +147,7 @@ def distance_to_set(m, a_mask):
 def zero_distance_set(m, a_mask):
     """Mask of points at distance zero from A: the closure of A in the
     metric topology."""
-    dist = distance_to_set(m, a_mask)
-    out = 0
-    for x in range(m.n):
-        if dist[x] == 0:
-            out |= 1 << x
-    return out
+    return mask_of(x for x, v in enumerate(distance_to_set(m, a_mask)) if v == 0)
 
 
 def is_isometry(m1, m2, f):

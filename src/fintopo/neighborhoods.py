@@ -14,9 +14,9 @@ decided, and the topology and the set map are built, from the cores.
 
 from .errors import (NeighborhoodAxiomViolation, NeighborhoodBaseViolation,
                      NotABase, SetMapAxiomViolation, UniverseMismatch)
-from .setops import (PointSetRelation, SetSystem, full_mask, points_of,
-                     relation_from_sections, supermasks, upward_gap)
-from .topology import Topology, closure_table, is_base_of, meet_of, neighborhood_relation
+from .setops import (PointSetRelation, SetSystem, full_mask, is_up_set, meet_of, points_of,
+                     relation_from_sections, supermasks, two_minimal, upward_gap)
+from .topology import Topology, closure_table, is_base_of, neighborhood_relation
 
 
 def _cores(sections, n):
@@ -25,16 +25,10 @@ def _cores(sections, n):
     return [meet_of(sec) & full for sec in sections]
 
 
-def _is_up(members, core, n):
-    """Whether the distinct members, all supersets of core, are all of
-    its 2^(n - |core|) supersets."""
-    return len(members) == 1 << n - core.bit_count()
-
-
 def _holds_up(members, core, c, n):
     """Whether the members, whose meet is core, include every superset
     of c."""
-    if _is_up(members, core, n):
+    if is_up_set(members, core, n):
         return core & ~c == 0
     return sum(1 for m in members if c & ~m == 0) == 1 << n - c.bit_count()
 
@@ -42,15 +36,12 @@ def _holds_up(members, core, c, n):
 def _up_fault(members, n):
     """Why the ascending members are not all the supersets of their
     meet: ('upward-closed', (least missing superset,)), or, for an
-    upward closed family, ('intersection-closed', (u, v)).  Such a
-    family has two minimal members: u, its least member, and v, its
-    least member not containing u.  Their meet is below u, so it is
-    not a member."""
+    upward closed family, ('intersection-closed', (u, v)), its
+    two_minimal pair, whose meet is not a member."""
     gap = upward_gap(members, n)
     if gap is not None:
         return 'upward-closed', (gap,)
-    first = members[0]
-    return 'intersection-closed', (first, next(m for m in members if first & ~m))
+    return 'intersection-closed', two_minimal(members)
 
 
 def check_neighborhood_axioms(rel):
@@ -79,7 +70,7 @@ def check_neighborhood_axioms(rel):
             return ('nonempty', x)
         if not c >> x & 1:
             return ('point-membership', (x, next(u for u in sec if not u >> x & 1)))
-        if not _is_up(sec, c, n):
+        if not is_up_set(sec, c, n):
             axiom, witness = _up_fault(sec, n)
             return (axiom, (x,) + witness)
         short = [set(sections[y]) for y in points_of(c)
@@ -169,7 +160,7 @@ def check_set_map_axioms(smap):
             return ('nonempty', a)
         if a & ~c:
             return ('set-membership', (a, next(u for u in sec if a & ~u)))
-        if not _is_up(sec, c, n):
+        if not is_up_set(sec, c, n):
             axiom, witness = _up_fault(sec, n)
             return (axiom, (a,) + witness)
         if not _holds_up(sections[c], cores[c], c, n):
@@ -219,7 +210,7 @@ def check_neighborhood_base_axioms(rel):
         if not c >> x & 1:
             return ('point-membership', (x, next(u for u in sec if not u >> x & 1)))
         if sec[0] != c:
-            return ('meet-refined', (x, sec[0], next(m for m in sec if sec[0] & ~m)))
+            return ('meet-refined', (x,) + two_minimal(sec))
         if not all(_has_member_inside(sections[y], cores[y], c) for y in points_of(c)):
             return ('interior-witness', (x, c))
     return None

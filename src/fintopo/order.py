@@ -4,7 +4,8 @@ A preorder comes in two flavours: 'strict' (transitive, irreflexive,
 like <) and 'reflexive' (transitive and reflexive, like <=).  Lower and
 upper segments are written ]-inf,x[ = {y : y rel x} and
 ]x,inf[ = {y : x rel y}; in the reflexive flavour a point may belong to
-its own segments.
+its own segments.  A preorder keeps both: succ[x] is ]x,inf[ and
+pred[x], the transpose, is ]-inf,x[.
 """
 
 from itertools import product as iproduct
@@ -12,16 +13,18 @@ from operator import and_, or_
 
 from .errors import (MissingFullDomain, MissingFullRange, NoFullField,
                      NotDirected, UniverseMismatch)
-from .setops import SetSystem, full_mask, points_of
-from .topology import generate_from_subbase
+from .setops import SetSystem, check_carrier, full_mask, intransitive_pair, meet_of, points_of
+from .topology import generate_from_subbase, point_closures
 
 
 class Preorder:
-    __slots__ = ('n', 'succ', 'flavor')
+    __slots__ = ('n', 'succ', 'pred', 'flavor')
 
     def __init__(self, n, pairs, flavor):
+        """Raises CapExceeded unless 0 <= n <= MAX_N."""
         if flavor not in ('strict', 'reflexive'):
             raise ValueError("flavor must be 'strict' or 'reflexive'")
+        check_carrier(n)
         succ = [0] * n
         for i, j in pairs:
             if not (0 <= i < n and 0 <= j < n):
@@ -35,12 +38,12 @@ class Preorder:
             for i in range(n):
                 if succ[i] >> i & 1:
                     raise NotDirected("strict flavor forbids %d rel %d" % (i, i))
-        for i in range(n):
-            for j in points_of(succ[i]):
-                if succ[j] & ~succ[i]:
-                    raise NotDirected("relation not transitive at (%d, %d)" % (i, j))
+        pair = intransitive_pair(succ)
+        if pair is not None:
+            raise NotDirected("relation not transitive at (%d, %d)" % pair)
         self.n = n
         self.succ = tuple(succ)
+        self.pred = point_closures(succ)
         self.flavor = flavor
 
     def rel(self, i, j):
@@ -55,32 +58,28 @@ class Preorder:
 
     def lower_segment(self, x):
         """]-inf, x[ = points below x."""
-        m = 0
-        for y in range(self.n):
-            if self.succ[y] >> x & 1:
-                m |= 1 << y
-        return m
+        return self.pred[x]
 
     def lower_segments(self):
         """The system of lower segments together with the empty set."""
-        return SetSystem(self.n, [0] + [self.lower_segment(x) for x in range(self.n)])
+        return SetSystem(self.n, (0,) + self.pred)
 
     def upper_segments(self):
-        return SetSystem(self.n, [0] + [self.upper_segment(x) for x in range(self.n)])
+        return SetSystem(self.n, (0,) + self.succ)
 
 
 def has_full_domain(p):
     """Every point is below something."""
-    return all(p.succ[x] for x in range(p.n))
+    return all(p.succ)
 
 
 def has_full_range(p):
     """Every point is above something."""
-    return all(p.lower_segment(x) for x in range(p.n))
+    return all(p.pred)
 
 
 def has_full_field(p):
-    return all(p.succ[x] or p.lower_segment(x) for x in range(p.n))
+    return all(s | t for s, t in zip(p.succ, p.pred))
 
 
 def is_connective(p):
@@ -93,8 +92,7 @@ def has_interval_intersection_property(p):
     """Lower and upper segment systems (with the empty set) are fixed
     points of the finite-intersection operator: on each side, the meet
     of any two segments is empty or a segment."""
-    lower = [p.lower_segment(x) for x in range(p.n)]
-    return _pairwise_closed(lower, and_, {0}) and _pairwise_closed(p.succ, and_, {0})
+    return _pairwise_closed(p.pred, and_, {0}) and _pairwise_closed(p.succ, and_, {0})
 
 
 def _pairwise_closed(segs, op, extra):
@@ -109,11 +107,8 @@ def is_interval_relation(p):
 
 
 def _upper_bounds(p, a_mask):
-    """Points u with a rel u or a == u for every a in the set."""
-    ub = full_mask(p.n)
-    for a in points_of(a_mask):
-        ub &= p.succ[a] | (1 << a)
-    return ub
+    """Points u with a rel u or a == u for every a in the nonempty set."""
+    return meet_of(p.succ[a] | 1 << a for a in points_of(a_mask))
 
 
 def has_lub_property(p):
@@ -182,9 +177,7 @@ def interval_topology_family(preorders):
     for p in preorders:
         if p.n != n:
             raise UniverseMismatch("family members live on different carriers")
-        for x in range(n):
-            subbase.add(p.lower_segment(x))
-            subbase.add(p.upper_segment(x))
+        subbase.update(p.pred, p.succ)
     for m in subbase:
         cover |= m
     if cover != full_mask(n):
@@ -208,14 +201,14 @@ def one_sided_topology(p, side):
     if side == 'lower':
         if not has_full_domain(p):
             raise MissingFullDomain("a point with empty upper segment breaks the cover")
-        segs = [p.lower_segment(x) for x in range(p.n)]
+        segs = p.pred
     elif side == 'upper':
         if not has_full_range(p):
             raise MissingFullRange("a point with empty lower segment breaks the cover")
-        segs = [p.upper_segment(x) for x in range(p.n)]
+        segs = p.succ
     else:
         raise ValueError("side must be 'lower' or 'upper'")
-    return generate_from_subbase(SetSystem(p.n, [0] + segs))
+    return generate_from_subbase(SetSystem(p.n, (0,) + segs))
 
 
 def segment_system_is_topology(p, side):
@@ -223,7 +216,7 @@ def segment_system_is_topology(p, side):
     union-closed (hence a topology): the union of any two segments is a
     segment, empty or X.  True for total orders with the
     least-upper-bound property."""
-    segs = [p.lower_segment(x) for x in range(p.n)] if side == 'lower' else p.succ
+    segs = p.pred if side == 'lower' else p.succ
     return _pairwise_closed(segs, or_, {0, full_mask(p.n)})
 
 

@@ -11,7 +11,11 @@ module provides the four structural operators used everywhere else:
   phi_prime  pointwise phi on a point/set relation
 
 The empty intersection and the empty union are never formed: psi and
-theta of the empty system are the empty system.
+theta of the empty system are the empty system.  The questions the
+axioms ask of a family are answered here once each: its meet (meet_of),
+whether it is every superset of its core (is_up_set), two minimal
+members whose meet is no member (two_minimal), and the first pair at
+which a relation fails transitivity (intransitive_pair).
 """
 
 from .errors import CapExceeded, UniverseMismatch
@@ -66,6 +70,43 @@ def supermasks(mask, n):
         out += [m | low for m in out]
         comp ^= low
     return out
+
+
+def meet_of(sets):
+    """The intersection of the given masks, or -1 (every point) if there
+    are none."""
+    meet = -1
+    for m in sets:
+        meet &= m
+    return meet
+
+
+def is_up_set(members, core, n):
+    """Whether the distinct members, all supersets of core, are every
+    superset of core in the carrier of size n: iff there are
+    2^(n - |core|) of them."""
+    return len(members) == 1 << n - core.bit_count()
+
+
+def two_minimal(members):
+    """(a, b): a the least of the ascending members, b the least member
+    not containing a, which exists when a is not the meet of the
+    members.  Both are minimal: a member inside a is no larger, so it is
+    a; a member inside b does not contain a either and is no larger, so
+    it is b.  They differ, so no member lies inside a & b."""
+    a = members[0]
+    return a, next(m for m in members if a & ~m)
+
+
+def intransitive_pair(rows):
+    """The first (i, j), i then j ascending, with j in rows[i] and
+    rows[j] not inside rows[i], or None if the relation whose row i is
+    the mask rows[i] is transitive."""
+    for i, row in enumerate(rows):
+        for j in points_of(row):
+            if rows[j] & ~row:
+                return i, j
+    return None
 
 
 def upward_gap(sets, n):
@@ -307,7 +348,7 @@ def phi_prime(relation):
     return relation_from_sections(relation.n, [phi(sec) for sec in relation.sections])
 
 
-def _byte_tables(masks):
+def byte_tables(masks):
     """For masks[i], the mask of point i, i < 24: the mask of all the
     points, and three lookup tables, one per 8 points.  Table j at
     index b is the union of masks[8j + i] over the bits i of b.  Each
@@ -327,7 +368,7 @@ def _byte_tables(masks):
 
 def byte_union(tables, mask):
     """The union of the point masks over the points of mask, read from
-    their byte tables (_byte_tables) with one lookup per 8 points; bits
+    their byte tables (byte_tables) with one lookup per 8 points; bits
     of mask off the points are ignored."""
     full, t0, t1, t2 = tables
     mask &= full
@@ -381,7 +422,7 @@ class FiniteMap:
         try:
             return self._image_tables
         except AttributeError:
-            self._image_tables = tables = _byte_tables([1 << y for y in self.images])
+            self._image_tables = tables = byte_tables([1 << y for y in self.images])
             return tables
 
     @property
@@ -393,7 +434,7 @@ class FiniteMap:
             fibers = [0] * self.n_dst
             for x, y in enumerate(self.images):
                 fibers[y] |= 1 << x
-            self._preimage_tables = tables = _byte_tables(fibers)
+            self._preimage_tables = tables = byte_tables(fibers)
             return tables
 
     def image_mask(self, mask):

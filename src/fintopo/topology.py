@@ -6,8 +6,8 @@ from functools import cached_property
 
 from .errors import (BaseCriterionViolation, CapExceeded, ClosedAxiomViolation,
                      SubbaseCriterionViolation, UniverseMismatch)
-from .setops import (MAX_N, SetSystem, _byte_tables, check_carrier, full_mask,
-                     points_of, relation_from_sections, supermasks, union_closure)
+from .setops import (MAX_N, SetSystem, byte_tables, check_carrier, full_mask, meet_of,
+                     points_of, relation_from_sections, supermasks, two_minimal, union_closure)
 
 
 class Topology:
@@ -148,16 +148,16 @@ class Topology:
 
     @cached_property
     def closure_bytes(self):
-        """The byte tables (setops._byte_tables) of the point closures:
+        """The byte tables (setops.byte_tables) of the point closures:
         closure is additive, so cl(A) is one lookup per 8 points of A."""
-        return _byte_tables(self.point_closures)
+        return byte_tables(self.point_closures)
 
     @cached_property
     def derived_bytes(self):
         """The byte tables of the point closures with the point itself
         removed: x is a limit point of A iff cl{y} holds x for some y in A
         other than x, so the derived set is additive too."""
-        return _byte_tables([c & ~(1 << y) for y, c in enumerate(self.point_closures)])
+        return byte_tables([c & ~(1 << y) for y, c in enumerate(self.point_closures)])
 
     @cached_property
     def minimal_base(self):
@@ -179,15 +179,6 @@ def kernel_of(sets, n):
                 meet &= m
         u.append(meet)
     return u
-
-
-def meet_of(sets):
-    """The intersection of the given masks, or -1 (every point) if there
-    are none."""
-    meet = -1
-    for m in sets:
-        meet &= m
-    return meet
 
 
 # every count in a point shape is at most MAX_N = 20 < 2^5
@@ -344,17 +335,14 @@ def _open_fault(system, u):
 
 def _meet_fault(sets, members, u, axiom):
     """None if every u[x] is a member, else (axiom, (a, b)) at the least
-    x whose u[x] is not.  Of the ascending members holding x, a is the
-    least, and b the least not containing a.  Both are minimal among
-    the members holding x, and distinct, so no member holding x lies
-    inside a & b: that meet is neither a member nor a union of members.
-    u[x], the meet of those members, is not one of them, so b exists."""
+    x whose u[x] is not: the two_minimal pair of the ascending members
+    holding x, which exists as u[x], their meet, is not one of them.
+    No member holding x lies inside a & b, so that meet is neither a
+    member nor a union of members."""
     for x, ux in enumerate(u):
         if ux not in members:
             bit = 1 << x
-            holding = [m for m in sets if m & bit]
-            a = holding[0]
-            return (axiom, (a, next(m for m in holding if a & ~m)))
+            return (axiom, two_minimal([m for m in sets if m & bit]))
     return None
 
 

@@ -168,6 +168,16 @@ class TestGenerate:
         assert code == 2 and out == ''
         assert 'not allowed with argument' in err
 
+    @pytest.mark.parametrize('flag, needs', [(['--side', 'lower'], '--interval'),
+                                             (['--direct'], '--family')])
+    def test_a_modifier_without_its_input_is_a_usage_error(self, capsys, tmp_path,
+                                                           flag, needs):
+        # both once printed the base's topology and exited 0
+        base = write(tmp_path, 'b.json', SIERPINSKI)
+        code, out, err = run(capsys, 'generate', '--base', base, *flag)
+        assert code == 2 and out == ''
+        assert err == 'usage error: %s needs %s\n' % (flag[0], needs)
+
 
 class TestAnalyze:
     def test_subset_report(self, capsys, tmp_path):
@@ -198,6 +208,30 @@ class TestAnalyze:
         code, out, _ = run(capsys, 'analyze', '--metric', m, '--set', '')
         assert code == 1
         assert json.loads(out)['error'] == 'EmptyArgument'
+
+    def test_preorder_past_the_carrier_cap_fails_fast(self, capsys, tmp_path):
+        # a 40-point chain once ran the least-upper-bound scan over its
+        # 2^40 subsets
+        pairs = [[i, j] for i in range(40) for j in range(i + 1, 40)]
+        p = write(tmp_path, 'p.json', {'n': 40, 'pairs': pairs, 'flavor': 'strict'})
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, 'analyze', '--preorder', p)
+        assert time.perf_counter() - t0 < 1
+        assert code == 1
+        assert json.loads(out) == {'error': 'CapExceeded',
+                                   'detail': 'carrier size 40 outside 0..20'}
+
+    def test_space_without_a_set_is_a_usage_error(self, capsys, tmp_path):
+        # once an uncaught AttributeError
+        space = write(tmp_path, 't.json', SIERPINSKI)
+        code, out, err = run(capsys, 'analyze', '--space', space)
+        assert code == 2 and out == ''
+        assert err == 'usage error: analyze --space needs --set\n'
+
+    def test_no_input_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, 'analyze', '--set', '0')
+        assert code == 2 and out == ''
+        assert 'one of the arguments --space --preorder --metric is required' in err
 
 
 class TestFilter:
@@ -276,6 +310,12 @@ class TestCont:
                              '--fx', base, '--fy', base)
         assert code == 2 and out == ''
         assert err == 'usage error: --fx and --fy need --at\n'
+
+    def test_neither_map_nor_homeo_is_a_usage_error(self, capsys, tmp_path):
+        src = write(tmp_path, 's.json', SIERPINSKI)
+        code, out, err = run(capsys, 'cont', '--src', src, '--dst', src)
+        assert code == 2 and out == ''
+        assert 'one of the arguments --map --homeo is required' in err
 
 
 class TestProductQuotient:
@@ -399,7 +439,7 @@ class TestNumericVerbs:
         assert rep['cauchy_schwarz'] is True and rep['sandwich'] is True
 
     def test_check_metric_classification(self, capsys, tmp_path):
-        m = write(tmp_path, 'm.json', {'d': [['0', '1'], ['2', '0']]})
+        m = write(tmp_path, 'm.json', {'n': 2, 'd': [['0', '1'], ['2', '0']]})
         code, out, _ = run(capsys, 'check', '--metric', m)
         assert code == 0
         rep = json.loads(out)
@@ -444,6 +484,10 @@ class TestNumericVerbs:
         code, out, _ = run(capsys, 'generate', '--metric', data)
         assert code == 0
         assert json.loads(out) == {'n': 2, 'sets': [[], [0], [1], [0, 1]]}
+        code, out, _ = run(capsys, 'check', '--metric', data)
+        assert code == 0
+        assert json.loads(out) == {'classification': 'metric', 'reason': None,
+                                   'witness': None}
 
     def test_check_invert_from_a_far_endpoint_fails_fast(self, capsys, tmp_path):
         data = write(tmp_path, 'i.json',
@@ -502,6 +546,18 @@ class TestExitCodes:
     def test_unknown_verb(self, capsys):
         code, out, err = run(capsys, 'frobnicate')
         assert code == 2
+
+    @pytest.mark.parametrize('verb, first, second', [
+        ('check', '--metric', '--invert'),
+        ('analyze', '--preorder', '--metric'),
+        ('series', '--geom', '--xs'),
+    ])
+    def test_two_inputs_are_a_usage_error(self, capsys, tmp_path, verb, first, second):
+        # each once answered the first input and exited 0
+        code, out, err = run(capsys, verb, first, write(tmp_path, 'a.json', {}),
+                             second, write(tmp_path, 'b.json', {}))
+        assert code == 2 and out == ''
+        assert 'not allowed with argument' in err
 
     def test_table_format(self, capsys):
         code, out, _ = run(capsys, '--format', 'table', 'enumerate', '--n', '2',

@@ -8,7 +8,9 @@ it too).  The package's __init__.py is exempt: its imports are the
 public re-exports.
 
 Every import statement sits at module level, except the one that breaks
-the import cycle between continuity and generated.
+the import cycle between continuity and generated.  No module imports
+an underscore name from a sibling module: what one module reads of
+another is public there.
 
 A top-level def or class counts as read when some file under src/,
 tests/ or topobench/ loads its name, or an attribute of that name,
@@ -92,6 +94,29 @@ def test_the_scan_sees_a_function_level_import():
               '        import re\n'
               '    return os, jsonio, g\n')
     assert function_imports(source) == [('f', 3), ('f', 5), ('g', 5)]
+
+
+def private_imports(source):
+    """(name, line) for each underscore name imported from a sibling
+    module, by a relative import or through the fintopo package."""
+    return [(alias.name, node.lineno) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or '').partition('.')[0] == 'fintopo')
+            for alias in node.names if alias.name.startswith('_')]
+
+
+def test_no_module_imports_a_private_name():
+    assert [(p.name, name, line) for p in PACKAGE.glob('*.py')
+            for name, line in private_imports(p.read_text())] == []
+
+
+def test_the_scan_sees_a_private_import():
+    source = ('from ._x import y\n'
+              'from .setops import _byte_tables, full_mask\n'
+              'from . import _cache\n'
+              'from fintopo.topology import _meet_fault\n'
+              'from os import _exit\n')
+    assert private_imports(source) == [('_byte_tables', 2), ('_cache', 3), ('_meet_fault', 4)]
 
 
 def names_read(source):

@@ -1,9 +1,10 @@
 """Preorders, segment systems, and interval topologies."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import opens_reference as ref
-from fintopo.errors import (MissingFullDomain, MissingFullRange, NoFullField,
+from fintopo.errors import (CapExceeded, MissingFullDomain, MissingFullRange, NoFullField,
                             NotDirected, SubbaseCriterionViolation)
 from fintopo.generated import product_topology
 from fintopo.order import (Preorder, chain, fence, has_full_domain,
@@ -43,6 +44,31 @@ class TestPreorder:
     def test_transitivity_enforced(self):
         with pytest.raises(NotDirected):
             Preorder(3, [(0, 1), (1, 2)], 'strict')
+
+    def test_carrier_cap(self):
+        with pytest.raises(CapExceeded):
+            Preorder(21, [], 'strict')
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 20).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
+        st.sampled_from(['strict', 'reflexive']))))
+    def test_lower_segment_is_the_column_of_succ(self, case):
+        # a strict row keeps only the points above i, so its closure
+        # stays irreflexive; a reflexive row may point anywhere
+        n, rows, flavor = case
+        if flavor == 'strict':
+            up = [r >> i + 1 << i + 1 for i, r in enumerate(rows)]
+        else:
+            up = [r | 1 << i for i, r in enumerate(rows)]
+        for k in range(n):  # Warshall's transitive closure
+            for i in range(n):
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
+        p = Preorder(n, [(i, j) for i in range(n) for j in range(n) if up[i] >> j & 1],
+                     flavor)
+        for x in range(n):
+            assert p.lower_segment(x) == sum(1 << y for y in range(n) if p.succ[y] >> x & 1)
 
     def test_segments_of_chain(self):
         c = chain(3)

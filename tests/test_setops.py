@@ -9,8 +9,8 @@ import opens_reference as ref
 from conftest import all_systems, phi_oracle, psi_oracle, theta_oracle
 from fintopo.errors import CapExceeded, UniverseMismatch
 from fintopo.setops import (FiniteMap, PointSetRelation, SetSystem, full_mask,
-                            mask_of, phi, phi_prime, points_of, powerset_system,
-                            psi, relation_from_sections, theta)
+                            intransitive_pair, mask_of, meet_of, phi, phi_prime, points_of,
+                            powerset_system, psi, relation_from_sections, theta, two_minimal)
 
 
 def S(n, *sets):
@@ -259,6 +259,26 @@ class TestRelationSections:
                 return str(e)
         assert outcome(lambda: relation_from_sections(3, sections)) == \
             outcome(lambda: PointSetRelation(3, pairs))
+
+
+class TestFamilyQuestions:
+    def test_intransitive_pair_is_the_first_in_i_then_j_order(self):
+        # 0 -> 2 -> 0 and 2 -> 0 -> 1 both fail; (0, 2) comes first
+        assert intransitive_pair([0b110, 0b000, 0b001]) == (0, 2)
+        for bits in range(1 << 9):
+            rows = [bits >> 3 * i & 7 for i in range(3)]
+            faults = [(i, j) for i in range(3) for j in range(3)
+                      if rows[i] >> j & 1 and rows[j] & ~rows[i]]
+            assert intransitive_pair(rows) == min(faults, default=None)
+
+    def test_two_minimal_members_have_no_member_below_their_meet(self):
+        for system in all_systems(3):
+            members = system.sets
+            if not members or meet_of(members) == members[0]:
+                continue
+            a, b = two_minimal(members)
+            assert a != b and a & ~b
+            assert not any(m & ~(a & b) == 0 for m in members)
 
 
 def test_points_of_round_trip():
