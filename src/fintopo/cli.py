@@ -17,9 +17,9 @@ from .continuity import (SpaceMap, are_homeomorphic, continuity_characterization
                          filter_continuity_at, is_continuous, is_continuous_at,
                          map_open_closed)
 from .convergence import net_limits, net_cluster_points
-from .errors import DomainError, EmptyArgument
+from .errors import DomainError, EmptyArgument, UniverseMismatch
 from .filters import (extend_to_ultrafilter, generate_filter, image_filter,
-                      inverse_image_filter, supremum_of_filter_bases)
+                      inverse_image_filter, supremum_filter)
 from .generated import (direct_image_topology, inverse_image_topology,
                         product_topology, quotient_topology, rows_from_partition)
 from .metric import PseudoMetric, distance_to_set, metric_topology, validate_pseudometric
@@ -130,6 +130,8 @@ def cmd_generate(args):
 
 
 def cmd_analyze(args):
+    if args.preorder and args.set is not None:
+        raise UsageError("--set needs --space or --metric")
     if args.preorder:
         p = jsonio.preorder_from_json(_load(args.preorder))
         return {'properties': relation_properties(p)}
@@ -170,9 +172,13 @@ def cmd_filter(args):
         return _filter_json(f)
     if args.op == 'sup':
         bases = [jsonio.system_from_json(d) for d in _load(args.bases)]
-        base = supremum_of_filter_bases(bases)
-        f = generate_filter(base)
-        return _filter_json(f)
+        # each base's carrier is checked before the base itself
+        filters = []
+        for base in bases:
+            if base.n != bases[0].n:
+                raise UniverseMismatch("filter bases on different carriers")
+            filters.append(generate_filter(base))
+        return _filter_json(supremum_filter(filters))
     if args.op in ('image', 'inverse-image'):
         base = jsonio.system_from_json(_load(args.base))
         f0 = generate_filter(base)
@@ -188,6 +194,12 @@ def cmd_filter(args):
 
 
 def cmd_cont(args):
+    if args.homeo and (args.at is not None or args.fx or args.fy):
+        raise UsageError("--at, --fx and --fy need --map")
+    if args.fx and not args.fy:
+        raise UsageError("--fx needs --fy")
+    if args.fy and not args.fx:
+        raise UsageError("--fy needs --fx")
     src = jsonio.topology_from_json(_load(args.src))
     dst = jsonio.topology_from_json(_load(args.dst))
     if args.homeo:
@@ -196,7 +208,7 @@ def cmd_cont(args):
                 'witness': list(witness.images) if witness else None}
     f = jsonio.map_from_json(_load(args.map), n_src=src.n, n_dst=dst.n)
     m = SpaceMap(src, dst, f)
-    if args.fx and args.fy:
+    if args.fx:
         if args.at is None:
             raise UsageError("--fx and --fy need --at")
         fx = generate_filter(jsonio.system_from_json(_load(args.fx)))
@@ -234,18 +246,27 @@ def cmd_root(args):
 
 def cmd_series(args):
     if args.geom is not None:
+        if args.start is not None or args.end is not None:
+            raise UsageError("--start and --end need --xs")
         x = Dyadic.parse(args.geom)
         if args.limit:
+            if args.terms is not None:
+                raise UsageError("--limit excludes --terms")
             v = geometric_limit(x)
             return {'limit': str(v)}
-        s = geometric_partial_sum(x, args.terms)
+        s = geometric_partial_sum(x, 10 if args.terms is None else args.terms)
         return {'sum': str(s), 'fraction': jsonio.fraction_to_str(s.to_fraction())}
+    if args.terms is not None or args.limit:
+        raise UsageError("--terms and --limit need --geom")
     xs = [Dyadic.parse(v) for v in _load(args.xs)]
-    s = finite_series(xs, args.start, args.end)
+    s = finite_series(xs, 1 if args.start is None else args.start,
+                      1 if args.end is None else args.end)
     return {'sum': str(s), 'fraction': jsonio.fraction_to_str(s.to_fraction())}
 
 
 def cmd_check(args):
+    if args.space and not (args.base or args.net):
+        raise UsageError("--space needs --base or --net")
     if args.cauchy_schwarz:
         data = _load(args.cauchy_schwarz)
         xs = [Dyadic.parse(v) for v in data['x']]
@@ -367,10 +388,11 @@ def build_parser():
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument('--geom')
     source.add_argument('--xs')
-    p.add_argument('--terms', type=int, default=10)
+    # --terms defaults to 10, and --start and --end to 1
+    p.add_argument('--terms', type=int)
     p.add_argument('--limit', action='store_true')
-    p.add_argument('--start', type=int, default=1)
-    p.add_argument('--end', type=int, default=1)
+    p.add_argument('--start', type=int)
+    p.add_argument('--end', type=int)
     p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser('check', help='exact numeric and structural checks')

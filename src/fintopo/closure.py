@@ -28,16 +28,6 @@ def derived_set(topology, a_mask):
     return byte_union(topology.derived_bytes, a_mask)
 
 
-def boundary(topology, a_mask):
-    """Points in the closure of A and of its complement."""
-    full = full_mask(topology.n)
-    return closure(topology, a_mask) & closure(topology, full ^ a_mask)
-
-
-def is_dense(topology, a_mask):
-    return closure(topology, a_mask) == full_mask(topology.n)
-
-
 def analyze_subset(topology, a_mask):
     """Interior, closure, derived set, boundary and density of A, all
     but the derived set from the closures of A and of its complement."""

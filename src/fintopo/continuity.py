@@ -5,8 +5,7 @@ homeomorphisms."""
 from .convergence import filter_adherence
 from .errors import (CapExceeded, ClusterPreconditionFailed, IndexOutOfRange,
                      UniverseCardinalityMismatch, UniverseMismatch)
-from .generated import subspace_topology
-from .setops import FiniteMap, full_mask
+from .setops import FiniteMap
 
 
 class SpaceMap:
@@ -327,22 +326,3 @@ def filter_continuity_at(fx, fy, m, x):
     if not filter_adherence(m.target, fy) >> m.f(x) & 1:
         raise ClusterPreconditionFailed("f(x) is not a cluster point of the target filter")
     return m.f.image_mask(fx.core()) & ~fy.core() == 0
-
-
-def is_continuous_on_closed_pieces(m, pieces):
-    """Gluing test: X covered by closed sets, each restriction
-    continuous.  Returns the gluing verdict (equivalent to global
-    continuity when the pieces are closed and cover X)."""
-    cover = 0
-    for a in pieces:
-        cover |= a
-        if not m.source.is_closed(a):
-            raise UniverseMismatch("piece %r is not closed" % a)
-    if cover != full_mask(m.source.n):
-        raise UniverseMismatch("pieces do not cover the carrier")
-    for a in pieces:
-        sub, point_map = subspace_topology(m.source, a)
-        restricted = FiniteMap(sub.n, m.target.n, [m.f(p) for p in point_map])
-        if not is_continuous(SpaceMap(sub, m.target, restricted)):
-            return False
-    return True

@@ -33,10 +33,6 @@ def filter_adherence(topology, filt):
     return closure(topology, filt.core())
 
 
-def filter_base_limits(topology, base):
-    return filter_limits(topology, generate_filter(base))
-
-
 class DirectedSet:
     """A finite directed set: reflexive, transitive, every pair bounded
     above.  The order is stored as one 'upper cone' mask per element."""

@@ -7,8 +7,6 @@ nonempty core, and exactly n ultrafilters (the point filters).  So
 filters are checked, built and compared through their cores.
 """
 
-from itertools import product
-
 from .errors import EmptyArgument, EmptyMeet, FilterBaseViolation, NotSurjective, UniverseMismatch
 from .setops import (SetSystem, full_mask, is_up_set, meet_of, points_of, supermasks,
                      two_minimal, upward_gap)
@@ -171,10 +169,6 @@ def principal_filter(n, mask):
     return Filter.from_core(n, mask)
 
 
-def point_filter(n, x):
-    return principal_filter(n, 1 << x)
-
-
 def enumerate_filters(n):
     """All filters on the carrier, one per nonempty core."""
     return [principal_filter(n, core) for core in range(1, 1 << n)]
@@ -192,35 +186,12 @@ def extend_to_ultrafilter(base):
     return Filter.from_core(base.n, core & -core)
 
 
-def supremum_of_filter_bases(bases):
-    """Base of the supremum filter: all cross intersections picking one
-    member from each base.  Raises EmptyMeet (with the offending
-    selection) if some cross intersection is empty, in which case no
-    common refinement exists."""
-    if not bases:
-        raise EmptyArgument("need at least one filter base")
-    n = bases[0].n
-    for b in bases:
-        if b.n != n:
-            raise UniverseMismatch("filter bases on different carriers")
-        verdict = is_filter_base(b)
-        if verdict is not None:
-            raise FilterBaseViolation(*verdict)
-    meets = set()
-    for pick in product(*[b.sets for b in bases]):
-        cap = meet_of(pick)
-        if cap == 0:
-            raise EmptyMeet(pick)
-        meets.add(cap)
-    return SetSystem(n, meets)
-
-
 def supremum_filter(filters):
     """The coarsest filter finer than all the given ones, if any: the
-    supersets of the meet of their cores.  The cores are the least
-    members, so they are the first selection of the cross intersections
-    of supremum_of_filter_bases, and every other selection contains
-    their meet: EmptyMeet names the cores when their meet is empty."""
+    supersets of the meet of their cores.  The cross intersections of
+    the members, one member from each filter, generate it; the cores
+    are the least members, so every other selection contains their
+    meet, and EmptyMeet names the cores when their meet is empty."""
     filters = list(filters)
     if not filters:
         raise EmptyArgument("need at least one filter base")

@@ -1,5 +1,5 @@
 """Topologies induced along maps: inverse image, subspace, product,
-direct image, quotient, and universal-property verification.
+direct image and quotient.
 
 Each induced space is built from the minimal open sets U_x of the given
 spaces and kept as its own (Topology.from_kernel), in O(n^2) per space.
@@ -7,9 +7,9 @@ spaces and kept as its own (Topology.from_kernel), in O(n^2) per space.
 
 from itertools import product as iproduct
 
-from .errors import CapExceeded, NotEquivalence, UniverseMismatch
-from .setops import FiniteMap, check_carrier, full_mask, identity_map, mask_of, points_of
-from .topology import Topology, enumerate_topologies
+from .errors import NotEquivalence, UniverseMismatch
+from .setops import FiniteMap, check_carrier, full_mask, mask_of, points_of
+from .topology import Topology
 
 
 def inverse_image_topology(n, pairs):
@@ -30,22 +30,6 @@ def inverse_image_topology(n, pairs):
         ut = t.minimal_opens
         u = [ux & f.preimage_mask(ut[y]) for ux, y in zip(u, f.images)]
     return Topology.from_kernel(n, u)
-
-
-def supremum_topology(topologies):
-    """Coarsest topology finer than all the given ones."""
-    if not topologies:
-        raise UniverseMismatch("need at least one topology")
-    n = topologies[0].n
-    return inverse_image_topology(n, [(identity_map(n), t) for t in topologies])
-
-
-def infimum_topology(topologies):
-    """Finest topology coarser than all the given ones: the intersection."""
-    if not topologies:
-        raise UniverseMismatch("need at least one topology")
-    n = topologies[0].n
-    return direct_image_topology(n, [(identity_map(n), t) for t in topologies])
 
 
 def subspace_topology(t, a_mask):
@@ -159,42 +143,3 @@ def rows_from_partition(n, blocks):
     if seen != full_mask(n):
         raise NotEquivalence("partition does not cover the carrier")
     return rows
-
-
-def _all_maps(n_src, n_dst):
-    for images in iproduct(range(n_dst), repeat=n_src):
-        yield FiniteMap(n_src, n_dst, images)
-
-
-def check_universal_property(n, pairs, candidate, direction):
-    """Verify that candidate is the generated topology by its mapping
-    property, quantifying over all test spaces with at most 3 points
-    and all maps.  Returns (True, None) or (False, (test_topology, g)).
-
-    inverse: g into the carrier is continuous iff every f_i . g is.
-    direct: g out of the carrier is continuous iff every g . f_i is.
-    """
-    from .continuity import SpaceMap, is_continuous
-    if candidate.n != n:
-        raise UniverseMismatch("candidate lives on the wrong carrier")
-    if direction not in ('inverse', 'direct'):
-        raise ValueError("direction must be 'inverse' or 'direct'")
-    if n > 20:
-        raise CapExceeded("carrier too large")
-    for size in range(1, 4):
-        for tz in enumerate_topologies(size):
-            if direction == 'inverse':
-                for g in _all_maps(size, n):
-                    lhs = is_continuous(SpaceMap(tz, candidate, g))
-                    rhs = all(is_continuous(SpaceMap(tz, t, f.compose(g)))
-                              for f, t in pairs)
-                    if lhs != rhs:
-                        return False, (tz, g)
-            else:
-                for g in _all_maps(n, size):
-                    lhs = is_continuous(SpaceMap(candidate, tz, g))
-                    rhs = all(is_continuous(SpaceMap(t, tz, g.compose(f)))
-                              for f, t in pairs)
-                    if lhs != rhs:
-                        return False, (tz, g)
-    return True, None

@@ -91,12 +91,6 @@ def topology_from_neighborhoods(rel):
     return Topology.from_kernel(rel.n, _cores(rel.sections, rel.n))
 
 
-def neighborhoods_of_set(rel, a_mask):
-    """Neighborhoods of a set: common neighborhoods of all its points.
-    For the empty set this is the full powerset."""
-    return rel.meet_section(a_mask)
-
-
 class SetNeighborhoodMap:
     """M(A) = system of neighborhoods of the subset A, tabulated for all
     2^n subsets."""
@@ -172,12 +166,6 @@ def check_set_map_axioms(smap):
         if c != cores[a ^ low] | cores[low]:
             return ('union-to-intersection', a)
     return None
-
-
-def relation_from_set_map(smap):
-    """Restrict a set map to singletons, yielding the point relation."""
-    return relation_from_sections(smap.n,
-                                  [smap.table[1 << x] for x in range(smap.n)])
 
 
 def topology_from_set_map(smap):

@@ -566,12 +566,6 @@ def metric_compare(xs, ys):
     }
 
 
-def power_lower_bound_check(x, m):
-    """x^m >= m(x - 1) + 1 for dyadic x > 1 (exact)."""
-    x = _coerce(x)
-    return x ** m >= Dyadic(m) * (x - ONE) + ONE
-
-
 def power_exceeds(x, bound):
     """For x > 1: the least m with x^m > bound (see _least_power)."""
     x = _coerce(x)

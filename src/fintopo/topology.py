@@ -495,6 +495,7 @@ def enumerate_topologies(n, count_only=False):
     """
     if n > 5:
         raise CapExceeded("enumeration supported only for n <= 5")
+    check_carrier(n)
     if count_only:
         return sum(1 for _ in preorder_kernels(n))
     tops = [Topology.from_kernel(n, u) for u in preorder_kernels(n)]

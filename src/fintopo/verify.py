@@ -1,7 +1,13 @@
 """Invariant suites runnable from the CLI (`topo verify --suite NAME`).
 
 Each suite returns pass/fail counts plus the first counterexample,
-serialized as a replayable input.
+serialized as a replayable input.  The continuity, convergence and
+metric suites also check the alternative characterizations of the
+library against their counterparts: continuity through preimages of
+closures and interiors, homeomorphy against are_homeomorphic and
+comparison by neighborhoods against compare; nets and sequences against
+filters; and the sphere criterion, the quotient metric, restriction and
+the supremum metric against the topologies they generate.
 """
 
 import random
@@ -11,17 +17,23 @@ from itertools import product as iproduct
 from . import jsonio
 from .closure import (closure, closure_operator_of, enumerate_closure_operators,
                       topology_from_closure_operator)
-from .continuity import SpaceMap, continuity_characterizations
-from .convergence import filter_adherence, filter_limits
+from .continuity import (SpaceMap, are_homeomorphic, continuity_characterizations,
+                         continuous_via_preimage_closure, continuous_via_preimage_interior,
+                         homeomorphy)
+from .convergence import (EventuallyPeriodicSequence, filter_adherence, filter_from_net,
+                          filter_limits, net_cluster_points, net_from_filter_base, net_limits,
+                          sequence_cluster_points, sequence_filter, sequence_limits)
 from .errors import CapExceeded
 from .filters import enumerate_filters, extend_to_ultrafilter, principal_filter
-from .metric import (PseudoMetric, bounded_equivalents, metric_topology,
-                     validate_pseudometric, zero_distance_set)
-from .neighborhoods import (check_neighborhood_axioms, set_map_of,
+from .generated import quotient_topology, subspace_topology
+from .metric import (PseudoMetric, bounded_equivalents, is_finer_by_spheres, is_isometry,
+                     metric_topology, quotient_metric, restrict, sup_pseudometric,
+                     validate_pseudometric, zero_distance_rows, zero_distance_set)
+from .neighborhoods import (check_neighborhood_axioms, compare_by_neighborhoods, set_map_of,
                             topology_from_neighborhoods, topology_from_set_map)
 from .numeric import Dyadic, DyadicPoly, bisection_invert
-from .setops import FiniteMap, SetSystem, phi, psi, theta
-from .topology import enumerate_topologies, neighborhood_relation
+from .setops import FiniteMap, SetSystem, check_carrier, identity_map, phi, points_of, psi, theta
+from .topology import compare, enumerate_topologies, neighborhood_relation
 
 
 class _Tally:
@@ -97,19 +109,43 @@ def _suite_continuity(n, tally):
     maps = [FiniteMap(n, n, im) for im in iproduct(range(n), repeat=n)]
     for t1 in tops:
         for t2 in tops:
+            # the maps run in lexicographic order of their images, so the
+            # first one homeomorphy accepts is are_homeomorphic's witness
+            first = None
             for f in maps:
-                ch = continuity_characterizations(SpaceMap(t1, t2, f))
+                m = SpaceMap(t1, t2, f)
+                ch = continuity_characterizations(m)
+                ch['preimage-closure'] = continuous_via_preimage_closure(m)
+                ch['preimage-interior'] = continuous_via_preimage_interior(m)
                 tally.record(len(set(ch.values())) == 1,
-                             lambda: {'src': jsonio.topology_to_json(t1),
-                                      'dst': jsonio.topology_to_json(t2),
-                                      'map': {'f': list(f.images)},
-                                      'characterizations': ch})
+                             lambda: _pair_json(t1, t2, map={'f': list(f.images)},
+                                                characterizations=ch))
+                if first is None and homeomorphy(m):
+                    first = list(f.images)
+            found = are_homeomorphic(t1, t2)
+            witness = list(found.images) if found else None
+            tally.record(witness == first,
+                         lambda: _pair_json(t1, t2, homeomorphy=first, are_homeomorphic=witness))
+            by_neighborhoods = compare_by_neighborhoods(t1, t2)
+            tally.record(by_neighborhoods == compare(t1, t2),
+                         lambda: _pair_json(t1, t2, compare_by_neighborhoods=by_neighborhoods))
+
+
+def _pair_json(t1, t2, **more):
+    return dict(src=jsonio.topology_to_json(t1), dst=jsonio.topology_to_json(t2), **more)
 
 
 def _suite_convergence(n, tally):
     if n > 3:
         raise CapExceeded("convergence suite capped at n = 3")
     all_filters = enumerate_filters(n)
+    # the canonical net of each filter's members and the sequence that
+    # cycles through its core: both have the filter as their tail filter
+    runs = [(f, net_from_filter_base(f.members),
+             EventuallyPeriodicSequence((), points_of(f.core()), n)) for f in all_filters]
+    for f, net, seq in runs:
+        tally.record(filter_from_net(net) == f == sequence_filter(seq),
+                     lambda: {'n': n, 'filter-core': points_of(f.core())})
     for t in enumerate_topologies(n):
         for a in range(1, 1 << n):
             cl = closure(t, a)
@@ -120,6 +156,12 @@ def _suite_convergence(n, tally):
                     via_convergence |= filter_limits(t, f)
             tally.record(cl == via_adherence == via_convergence,
                          lambda: {'space': jsonio.topology_to_json(t), 'set': a})
+        for f, net, seq in runs:
+            lim, adh = filter_limits(t, f), filter_adherence(t, f)
+            ok = (net_limits(t, net) == sequence_limits(t, seq) == lim
+                  and net_cluster_points(t, net) == sequence_cluster_points(t, seq) == adh)
+            tally.record(ok, lambda: {'space': jsonio.topology_to_json(t),
+                                      'filter-core': points_of(f.core())})
 
 
 def _suite_metric(n, tally):
@@ -142,7 +184,29 @@ def _suite_metric(n, tally):
         ok = (metric_topology(e) == t and metric_topology(f) == t
               and all(zero_distance_set(m, a) == closure(t, a)
                       for a in range(1, 1 << n)))
+        # the sphere criterion finds each of m, e and f finer than the
+        # others; the quotient by the zero-distance classes and every
+        # subspace are the same from the metric as from the topology; and
+        # the supremum metric of the constant functions is m again
+        ok = (ok and all(is_finer_by_spheres(a, b) for a, b in ((m, e), (e, m), (m, f), (f, m)))
+              and _metric_quotient(m) == quotient_topology(t, zero_distance_rows(m))
+              and all(_metric_subspace(m, a) == subspace_topology(t, a)
+                      for a in range(1, 1 << n)))
+        sup = sup_pseudometric(m, [(x,) * n for x in range(n)])
+        ok = ok and sup == m and is_isometry(m, sup, identity_map(n))
         tally.record(ok, lambda: jsonio.metric_to_json(m))
+
+
+def _metric_quotient(m):
+    """(topology, class map, classes) of the quotient metric of m."""
+    classes, qm, q = quotient_metric(m)
+    return metric_topology(qm), q, classes
+
+
+def _metric_subspace(m, a):
+    """(topology, point map) of the metric restricted to A."""
+    sub, point_map = restrict(m, a)
+    return metric_topology(sub), point_map
 
 
 def _suite_numeric(n, tally):
@@ -181,6 +245,7 @@ SUITES = {
 
 
 def run_suite(name, n):
+    check_carrier(n)
     tally = _Tally()
     SUITES[name](n, tally)
     return {

@@ -63,19 +63,30 @@ of a kernel by theta's pairwise fixed point, for test_kernel_first.py.
 So are psi and theta, each as the fixed point of adjoining pairwise
 intersections or unions, where the library reads both from its one
 union closure; test_setops.py and the references here use them.
+
+So are three second routes that the library no longer takes: the
+supremum of filter bases by every cross intersection of their members,
+where `topo filter --op sup` meets the cores, for test_filters.py and
+test_cores.py; the mapping-property check of a generated topology over
+every test space of at most 3 points and every map, for
+test_generated.py and test_acceptance.py; and continuity glued from the
+restrictions to a closed cover, for test_continuity.py.  They read the
+continuity test, the subspace and the filter-base check kept here.
 """
 
 from functools import lru_cache
 from itertools import permutations, product
 
+from fintopo.continuity import SpaceMap
 from fintopo.convergence import filter_adherence
 from fintopo.errors import (BracketViolation, CapExceeded, ClusterPreconditionFailed,
-                            IndexOutOfRange)
+                            EmptyArgument, EmptyMeet, FilterBaseViolation, IndexOutOfRange,
+                            UniverseMismatch)
 from fintopo.numeric import (BISECTION_CAP, HORNER_BITS_CAP, ZERO, _ceil_log2_ratio, _coerce,
                              _horner)
-from fintopo.setops import (FiniteMap, PointSetRelation, SetSystem, full_mask, phi,
+from fintopo.setops import (FiniteMap, PointSetRelation, SetSystem, full_mask, meet_of, phi,
                             points_of, relation_from_sections, supermasks)
-from fintopo.topology import Topology
+from fintopo.topology import Topology, enumerate_topologies
 
 
 def psi(system):
@@ -904,5 +915,85 @@ def filter_continuity_at(fx, fy, m, x):
         raise ClusterPreconditionFailed("f(x) is not a cluster point of the target filter")
     for u in fy.members:
         if not any(m.f.image_mask(v) & ~u == 0 for v in fx.members):
+            return False
+    return True
+
+
+def supremum_of_filter_bases(bases):
+    """Base of the supremum filter: all cross intersections picking one
+    member from each base.  Raises EmptyMeet (with the offending
+    selection) if some cross intersection is empty, in which case no
+    common refinement exists."""
+    if not bases:
+        raise EmptyArgument("need at least one filter base")
+    n = bases[0].n
+    for b in bases:
+        if b.n != n:
+            raise UniverseMismatch("filter bases on different carriers")
+        verdict = is_filter_base(b, ascending=True)
+        if verdict is not None:
+            raise FilterBaseViolation(*verdict)
+    meets = set()
+    for pick in product(*[b.sets for b in bases]):
+        cap = meet_of(pick)
+        if cap == 0:
+            raise EmptyMeet(pick)
+        meets.add(cap)
+    return SetSystem(n, meets)
+
+
+def _all_maps(n_src, n_dst):
+    for images in product(range(n_dst), repeat=n_src):
+        yield FiniteMap(n_src, n_dst, images)
+
+
+def check_universal_property(n, pairs, candidate, direction):
+    """Verify that candidate is the generated topology by its mapping
+    property, quantifying over all test spaces with at most 3 points
+    and all maps.  Returns (True, None) or (False, (test_topology, g)).
+
+    inverse: g into the carrier is continuous iff every f_i . g is.
+    direct: g out of the carrier is continuous iff every g . f_i is.
+    """
+    if candidate.n != n:
+        raise UniverseMismatch("candidate lives on the wrong carrier")
+    if direction not in ('inverse', 'direct'):
+        raise ValueError("direction must be 'inverse' or 'direct'")
+    if n > 20:
+        raise CapExceeded("carrier too large")
+    for size in range(1, 4):
+        for tz in enumerate_topologies(size):
+            if direction == 'inverse':
+                for g in _all_maps(size, n):
+                    lhs = is_continuous(SpaceMap(tz, candidate, g))
+                    rhs = all(is_continuous(SpaceMap(tz, t, f.compose(g)))
+                              for f, t in pairs)
+                    if lhs != rhs:
+                        return False, (tz, g)
+            else:
+                for g in _all_maps(n, size):
+                    lhs = is_continuous(SpaceMap(candidate, tz, g))
+                    rhs = all(is_continuous(SpaceMap(t, tz, g.compose(f)))
+                              for f, t in pairs)
+                    if lhs != rhs:
+                        return False, (tz, g)
+    return True, None
+
+
+def is_continuous_on_closed_pieces(m, pieces):
+    """Gluing test: X covered by closed sets, each restriction
+    continuous.  Returns the gluing verdict (equivalent to global
+    continuity when the pieces are closed and cover X)."""
+    cover = 0
+    for a in pieces:
+        cover |= a
+        if not is_closed(m.source, a):
+            raise UniverseMismatch("piece %r is not closed" % a)
+    if cover != full_mask(m.source.n):
+        raise UniverseMismatch("pieces do not cover the carrier")
+    for a in pieces:
+        sub, point_map = subspace_topology(m.source, a)
+        restricted = FiniteMap(sub.n, m.target.n, [m.f(p) for p in point_map])
+        if not is_continuous(SpaceMap(sub, m.target, restricted)):
             return False
     return True

@@ -21,8 +21,7 @@ from fintopo.convergence import filter_adherence, filter_limits
 from fintopo.filters import enumerate_filters, extend_to_ultrafilter, principal_filter
 from fintopo.generated import (product_point_index, product_topology,
                                quotient_topology, subspace_topology,
-                               check_universal_property, direct_image_topology,
-                               inverse_image_topology)
+                               direct_image_topology, inverse_image_topology)
 from fintopo.metric import (PseudoMetric, bounded_equivalents, metric_topology,
                             quotient_metric, zero_distance_rows, zero_distance_set)
 from fintopo.numeric import (Dyadic, DyadicPoly, ONE, ZERO, bisection_invert,
@@ -254,10 +253,10 @@ def test_acceptance_08_generated_topologies(capsys):
     # universal properties
     f = FiniteMap(3, 2, [0, 1, 1])
     inv = inverse_image_topology(3, [(f, s)])
-    ok &= check_universal_property(3, [(f, s)], inv, 'inverse')[0]
+    ok &= ref.check_universal_property(3, [(f, s)], inv, 'inverse')[0]
     g = FiniteMap(2, 3, [0, 2])
     dir_t = direct_image_topology(3, [(g, s)])
-    ok &= check_universal_property(3, [(g, s)], dir_t, 'direct')[0]
+    ok &= ref.check_universal_property(3, [(g, s)], dir_t, 'direct')[0]
     # metric quotient example: d(0,1) = 0, d(.,2) = 1
     m = PseudoMetric([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
     classes, qm, q = quotient_metric(m)

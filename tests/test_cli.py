@@ -5,10 +5,16 @@ import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+import opens_reference as ref
+from fintopo import jsonio
 from fintopo.cli import build_parser, main
+from fintopo.errors import DomainError
+from fintopo.filters import generate_filter
+from fintopo.setops import SetSystem, points_of
 
 
 def run(capsys, *argv):
@@ -256,6 +262,23 @@ class TestFilter:
         code, out, _ = run(capsys, 'filter', '--op', 'generate', '--base', base)
         assert code == 1
         assert json.loads(out)['error'] == 'FilterBaseViolation'
+
+    def test_sup_answers_as_the_cross_intersections_do(self, capsys, tmp_path):
+        # every pair of systems on 1 or 2 points: the filter, or the
+        # error, of the filter generated by the cross intersections; so a
+        # base on another carrier is named before its own faults
+        systems = [SetSystem(n, [m for m in range(1 << n) if bits >> m & 1])
+                   for n in (1, 2) for bits in range(1 << (1 << n))]
+        for pair in product(systems, repeat=2):
+            bases = write(tmp_path, 'bs.json', [jsonio.system_to_json(b) for b in pair])
+            code, out, _ = run(capsys, 'filter', '--op', 'sup', '--bases', bases)
+            try:
+                f = generate_filter(ref.supremum_of_filter_bases(list(pair)))
+            except DomainError as exc:
+                assert (code, json.loads(out)) == (1, exc.payload())
+            else:
+                assert (code, json.loads(out)) == (0, {'filter': jsonio.system_to_json(f.members),
+                                                       'core': points_of(f.core())})
 
 
 class TestCont:
@@ -531,6 +554,22 @@ class TestVerify:
             assert json.loads(out)['failed'] == 0
 
 
+    @pytest.mark.parametrize('argv', [
+        ['enumerate', '--n', '-1'],
+        ['enumerate', '--count-only', '--n', '-1'],
+        *(['verify', '--suite', suite, '--n', '-1']
+          for suite in ('continuity', 'operators', 'kuratowski', 'filters', 'neighborhoods',
+                        'convergence', 'metric', 'numeric')),
+        ['verify', '--suite', 'convergence', '--n', '21'],
+    ])
+    def test_carrier_off_the_range_is_a_cap(self, capsys, argv):
+        # a negative n was "input error: negative shift count", exit 2
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, '')
+        assert json.loads(out) == {'error': 'CapExceeded',
+                                   'detail': 'carrier size %s outside 0..20' % argv[-1]}
+
+
 class TestExitCodes:
     def test_missing_file_is_input_error(self, capsys):
         code, out, err = run(capsys, 'generate', '--base', '/nope/missing.json')
@@ -558,6 +597,39 @@ class TestExitCodes:
                              second, write(tmp_path, 'b.json', {}))
         assert code == 2 and out == ''
         assert 'not allowed with argument' in err
+
+    @pytest.mark.parametrize('argv, message', [
+        (['cont', '--src', 'S', '--dst', 'S', '--homeo', '--at', '0'],
+         '--at, --fx and --fy need --map'),
+        (['cont', '--src', 'S', '--dst', 'S', '--homeo', '--fx', 'B'],
+         '--at, --fx and --fy need --map'),
+        (['cont', '--src', 'S', '--dst', 'S', '--homeo', '--fy', 'B'],
+         '--at, --fx and --fy need --map'),
+        (['cont', '--src', 'S', '--dst', 'S', '--map', 'F', '--fx', 'B', '--at', '1'],
+         '--fx needs --fy'),
+        (['cont', '--src', 'S', '--dst', 'S', '--map', 'F', '--fy', 'B', '--at', '1'],
+         '--fy needs --fx'),
+        (['analyze', '--preorder', 'P', '--set', '0'], '--set needs --space or --metric'),
+        (['series', '--geom', '1/2', '--start', '5'], '--start and --end need --xs'),
+        (['series', '--geom', '1/2', '--end', '5'], '--start and --end need --xs'),
+        (['series', '--geom', '1/2', '--limit', '--terms', '3'], '--limit excludes --terms'),
+        (['series', '--xs', 'XS', '--terms', '3'], '--terms and --limit need --geom'),
+        (['series', '--xs', 'XS', '--limit'], '--terms and --limit need --geom'),
+        (['check', '--cauchy-schwarz', 'V', '--space', 'S'], '--space needs --base or --net'),
+        (['check', '--metric', 'M', '--space', 'S'], '--space needs --base or --net'),
+        (['check', '--invert', 'I', '--space', 'S'], '--space needs --base or --net'),
+    ])
+    def test_an_option_the_input_drops_is_a_usage_error(self, capsys, tmp_path, argv, message):
+        # each once answered its input without the other option, exit 0
+        files = {'S': SIERPINSKI, 'F': {'f': [1, 0]}, 'B': {'n': 2, 'sets': [[0, 1]]},
+                 'P': {'n': 2, 'pairs': [[0, 1]], 'flavor': 'strict'},
+                 'XS': ['1', '1/2', '1/4'], 'V': {'x': ['1', '1/2'], 'y': ['3', '2']},
+                 'M': {'n': 2, 'd': [['0', '1'], ['1', '0']]},
+                 'I': {'poly': ['0', '1'], 'a': '0', 'b': '1', 'w': '3/8', 'tol': '2^-20'}}
+        argv = [write(tmp_path, a + '.json', files[a]) if a in files else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ''
+        assert err == 'usage error: %s\n' % message
 
     def test_table_format(self, capsys):
         code, out, _ = run(capsys, '--format', 'table', 'enumerate', '--n', '2',

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 import opens_reference as ref
 from conftest import preorders
-from fintopo.closure import (SubsetOperator, analyze_subset, boundary,
+from fintopo.closure import (SubsetOperator, analyze_subset,
                              check_closure_axioms, check_interior_axioms,
                              closure, closure_operator_of, derived_set,
                              enumerate_closure_operators, interior,
-                             interior_operator_of, is_dense,
+                             interior_operator_of,
                              topology_from_closure_operator,
                              topology_from_interior_operator)
 from fintopo.errors import (CapExceeded, InteriorAxiomViolation, KuratowskiViolation,
@@ -36,8 +36,6 @@ def assert_point_operators_match(t, a):
     assert closure(t, a) == cl
     assert interior(t, a) == inte
     assert derived_set(t, a) == derived
-    assert boundary(t, a) == cl & co
-    assert is_dense(t, a) == (cl == full)
     assert analyze_subset(t, a) == {'interior': inte, 'closure': cl, 'derived': derived,
                                     'boundary': cl & co, 'dense': cl == full}
 
@@ -58,21 +56,21 @@ class TestPointSetOperations:
         assert closure(t, 0b10) == 0b11
         assert interior(t, 0b10) == 0b10
         assert interior(t, 0b01) == 0b00
-        assert boundary(t, 0b10) == 0b01
+        assert analyze_subset(t, 0b10)['boundary'] == 0b01
         assert derived_set(t, 0b10) == 0b01
 
     def test_discrete_everything_clopen(self):
         t = discrete_topology(3)
         for a in range(8):
             assert closure(t, a) == a == interior(t, a)
-            assert boundary(t, a) == 0
+            assert analyze_subset(t, a)['boundary'] == 0
             assert derived_set(t, a) == 0
 
     def test_indiscrete(self):
         t = indiscrete_topology(2)
         assert closure(t, 0b01) == 0b11
         assert interior(t, 0b01) == 0
-        assert is_dense(t, 0b01)
+        assert analyze_subset(t, 0b01)['dense']
 
     def test_analyze_subset_consistency(self):
         t = sierpinski()
@@ -87,13 +85,14 @@ class TestStructuralLaws:
         for t in enumerate_topologies(3):
             for a in range(8):
                 ca, ia = closure(t, a), interior(t, a)
+                boundary = analyze_subset(t, a)['boundary']
                 # closure of complement is complement of interior
                 assert closure(t, full ^ a) == full ^ ia
                 assert interior(t, full ^ a) == full ^ ca
                 # closure = set plus derived set; = interior plus boundary
                 assert ca == a | derived_set(t, a)
-                assert ca == ia | boundary(t, a)
-                assert boundary(t, a) == ca & closure(t, full ^ a)
+                assert ca == ia | boundary
+                assert boundary == ca & closure(t, full ^ a)
                 # idempotence and extensivity
                 assert closure(t, ca) == ca
                 assert interior(t, ia) == ia

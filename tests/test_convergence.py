@@ -4,13 +4,13 @@ import pytest
 
 from fintopo.closure import closure
 from fintopo.convergence import (DirectedSet, EventuallyPeriodicSequence, Net,
-                                 filter_adherence, filter_base_limits,
+                                 filter_adherence,
                                  filter_from_net, filter_limits, net_cluster_points,
                                  net_from_filter_base, net_limits,
                                  product_directed_set, sequence_cluster_points,
                                  sequence_filter, sequence_limits)
 from fintopo.errors import EmptyArgument, NotDirected, UniverseMismatch
-from fintopo.filters import enumerate_filters, point_filter, principal_filter
+from fintopo.filters import enumerate_filters, generate_filter, principal_filter
 from fintopo.setops import SetSystem, full_mask, mask_of
 from fintopo.topology import (discrete_topology, enumerate_topologies,
                               indiscrete_topology, is_finer, sierpinski)
@@ -20,7 +20,7 @@ class TestFilterConvergence:
     def test_point_filter_converges_to_the_point(self):
         for t in enumerate_topologies(3):
             for x in range(3):
-                lim = filter_limits(t, point_filter(3, x))
+                lim = filter_limits(t, principal_filter(3, 1 << x))
                 assert lim >> x & 1
 
     def test_indiscrete_everything_converges(self):
@@ -39,8 +39,8 @@ class TestFilterConvergence:
 
     def test_sierpinski(self):
         t = sierpinski()  # {1} open
-        assert filter_limits(t, point_filter(2, 1)) == 0b11
-        assert filter_limits(t, point_filter(2, 0)) == 0b01
+        assert filter_limits(t, principal_filter(2, 0b10)) == 0b11
+        assert filter_limits(t, principal_filter(2, 0b01)) == 0b01
 
     def test_adherence_contains_limits(self):
         for t in enumerate_topologies(3):
@@ -64,7 +64,7 @@ class TestFilterConvergence:
     def test_base_limits_match_generated_filter(self):
         base = SetSystem(3, [0b011, 0b010])
         for t in enumerate_topologies(3):
-            assert filter_base_limits(t, base) == filter_limits(
+            assert filter_limits(t, generate_filter(base)) == filter_limits(
                 t, principal_filter(3, 0b010))
 
 

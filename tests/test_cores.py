@@ -25,7 +25,7 @@ from fintopo.errors import (CapExceeded, EmptyArgument, EmptyMeet, FilterBaseVio
 from fintopo.filters import (Filter, enumerate_filters, extend_to_ultrafilter,
                              generate_filter, image_filter, inverse_image_filter,
                              is_filter, is_filter_base, principal_filter,
-                             supremum_filter, supremum_of_filter_bases)
+                             supremum_filter)
 from fintopo.neighborhoods import (SetNeighborhoodMap, check_neighborhood_axioms,
                                    check_neighborhood_base_axioms,
                                    check_set_map_axioms, neighborhoods_from_base,
@@ -336,7 +336,7 @@ class TestConstructions:
             filters = enumerate_filters(n)
             for f, g in product(filters, repeat=2):
                 try:
-                    base = supremum_of_filter_bases([f.members, g.members])
+                    base = ref.supremum_of_filter_bases([f.members, g.members])
                 except EmptyMeet as exc:
                     with pytest.raises(EmptyMeet) as got:
                         supremum_filter([f, g])

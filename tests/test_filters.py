@@ -5,13 +5,13 @@ import time
 import pytest
 
 from conftest import all_systems
+from opens_reference import supremum_of_filter_bases
 from fintopo.errors import (EmptyArgument, EmptyMeet, FilterBaseViolation,
                             NotSurjective)
 from fintopo.filters import (Filter, enumerate_filters, extend_to_ultrafilter,
                              generate_filter, image_filter, inverse_image_filter,
-                             is_filter, is_filter_base, point_filter,
-                             principal_filter, supremum_filter,
-                             supremum_of_filter_bases)
+                             is_filter, is_filter_base,
+                             principal_filter, supremum_filter)
 from fintopo.setops import FiniteMap, SetSystem, full_mask, mask_of, phi, psi
 
 
@@ -144,23 +144,23 @@ class TestSupremum:
 class TestImages:
     def test_image_filter(self):
         f = FiniteMap(3, 2, [0, 0, 1])
-        filt = point_filter(3, 1)
+        filt = principal_filter(3, 0b010)
         assert image_filter(f, filt).core() == 0b01
 
     def test_inverse_image_needs_surjectivity(self):
         f = FiniteMap(2, 2, [0, 0])
         with pytest.raises(NotSurjective):
-            inverse_image_filter(f, point_filter(2, 0))
+            inverse_image_filter(f, principal_filter(2, 0b01))
 
     def test_inverse_image_core(self):
         f = FiniteMap(3, 2, [0, 0, 1])
-        filt = point_filter(2, 0)
+        filt = principal_filter(2, 0b01)
         assert inverse_image_filter(f, filt).core() == 0b011
 
     def test_image_of_ultrafilter_is_ultrafilter(self):
         f = FiniteMap(3, 3, [2, 2, 0])
         for x in range(3):
-            assert image_filter(f, point_filter(3, x)).is_ultrafilter()
+            assert image_filter(f, principal_filter(3, 1 << x)).is_ultrafilter()
 
 
 class TestCores:

@@ -7,15 +7,16 @@ anywhere (a Name in Load context, which covers attribute access through
 it too).  The package's __init__.py is exempt: its imports are the
 public re-exports.
 
-Every import statement sits at module level, except the one that breaks
-the import cycle between continuity and generated.  No module imports
-an underscore name from a sibling module: what one module reads of
-another is public there.
+Every import statement sits at module level, and no module imports
+itself through its siblings.  No module imports an underscore name from
+a sibling module: what one module reads of another is public there.
 
-A top-level def or class counts as read when some file under src/,
-tests/ or topobench/ loads its name, or an attribute of that name,
-outside the definition itself.  The names in __init__.py's __all__ are
-the public API and count as read.
+A top-level def or class counts as read when some file under src/ or
+topobench/ loads its name, or an attribute of that name, outside the
+definition itself.  The names in __init__.py's __all__ are the public
+API and count as read.  The names in TEST_ONLY are read by tests alone,
+and only they: a new name that only tests read fails, and so does one
+of these once the library or the benchmark reads it.
 """
 
 import ast
@@ -26,7 +27,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / 'src' / 'fintopo'
 MODULES = sorted(p for p in PACKAGE.glob('*.py') if p.name != '__init__.py')
-READERS = sorted(p for d in ('src', 'tests', 'topobench') for p in (ROOT / d).rglob('*.py'))
+READERS = sorted(p for d in ('src', 'topobench') for p in (ROOT / d).rglob('*.py'))
+TESTS = sorted((ROOT / 'tests').rglob('*.py'))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -76,14 +78,9 @@ def function_imports(source):
             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
-# continuity imports generated (subspace_topology) when it loads, so
-# generated reads continuity inside the one function that needs it
-CYCLE_BREAKERS = {('generated.py', 'check_universal_property')}
-
-
 def test_imports_are_at_module_level():
-    found = [(p.name, fn, line) for p in MODULES for fn, line in function_imports(p.read_text())]
-    assert [f for f in found if f[:2] not in CYCLE_BREAKERS] == []
+    assert [(p.name, fn, line) for p in MODULES
+            for fn, line in function_imports(p.read_text())] == []
 
 
 def test_the_scan_sees_a_function_level_import():
@@ -94,6 +91,57 @@ def test_the_scan_sees_a_function_level_import():
               '        import re\n'
               '    return os, jsonio, g\n')
     assert function_imports(source) == [('f', 3), ('f', 5), ('g', 5)]
+
+
+def sibling_imports(source):
+    """The sibling modules that a module's relative imports name."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.partition('.')[0])
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def import_cycle(graph):
+    """A list of modules that import each other in a ring, or None."""
+    done, path = set(), []
+
+    def visit(m):
+        if m in path:
+            return path[path.index(m):] + [m]
+        if m in done:
+            return None
+        path.append(m)
+        for k in sorted(graph.get(m, ())):
+            ring = visit(k)
+            if ring:
+                return ring
+        path.pop()
+        done.add(m)
+        return None
+
+    for m in sorted(graph):
+        ring = visit(m)
+        if ring:
+            return ring
+    return None
+
+
+def test_no_import_cycle():
+    graph = {p.stem: sibling_imports(p.read_text()) for p in MODULES}
+    assert import_cycle(graph) is None
+
+
+def test_the_scan_sees_an_import_cycle():
+    graph = {'a': sibling_imports('from .b import f\nfrom . import c\n'),
+             'b': sibling_imports('import os\nfrom .c import g\n'),
+             'c': sibling_imports('def h():\n    from .a import f\n')}
+    assert graph == {'a': {'b', 'c'}, 'b': {'c'}, 'c': {'a'}}
+    assert import_cycle(graph) == ['a', 'b', 'c', 'a']
+    assert import_cycle({'a': {'b'}, 'b': set()}) is None
 
 
 def private_imports(source):
@@ -152,11 +200,24 @@ def public_names():
     return []
 
 
+# the definitions that only tests read: the alternative constructions
+# of products, orders and interval topologies, and the power bounds
+TEST_ONLY = {
+    'product_directed_set', 'power_exceeds', 'power_vanishes',
+    'interval_topology_family', 'pullback_preorder', 'product_preorder',
+    'segment_system_is_topology', 'chain', 'fence', 'is_order_dense',
+    'product_point_index',
+}
+
+
 def test_every_definition_is_read():
     modules = {p.name: p.read_text() for p in PACKAGE.glob('*.py')}
     readers = [p.read_text() for p in READERS]
     assert 'Topology' in public_names()
-    assert unused_definitions(modules, readers, public_names()) == []
+    found = [name for _, name, _ in unused_definitions(modules, readers, public_names())]
+    assert sorted(found) == sorted(TEST_ONLY)
+    read_by_tests = set().union(*(names_read(p.read_text()) for p in TESTS))
+    assert TEST_ONLY <= read_by_tests
 
 
 def test_the_scan_sees_an_unused_definition():

@@ -12,13 +12,11 @@ from fintopo.neighborhoods import (check_neighborhood_axioms,
                                    check_neighborhood_base_axioms,
                                    check_set_map_axioms, compare_by_neighborhoods,
                                    neighborhood_base_from_topological_base,
-                                   neighborhoods_from_base, neighborhoods_of_set,
-                                   relation_from_set_map,
-                                   set_map_of, topology_from_neighborhood_base,
+                                   neighborhoods_from_base, set_map_of, topology_from_neighborhood_base,
                                    topology_from_neighborhoods,
                                    topology_from_set_map)
 from fintopo.setops import (PointSetRelation, SetSystem, mask_of, phi_prime,
-                            points_of, powerset_system)
+                            points_of, powerset_system, relation_from_sections)
 from fintopo.topology import (compare, discrete_topology, enumerate_topologies,
                               minimal_base, neighborhood_relation, sierpinski)
 
@@ -130,7 +128,9 @@ class TestSetMap:
 
     def test_restriction_matches_point_relation(self):
         for t in enumerate_topologies(2):
-            assert relation_from_set_map(set_map_of(t)) == neighborhood_relation(t)
+            smap = set_map_of(t)
+            sections = [smap.table[1 << x] for x in range(t.n)]
+            assert relation_from_sections(t.n, sections) == neighborhood_relation(t)
 
     def test_violation_raises(self):
         smap = set_map_of(sierpinski())
@@ -148,18 +148,18 @@ class TestSetSections:
         for t in enumerate_topologies(3):
             rel = neighborhood_relation(t)
             for a in range(1, 8):
-                sec = neighborhoods_of_set(rel, a)
+                sec = rel.meet_section(a)
                 assert is_filter(sec) is None
 
     def test_meet_section_of_empty_set(self):
         rel = neighborhood_relation(sierpinski())
-        assert neighborhoods_of_set(rel, 0) == powerset_system(2)
+        assert rel.meet_section(0) == powerset_system(2)
 
     def test_set_outside_the_carrier_is_refused(self):
         rel = neighborhood_relation(sierpinski())
         for bad in (0b100, -1):
             with pytest.raises(UniverseMismatch):
-                neighborhoods_of_set(rel, bad)
+                rel.meet_section(bad)
             with pytest.raises(UniverseMismatch):
                 rel.union_section(bad)
 
