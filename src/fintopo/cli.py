@@ -160,7 +160,22 @@ def _filter_json(f):
     return {'filter': jsonio.system_to_json(f.members), 'core': points_of(f.core())}
 
 
+# the options each filter op reads; all but --target-n are required
+FILTER_OPTIONS = {
+    'generate': ('base',), 'ultra': ('base',), 'extend': ('base',), 'sup': ('bases',),
+    'image': ('base', 'map', 'target_n'), 'inverse-image': ('base', 'map', 'target_n'),
+}
+
+
 def cmd_filter(args):
+    reads = FILTER_OPTIONS[args.op]
+    for name in ('base', 'bases', 'map', 'target_n'):
+        option = '--' + name.replace('_', '-')
+        given = getattr(args, name) is not None
+        if given and name not in reads:
+            raise UsageError("filter --op %s does not read %s" % (args.op, option))
+        if not given and name in reads and name != 'target_n':
+            raise UsageError("filter --op %s needs %s" % (args.op, option))
     if args.op == 'generate':
         f = generate_filter(jsonio.system_from_json(_load(args.base)))
         return _filter_json(f)
@@ -179,18 +194,16 @@ def cmd_filter(args):
                 raise UniverseMismatch("filter bases on different carriers")
             filters.append(generate_filter(base))
         return _filter_json(supremum_filter(filters))
-    if args.op in ('image', 'inverse-image'):
-        base = jsonio.system_from_json(_load(args.base))
-        f0 = generate_filter(base)
-        mp = _load(args.map)
-        if args.op == 'image':
-            fm = jsonio.map_from_json(mp, n_src=base.n, n_dst=args.target_n or None)
-            f = image_filter(fm, f0)
-        else:
-            fm = jsonio.map_from_json(mp, n_dst=base.n, n_src=args.target_n or None)
-            f = inverse_image_filter(fm, f0)
-        return _filter_json(f)
-    raise UsageError("unknown filter op %r" % args.op)
+    base = jsonio.system_from_json(_load(args.base))
+    f0 = generate_filter(base)
+    mp = _load(args.map)
+    if args.op == 'image':
+        fm = jsonio.map_from_json(mp, n_src=base.n, n_dst=args.target_n)
+        f = image_filter(fm, f0)
+    else:
+        fm = jsonio.map_from_json(mp, n_dst=base.n, n_src=args.target_n)
+        f = inverse_image_filter(fm, f0)
+    return _filter_json(f)
 
 
 def cmd_cont(args):
@@ -350,8 +363,7 @@ def build_parser():
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser('filter', help='filter operations')
-    p.add_argument('--op', required=True,
-                   choices=['generate', 'ultra', 'extend', 'sup', 'image', 'inverse-image'])
+    p.add_argument('--op', required=True, choices=FILTER_OPTIONS)
     p.add_argument('--base')
     p.add_argument('--bases')
     p.add_argument('--map')

@@ -23,12 +23,6 @@ class SpaceMap:
     def __repr__(self):
         return 'SpaceMap(%r)' % (list(self.f.images),)
 
-    def compose(self, other):
-        """self after other."""
-        if other.target != self.source:
-            raise UniverseMismatch("intermediate spaces do not match")
-        return SpaceMap(other.source, self.target, self.f.compose(other.f))
-
 
 def is_continuous(m):
     """Continuous at every point: f[U_x] lies inside U_f(x) for each x.

@@ -121,19 +121,6 @@ def net_from_filter_base(base):
     return Net(domain, [x for x, _ in elems], base.n)
 
 
-def product_directed_set(d1, d2):
-    """Componentwise order on the product, row-major indexing."""
-    size = d1.size * d2.size
-    leq = []
-    for i1 in range(d1.size):
-        for i2 in range(d2.size):
-            for j1 in range(d1.size):
-                for j2 in range(d2.size):
-                    if d1.leq(i1, j1) and d2.leq(i2, j2):
-                        leq.append((i1 * d2.size + i2, j1 * d2.size + j2))
-    return DirectedSet(size, leq)
-
-
 class EventuallyPeriodicSequence:
     """A sequence given by a finite prefix and a repeating cycle."""
 

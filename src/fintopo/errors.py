@@ -51,9 +51,9 @@ class BaseCriterionViolation(AxiomViolation):
 
 
 class SubbaseCriterionViolation(DomainError):
-    def __init__(self, criterion, message=""):
+    def __init__(self, criterion):
         self.criterion = criterion
-        super().__init__(message or "subbase criterion violated: %s" % criterion)
+        super().__init__("subbase criterion violated: %s" % criterion)
 
 
 class ClosedAxiomViolation(AxiomViolation):

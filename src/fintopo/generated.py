@@ -44,14 +44,6 @@ def subspace_topology(t, a_mask):
     return inverse_image_topology(k, [(FiniteMap(k, t.n, point_map), t)]), point_map
 
 
-def product_point_index(coords, sizes):
-    """Row-major flattening of a coordinate tuple."""
-    idx = 0
-    for c, s in zip(coords, sizes):
-        idx = idx * s + c
-    return idx
-
-
 def product_projections(sizes):
     """The projection maps from the flattened product carrier."""
     total = 1

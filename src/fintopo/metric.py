@@ -83,10 +83,10 @@ def default_radius_set(m):
     return vals + [top]
 
 
-def sphere_base(m, radii=None):
-    """The base {B(x, r)} over all centers and radii, plus the empty set."""
-    if radii is None:
-        radii = default_radius_set(m)
+def sphere_base(m):
+    """The base {B(x, r)} over all centers and the default radii, plus
+    the empty set."""
+    radii = default_radius_set(m)
     masks = {0}
     for x in range(m.n):
         for r in radii:
@@ -94,11 +94,11 @@ def sphere_base(m, radii=None):
     return SetSystem(m.n, masks)
 
 
-def metric_topology(m, radii=None):
+def metric_topology(m):
     """The topology the spheres generate: U_x is the meet of the
-    spheres holding x.  With the default radii the spheres form a base,
-    so the opens are the unions of spheres."""
-    return Topology.from_kernel(m.n, kernel_of(sphere_base(m, radii).sets, m.n))
+    spheres holding x.  The spheres form a base, so the opens are the
+    unions of spheres."""
+    return Topology.from_kernel(m.n, kernel_of(sphere_base(m).sets, m.n))
 
 
 def bounded_equivalents(m):

@@ -565,38 +565,3 @@ def metric_compare(xs, ys):
         'cauchy_schwarz': cauchy_schwarz_check(xs, ys),
     }
 
-
-def power_exceeds(x, bound):
-    """For x > 1: the least m with x^m > bound (see _least_power)."""
-    x = _coerce(x)
-    bound = _coerce(bound)
-    if not x > ONE:
-        raise IndexOutOfRange("need x > 1")
-    return _least_power(x, lambda p: p > bound)
-
-
-def power_vanishes(x, k):
-    """For 0 < x < 1: the least m with x^m < 2^-k (see _least_power)."""
-    x = _coerce(x)
-    if not (ZERO < x < ONE):
-        raise IndexOutOfRange("need 0 < x < 1")
-    thr = Dyadic(1, -k)
-    return _least_power(x, lambda p: p < thr)
-
-
-def _least_power(x, reached):
-    """The least m with reached(x^m), for a positive dyadic x other than
-    1, by one multiplication a step.  x^m holds at least m * per bits:
-    an odd mantissa of L > 1 bits raises to one of at least
-    m(L - 1) + 1 bits, and x = 2^e, with L = 1, to 2^(em), which spans
-    at least m binary places.  So CapExceeded is raised before the step
-    that would pass HORNER_BITS_CAP."""
-    per = max(x.m.bit_length() - 1, 1)
-    m = 0
-    p = ONE
-    while not reached(p):
-        m += 1
-        if m * per > HORNER_BITS_CAP:
-            _over_budget(m * per, "x^%d for x = %s has", m, x)
-        p = p * x
-    return m

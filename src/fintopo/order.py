@@ -52,14 +52,6 @@ class Preorder:
     def __repr__(self):
         return 'Preorder(%d, %s)' % (self.n, self.flavor)
 
-    def upper_segment(self, x):
-        """]x, inf[ = points above x."""
-        return self.succ[x]
-
-    def lower_segment(self, x):
-        """]-inf, x[ = points below x."""
-        return self.pred[x]
-
     def lower_segments(self):
         """The system of lower segments together with the empty set."""
         return SetSystem(self.n, (0,) + self.pred)
@@ -140,49 +132,9 @@ def relation_properties(p):
 def interval_topology(p):
     """Generated by the subbase of all lower and upper segments plus
     the empty set.  Requires full field (so the segments cover X)."""
-    return interval_topology_from_dense(p, full_mask(p.n))
-
-
-def is_order_dense(p, y_mask):
-    """Y is order dense: whenever x rel z there is a point of Y
-    strictly between them."""
-    for x in range(p.n):
-        for z in points_of(p.succ[x]):
-            if not any(p.rel(x, y) and p.rel(y, z) for y in points_of(y_mask)):
-                return False
-    return True
-
-
-def interval_topology_from_dense(p, y_mask):
-    """Interval topology generated from segments at points of an order
-    dense subset only."""
     if not has_full_field(p):
         raise NoFullField("some point is comparable to nothing")
-    subbase = {0}
-    for y in points_of(y_mask):
-        subbase.add(p.lower_segment(y))
-        subbase.add(p.upper_segment(y))
-    return generate_from_subbase(SetSystem(p.n, subbase))
-
-
-def interval_topology_family(preorders):
-    """Interval topology of a family of preorders on a common carrier:
-    generated by all segments of all members plus the empty set.
-    The family must have full field (segments cover the carrier)."""
-    if not preorders:
-        raise NoFullField("empty family covers nothing")
-    n = preorders[0].n
-    subbase = {0}
-    cover = 0
-    for p in preorders:
-        if p.n != n:
-            raise UniverseMismatch("family members live on different carriers")
-        subbase.update(p.pred, p.succ)
-    for m in subbase:
-        cover |= m
-    if cover != full_mask(n):
-        raise NoFullField("family segments do not cover the carrier")
-    return generate_from_subbase(SetSystem(n, subbase))
+    return generate_from_subbase(SetSystem(p.n, (0,) + p.pred + p.succ))
 
 
 def pullback_preorder(p, f):
@@ -201,14 +153,14 @@ def one_sided_topology(p, side):
     if side == 'lower':
         if not has_full_domain(p):
             raise MissingFullDomain("a point with empty upper segment breaks the cover")
-        segs = p.pred
+        segs = p.lower_segments()
     elif side == 'upper':
         if not has_full_range(p):
             raise MissingFullRange("a point with empty lower segment breaks the cover")
-        segs = p.succ
+        segs = p.upper_segments()
     else:
         raise ValueError("side must be 'lower' or 'upper'")
-    return generate_from_subbase(SetSystem(p.n, (0,) + segs))
+    return generate_from_subbase(segs)
 
 
 def segment_system_is_topology(p, side):
@@ -220,31 +172,13 @@ def segment_system_is_topology(p, side):
     return _pairwise_closed(segs, or_, {0, full_mask(p.n)})
 
 
-def chain(n, flavor='strict'):
-    """The total order 0 < 1 < ... < n-1 (or <= in reflexive flavor)."""
-    pairs = [(i, j) for i in range(n) for j in range(n)
-             if i < j or (flavor == 'reflexive' and i == j)]
-    return Preorder(n, pairs, flavor)
-
-
-def fence(n):
-    """A zigzag order: 0 < 1 > 2 < 3 > ...  (strict flavor)."""
-    pairs = []
-    for i in range(n - 1):
-        if i % 2 == 0:
-            pairs.append((i, i + 1))
-        else:
-            pairs.append((i + 1, i))
-    # transitive closure is the relation itself for a fence
-    return Preorder(n, pairs, 'strict')
-
-
 def product_preorder(ps):
     """Componentwise comparison on the row-major flattened product."""
     sizes = [p.n for p in ps]
     total = 1
     for s in sizes:
         total *= s
+    check_carrier(total)
     points = list(iproduct(*[range(s) for s in sizes]))
     flavor = ps[0].flavor if ps else 'strict'
     pairs = []

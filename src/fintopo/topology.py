@@ -464,25 +464,11 @@ def compare(t1, t2):
     return 'incomparable'
 
 
-def neighborhood_relation(topology, kind='all'):
-    """The neighborhood relation of the topology as a PointSetRelation.
-
-    kind selects all neighborhoods, only the open ones, or only the
-    closed ones.  The neighborhoods of x are the supersets of U_x.
-    """
-    if kind not in ('all', 'open', 'closed'):
-        raise ValueError("kind must be 'all', 'open' or 'closed'")
+def neighborhood_relation(topology):
+    """The neighborhood relation of the topology as a PointSetRelation:
+    the neighborhoods of x are the supersets of U_x."""
     n = topology.n
-    sections = []
-    for u in topology.minimal_opens:
-        if kind == 'open':
-            sec = [o for o in topology.opens if u & ~o == 0]
-        else:
-            sec = supermasks(u, n)
-            if kind == 'closed':
-                sec = [m for m in sec if topology.is_closed(m)]
-        sections.append(sec)
-    return relation_from_sections(n, sections)
+    return relation_from_sections(n, [supermasks(u, n) for u in topology.minimal_opens])
 
 
 def enumerate_topologies(n, count_only=False):

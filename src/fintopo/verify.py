@@ -4,10 +4,13 @@ Each suite returns pass/fail counts plus the first counterexample,
 serialized as a replayable input.  The continuity, convergence and
 metric suites also check the alternative characterizations of the
 library against their counterparts: continuity through preimages of
-closures and interiors, homeomorphy against are_homeomorphic and
-comparison by neighborhoods against compare; nets and sequences against
-filters; and the sphere criterion, the quotient metric, restriction and
-the supremum metric against the topologies they generate.
+closures and interiors, homeomorphy against are_homeomorphic,
+comparison by neighborhoods against compare, and the lower topologies
+of product and pulled-back preorders and the union-closed segment
+systems against products, inverse images and the topology axioms; nets
+and sequences against filters; and the sphere criterion, closed
+spheres, the quotient metric, restriction and the supremum metric
+against the topologies they generate.
 """
 
 import random
@@ -25,15 +28,19 @@ from .convergence import (EventuallyPeriodicSequence, filter_adherence, filter_f
                           sequence_cluster_points, sequence_filter, sequence_limits)
 from .errors import CapExceeded
 from .filters import enumerate_filters, extend_to_ultrafilter, principal_filter
-from .generated import quotient_topology, subspace_topology
-from .metric import (PseudoMetric, bounded_equivalents, is_finer_by_spheres, is_isometry,
-                     metric_topology, quotient_metric, restrict, sup_pseudometric,
-                     validate_pseudometric, zero_distance_rows, zero_distance_set)
+from .generated import (inverse_image_topology, product_topology, quotient_topology,
+                        subspace_topology)
+from .metric import (PseudoMetric, bounded_equivalents, default_radius_set, is_finer_by_spheres,
+                     is_isometry, metric_topology, quotient_metric, restrict, sup_pseudometric,
+                     zero_distance_rows, zero_distance_set)
 from .neighborhoods import (check_neighborhood_axioms, compare_by_neighborhoods, set_map_of,
                             topology_from_neighborhoods, topology_from_set_map)
 from .numeric import Dyadic, DyadicPoly, bisection_invert
-from .setops import FiniteMap, SetSystem, check_carrier, identity_map, phi, points_of, psi, theta
-from .topology import compare, enumerate_topologies, neighborhood_relation
+from .order import (Preorder, one_sided_topology, product_preorder, pullback_preorder,
+                    segment_system_is_topology)
+from .setops import (FiniteMap, SetSystem, check_carrier, full_mask, identity_map, phi,
+                     points_of, psi, theta)
+from .topology import compare, enumerate_topologies, is_topology, neighborhood_relation
 
 
 class _Tally:
@@ -107,8 +114,23 @@ def _suite_continuity(n, tally):
         raise CapExceeded("continuity suite capped at n = 3")
     tops = enumerate_topologies(n)
     maps = [FiniteMap(n, n, im) for im in iproduct(range(n), repeat=n)]
-    for t1 in tops:
-        for t2 in tops:
+    orders = [_specialization(t) for t in tops]
+    for t, p in zip(tops, orders):
+        # the segments with the empty set and X are union closed iff they
+        # satisfy the topology axioms
+        for side, segs in (('lower', p.lower_segments()), ('upper', p.upper_segments())):
+            axioms = is_topology(SetSystem(n, segs.sets + (full_mask(n),))) is None
+            tally.record(segment_system_is_topology(p, side) == axioms,
+                         lambda: {'space': jsonio.topology_to_json(t), 'side': side})
+        # the lower topology of the preorder pulled back along f is the
+        # inverse image of the space
+        for f in maps:
+            tally.record(one_sided_topology(pullback_preorder(p, f), 'lower')
+                         == inverse_image_topology(n, [(f, t)]),
+                         lambda: {'space': jsonio.topology_to_json(t),
+                                  'map': {'f': list(f.images)}})
+    for t1, p1 in zip(tops, orders):
+        for t2, p2 in zip(tops, orders):
             # the maps run in lexicographic order of their images, so the
             # first one homeomorphy accepts is are_homeomorphic's witness
             first = None
@@ -129,6 +151,16 @@ def _suite_continuity(n, tally):
             by_neighborhoods = compare_by_neighborhoods(t1, t2)
             tally.record(by_neighborhoods == compare(t1, t2),
                          lambda: _pair_json(t1, t2, compare_by_neighborhoods=by_neighborhoods))
+            # the lower topology of the product order is the product space
+            tally.record(one_sided_topology(product_preorder([p1, p2]), 'lower')
+                         == product_topology([t1, t2])[0], lambda: _pair_json(t1, t2))
+
+
+def _specialization(t):
+    """The reflexive preorder of the space: x <= y iff x lies in U_y, so
+    the lower segment of y is U_y and the lower topology is the space."""
+    pairs = [(x, y) for y, u in enumerate(t.minimal_opens) for x in points_of(u)]
+    return Preorder(t.n, pairs, 'reflexive')
 
 
 def _pair_json(t1, t2, **more):
@@ -168,22 +200,25 @@ def _suite_metric(n, tally):
     if not 1 <= n <= 5:
         raise CapExceeded("metric suite needs 1 <= n <= 5")
     rng = random.Random(101)
-    trials = 0
-    while trials < 25:
+    for _ in range(25):
         d = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                v = Fraction(rng.randint(0, 4), rng.randint(1, 4))
-                d[i][j] = d[j][i] = v
-        if validate_pseudometric(d)[0] == 'invalid':
-            continue
-        trials += 1
+                d[i][j] = d[j][i] = Fraction(rng.randint(0, 4), rng.randint(1, 4))
+        # closed under shortest paths, the draw stays symmetric with a
+        # zero diagonal and meets the triangle inequality
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    d[i][j] = min(d[i][j], d[i][k] + d[k][j])
         m = PseudoMetric(d)
         t = metric_topology(m)
         e, f = bounded_equivalents(m)
         ok = (metric_topology(e) == t and metric_topology(f) == t
               and all(zero_distance_set(m, a) == closure(t, a)
-                      for a in range(1, 1 << n)))
+                      for a in range(1, 1 << n))
+              and all(t.is_closed(m.closed_sphere(x, r))
+                      for x in range(n) for r in default_radius_set(m)))
         # the sphere criterion finds each of m, e and f finer than the
         # others; the quotient by the zero-distance classes and every
         # subspace are the same from the metric as from the topology; and

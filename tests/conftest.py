@@ -1,5 +1,6 @@
 """Shared helpers: independent oracles used to cross-check the library,
-and the random preorders (as U_x kernels) that hypothesis tests draw.
+the random preorders (as U_x kernels) that hypothesis tests draw, and
+the chain and fence preorders the order tests build.
 
 The oracles here deliberately use the definition-by-enumeration route
 (subfamilies, direct scans) rather than the fixed-point implementations
@@ -10,6 +11,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
+from fintopo.order import Preorder
 from fintopo.setops import SetSystem, full_mask, points_of
 from fintopo.topology import Topology
 
@@ -93,3 +95,22 @@ def preorders(draw, min_n=1, max_n=6):
             if grown != u[x]:
                 u[x], changed = grown, True
     return tuple(u)
+
+
+def chain(n, flavor='strict'):
+    """The total order 0 < 1 < ... < n-1 (or <= in reflexive flavor)."""
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if i < j or (flavor == 'reflexive' and i == j)]
+    return Preorder(n, pairs, flavor)
+
+
+def fence(n):
+    """A zigzag order: 0 < 1 > 2 < 3 > ...  (strict flavor)."""
+    pairs = []
+    for i in range(n - 1):
+        if i % 2 == 0:
+            pairs.append((i, i + 1))
+        else:
+            pairs.append((i + 1, i))
+    # transitive closure is the relation itself for a fence
+    return Preorder(n, pairs, 'strict')

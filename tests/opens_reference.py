@@ -72,6 +72,11 @@ every test space of at most 3 points and every map, for
 test_generated.py and test_acceptance.py; and continuity glued from the
 restrictions to a closed cover, for test_continuity.py.  They read the
 continuity test, the subspace and the filter-base check kept here.
+
+So is the interval topology generated from the segments at the points
+of a subset only, which the library's interval_topology replaced, with
+the order-density test of that subset, for test_order.py and
+test_acceptance.py.
 """
 
 from functools import lru_cache
@@ -86,7 +91,7 @@ from fintopo.numeric import (BISECTION_CAP, HORNER_BITS_CAP, ZERO, _ceil_log2_ra
                              _horner)
 from fintopo.setops import (FiniteMap, PointSetRelation, SetSystem, full_mask, meet_of, phi,
                             points_of, relation_from_sections, supermasks)
-from fintopo.topology import Topology, enumerate_topologies
+from fintopo.topology import Topology, enumerate_topologies, generate_from_subbase
 
 
 def psi(system):
@@ -596,6 +601,20 @@ def segment_system_is_topology(p, side):
     system = SetSystem(p.n, list(segs) + [0, full_mask(p.n)])
     return theta(system) == system
 
+
+
+def is_order_dense(p, y_mask):
+    """Y is order dense: whenever x rel z there is a point of Y
+    strictly between them."""
+    return all(any(p.rel(x, y) and p.rel(y, z) for y in points_of(y_mask))
+               for x in range(p.n) for z in points_of(p.succ[x]))
+
+
+def interval_topology_from_dense(p, y_mask):
+    """The topology generated by the segments at the points of Y and
+    the empty set; for an order dense Y, the interval topology."""
+    segs = [seg for y in points_of(y_mask) for seg in (p.pred[y], p.succ[y])]
+    return generate_from_subbase(SetSystem(p.n, [0] + segs))
 
 def topology_families(n):
     """The sorted open sets of every topology on n points, in the order

@@ -281,6 +281,37 @@ class TestFilter:
                                                        'core': points_of(f.core())})
 
 
+    @pytest.mark.parametrize('op, detail', [
+        ('image', 'image 0 outside carrier of size 0'),
+        ('inverse-image', 'expected 0 images, got 1'),
+    ])
+    def test_target_n_zero_is_read(self, capsys, tmp_path, op, detail):
+        # --target-n 0 was dropped as if absent: exit 0 with a filter on 1 point
+        base = write(tmp_path, 'b.json', {'n': 1, 'sets': [[0]]})
+        mp = write(tmp_path, 'm.json', {'f': [0]})
+        code, out, err = run(capsys, 'filter', '--op', op, '--base', base, '--map', mp,
+                             '--target-n', '0')
+        assert (code, err) == (1, '')
+        assert json.loads(out) == {'error': 'UniverseMismatch', 'detail': detail}
+
+    @pytest.mark.parametrize('argv, message', [
+        (['generate'], 'filter --op generate needs --base'),
+        (['ultra'], 'filter --op ultra needs --base'),
+        (['extend'], 'filter --op extend needs --base'),
+        (['sup'], 'filter --op sup needs --bases'),
+        (['image', '--map', 'M'], 'filter --op image needs --base'),
+        (['image', '--base', 'B'], 'filter --op image needs --map'),
+        (['inverse-image', '--base', 'B'], 'filter --op inverse-image needs --map'),
+    ])
+    def test_an_op_without_its_option_is_a_usage_error(self, capsys, tmp_path, argv, message):
+        # each was "input error: expected str, bytes or os.PathLike
+        # object, not NoneType"
+        files = {'B': {'n': 2, 'sets': [[0, 1]]}, 'M': {'f': [0, 1]}}
+        argv = [write(tmp_path, a + '.json', files[a]) if a in files else a for a in argv]
+        code, out, err = run(capsys, 'filter', '--op', *argv)
+        assert code == 2 and out == ''
+        assert err == 'usage error: %s\n' % message
+
 class TestCont:
     def test_continuity_report(self, capsys, tmp_path):
         src = write(tmp_path, 's.json', SIERPINSKI)
@@ -618,10 +649,25 @@ class TestExitCodes:
         (['check', '--cauchy-schwarz', 'V', '--space', 'S'], '--space needs --base or --net'),
         (['check', '--metric', 'M', '--space', 'S'], '--space needs --base or --net'),
         (['check', '--invert', 'I', '--space', 'S'], '--space needs --base or --net'),
+        (['filter', '--op', 'generate', '--base', 'B', '--map', 'F'],
+         'filter --op generate does not read --map'),
+        (['filter', '--op', 'generate', '--base', 'B', '--bases', 'BS'],
+         'filter --op generate does not read --bases'),
+        (['filter', '--op', 'ultra', '--base', 'B', '--target-n', '2'],
+         'filter --op ultra does not read --target-n'),
+        (['filter', '--op', 'extend', '--base', 'B', '--map', 'F'],
+         'filter --op extend does not read --map'),
+        (['filter', '--op', 'sup', '--bases', 'BS', '--base', 'B'],
+         'filter --op sup does not read --base'),
+        (['filter', '--op', 'sup', '--bases', 'BS', '--target-n', '0'],
+         'filter --op sup does not read --target-n'),
+        (['filter', '--op', 'image', '--base', 'B', '--map', 'F', '--bases', 'BS'],
+         'filter --op image does not read --bases'),
     ])
     def test_an_option_the_input_drops_is_a_usage_error(self, capsys, tmp_path, argv, message):
         # each once answered its input without the other option, exit 0
         files = {'S': SIERPINSKI, 'F': {'f': [1, 0]}, 'B': {'n': 2, 'sets': [[0, 1]]},
+                 'BS': [{'n': 2, 'sets': [[0, 1]]}],
                  'P': {'n': 2, 'pairs': [[0, 1]], 'flavor': 'strict'},
                  'XS': ['1', '1/2', '1/4'], 'V': {'x': ['1', '1/2'], 'y': ['3', '2']},
                  'M': {'n': 2, 'd': [['0', '1'], ['1', '0']]},

@@ -100,7 +100,7 @@ class TestBasics:
         g = SpaceMap(d, s, FiniteMap(2, 2, [1, 0]))
         h = SpaceMap(s, s, FiniteMap(2, 2, [1, 1]))
         assert is_continuous(g) and is_continuous(h)
-        assert is_continuous(h.compose(g))
+        assert is_continuous(SpaceMap(g.source, h.target, h.f.compose(g.f)))
 
     def test_mismatched_spaces_rejected(self):
         with pytest.raises(UniverseMismatch):

@@ -7,7 +7,7 @@ from fintopo.convergence import (DirectedSet, EventuallyPeriodicSequence, Net,
                                  filter_adherence,
                                  filter_from_net, filter_limits, net_cluster_points,
                                  net_from_filter_base, net_limits,
-                                 product_directed_set, sequence_cluster_points,
+                                 sequence_cluster_points,
                                  sequence_filter, sequence_limits)
 from fintopo.errors import EmptyArgument, NotDirected, UniverseMismatch
 from fintopo.filters import enumerate_filters, generate_filter, principal_filter
@@ -123,12 +123,6 @@ class TestDirectedSet:
     def test_pair_domain(self):
         with pytest.raises(UniverseMismatch):
             DirectedSet(2, [(0, 5)])
-
-    def test_product(self):
-        c2 = DirectedSet(2, [(0, 1)])
-        p = product_directed_set(c2, c2)
-        assert p.size == 4
-        assert p.leq(0, 3) and not p.leq(1, 2) and not p.leq(2, 1)
 
 
 class TestNetFilterCorrespondence:

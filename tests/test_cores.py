@@ -234,7 +234,7 @@ class TestNeighborhoodChecks:
             if n > 3:
                 continue
             for kind, rel in (('neighborhood', neighborhood_relation(t)),
-                              ('base', neighborhood_relation(t, 'open'))):
+                              ('base', ref.neighborhood_relation(t, 'open'))):
                 assert compare(kind, rel, True) is None
                 for x in range(n):
                     for m in range(1 << n):
@@ -257,7 +257,7 @@ class TestNeighborhoodChecks:
         n = t.n
         pair = st.tuples(st.integers(0, n - 1), st.integers(0, full_mask(n)))
         for kind, rel in (('neighborhood', neighborhood_relation(t)),
-                          ('base', neighborhood_relation(t, 'open'))):
+                          ('base', ref.neighborhood_relation(t, 'open'))):
             for x, m in data.draw(st.lists(pair, min_size=1, max_size=2)):
                 rel = toggled(rel, x, m)
             compare(kind, rel, n <= 3)
@@ -304,7 +304,7 @@ class TestConstructions:
             smap = set_map_of(t)
             assert list(smap.table) == ref.set_map_table(t)
             assert topology_from_set_map(smap) == t
-            base = neighborhood_relation(t, 'open')
+            base = ref.neighborhood_relation(t, 'open')
             assert neighborhoods_from_base(base) == ref.neighborhoods_from_base(base) == rel
 
     def test_reconstructed_topology_keeps_its_kernel(self):

@@ -11,12 +11,20 @@ Every import statement sits at module level, and no module imports
 itself through its siblings.  No module imports an underscore name from
 a sibling module: what one module reads of another is public there.
 
-A top-level def or class counts as read when some file under src/ or
-topobench/ loads its name, or an attribute of that name, outside the
-definition itself.  The names in __init__.py's __all__ are the public
-API and count as read.  The names in TEST_ONLY are read by tests alone,
-and only they: a new name that only tests read fails, and so does one
-of these once the library or the benchmark reads it.
+Nothing in src/ is there for tests alone.  Three scans check that, each
+against the files under src/ and topobench/, the readers:
+- A top-level def or class counts as read when some reader loads its
+  name, or an attribute of that name, outside the definition itself.
+  The names in __init__.py's __all__ are the public API and count as
+  read.
+- A method of a class not in __all__, other than a dunder, counts as
+  read the same way.  The methods of the classes in __all__ are public
+  API too.
+- A parameter with a default counts as set when some call of its
+  function's name in a reader passes it: by position, by keyword, or
+  through * or **.  A method's positions do not count self or cls, and
+  a constructor is called by the name of its class or of a subclass
+  that inherits it.
 """
 
 import ast
@@ -28,8 +36,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / 'src' / 'fintopo'
 MODULES = sorted(p for p in PACKAGE.glob('*.py') if p.name != '__init__.py')
 READERS = sorted(p for d in ('src', 'topobench') for p in (ROOT / d).rglob('*.py'))
-TESTS = sorted((ROOT / 'tests').rglob('*.py'))
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
 
 
 def imported_names(tree):
@@ -74,7 +82,7 @@ def test_the_scan_sees_an_unused_import():
 def function_imports(source):
     """(function, line) for each import statement inside a function."""
     return [(fn.name, node.lineno) for fn in ast.walk(ast.parse(source))
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if isinstance(fn, FUNCTIONS)
             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
@@ -169,16 +177,24 @@ def test_the_scan_sees_a_private_import():
 
 def names_read(source):
     """Each name the source loads, as a Name or as an attribute, except
-    a top-level definition's own name inside that definition."""
+    a def's or class's own name inside that definition."""
     out = set()
-    for top in ast.parse(source).body:
-        names = {node.id if isinstance(node, ast.Name) else node.attr
-                 for node in ast.walk(top)
-                 if isinstance(node, ast.Attribute)
-                 or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-        if isinstance(top, DEFINITIONS):
-            names.discard(top.name)
-        out |= names
+
+    def visit(node, own):
+        if isinstance(node, DEFINITIONS):
+            own = own | {node.name}
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        else:
+            name = None
+        if name is not None and name not in own:
+            out.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(ast.parse(source), frozenset())
     return out
 
 
@@ -192,6 +208,88 @@ def unused_definitions(modules, readers, allowed):
             if isinstance(node, DEFINITIONS) and node.name not in read]
 
 
+def is_dunder(name):
+    return name.startswith('__') and name.endswith('__')
+
+
+def unread_methods(modules, readers, public):
+    """(module, 'Class.method', line) for each method, other than a
+    dunder, of a top-level class not in public whose name no reader
+    source reads."""
+    read = set().union(*(names_read(source) for source in readers))
+    return [(module, '%s.%s' % (cls.name, fn.name), fn.lineno)
+            for module, source in sorted(modules.items())
+            for cls in ast.parse(source).body
+            if isinstance(cls, ast.ClassDef) and cls.name not in public
+            for fn in cls.body
+            if isinstance(fn, FUNCTIONS) and not is_dunder(fn.name) and fn.name not in read]
+
+
+def constructor_names(cls, classes):
+    """The class's name and those of the subclasses, among the classes,
+    that inherit its __init__."""
+    names = [cls.name]
+    for name in names:
+        names += [sub.name for sub in classes if sub.name not in names
+                  and any(isinstance(b, ast.Name) and b.id == name for b in sub.bases)
+                  and not any(isinstance(fn, FUNCTIONS) and fn.name == '__init__'
+                              for fn in sub.body)]
+    return names
+
+
+def defaulted_parameters(source):
+    """(function, call names, parameter, position, line) for each
+    parameter with a default of a top-level function or method.  A call
+    of one of the names passes the parameter as its positional argument
+    at position, or by keyword alone when position is None."""
+    tree = ast.parse(source)
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    functions = [(fn.name, [fn.name], fn, 0) for fn in tree.body if isinstance(fn, FUNCTIONS)]
+    for cls in classes:
+        for fn in cls.body:
+            if isinstance(fn, FUNCTIONS):
+                names = constructor_names(cls, classes) if fn.name == '__init__' else [fn.name]
+                bound = not any(isinstance(d, ast.Name) and d.id == 'staticmethod'
+                                for d in fn.decorator_list)
+                functions.append(('%s.%s' % (cls.name, fn.name), names, fn, bound))
+    out = []
+    for label, names, fn, bound in functions:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for k, arg in enumerate(positional[first:], first):
+            out.append((label, names, arg.arg, k - bound, arg.lineno))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                out.append((label, names, arg.arg, None, arg.lineno))
+    return out
+
+
+def passes(call, parameter, position):
+    """Whether the call passes the parameter, counting * and ** as
+    passing every one."""
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg in (None, parameter) for k in call.keywords)
+            or position is not None and len(call.args) > position)
+
+
+def unset_defaults(modules, readers):
+    """(module, function, parameter, line) for each parameter with a
+    default in the {module: source} map that no call in the reader
+    sources passes."""
+    calls = {}
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, 'attr', None)
+                calls.setdefault(name, []).append(node)
+    return [(module, label, parameter, line) for module, source in sorted(modules.items())
+            for label, names, parameter, position, line in defaulted_parameters(source)
+            if not any(passes(call, parameter, position)
+                       for name in names for call in calls.get(name, ()))]
+
+
 def public_names():
     """The __all__ list of the package's __init__.py."""
     for node in ast.parse((PACKAGE / '__init__.py').read_text()).body:
@@ -200,24 +298,26 @@ def public_names():
     return []
 
 
-# the definitions that only tests read: the alternative constructions
-# of products, orders and interval topologies, and the power bounds
-TEST_ONLY = {
-    'product_directed_set', 'power_exceeds', 'power_vanishes',
-    'interval_topology_family', 'pullback_preorder', 'product_preorder',
-    'segment_system_is_topology', 'chain', 'fence', 'is_order_dense',
-    'product_point_index',
-}
+def sources():
+    """The {module: source} map of the package and the reader sources."""
+    return ({p.name: p.read_text() for p in PACKAGE.glob('*.py')},
+            [p.read_text() for p in READERS])
 
 
 def test_every_definition_is_read():
-    modules = {p.name: p.read_text() for p in PACKAGE.glob('*.py')}
-    readers = [p.read_text() for p in READERS]
+    modules, readers = sources()
     assert 'Topology' in public_names()
-    found = [name for _, name, _ in unused_definitions(modules, readers, public_names())]
-    assert sorted(found) == sorted(TEST_ONLY)
-    read_by_tests = set().union(*(names_read(p.read_text()) for p in TESTS))
-    assert TEST_ONLY <= read_by_tests
+    assert unused_definitions(modules, readers, public_names()) == []
+
+
+def test_every_method_is_read():
+    modules, readers = sources()
+    assert unread_methods(modules, readers, public_names()) == []
+
+
+def test_every_default_is_set():
+    modules, readers = sources()
+    assert unset_defaults(modules, readers) == []
 
 
 def test_the_scan_sees_an_unused_definition():
@@ -241,3 +341,55 @@ def test_the_scan_sees_an_unused_definition():
               'used(1), m.caller()\n')
     assert unused_definitions({'m.py': module}, [module, reader], ['Public']) == [
         ('m.py', 'recursive', 3), ('m.py', 'unused', 9)]
+
+
+def test_the_scan_sees_an_unread_method():
+    module = ('class Public:\n'
+              '    def only_tests(self):\n'
+              '        pass\n'
+              'class Internal:\n'
+              '    def __eq__(self, other):\n'
+              '        return True\n'
+              '    def used(self):\n'
+              '        return self.helper()\n'
+              '    def helper(self):\n'
+              '        return 0\n'
+              '    def recursive(self, k):\n'
+              '        return self.recursive(k - 1) if k else 0\n'
+              '    def unused(self):\n'
+              '        pass\n')
+    reader = 'from m import Internal\nInternal().used()\n'
+    assert unread_methods({'m.py': module}, [module, reader], ['Public']) == [
+        ('m.py', 'Internal.recursive', 11), ('m.py', 'Internal.unused', 13)]
+
+
+def test_the_scan_sees_an_unset_default():
+    module = ('def f(a, b=1, c=2, *, d=3, e=4):\n'
+              '    return a\n'
+              'def g(a=0):\n'
+              '    return a\n'
+              'def h(a=0):\n'
+              '    return a\n'
+              'class Error(Exception):\n'
+              '    def __init__(self, reason, witness=None):\n'
+              '        pass\n'
+              '    def method(self, k=1):\n'
+              '        pass\n'
+              '    @staticmethod\n'
+              '    def static(k=1):\n'
+              '        pass\n'
+              'class Inherits(Error):\n'
+              '    pass\n'
+              'class Overrides(Error):\n'
+              '    def __init__(self, x=0):\n'
+              '        pass\n')
+    reader = ('f(0, 1, d=5)\n'
+              'g(*[1])\n'
+              'h(**{})\n'
+              'Inherits(1, 2)\n'
+              'Error.static(1)\n'
+              'Error(1).method()\n'
+              'Overrides()\n')
+    assert unset_defaults({'m.py': module}, [module, reader]) == [
+        ('m.py', 'f', 'c', 1), ('m.py', 'f', 'e', 1), ('m.py', 'Error.method', 'k', 10),
+        ('m.py', 'Overrides.__init__', 'x', 18)]

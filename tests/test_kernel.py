@@ -16,7 +16,6 @@ a kernel into.
 """
 
 import random
-from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import permutations, product
 from operator import or_
@@ -26,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opens_reference as ref
-from conftest import VIEWS, all_systems, preorders, topology_of_preorder
+from conftest import VIEWS, all_systems, chain, preorders, topology_of_preorder
 from fintopo import continuity, generated, metric, order, setops, topology
 from fintopo.closure import (SubsetOperator, analyze_subset, check_closure_axioms,
                              check_interior_axioms, closure, closure_operator_of,
@@ -105,8 +104,7 @@ def assert_point_operations_match(t):
 
 def assert_structure_matches(t):
     assert minimal_base(t) == ref.minimal_base(t)
-    for kind in ('all', 'open', 'closed'):
-        assert neighborhood_relation(t, kind) == ref.neighborhood_relation(t, kind)
+    assert neighborhood_relation(t) == ref.neighborhood_relation(t)
     cl, inte = closure_operator_of(t), interior_operator_of(t)
     assert cl.table == tuple(ref.closure(t, a) for a in range(1 << t.n))
     assert inte.table == tuple(ref.interior(t, a) for a in range(1 << t.n))
@@ -504,7 +502,7 @@ class TestGeneratedTopologies:
         # theta and psi list every union (or meet) of a system, up to
         # 2^n sets; no generator may fall back on them, each builds its
         # space from the kernel
-        line = order.chain(3, 'reflexive')
+        line = chain(3, 'reflexive')
         s = topology.sierpinski()
         dist = metric.PseudoMetric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         calls = [
@@ -516,13 +514,11 @@ class TestGeneratedTopologies:
                 2, [(setops.identity_map(2), s),
                     (setops.identity_map(2), Topology(2, [0, 0b01, 0b11]))]),
             lambda: generated.product_topology([s, s])[0],
-            lambda: order.interval_topology(order.chain(3)),
-            lambda: order.interval_topology_from_dense(line, 0b111),
-            lambda: order.interval_topology_family([line, order.fence(3)]),
+            lambda: order.interval_topology(chain(3)),
+            lambda: order.interval_topology(line),
             lambda: order.one_sided_topology(line, 'lower'),
             lambda: order.one_sided_topology(line, 'upper'),
             lambda: metric.metric_topology(dist),
-            lambda: metric.metric_topology(dist, [Fraction(3, 2)]),
         ]
         expected = [call() for call in calls]
 

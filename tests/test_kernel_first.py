@@ -17,13 +17,12 @@ import pytest
 from hypothesis import given, settings
 
 import opens_reference as ref
-from conftest import VIEWS, all_systems, preorders, topology_of_preorder
+from conftest import VIEWS, all_systems, fence, preorders, topology_of_preorder
 from fintopo import topology
 from fintopo.closure import (analyze_subset, closure, closure_operator_of, interior,
                              interior_operator_of, topology_from_closure_operator,
                              topology_from_interior_operator)
 from fintopo.errors import UniverseMismatch
-from fintopo.order import fence
 from fintopo.setops import SetSystem, full_mask
 from fintopo.topology import (Topology, compare, discrete_topology, enumerate_topologies,
                               indiscrete_topology, is_base_of, is_finer, minimal_base,
@@ -131,7 +130,7 @@ def chain_kernel(n):
 
 
 def fence_kernel(n):
-    """The fence of order.fence, 0 < 1 > 2 < 3 > ...: U_x holds x and
+    """The fence of conftest.fence, 0 < 1 > 2 < 3 > ...: U_x holds x and
     the points below it."""
     p = fence(n)
     return [1 << x | sum(1 << y for y in range(n) if p.rel(y, x)) for x in range(n)]

@@ -16,8 +16,8 @@ from fintopo.metric import (PseudoMetric, bounded_equivalents, default_radius_se
                             sphere_base, sup_pseudometric, validate_pseudometric,
                             zero_distance_rows, zero_distance_set)
 from fintopo.setops import FiniteMap, theta
-from fintopo.topology import (compare, discrete_topology, indiscrete_topology, is_topology,
-                              sierpinski)
+from fintopo.topology import (Topology, compare, discrete_topology, indiscrete_topology,
+                              is_topology, kernel_of, sierpinski)
 
 
 def M(*rows):
@@ -89,7 +89,8 @@ class TestSpheres:
             denser = sorted(set(base_radii)
                             | {(a + b) / 2 for a in base_radii for b in base_radii}
                             | {r / 3 for r in base_radii})
-            assert metric_topology(m) == metric_topology(m, denser)
+            spheres = [m.open_sphere(x, r) for x in range(4) for r in denser]
+            assert metric_topology(m) == Topology.from_kernel(4, kernel_of(spheres, 4))
 
     def test_sphere_base_contains_empty(self):
         m = M([0, 1], [1, 0])
@@ -137,7 +138,8 @@ class TestGeneratedTopology:
         # are no base, since their meet {1} is no union of them, and
         # the topology they generate has {1} open
         m = M([0, 1, 2], [1, 0, 1], [2, 1, 0])
-        t = metric_topology(m, [Fraction(3, 2)])
+        t = Topology.from_kernel(3, kernel_of([m.open_sphere(x, Fraction(3, 2))
+                                               for x in range(3)], 3))
         assert t.opens.sets == (0b000, 0b010, 0b011, 0b110, 0b111)
         assert is_topology(t.opens) is None
         assert interior(t, 0b010) == 0b010

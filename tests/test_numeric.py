@@ -18,7 +18,7 @@ from fintopo.numeric import (BISECTION_CAP, HORNER_BITS_CAP, ONE, ZERO, Dyadic, 
                              decimal_digits, decimal_fraction, decimal_int,
                              cauchy_schwarz_check, dot, finite_series,
                              geometric_limit, geometric_partial_sum,
-                             metric_compare, mth_root, power_exceeds, power_vanishes)
+                             metric_compare, mth_root)
 
 dyadics = st.builds(Dyadic, st.integers(-1000, 1000), st.integers(-12, 12))
 
@@ -862,42 +862,6 @@ class TestPowers:
     def test_lower_bound(self, x, m):
         # Bernoulli's inequality
         assert x ** m >= Dyadic(m) * (x - ONE) + ONE
-
-    def test_power_exceeds(self):
-        assert power_exceeds(Dyadic(2), Dyadic(1000)) == 10
-        assert power_exceeds(Dyadic(3, -1), Dyadic(2)) == 2
-
-    def test_power_vanishes(self):
-        assert power_vanishes(Dyadic(1, -1), 10) == 11
-        assert power_vanishes(Dyadic(1, -2), 10) == 6
-
-    def test_domains(self):
-        with pytest.raises(IndexOutOfRange):
-            power_exceeds(ONE, Dyadic(2))
-        with pytest.raises(IndexOutOfRange):
-            power_vanishes(ONE, 3)
-
-    @pytest.mark.parametrize('call', [
-        lambda: power_exceeds(Dyadic(2), Dyadic(1, 10 ** 9)),
-        lambda: power_exceeds(ONE + Dyadic(1, -20), Dyadic(2)),
-        lambda: power_vanishes(ONE - Dyadic(1, -20), 1),
-        lambda: power_vanishes(Dyadic(1, -1), 10 ** 9),
-    ], ids=['exceeds-huge-bound', 'exceeds-near-one', 'vanishes-near-one', 'vanishes-huge-k'])
-    def test_long_powers_are_refused_fast(self, call):
-        # measured: 0.01 to 0.07 s each, where the loop ran without end
-        # in sight (CPython 3.11, shared 2-CPU host)
-        t0 = time.perf_counter()
-        with pytest.raises(CapExceeded, match='capped at %d bits' % HORNER_BITS_CAP):
-            call()
-        assert time.perf_counter() - t0 < 1
-
-    def test_powers_up_to_the_budget_are_answered(self):
-        # 2^32768 needs 32768 steps of one bit each, the budget exactly
-        assert power_exceeds(Dyadic(2), Dyadic(1, 32767)) == 32768
-        assert power_vanishes(Dyadic(1, -1), 32767) == 32768
-        with pytest.raises(CapExceeded):
-            power_vanishes(Dyadic(1, -1), 32768)
-        assert power_exceeds(ONE + Dyadic(1, -11), Dyadic(2)) == 1420
 
 
 def _outcome(parse, text):

@@ -2,22 +2,26 @@
 
 The continuity, convergence and metric suites pass.  Each check they
 run against an alternative characterization is live: with one checked
-name in verify's namespace made to answer wrongly, the suite fails, and
-its counterexample reads back as input on which the wrong answer and
-the real one differ, the real one agreeing with its counterpart.
+name in verify's namespace (or a method of a class there) made to
+answer wrongly, the suite fails, and its counterexample reads back as
+input on which the wrong answer and the real one differ, the real one
+agreeing with its counterpart.
 """
 
 import json
+import time
 
 import pytest
 
+import opens_reference as ref
 from fintopo import jsonio, verify
 from fintopo.continuity import SpaceMap, continuity_characterizations
 from fintopo.convergence import EventuallyPeriodicSequence, filter_limits, net_from_filter_base
 from fintopo.filters import principal_filter
-from fintopo.generated import subspace_topology
-from fintopo.metric import PseudoMetric, bounded_equivalents, metric_topology
-from fintopo.setops import FiniteMap, full_mask, mask_of
+from fintopo.generated import inverse_image_topology, product_topology, subspace_topology
+from fintopo.metric import PseudoMetric, bounded_equivalents, default_radius_set, metric_topology
+from fintopo.order import Preorder, one_sided_topology
+from fintopo.setops import FiniteMap, full_mask, mask_of, points_of
 from fintopo.topology import compare
 
 
@@ -26,6 +30,16 @@ def test_suite_passes(suite, n):
     report = verify.run_suite(suite, n)
     assert report['total'] > 0
     assert (report['failed'], report['counterexample']) == (0, None)
+
+
+def test_metric_suite_at_five_points_in_bounded_time():
+    # each draw is closed under shortest paths instead of redrawn until
+    # it is a pseudometric: measured 0.17 s, where 28,752 draws took
+    # 2.3 s (CPython 3.11, shared 2-CPU host)
+    t0 = time.perf_counter()
+    report = verify.run_suite('metric', 5)
+    assert time.perf_counter() - t0 < 2
+    assert (report['total'], report['failed']) == (25, 0)
 
 
 def spaces(ce):
@@ -77,6 +91,43 @@ def replay_spheres(real, wrong, ce):
     return real(m, e) and not wrong(m, e)
 
 
+def specialization(t):
+    """The reflexive preorder with x <= y iff x lies in U_y."""
+    return Preorder(t.n, [(x, y) for y, u in enumerate(t.minimal_opens) for x in points_of(u)],
+                    'reflexive')
+
+
+def lower(p):
+    return one_sided_topology(p, 'lower')
+
+
+def replay_product(real, wrong, ce):
+    t1, t2 = spaces(ce)
+    ps = [specialization(t1), specialization(t2)]
+    return lower(wrong(ps)) != lower(real(ps)) == product_topology([t1, t2])[0]
+
+
+def replay_pullback(real, wrong, ce):
+    t = jsonio.topology_from_json(ce['space'])
+    f = jsonio.map_from_json(ce['map'], t.n, t.n)
+    p = specialization(t)
+    return lower(wrong(p, f)) != lower(real(p, f)) == inverse_image_topology(t.n, [(f, t)])
+
+
+def replay_segments(real, wrong, ce):
+    p = specialization(jsonio.topology_from_json(ce['space']))
+    side = ce['side']
+    return wrong(p, side) != real(p, side) == ref.segment_system_is_topology(p, side)
+
+
+def replay_closed_sphere(real, wrong, ce):
+    m = metric(ce)
+    t = metric_topology(m)
+    return any(ref.closure(t, wrong(m, x, r)) != wrong(m, x, r)
+               and ref.closure(t, real(m, x, r)) == real(m, x, r)
+               for x in range(m.n) for r in default_radius_set(m))
+
+
 def replay_restriction(real, wrong, ce):
     m = metric(ce)
     t = metric_topology(m)
@@ -97,6 +148,13 @@ FAULTS = [
      lambda real: lambda seq: principal_filter(seq.n, full_mask(seq.n)), replay_sequence),
     ('metric', 3, 'is_finer_by_spheres', lambda real: lambda m1, m2: False, replay_spheres),
     ('metric', 3, 'restrict', lambda real: lambda m, a: real(m, a & -a), replay_restriction),
+    ('continuity', 2, 'product_preorder', lambda real: lambda ps: real(ps[::-1]),
+     replay_product),
+    ('continuity', 2, 'pullback_preorder', lambda real: lambda p, f: p, replay_pullback),
+    ('continuity', 2, 'segment_system_is_topology',
+     lambda real: lambda p, side: not real(p, side), replay_segments),
+    ('metric', 3, 'PseudoMetric.closed_sphere', lambda real: lambda m, x, r: 1 << x,
+     replay_closed_sphere),
 ]
 
 
@@ -104,9 +162,11 @@ FAULTS = [
                          ids=['%s-%s' % (f[0], f[2]) for f in FAULTS])
 def test_a_wrong_answer_fails_with_a_counterexample(monkeypatch, suite, n, name, fault,
                                                     replay):
-    real = getattr(verify, name)
+    owner, _, attribute = name.rpartition('.')
+    target = getattr(verify, owner) if owner else verify
+    real = getattr(target, attribute)
     wrong = fault(real)
-    monkeypatch.setattr(verify, name, wrong)
+    monkeypatch.setattr(target, attribute, wrong)
     report = verify.run_suite(suite, n)
     assert report['failed'] > 0
     assert replay(real, wrong, json.loads(jsonio.dumps(report['counterexample'])))
