@@ -197,13 +197,12 @@ def cmd_filter(args):
     base = jsonio.system_from_json(_load(args.base))
     f0 = generate_filter(base)
     mp = _load(args.map)
+    # without --target-n the other carrier is read off the map
     if args.op == 'image':
-        fm = jsonio.map_from_json(mp, n_src=base.n, n_dst=args.target_n)
-        f = image_filter(fm, f0)
-    else:
-        fm = jsonio.map_from_json(mp, n_dst=base.n, n_src=args.target_n)
-        f = inverse_image_filter(fm, f0)
-    return _filter_json(f)
+        n = max(mp['f'], default=-1) + 1 if args.target_n is None else args.target_n
+        return _filter_json(image_filter(jsonio.map_from_json(mp, base.n, n), f0))
+    n = len(mp['f']) if args.target_n is None else args.target_n
+    return _filter_json(inverse_image_filter(jsonio.map_from_json(mp, n, base.n), f0))
 
 
 def cmd_cont(args):
@@ -271,7 +270,7 @@ def cmd_series(args):
         return {'sum': str(s), 'fraction': jsonio.fraction_to_str(s.to_fraction())}
     if args.terms is not None or args.limit:
         raise UsageError("--terms and --limit need --geom")
-    xs = [Dyadic.parse(v) for v in _load(args.xs)]
+    xs = [jsonio.dyadic_from_json(v) for v in _load(args.xs)]
     s = finite_series(xs, 1 if args.start is None else args.start,
                       1 if args.end is None else args.end)
     return {'sum': str(s), 'fraction': jsonio.fraction_to_str(s.to_fraction())}
@@ -282,8 +281,8 @@ def cmd_check(args):
         raise UsageError("--space needs --base or --net")
     if args.cauchy_schwarz:
         data = _load(args.cauchy_schwarz)
-        xs = [Dyadic.parse(v) for v in data['x']]
-        ys = [Dyadic.parse(v) for v in data['y']]
+        xs = [jsonio.dyadic_from_json(v) for v in data['x']]
+        ys = [jsonio.dyadic_from_json(v) for v in data['y']]
         rep = metric_compare(xs, ys)
         return {'cauchy_schwarz': rep['cauchy_schwarz'],
                 'dmax_sq': str(rep['dmax_sq']), 'e_sq': str(rep['e_sq']),
@@ -307,16 +306,15 @@ def cmd_check(args):
                 'cluster': points_of(net_cluster_points(t, net))}
     if args.invert:
         data = _load(args.invert)
-        p = DyadicPoly([Dyadic.parse(c) for c in data['poly']])
-        r = bisection_invert(p, Dyadic.parse(data['a']), Dyadic.parse(data['b']),
-                             Dyadic.parse(data['w']), Dyadic.parse(data['tol']))
+        p = DyadicPoly([jsonio.dyadic_from_json(c) for c in data['poly']])
+        a, b, w, tol = [jsonio.dyadic_from_json(data[k]) for k in ('a', 'b', 'w', 'tol')]
+        r = bisection_invert(p, a, b, w, tol)
         return {'result': str(r), 'fraction': jsonio.fraction_to_str(r.to_fraction())}
     raise UsageError("check --base and --net need --space")
 
 
 def cmd_verify(args):
-    report = verify.run_suite(args.suite, args.n)
-    return report
+    return verify.run_suite(args.suite, args.n)
 
 
 class UsageError(Exception):

@@ -4,7 +4,7 @@ eventually periodic sequences."""
 from .closure import closure
 from .errors import EmptyArgument, FilterBaseViolation, NotDirected, UniverseMismatch
 from .filters import generate_filter, is_filter_base
-from .setops import SetSystem, intransitive_pair, mask_of, points_of
+from .setops import SetSystem, intransitive_pair, mask_of, meet_of, points_of
 
 
 def _points_where(topology, test):
@@ -48,15 +48,12 @@ class DirectedSet:
         pair = intransitive_pair(up)
         if pair is not None:
             raise NotDirected("order not transitive at (%d, %d)" % pair)
-        for i in range(size):
-            for j in range(size):
-                if not up[i] & up[j]:
-                    raise NotDirected("elements %d and %d have no upper bound" % (i, j))
+        # finite and directed iff some point is in every upper cone
+        if not meet_of(up):
+            i, j = next((i, j) for i in range(size) for j in range(size) if not up[i] & up[j])
+            raise NotDirected("elements %d and %d have no upper bound" % (i, j))
         self.size = size
         self.up = tuple(up)
-
-    def leq(self, i, j):
-        return bool(self.up[i] >> j & 1)
 
     def __repr__(self):
         return 'DirectedSet(%d)' % self.size
@@ -122,9 +119,10 @@ def net_from_filter_base(base):
 
 
 class EventuallyPeriodicSequence:
-    """A sequence given by a finite prefix and a repeating cycle."""
+    """A sequence given by a finite prefix and a repeating cycle; only the
+    cycle decides its limits, so the prefix is checked but not kept."""
 
-    __slots__ = ('pre', 'cycle', 'n')
+    __slots__ = ('cycle', 'n')
 
     def __init__(self, pre, cycle, n):
         pre = tuple(pre)
@@ -134,20 +132,11 @@ class EventuallyPeriodicSequence:
         for v in pre + cycle:
             if not 0 <= v < n:
                 raise UniverseMismatch("value %d outside carrier of size %d" % (v, n))
-        self.pre = pre
         self.cycle = cycle
         self.n = n
 
-    def value(self, k):
-        if k < len(self.pre):
-            return self.pre[k]
-        return self.cycle[(k - len(self.pre)) % len(self.cycle)]
-
     def cycle_mask(self):
-        m = 0
-        for v in self.cycle:
-            m |= 1 << v
-        return m
+        return mask_of(self.cycle)
 
     def eventually_in(self, u_mask):
         """The sequence is eventually in U iff every cycle value lies in U."""

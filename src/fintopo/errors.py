@@ -61,10 +61,10 @@ class ClosedAxiomViolation(AxiomViolation):
 
 
 class FilterBaseViolation(DomainError):
-    def __init__(self, condition, witness=None, message=""):
+    def __init__(self, condition, witness):
         self.condition = condition
         self.witness = witness
-        super().__init__(message or "filter base condition violated: %s (witness %r)" % (condition, witness))
+        super().__init__("filter base condition violated: %s (witness %r)" % (condition, witness))
 
 
 class EmptyMeet(DomainError):
@@ -126,7 +126,7 @@ class MissingFullRange(DomainError):
 
 
 class InvalidMetric(DomainError):
-    def __init__(self, reason, witness=None):
+    def __init__(self, reason, witness):
         self.reason = reason
         self.witness = witness
         super().__init__("invalid pseudo-metric: %s (witness %r)" % (reason, witness))

@@ -6,6 +6,7 @@ spaces and kept as its own (Topology.from_kernel), in O(n^2) per space.
 """
 
 from itertools import product as iproduct
+from math import prod
 
 from .errors import NotEquivalence, UniverseMismatch
 from .setops import FiniteMap, check_carrier, full_mask, mask_of, points_of
@@ -44,25 +45,23 @@ def subspace_topology(t, a_mask):
     return inverse_image_topology(k, [(FiniteMap(k, t.n, point_map), t)]), point_map
 
 
+def product_points(sizes):
+    """The coordinate tuples of the product of carriers of the given
+    sizes in row-major order, once the product's size is a carrier."""
+    check_carrier(prod(sizes))
+    return list(iproduct(*[range(s) for s in sizes]))
+
+
 def product_projections(sizes):
     """The projection maps from the flattened product carrier."""
-    total = 1
-    for s in sizes:
-        total *= s
-    check_carrier(total)
-    points = list(iproduct(*[range(s) for s in sizes]))
-    projs = []
-    for i in range(len(sizes)):
-        projs.append(FiniteMap(total, sizes[i], [pt[i] for pt in points]))
-    return projs
+    points = product_points(sizes)
+    return [FiniteMap(len(points), s, [pt[i] for pt in points]) for i, s in enumerate(sizes)]
 
 
 def product_topology(topologies):
     """(product topology on the row-major flattened carrier, projections)."""
-    sizes = [t.n for t in topologies]
-    projs = product_projections(sizes)
-    total = projs[0].n_src if projs else 1
-    t = inverse_image_topology(total, list(zip(projs, topologies)))
+    projs = product_projections([t.n for t in topologies])
+    t = inverse_image_topology(prod(t.n for t in topologies), list(zip(projs, topologies)))
     return t, projs
 
 

@@ -12,7 +12,7 @@ from .closure import SubsetOperator
 from .convergence import DirectedSet, Net
 from .errors import UniverseMismatch
 from .neighborhoods import SetNeighborhoodMap
-from .numeric import decimal_digits, decimal_fraction
+from .numeric import Dyadic, decimal_digits, decimal_fraction
 from .order import Preorder
 from .setops import FiniteMap, PointSetRelation, SetSystem, check_carrier, mask_of, points_of
 from .topology import Topology
@@ -52,38 +52,35 @@ def relation_from_json(data):
     return PointSetRelation(n, [(x, mask_of(s, n)) for x, s in data['pairs']])
 
 
-def set_map_from_json(data):
-    """{"n": n, "table": [[A, [set, ...]], ...]}, sets as point lists, every subset A once."""
+def _subset_table(data, read, missing):
+    """(n, table) from {"n": n, "table": [[A, value], ...]}: n checked as a
+    carrier before the 2^n slots are made, each value read(value, n), and
+    a subset left out a UniverseMismatch with the message missing."""
     n = data['n']
     check_carrier(n)
     table = [None] * (1 << n)
-    for a_arr, systems in data['table']:
-        table[mask_of(a_arr, n)] = SetSystem(n, [mask_of(u, n) for u in systems])
+    for a_arr, value in data['table']:
+        table[mask_of(a_arr, n)] = read(value, n)
     if any(v is None for v in table):
-        raise UniverseMismatch("set map table must cover every subset")
-    return SetNeighborhoodMap(n, table)
+        raise UniverseMismatch(missing)
+    return n, table
+
+
+def set_map_from_json(data):
+    """{"n": n, "table": [[A, [set, ...]], ...]}, sets as point lists, every subset A once."""
+    return SetNeighborhoodMap(*_subset_table(
+        data, lambda sets, n: SetSystem(n, [mask_of(u, n) for u in sets]),
+        "set map table must cover every subset"))
 
 
 def operator_from_json(data):
     """{"n": n, "table": [[A, image of A], ...]}, sets as point lists, every subset A once."""
-    n = data['n']
-    check_carrier(n)
-    table = [None] * (1 << n)
-    for a_arr, v_arr in data['table']:
-        table[mask_of(a_arr, n)] = mask_of(v_arr, n)
-    if any(v is None for v in table):
-        raise UniverseMismatch("operator table must cover every subset")
-    return SubsetOperator(n, table)
+    return SubsetOperator(*_subset_table(data, mask_of, "operator table must cover every subset"))
 
 
-def map_from_json(data, n_src=None, n_dst=None):
+def map_from_json(data, n_src, n_dst):
     """{"f": [f(0), f(1), ...]}, the image of each source point."""
-    images = data['f']
-    if n_src is None:
-        n_src = len(images)
-    if n_dst is None:
-        n_dst = (max(images) + 1) if images else 0
-    return FiniteMap(n_src, n_dst, images)
+    return FiniteMap(n_src, n_dst, data['f'])
 
 
 def net_from_json(data, n):
@@ -104,11 +101,24 @@ def metric_to_json(m):
     return {'n': m.n, 'd': [[fraction_to_str(v) for v in row] for row in m.d]}
 
 
+def number_from_json(v):
+    """A JSON number, read exactly, or a decimal or fraction string, as a
+    Fraction; a zero denominator or an infinite float is a ValueError."""
+    try:
+        return decimal_fraction(v) if isinstance(v, str) else Fraction(v)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError("%r is not a finite number" % (v,)) from None
+
+
+def dyadic_from_json(v):
+    """A JSON number, read exactly, or a string Dyadic.parse reads."""
+    return Dyadic.parse(v) if isinstance(v, str) else Dyadic.from_fraction(number_from_json(v))
+
+
 def matrix_from_json(data):
-    """{"n": n, "d": [[d(0, 0), d(0, 1), ...], ...]}, numbers or decimal or fraction strings,
-    read exactly: the n rows of Fractions, unchecked beyond their count."""
-    rows = [[decimal_fraction(v) if isinstance(v, str) else Fraction(v) for v in row]
-            for row in data['d']]
+    """{"n": n, "d": [[d(0, 0), d(0, 1), ...], ...]}, entries as number_from_json reads them:
+    the n rows of Fractions, unchecked beyond their count."""
+    rows = [[number_from_json(v) for v in row] for row in data['d']]
     if len(rows) != data['n']:
         raise UniverseMismatch("matrix size does not match n")
     return rows

@@ -16,7 +16,7 @@ from .errors import (NeighborhoodAxiomViolation, NeighborhoodBaseViolation,
                      NotABase, SetMapAxiomViolation, UniverseMismatch)
 from .setops import (PointSetRelation, SetSystem, full_mask, is_up_set, meet_of, points_of,
                      relation_from_sections, supermasks, two_minimal, upward_gap)
-from .topology import Topology, closure_table, is_base_of, neighborhood_relation
+from .topology import Topology, closure_table, fineness, is_base_of, neighborhood_relation
 
 
 def _cores(sections, n):
@@ -247,10 +247,4 @@ def compare_by_neighborhoods(t1, t2):
     r2 = neighborhood_relation(t2)
     finer = all(r2.section(x) <= r1.section(x) for x in range(t1.n))
     coarser = all(r1.section(x) <= r2.section(x) for x in range(t1.n))
-    if finer and coarser:
-        return 'equal'
-    if finer:
-        return 'strictly-finer'
-    if coarser:
-        return 'strictly-coarser'
-    return 'incomparable'
+    return fineness(finer, coarser)

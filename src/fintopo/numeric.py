@@ -106,8 +106,8 @@ class Dyadic:
     __slots__ = ('m', 'e')
 
     def __init__(self, m, e=0):
-        m = int(m)
-        e = int(e)
+        m = index(m)
+        e = index(e)
         if m == 0:
             e = 0
         else:
@@ -143,7 +143,10 @@ class Dyadic:
             return Dyadic(-1, decimal_int(text[3:]))
         if '/' in text:
             p, q = text.split('/')
-            return Dyadic.from_fraction(Fraction(decimal_int(p), decimal_int(q)))
+            p, q = decimal_int(p), decimal_int(q)
+            if q == 0:
+                raise ValueError("zero denominator in %r" % text)
+            return Dyadic.from_fraction(Fraction(p, q))
         if '.' in text or 'e' in text or 'E' in text:
             return Dyadic.from_fraction(decimal_fraction(text))
         return Dyadic(decimal_int(text))

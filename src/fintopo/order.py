@@ -8,12 +8,12 @@ its own segments.  A preorder keeps both: succ[x] is ]x,inf[ and
 pred[x], the transpose, is ]-inf,x[.
 """
 
-from itertools import product as iproduct
 from operator import and_, or_
 
 from .errors import (MissingFullDomain, MissingFullRange, NoFullField,
                      NotDirected, UniverseMismatch)
-from .setops import SetSystem, check_carrier, full_mask, intransitive_pair, meet_of, points_of
+from .generated import product_points
+from .setops import SetSystem, check_carrier, full_mask, intransitive_pair, points_of, psi
 from .topology import generate_from_subbase, point_closures
 
 
@@ -98,21 +98,13 @@ def is_interval_relation(p):
             and has_full_domain(p) and has_full_range(p))
 
 
-def _upper_bounds(p, a_mask):
-    """Points u with a rel u or a == u for every a in the nonempty set."""
-    return meet_of(p.succ[a] | 1 << a for a in points_of(a_mask))
-
-
 def has_lub_property(p):
-    """Every nonempty subset with an upper bound has a least upper
-    bound: an upper bound below-or-equal every other upper bound."""
-    for a_mask in range(1, 1 << p.n):
-        ub = _upper_bounds(p, a_mask)
-        if not ub:
-            continue
-        if not any(ub & ~(p.succ[s] | (1 << s)) == 0 for s in points_of(ub)):
-            return False
-    return True
+    """Every nonempty subset with an upper bound has a least upper bound:
+    the nonempty upper-bound sets are the nonempty members of psi of the
+    up-sets succ[a] | {a}, and each needs one of its points below all of them."""
+    ups = [s | 1 << a for a, s in enumerate(p.succ)]
+    return all(any(m & ~ups[x] == 0 for x in points_of(m))
+               for m in psi(SetSystem(p.n, ups)) if m)
 
 
 def relation_properties(p):
@@ -174,12 +166,7 @@ def segment_system_is_topology(p, side):
 
 def product_preorder(ps):
     """Componentwise comparison on the row-major flattened product."""
-    sizes = [p.n for p in ps]
-    total = 1
-    for s in sizes:
-        total *= s
-    check_carrier(total)
-    points = list(iproduct(*[range(s) for s in sizes]))
+    points = product_points([p.n for p in ps])
     flavor = ps[0].flavor if ps else 'strict'
     pairs = []
     for i, a in enumerate(points):
@@ -190,5 +177,5 @@ def product_preorder(ps):
                     and any(p.rel(x, y) for p, x, y in zip(ps, a, b)):
                 pairs.append((i, j))
     if flavor == 'reflexive':
-        pairs += [(i, i) for i in range(total)]
-    return Preorder(total, pairs, flavor)
+        pairs += [(i, i) for i in range(len(points))]
+    return Preorder(len(points), pairs, flavor)

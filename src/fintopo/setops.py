@@ -48,11 +48,10 @@ def points_of(mask):
     if mask < 0:
         raise UniverseMismatch("negative mask %d is not a set of points" % mask)
     pts = []
-    i = 0
-    while mask >> i:
-        if mask >> i & 1:
-            pts.append(i)
-        i += 1
+    while mask:
+        low = mask & -mask
+        pts.append(low.bit_length() - 1)
+        mask ^= low
     return pts
 
 

@@ -279,7 +279,7 @@ def interior_table(closures):
     return _LANES[len(closures)][1].unpack(_lane_bytes(closures, True))
 
 
-def is_closure_table(t, closures, dual=False):
+def is_closure_table(t, closures, dual):
     """Whether the tuple t of 2^n masks on the carrier is
     closure_table(closures), or with dual interior_table(closures).  t
     is packed and compared as bytes, so no second tuple of 2^n ints is
@@ -453,13 +453,17 @@ def is_finer(t1, t2):
 def compare(t1, t2):
     """'equal', 'strictly-finer', 'strictly-coarser' or 'incomparable'
     (t1 relative to t2)."""
-    fine = is_finer(t1, t2)
-    coarse = is_finer(t2, t1)
-    if fine and coarse:
+    return fineness(is_finer(t1, t2), is_finer(t2, t1))
+
+
+def fineness(finer, coarser):
+    """The verdict of compare from whether t1 is finer than t2 and
+    whether it is coarser."""
+    if finer and coarser:
         return 'equal'
-    if fine:
+    if finer:
         return 'strictly-finer'
-    if coarse:
+    if coarser:
         return 'strictly-coarser'
     return 'incomparable'
 

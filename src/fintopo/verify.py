@@ -1,16 +1,17 @@
 """Invariant suites runnable from the CLI (`topo verify --suite NAME`).
 
-Each suite returns pass/fail counts plus the first counterexample,
-serialized as a replayable input.  The continuity, convergence and
-metric suites also check the alternative characterizations of the
-library against their counterparts: continuity through preimages of
-closures and interiors, homeomorphy against are_homeomorphic,
-comparison by neighborhoods against compare, and the lower topologies
-of product and pulled-back preorders and the union-closed segment
-systems against products, inverse images and the topology axioms; nets
-and sequences against filters; and the sphere criterion, closed
-spheres, the quotient metric, restriction and the supremum metric
-against the topologies they generate.
+Each suite runs at the n of its range in SUITES and returns pass/fail
+counts plus the first counterexample, serialized as a replayable input.
+The kuratowski suite checks that int(A) = X minus cl(X minus A).  The
+continuity, convergence and metric suites also check the alternative
+characterizations of the library against their counterparts:
+continuity through preimages of closures and interiors, homeomorphy
+against are_homeomorphic, comparison by neighborhoods against compare,
+and the lower topologies of product and pulled-back preorders and the
+union-closed segment systems against products, inverse images and the
+topology axioms; nets and sequences against filters; and the sphere
+criterion, closed spheres, the quotient metric, restriction and the
+supremum metric against the topologies they generate.
 """
 
 import random
@@ -19,7 +20,7 @@ from itertools import product as iproduct
 
 from . import jsonio
 from .closure import (closure, closure_operator_of, enumerate_closure_operators,
-                      topology_from_closure_operator)
+                      interior_operator_of, topology_from_closure_operator)
 from .continuity import (SpaceMap, are_homeomorphic, continuity_characterizations,
                          continuous_via_preimage_closure, continuous_via_preimage_interior,
                          homeomorphy)
@@ -38,8 +39,8 @@ from .neighborhoods import (check_neighborhood_axioms, compare_by_neighborhoods,
 from .numeric import Dyadic, DyadicPoly, bisection_invert
 from .order import (Preorder, one_sided_topology, product_preorder, pullback_preorder,
                     segment_system_is_topology)
-from .setops import (FiniteMap, SetSystem, check_carrier, full_mask, identity_map, phi,
-                     points_of, psi, theta)
+from .setops import (MAX_N, FiniteMap, SetSystem, full_mask, identity_map, phi, points_of, psi,
+                     theta)
 from .topology import compare, enumerate_topologies, is_topology, neighborhood_relation
 
 
@@ -63,8 +64,6 @@ def _systems(n):
 
 
 def _suite_operators(n, tally):
-    if n > 3:
-        raise CapExceeded("operator suite scans all systems; n <= 3 only")
     for s in _systems(n):
         ps, ts, fs = psi(s), theta(s), phi(s)
         ok = (psi(ps) == ps and theta(ts) == ts and phi(fs) == fs
@@ -74,11 +73,10 @@ def _suite_operators(n, tally):
 
 
 def _suite_kuratowski(n, tally):
-    if n > 4:
-        raise CapExceeded("closure-operator suite capped at n = 4")
     tops = enumerate_topologies(n)
     for t in tops:
-        ok = topology_from_closure_operator(closure_operator_of(t)) == t
+        cl = closure_operator_of(t)
+        ok = topology_from_closure_operator(cl) == t and cl.dual() == interior_operator_of(t)
         tally.record(ok, lambda: jsonio.topology_to_json(t))
     ops = enumerate_closure_operators(n)
     tally.record(len(ops) == len(tops),
@@ -86,8 +84,6 @@ def _suite_kuratowski(n, tally):
 
 
 def _suite_neighborhoods(n, tally):
-    if n > 3:
-        raise CapExceeded("neighborhood suite capped at n = 3")
     for t in enumerate_topologies(n):
         rel = neighborhood_relation(t)
         ok = (check_neighborhood_axioms(rel) is None
@@ -97,8 +93,6 @@ def _suite_neighborhoods(n, tally):
 
 
 def _suite_filters(n, tally):
-    if n > 4:
-        raise CapExceeded("filter suite capped at n = 4")
     filters = enumerate_filters(n)
     tally.record(len(filters) == (1 << n) - 1, {'filter-count': len(filters)})
     ultras = [f for f in filters if f.is_ultrafilter()]
@@ -110,8 +104,6 @@ def _suite_filters(n, tally):
 
 
 def _suite_continuity(n, tally):
-    if n > 3:
-        raise CapExceeded("continuity suite capped at n = 3")
     tops = enumerate_topologies(n)
     maps = [FiniteMap(n, n, im) for im in iproduct(range(n), repeat=n)]
     orders = [_specialization(t) for t in tops]
@@ -168,8 +160,6 @@ def _pair_json(t1, t2, **more):
 
 
 def _suite_convergence(n, tally):
-    if n > 3:
-        raise CapExceeded("convergence suite capped at n = 3")
     all_filters = enumerate_filters(n)
     # the canonical net of each filter's members and the sequence that
     # cycles through its core: both have the filter as their tail filter
@@ -197,8 +187,6 @@ def _suite_convergence(n, tally):
 
 
 def _suite_metric(n, tally):
-    if not 1 <= n <= 5:
-        raise CapExceeded("metric suite needs 1 <= n <= 5")
     rng = random.Random(101)
     for _ in range(25):
         d = [[Fraction(0)] * n for _ in range(n)]
@@ -267,22 +255,25 @@ def _suite_numeric(n, tally):
         tally.record(ok, lambda: {'poly': [str(c) for c in coeffs], 'w': str(w)})
 
 
+# (suite, least n, greatest n); the numeric suite reads no n
 SUITES = {
-    'operators': _suite_operators,
-    'kuratowski': _suite_kuratowski,
-    'neighborhoods': _suite_neighborhoods,
-    'filters': _suite_filters,
-    'continuity': _suite_continuity,
-    'convergence': _suite_convergence,
-    'metric': _suite_metric,
-    'numeric': _suite_numeric,
+    'operators': (_suite_operators, 0, 3),
+    'kuratowski': (_suite_kuratowski, 0, 4),
+    'neighborhoods': (_suite_neighborhoods, 0, 3),
+    'filters': (_suite_filters, 0, 4),
+    'continuity': (_suite_continuity, 0, 3),
+    'convergence': (_suite_convergence, 0, 3),
+    'metric': (_suite_metric, 1, 5),
+    'numeric': (_suite_numeric, 0, MAX_N),
 }
 
 
 def run_suite(name, n):
-    check_carrier(n)
+    suite, lo, hi = SUITES[name]
+    if not lo <= n <= hi:
+        raise CapExceeded("suite %s needs %d <= n <= %d" % (name, lo, hi))
     tally = _Tally()
-    SUITES[name](n, tally)
+    suite(n, tally)
     return {
         'suite': name,
         'n': n,

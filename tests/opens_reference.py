@@ -76,7 +76,8 @@ continuity test, the subspace and the filter-base check kept here.
 So is the interval topology generated from the segments at the points
 of a subset only, which the library's interval_topology replaced, with
 the order-density test of that subset, for test_order.py and
-test_acceptance.py.
+test_acceptance.py, and the least-upper-bound test by a scan over all
+2^n subsets, for test_order.py.
 """
 
 from functools import lru_cache
@@ -601,6 +602,17 @@ def segment_system_is_topology(p, side):
     system = SetSystem(p.n, list(segs) + [0, full_mask(p.n)])
     return theta(system) == system
 
+
+
+def has_lub_property(p):
+    """The least-upper-bound property by a scan over every nonempty
+    subset, meeting the up-sets of its points, where the library reads
+    the upper-bound sets from psi of the up-sets."""
+    for a_mask in range(1, 1 << p.n):
+        ub = meet_of(p.succ[a] | 1 << a for a in points_of(a_mask))
+        if ub and not any(ub & ~(p.succ[s] | 1 << s) == 0 for s in points_of(ub)):
+            return False
+    return True
 
 
 def is_order_dense(p, y_mask):

@@ -175,10 +175,6 @@ class TestFinenessTransfer:
 
 
 class TestSequences:
-    def test_value_indexing(self):
-        seq = EventuallyPeriodicSequence([2, 2], [0, 1], 3)
-        assert [seq.value(k) for k in range(6)] == [2, 2, 0, 1, 0, 1]
-
     def test_empty_cycle_rejected(self):
         with pytest.raises(EmptyArgument):
             EventuallyPeriodicSequence([0], [], 2)

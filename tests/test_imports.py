@@ -11,20 +11,25 @@ Every import statement sits at module level, and no module imports
 itself through its siblings.  No module imports an underscore name from
 a sibling module: what one module reads of another is public there.
 
-Nothing in src/ is there for tests alone.  Three scans check that, each
+Nothing in src/ is there for tests alone.  Four scans check that, each
 against the files under src/ and topobench/, the readers:
 - A top-level def or class counts as read when some reader loads its
   name, or an attribute of that name, outside the definition itself.
   The names in __init__.py's __all__ are the public API and count as
   read.
 - A method of a class not in __all__, other than a dunder, counts as
-  read the same way.  The methods of the classes in __all__ are public
-  API too.
+  read when some reader loads an attribute of its name, x.name, outside
+  the method itself: a local or a parameter of the same name does not
+  read it.  The methods of the classes in __all__ are public API too.
 - A parameter with a default counts as set when some call of its
   function's name in a reader passes it: by position, by keyword, or
   through * or **.  A method's positions do not count self or cls, and
   a constructor is called by the name of its class or of a subclass
   that inherits it.
+- Conversely, such a parameter's default counts as taken when some
+  call of those names may omit the parameter: by the same rule, except
+  that a call through * or ** may omit every one.  Functions and classes
+  in __all__, with their methods, are exempt.
 """
 
 import ast
@@ -175,9 +180,10 @@ def test_the_scan_sees_a_private_import():
     assert private_imports(source) == [('_byte_tables', 2), ('_cache', 3), ('_meet_fault', 4)]
 
 
-def names_read(source):
-    """Each name the source loads, as a Name or as an attribute, except
-    a def's or class's own name inside that definition."""
+def names_read(source, attributes_only=False):
+    """Each name the source loads, as a Name or as an attribute (only as
+    an attribute with attributes_only), except a def's or class's own
+    name inside that definition."""
     out = set()
 
     def visit(node, own):
@@ -185,7 +191,8 @@ def names_read(source):
             own = own | {node.name}
         if isinstance(node, ast.Attribute):
             name = node.attr
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+              and not attributes_only):
             name = node.id
         else:
             name = None
@@ -215,8 +222,9 @@ def is_dunder(name):
 def unread_methods(modules, readers, public):
     """(module, 'Class.method', line) for each method, other than a
     dunder, of a top-level class not in public whose name no reader
-    source reads."""
-    read = set().union(*(names_read(source) for source in readers))
+    source reads as an attribute: a local or a parameter of the same
+    name is not a read of the method."""
+    read = set().union(*(names_read(source, attributes_only=True) for source in readers))
     return [(module, '%s.%s' % (cls.name, fn.name), fn.lineno)
             for module, source in sorted(modules.items())
             for cls in ast.parse(source).body
@@ -265,18 +273,19 @@ def defaulted_parameters(source):
     return out
 
 
-def passes(call, parameter, position):
-    """Whether the call passes the parameter, counting * and ** as
-    passing every one."""
-    return (any(isinstance(a, ast.Starred) for a in call.args)
-            or any(k.arg in (None, parameter) for k in call.keywords)
+def passes(call, parameter, position, star=True):
+    """Whether the call passes the parameter.  A call through * or **
+    counts as passing every one, or with star false as passing none."""
+    if (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg is None for k in call.keywords)):
+        return star
+    return (any(k.arg == parameter for k in call.keywords)
             or position is not None and len(call.args) > position)
 
 
-def unset_defaults(modules, readers):
-    """(module, function, parameter, line) for each parameter with a
-    default in the {module: source} map that no call in the reader
-    sources passes."""
+def calls_by_name(readers):
+    """{name: [call, ...]} for the calls in the reader sources, by the
+    name or attribute called."""
     calls = {}
     for source in readers:
         for node in ast.walk(ast.parse(source)):
@@ -284,10 +293,32 @@ def unset_defaults(modules, readers):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, 'attr', None)
                 calls.setdefault(name, []).append(node)
+    return calls
+
+
+def unset_defaults(modules, readers):
+    """(module, function, parameter, line) for each parameter with a
+    default in the {module: source} map that no call in the reader
+    sources passes."""
+    calls = calls_by_name(readers)
     return [(module, label, parameter, line) for module, source in sorted(modules.items())
             for label, names, parameter, position, line in defaulted_parameters(source)
             if not any(passes(call, parameter, position)
                        for name in names for call in calls.get(name, ()))]
+
+
+def unused_defaults(modules, readers, public):
+    """(module, function, parameter, line) for each parameter with a
+    default in the {module: source} map that every call in the reader
+    sources passes, so that the default is never taken.  A call through
+    * or ** may take it.  A function or class in public, and its
+    methods, is skipped."""
+    calls = calls_by_name(readers)
+    return [(module, label, parameter, line) for module, source in sorted(modules.items())
+            for label, names, parameter, position, line in defaulted_parameters(source)
+            if label.partition('.')[0] not in public
+            and all(passes(call, parameter, position, star=False)
+                    for name in names for call in calls.get(name, ()))]
 
 
 def public_names():
@@ -318,6 +349,11 @@ def test_every_method_is_read():
 def test_every_default_is_set():
     modules, readers = sources()
     assert unset_defaults(modules, readers) == []
+
+
+def test_every_default_is_taken():
+    modules, readers = sources()
+    assert unused_defaults(modules, readers, public_names()) == []
 
 
 def test_the_scan_sees_an_unused_definition():
@@ -393,3 +429,44 @@ def test_the_scan_sees_an_unset_default():
     assert unset_defaults({'m.py': module}, [module, reader]) == [
         ('m.py', 'f', 'c', 1), ('m.py', 'f', 'e', 1), ('m.py', 'Error.method', 'k', 10),
         ('m.py', 'Overrides.__init__', 'x', 18)]
+
+
+def test_the_scan_sees_a_default_never_taken():
+    module = ('def f(a, b=1, c=2, *, d=3):\n'
+              '    return a\n'
+              'def g(a=0):\n'
+              '    return a\n'
+              'def Public(a=0):\n'
+              '    return a\n'
+              'def starred(a, b=1):\n'
+              '    return a\n'
+              'class Error(Exception):\n'
+              '    def __init__(self, reason, witness=None):\n'
+              '        pass\n'
+              'class Inherits(Error):\n'
+              '    pass\n')
+    reader = ('f(0, 1, d=5)\n'
+              'f(0, b=2, c=3, d=4)\n'
+              'g()\n'
+              'Public(1)\n'
+              'starred(*[1])\n'
+              'Error(1, 2)\n'
+              'Inherits(3, witness=4)\n')
+    assert unused_defaults({'m.py': module}, [module, reader], ['Public']) == [
+        ('m.py', 'f', 'b', 1), ('m.py', 'f', 'd', 1), ('m.py', 'Error.__init__', 'witness', 10)]
+    assert unused_defaults({'m.py': module}, [module, reader], ['Public', 'Error']) == [
+        ('m.py', 'f', 'b', 1), ('m.py', 'f', 'd', 1)]
+
+
+def test_the_scan_sees_a_method_only_a_name_reads():
+    module = ('class Internal:\n'
+              '    def used(self):\n'
+              '        return self.helper()\n'
+              '    def helper(self):\n'
+              '        return 0\n'
+              '    def shadowed(self):\n'
+              '        return 0\n'
+              'def caller(shadowed):\n'
+              '    return shadowed, Internal().used()\n')
+    assert unread_methods({'m.py': module}, [module], []) == [
+        ('m.py', 'Internal.shadowed', 6)]

@@ -41,6 +41,19 @@ class TestDyadic:
         with pytest.raises(NonDyadicLiteral):
             Dyadic.parse('1/3')
 
+    @pytest.mark.parametrize('text', ['1/0', '0/0', '-3/00'])
+    def test_parse_zero_denominator(self, text):
+        # was ZeroDivisionError, which the CLI does not read as bad input
+        with pytest.raises(ValueError, match='zero denominator'):
+            Dyadic.parse(text)
+
+    @pytest.mark.parametrize('args', [(2.5,), (1, 0.9), ('7', '-1'), (Fraction(3),)])
+    def test_a_non_integer_part_is_refused(self, args):
+        # int() once read these as Dyadic(2, 0), Dyadic(1, 0), Dyadic(7, -1)
+        # and Dyadic(3, 0)
+        with pytest.raises(TypeError):
+            Dyadic(*args)
+
     def test_str_round_trip(self):
         d = Dyadic(11, -3)
         assert str(d) == '11*2^-3'

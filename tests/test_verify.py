@@ -1,11 +1,11 @@
 """The verify suites and the cross-checks they run.
 
 The continuity, convergence and metric suites pass.  Each check they
-run against an alternative characterization is live: with one checked
-name in verify's namespace (or a method of a class there) made to
-answer wrongly, the suite fails, and its counterexample reads back as
-input on which the wrong answer and the real one differ, the real one
-agreeing with its counterpart.
+and the kuratowski suite run against an alternative characterization is
+live: with one checked name in verify's namespace (or a method of a
+class there) made to answer wrongly, the suite fails, and its
+counterexample reads back as input on which the wrong answer and the
+real one differ, the real one agreeing with its counterpart.
 """
 
 import json
@@ -15,6 +15,7 @@ import pytest
 
 import opens_reference as ref
 from fintopo import jsonio, verify
+from fintopo.closure import closure_operator_of
 from fintopo.continuity import SpaceMap, continuity_characterizations
 from fintopo.convergence import EventuallyPeriodicSequence, filter_limits, net_from_filter_base
 from fintopo.filters import principal_filter
@@ -120,6 +121,11 @@ def replay_segments(real, wrong, ce):
     return wrong(p, side) != real(p, side) == ref.segment_system_is_topology(p, side)
 
 
+def replay_interior(real, wrong, ce):
+    t = jsonio.topology_from_json(ce)
+    return wrong(t) != real(t) == closure_operator_of(t).dual()
+
+
 def replay_closed_sphere(real, wrong, ce):
     m = metric(ce)
     t = metric_topology(m)
@@ -155,6 +161,8 @@ FAULTS = [
      lambda real: lambda p, side: not real(p, side), replay_segments),
     ('metric', 3, 'PseudoMetric.closed_sphere', lambda real: lambda m, x, r: 1 << x,
      replay_closed_sphere),
+    ('kuratowski', 2, 'interior_operator_of', lambda real: closure_operator_of,
+     replay_interior),
 ]
 
 
