@@ -2,51 +2,133 @@
 
 Verbs: enumerate, generate, analyze, filter, cont, product, quotient,
 root, series, check, verify.  Output is canonical JSON (default) or a
-plain table; exit status is 0 on success, 1 on a typed domain error
-(with the error name in the output), 2 on usage or parse errors.
+plain table.  Exit status is 0 on success, 1 on a typed domain error
+(with the error name in the output), and 2 on a usage error or an input
+error: a file that cannot be read, is not UTF-8 or is not JSON, or a
+value that does not have the shape its jsonio reader states.  Any other
+exception is a fault of the program, and is not caught.
+
+The options each input of a verb needs or may read are data, INPUTS and
+RULES, and one checker raises every usage error from them.
 """
 
 import argparse
 import functools
-import json
 import sys
 
 from . import jsonio, verify
-from .closure import analyze_subset
+from .closure import analyze_subset, topology_from_closure_operator, topology_from_interior_operator
 from .continuity import (SpaceMap, are_homeomorphic, continuity_characterizations,
-                         filter_continuity_at, is_continuous, is_continuous_at,
-                         map_open_closed)
-from .convergence import net_limits, net_cluster_points
-from .errors import DomainError, EmptyArgument, UniverseMismatch
-from .filters import (extend_to_ultrafilter, generate_filter, image_filter,
-                      inverse_image_filter, supremum_filter)
-from .generated import (direct_image_topology, inverse_image_topology,
-                        product_topology, quotient_topology, rows_from_partition)
+                         filter_continuity_at, is_continuous, is_continuous_at, map_open_closed)
+from .convergence import net_cluster_points, net_limits
+from .errors import DomainError, EmptyArgument, InputError, UniverseMismatch
+from .filters import (extend_to_ultrafilter, generate_filter, image_filter, inverse_image_filter,
+                      supremum_filter)
+from .generated import (direct_image_topology, inverse_image_topology, product_topology,
+                        quotient_topology)
 from .metric import PseudoMetric, distance_to_set, metric_topology, validate_pseudometric
 from .neighborhoods import (neighborhood_base_from_topological_base,
-                            topology_from_neighborhood_base,
-                            topology_from_neighborhoods, topology_from_set_map)
-from .closure import topology_from_closure_operator, topology_from_interior_operator
-from .numeric import (Dyadic, DyadicPoly, bisection_invert, finite_series,
-                      geometric_limit, geometric_partial_sum, metric_compare, mth_root)
+                            topology_from_neighborhood_base, topology_from_neighborhoods,
+                            topology_from_set_map)
+from .numeric import (Dyadic, bisection_invert, finite_series, geometric_limit,
+                      geometric_partial_sum, metric_compare, mth_root)
 from .order import interval_topology, one_sided_topology, relation_properties
-from .setops import mask_of, points_of
+from .setops import points_of
 from .topology import (enumerate_topologies, generate_from_base, generate_from_subbase,
                        topology_from_closed_system)
 
+# For each verb with a choice of input, what each input needs and what it
+# may also read, as 'needs | may read'; it refuses every other option of
+# the verb.  An input is the option given from the verb's exclusive
+# group, or filter's --op.  Options are named as argparse stores them.
+INPUTS = {
+    'generate': {'base': '', 'subbase': '', 'closed': '', 'neighborhoods': '',
+                 'neighborhood_base': '', 'set_map': '', 'closure_op': '', 'interior_op': '',
+                 'metric': '', 'interval': '| side', 'family': '| direct'},
+    'analyze': {'space': 'set', 'preorder': '', 'metric': 'set'},
+    'filter': {'generate': 'base', 'ultra': 'base', 'extend': 'base', 'sup': 'bases',
+               'image': 'base map | target_n', 'inverse-image': 'base map | target_n'},
+    'cont': {'map': '| at fx fy', 'homeo': ''},
+    'series': {'geom': '| terms limit', 'xs': '| start end'},
+    'check': {'cauchy_schwarz': '', 'metric': '', 'base': 'space', 'net': 'space', 'invert': ''},
+}
+
+# the options that the inputs of each verb need or may read, in order
+OPTIONS = {verb: list(dict.fromkeys(' '.join(inputs.values()).replace('|', ' ').split()))
+           for verb, inputs in INPUTS.items()}
+
+# What a given option needs and refuses whatever the input: 'needs | refuses'.
+RULES = {'cont': {'fx': 'fy at', 'fy': 'fx at'}, 'series': {'limit': '| terms'}}
+
+# The arguments of INPUTS that are not a file name or a text.  Given means
+# not None, so that 0 is a value and a flag is None when absent.
+KINDS = {'side': {'choices': ['lower', 'upper']},
+         **dict.fromkeys(['at', 'target_n', 'terms', 'start', 'end'], {'type': int}),
+         **dict.fromkeys(['homeo', 'direct', 'limit'], {'action': 'store_true', 'default': None})}
+
+# generate's inputs, each a function of its loaded file and the options.
+# Every name is looked up at call time, where a tracer may have replaced it.
+GENERATE = {
+    'base': lambda d, a: generate_from_base(jsonio.system_from_json(d)),
+    'subbase': lambda d, a: generate_from_subbase(jsonio.system_from_json(d)),
+    'closed': lambda d, a: topology_from_closed_system(jsonio.system_from_json(d)),
+    'neighborhoods': lambda d, a: topology_from_neighborhoods(jsonio.relation_from_json(d)),
+    'neighborhood_base':
+        lambda d, a: topology_from_neighborhood_base(jsonio.relation_from_json(d)),
+    'set_map': lambda d, a: topology_from_set_map(jsonio.set_map_from_json(d)),
+    'closure_op': lambda d, a: topology_from_closure_operator(jsonio.operator_from_json(d)),
+    'interior_op': lambda d, a: topology_from_interior_operator(jsonio.operator_from_json(d)),
+    'metric': lambda d, a: metric_topology(PseudoMetric(jsonio.matrix_from_json(d))),
+    'interval': lambda d, a: _interval(jsonio.preorder_from_json(d), a.side),
+    'family': lambda d, a: (direct_image_topology if a.direct else inverse_image_topology)(
+        *jsonio.family_from_json(d, a.direct)),
+}
+
+
+class UsageError(Exception):
+    pass
+
+
+def _flag(name):
+    return '--' + name.replace('_', '-')
+
+
+def _split(spec):
+    """The two lists of option names in 'first | second'."""
+    first, _, second = spec.partition('|')
+    return first.split(), second.split()
+
+
+def check_options(args):
+    """The input of the verb, once every option that the input or a given
+    option needs is given and none that it refuses is.  Raises UsageError
+    for the first option, in the verb's order, that breaks a rule."""
+    inputs = INPUTS.get(args.verb)
+    if inputs is None:
+        return None
+    options = OPTIONS[args.verb]
+    given = {o for o in options if getattr(args, o) is not None}
+    if args.verb == 'filter':
+        source, label = args.op, 'filter --op ' + args.op
+    else:
+        source = next(k for k in inputs if getattr(args, k) is not None)
+        label = '%s %s' % (args.verb, _flag(source))
+    needs, reads = _split(inputs[source])
+    checks = [(label, needs, [o for o in options if o not in needs + reads])]
+    checks += [('%s %s' % (args.verb, _flag(o)), *_split(spec))
+               for o, spec in RULES.get(args.verb, {}).items() if o in given]
+    for label, needs, refuses in checks:
+        for o in options:
+            if o in needs and o not in given:
+                raise UsageError('%s needs %s' % (label, _flag(o)))
+            if o in refuses and o in given:
+                raise UsageError('%s does not read %s' % (label, _flag(o)))
+    return source
+
 
 def _load(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _parse_set(text):
-    text = text.strip()
-    if text.startswith('['):
-        return json.loads(text)
-    if not text:
-        return []
-    return [int(p) for p in text.split(',')]
+    with open(path, 'rb') as fh:
+        return jsonio.loads(fh.read())
 
 
 def _emit(data, fmt):
@@ -75,6 +157,14 @@ def _emit_table(data, indent=''):
         print('%s%s' % (indent, data))
 
 
+def _interval(p, side):
+    return one_sided_topology(p, side) if side else interval_topology(p)
+
+
+def _exact(key, d):
+    return {key: str(d), 'fraction': jsonio.fraction_to_str(d.to_fraction())}
+
+
 def cmd_enumerate(args):
     if args.count_only:
         return {'n': args.n, 'count': enumerate_topologies(args.n, count_only=True)}
@@ -84,109 +174,33 @@ def cmd_enumerate(args):
 
 
 def cmd_generate(args):
-    if args.side and not args.interval:
-        raise UsageError("--side needs --interval")
-    if args.direct and not args.family:
-        raise UsageError("--direct needs --family")
-    if args.base:
-        t = generate_from_base(jsonio.system_from_json(_load(args.base)))
-    elif args.subbase:
-        t = generate_from_subbase(jsonio.system_from_json(_load(args.subbase)))
-    elif args.closed:
-        t = topology_from_closed_system(jsonio.system_from_json(_load(args.closed)))
-    elif args.neighborhoods:
-        t = topology_from_neighborhoods(jsonio.relation_from_json(_load(args.neighborhoods)))
-    elif args.neighborhood_base:
-        t = topology_from_neighborhood_base(jsonio.relation_from_json(_load(args.neighborhood_base)))
-    elif args.set_map:
-        t = topology_from_set_map(jsonio.set_map_from_json(_load(args.set_map)))
-    elif args.closure_op:
-        t = topology_from_closure_operator(jsonio.operator_from_json(_load(args.closure_op)))
-    elif args.interior_op:
-        t = topology_from_interior_operator(jsonio.operator_from_json(_load(args.interior_op)))
-    elif args.metric:
-        t = metric_topology(PseudoMetric(jsonio.matrix_from_json(_load(args.metric))))
-    elif args.interval:
-        p = jsonio.preorder_from_json(_load(args.interval))
-        t = one_sided_topology(p, args.side) if args.side else interval_topology(p)
-    elif args.family:
-        data = _load(args.family)
-        n = data['n']
-        pairs = []
-        for member in data['members']:
-            t_i = jsonio.topology_from_json(member['space'])
-            if args.direct:
-                f = jsonio.map_from_json(member['map'], n_src=t_i.n, n_dst=n)
-            else:
-                f = jsonio.map_from_json(member['map'], n_src=n, n_dst=t_i.n)
-            pairs.append((f, t_i))
-        if args.direct:
-            t = direct_image_topology(n, pairs)
-        else:
-            t = inverse_image_topology(n, pairs)
-    else:
-        raise UsageError("generate needs an input option")
-    return jsonio.topology_to_json(t)
+    data = _load(getattr(args, args.input))
+    return jsonio.topology_to_json(GENERATE[args.input](data, args))
 
 
 def cmd_analyze(args):
-    if args.preorder and args.set is not None:
-        raise UsageError("--set needs --space or --metric")
-    if args.preorder:
-        p = jsonio.preorder_from_json(_load(args.preorder))
-        return {'properties': relation_properties(p)}
-    if args.set is None:
-        raise UsageError("analyze --%s needs --set" % ('metric' if args.metric else 'space'))
-    if args.metric:
+    if args.input == 'preorder':
+        return {'properties': relation_properties(jsonio.preorder_from_json(_load(args.preorder)))}
+    if args.input == 'metric':
         m = PseudoMetric(jsonio.matrix_from_json(_load(args.metric)))
-        a = mask_of(_parse_set(args.set), m.n)
+        a = jsonio.set_from_text(args.set, m.n)
         if a == 0:
             raise EmptyArgument("distance to the empty set is undefined")
         return {'distances': [jsonio.fraction_to_str(v) for v in distance_to_set(m, a)]}
     t = jsonio.topology_from_json(_load(args.space))
-    a = mask_of(_parse_set(args.set), t.n)
+    a = jsonio.set_from_text(args.set, t.n)
     report = analyze_subset(t, a)
-    return {
-        'set': points_of(a),
-        'interior': points_of(report['interior']),
-        'closure': points_of(report['closure']),
-        'derived': points_of(report['derived']),
-        'boundary': points_of(report['boundary']),
-        'dense': report['dense'],
-    }
+    return {'set': points_of(a), 'dense': report['dense'],
+            **{k: points_of(report[k]) for k in ('interior', 'closure', 'derived', 'boundary')}}
 
 
 def _filter_json(f):
     return {'filter': jsonio.system_to_json(f.members), 'core': points_of(f.core())}
 
 
-# the options each filter op reads; all but --target-n are required
-FILTER_OPTIONS = {
-    'generate': ('base',), 'ultra': ('base',), 'extend': ('base',), 'sup': ('bases',),
-    'image': ('base', 'map', 'target_n'), 'inverse-image': ('base', 'map', 'target_n'),
-}
-
-
 def cmd_filter(args):
-    reads = FILTER_OPTIONS[args.op]
-    for name in ('base', 'bases', 'map', 'target_n'):
-        option = '--' + name.replace('_', '-')
-        given = getattr(args, name) is not None
-        if given and name not in reads:
-            raise UsageError("filter --op %s does not read %s" % (args.op, option))
-        if not given and name in reads and name != 'target_n':
-            raise UsageError("filter --op %s needs %s" % (args.op, option))
-    if args.op == 'generate':
-        f = generate_filter(jsonio.system_from_json(_load(args.base)))
-        return _filter_json(f)
-    if args.op == 'ultra':
-        f = generate_filter(jsonio.system_from_json(_load(args.base)))
-        return {'ultrafilter': f.is_ultrafilter()}
-    if args.op == 'extend':
-        f = extend_to_ultrafilter(jsonio.system_from_json(_load(args.base)))
-        return _filter_json(f)
     if args.op == 'sup':
-        bases = [jsonio.system_from_json(d) for d in _load(args.bases)]
+        bases = jsonio.bases_from_json(_load(args.bases))
         # each base's carrier is checked before the base itself
         filters = []
         for base in bases:
@@ -195,34 +209,30 @@ def cmd_filter(args):
             filters.append(generate_filter(base))
         return _filter_json(supremum_filter(filters))
     base = jsonio.system_from_json(_load(args.base))
-    f0 = generate_filter(base)
-    mp = _load(args.map)
-    # without --target-n the other carrier is read off the map
+    if args.op == 'extend':
+        return _filter_json(extend_to_ultrafilter(base))
+    f = generate_filter(base)
+    if args.op == 'generate':
+        return _filter_json(f)
+    if args.op == 'ultra':
+        return {'ultrafilter': f.is_ultrafilter()}
+    # without --target-n the map's other carrier is read off the map
     if args.op == 'image':
-        n = max(mp['f'], default=-1) + 1 if args.target_n is None else args.target_n
-        return _filter_json(image_filter(jsonio.map_from_json(mp, base.n, n), f0))
-    n = len(mp['f']) if args.target_n is None else args.target_n
-    return _filter_json(inverse_image_filter(jsonio.map_from_json(mp, n, base.n), f0))
+        return _filter_json(image_filter(
+            jsonio.map_from_json(_load(args.map), base.n, args.target_n), f))
+    return _filter_json(inverse_image_filter(
+        jsonio.map_from_json(_load(args.map), args.target_n, base.n), f))
 
 
 def cmd_cont(args):
-    if args.homeo and (args.at is not None or args.fx or args.fy):
-        raise UsageError("--at, --fx and --fy need --map")
-    if args.fx and not args.fy:
-        raise UsageError("--fx needs --fy")
-    if args.fy and not args.fx:
-        raise UsageError("--fy needs --fx")
     src = jsonio.topology_from_json(_load(args.src))
     dst = jsonio.topology_from_json(_load(args.dst))
     if args.homeo:
         witness = are_homeomorphic(src, dst)
         return {'homeomorphic': witness is not None,
                 'witness': list(witness.images) if witness else None}
-    f = jsonio.map_from_json(_load(args.map), n_src=src.n, n_dst=dst.n)
-    m = SpaceMap(src, dst, f)
-    if args.fx:
-        if args.at is None:
-            raise UsageError("--fx and --fy need --at")
+    m = SpaceMap(src, dst, jsonio.map_from_json(_load(args.map), src.n, dst.n))
+    if args.fx is not None:
         fx = generate_filter(jsonio.system_from_json(_load(args.fx)))
         fy = generate_filter(jsonio.system_from_json(_load(args.fy)))
         return {'filter_continuous_at': filter_continuity_at(fx, fy, m, args.at)}
@@ -243,183 +253,102 @@ def cmd_product(args):
 
 def cmd_quotient(args):
     t = jsonio.topology_from_json(_load(args.space))
-    blocks = _load(args.classes)
-    rows = rows_from_partition(t.n, blocks)
-    qt, q, classes = quotient_topology(t, rows)
+    qt, q, classes = quotient_topology(t, jsonio.partition_from_json(_load(args.classes), t.n))
     return {'topology': jsonio.topology_to_json(qt),
             'class_map': list(q.images),
             'classes': [points_of(c) for c in classes]}
 
 
 def cmd_root(args):
-    r = mth_root(Dyadic.parse(args.a), args.m, Dyadic.parse(args.tol))
-    return {'root': str(r), 'fraction': jsonio.fraction_to_str(r.to_fraction())}
+    return _exact('root', mth_root(Dyadic.parse(args.a), args.m, Dyadic.parse(args.tol)))
 
 
 def cmd_series(args):
-    if args.geom is not None:
-        if args.start is not None or args.end is not None:
-            raise UsageError("--start and --end need --xs")
-        x = Dyadic.parse(args.geom)
-        if args.limit:
-            if args.terms is not None:
-                raise UsageError("--limit excludes --terms")
-            v = geometric_limit(x)
-            return {'limit': str(v)}
-        s = geometric_partial_sum(x, 10 if args.terms is None else args.terms)
-        return {'sum': str(s), 'fraction': jsonio.fraction_to_str(s.to_fraction())}
-    if args.terms is not None or args.limit:
-        raise UsageError("--terms and --limit need --geom")
-    xs = [jsonio.dyadic_from_json(v) for v in _load(args.xs)]
-    s = finite_series(xs, 1 if args.start is None else args.start,
-                      1 if args.end is None else args.end)
-    return {'sum': str(s), 'fraction': jsonio.fraction_to_str(s.to_fraction())}
+    if args.input == 'xs':
+        return _exact('sum', finite_series(jsonio.dyadics_from_json(_load(args.xs)),
+                                           1 if args.start is None else args.start,
+                                           1 if args.end is None else args.end))
+    x = Dyadic.parse(args.geom)
+    if args.limit:
+        return {'limit': str(geometric_limit(x))}
+    return _exact('sum', geometric_partial_sum(x, 10 if args.terms is None else args.terms))
 
 
 def cmd_check(args):
-    if args.space and not (args.base or args.net):
-        raise UsageError("--space needs --base or --net")
-    if args.cauchy_schwarz:
-        data = _load(args.cauchy_schwarz)
-        xs = [jsonio.dyadic_from_json(v) for v in data['x']]
-        ys = [jsonio.dyadic_from_json(v) for v in data['y']]
-        rep = metric_compare(xs, ys)
+    if args.input == 'cauchy_schwarz':
+        rep = metric_compare(*jsonio.vectors_from_json(_load(args.cauchy_schwarz)))
         return {'cauchy_schwarz': rep['cauchy_schwarz'],
                 'dmax_sq': str(rep['dmax_sq']), 'e_sq': str(rep['e_sq']),
                 'sandwich': rep['lower_ok'] and rep['upper_ok']}
-    if args.metric:
+    if args.input == 'metric':
         kind, witness = validate_pseudometric(jsonio.matrix_from_json(_load(args.metric)))
         out = {'classification': kind, 'reason': None, 'witness': None}
         if kind == 'invalid':
             out['reason'] = witness[0]
             out['witness'] = list(witness[1]) if isinstance(witness[1], tuple) else witness[1]
         return out
-    if args.base and args.space:
-        t = jsonio.topology_from_json(_load(args.space))
+    if args.input == 'invert':
+        return _exact('result', bisection_invert(*jsonio.inversion_from_json(_load(args.invert))))
+    t = jsonio.topology_from_json(_load(args.space))
+    if args.input == 'base':
         base = jsonio.system_from_json(_load(args.base))
         rel = neighborhood_base_from_topological_base(base, t)
         return {'neighborhood_base': jsonio.relation_to_json(rel)}
-    if args.net and args.space:
-        t = jsonio.topology_from_json(_load(args.space))
-        net = jsonio.net_from_json(_load(args.net), t.n)
-        return {'limits': points_of(net_limits(t, net)),
-                'cluster': points_of(net_cluster_points(t, net))}
-    if args.invert:
-        data = _load(args.invert)
-        p = DyadicPoly([jsonio.dyadic_from_json(c) for c in data['poly']])
-        a, b, w, tol = [jsonio.dyadic_from_json(data[k]) for k in ('a', 'b', 'w', 'tol')]
-        r = bisection_invert(p, a, b, w, tol)
-        return {'result': str(r), 'fraction': jsonio.fraction_to_str(r.to_fraction())}
-    raise UsageError("check --base and --net need --space")
+    net = jsonio.net_from_json(_load(args.net), t.n)
+    return {'limits': points_of(net_limits(t, net)),
+            'cluster': points_of(net_cluster_points(t, net))}
 
 
 def cmd_verify(args):
     return verify.run_suite(args.suite, args.n)
 
 
-class UsageError(Exception):
-    pass
-
-
 @functools.cache
 def build_parser():
     """The argument parser, built once per process and shared by every
-    main call: parse_args leaves it unchanged."""
+    main call: parse_args leaves it unchanged.  A verb of INPUTS takes its
+    inputs as one required exclusive group, but filter's --op, and then
+    the options that they need or read."""
     ap = argparse.ArgumentParser(prog='topo',
                                  description='exact finite point-set topology engine')
     ap.add_argument('--format', choices=['json', 'table'], default='json')
     sub = ap.add_subparsers(dest='verb', required=True)
+    verbs = {}
+    for verb, fn, text in [
+            ('enumerate', cmd_enumerate, 'enumerate all topologies on n points'),
+            ('generate', cmd_generate, 'generate a topology from a description'),
+            ('analyze', cmd_analyze, 'interior/closure/derived/boundary of a set'),
+            ('filter', cmd_filter, 'filter operations'),
+            ('cont', cmd_cont, 'continuity of a map between spaces'),
+            ('product', cmd_product, 'product topology of spaces'),
+            ('quotient', cmd_quotient, 'quotient topology by a partition'),
+            ('root', cmd_root, 'dyadic m-th root by bisection'),
+            ('series', cmd_series, 'exact finite and geometric series'),
+            ('check', cmd_check, 'exact numeric and structural checks'),
+            ('verify', cmd_verify, 'run a module invariant suite')]:
+        verbs[verb] = sub.add_parser(verb, help=text)
+        verbs[verb].set_defaults(fn=fn)
 
-    p = sub.add_parser('enumerate', help='enumerate all topologies on n points')
-    p.add_argument('--n', type=int, required=True)
-    p.add_argument('--count-only', action='store_true')
-    p.set_defaults(fn=cmd_enumerate)
-
-    p = sub.add_parser('generate', help='generate a topology from a description')
-    source = p.add_mutually_exclusive_group()
-    source.add_argument('--base')
-    source.add_argument('--subbase')
-    source.add_argument('--closed')
-    source.add_argument('--neighborhoods')
-    source.add_argument('--neighborhood-base')
-    source.add_argument('--set-map')
-    source.add_argument('--closure-op')
-    source.add_argument('--interior-op')
-    source.add_argument('--metric')
-    source.add_argument('--interval')
-    source.add_argument('--family')
-    p.add_argument('--side', choices=['lower', 'upper'])
-    p.add_argument('--direct', action='store_true')
-    p.set_defaults(fn=cmd_generate)
-
-    p = sub.add_parser('analyze', help='interior/closure/derived/boundary of a set')
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument('--space')
-    source.add_argument('--preorder')
-    source.add_argument('--metric')
-    p.add_argument('--set')
-    p.set_defaults(fn=cmd_analyze)
-
-    p = sub.add_parser('filter', help='filter operations')
-    p.add_argument('--op', required=True, choices=FILTER_OPTIONS)
-    p.add_argument('--base')
-    p.add_argument('--bases')
-    p.add_argument('--map')
-    p.add_argument('--target-n', type=int)
-    p.set_defaults(fn=cmd_filter)
-
-    p = sub.add_parser('cont', help='continuity of a map between spaces')
-    p.add_argument('--src', required=True)
-    p.add_argument('--dst', required=True)
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument('--map')
-    source.add_argument('--homeo', action='store_true')
-    p.add_argument('--at', type=int)
-    p.add_argument('--fx')
-    p.add_argument('--fy')
-    p.set_defaults(fn=cmd_cont)
-
-    p = sub.add_parser('product', help='product topology of spaces')
-    p.add_argument('spaces', nargs='+')
-    p.set_defaults(fn=cmd_product)
-
-    p = sub.add_parser('quotient', help='quotient topology by a partition')
-    p.add_argument('--space', required=True)
-    p.add_argument('--classes', required=True)
-    p.set_defaults(fn=cmd_quotient)
-
-    p = sub.add_parser('root', help='dyadic m-th root by bisection')
-    p.add_argument('--a', required=True)
-    p.add_argument('--m', type=int, required=True)
-    p.add_argument('--tol', required=True)
-    p.set_defaults(fn=cmd_root)
-
-    p = sub.add_parser('series', help='exact finite and geometric series')
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument('--geom')
-    source.add_argument('--xs')
-    # --terms defaults to 10, and --start and --end to 1
-    p.add_argument('--terms', type=int)
-    p.add_argument('--limit', action='store_true')
-    p.add_argument('--start', type=int)
-    p.add_argument('--end', type=int)
-    p.set_defaults(fn=cmd_series)
-
-    p = sub.add_parser('check', help='exact numeric and structural checks')
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument('--cauchy-schwarz')
-    source.add_argument('--metric')
-    source.add_argument('--base')
-    source.add_argument('--net')
-    source.add_argument('--invert')
-    p.add_argument('--space')
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser('verify', help='run a module invariant suite')
-    p.add_argument('--suite', required=True, choices=verify.SUITES)
-    p.add_argument('--n', type=int, default=3)
-    p.set_defaults(fn=cmd_verify)
-
+    verbs['enumerate'].add_argument('--n', type=int, required=True)
+    verbs['enumerate'].add_argument('--count-only', action='store_true')
+    verbs['filter'].add_argument('--op', required=True, choices=INPUTS['filter'])
+    verbs['cont'].add_argument('--src', required=True)
+    verbs['cont'].add_argument('--dst', required=True)
+    for verb, inputs in INPUTS.items():
+        if verb != 'filter':
+            group = verbs[verb].add_mutually_exclusive_group(required=True)
+            for name in inputs:
+                group.add_argument(_flag(name), **KINDS.get(name, {}))
+        for name in OPTIONS[verb]:
+            verbs[verb].add_argument(_flag(name), **KINDS.get(name, {}))
+    verbs['product'].add_argument('spaces', nargs='+')
+    verbs['quotient'].add_argument('--space', required=True)
+    verbs['quotient'].add_argument('--classes', required=True)
+    verbs['root'].add_argument('--a', required=True)
+    verbs['root'].add_argument('--m', type=int, required=True)
+    verbs['root'].add_argument('--tol', required=True)
+    verbs['verify'].add_argument('--suite', required=True, choices=verify.SUITES)
+    verbs['verify'].add_argument('--n', type=int, default=3)
     return ap
 
 
@@ -430,6 +359,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
+        args.input = check_options(args)
         result = args.fn(args)
     except DomainError as exc:
         _emit(exc.payload(), args.format)
@@ -437,7 +367,7 @@ def main(argv=None):
     except UsageError as exc:
         print('usage error: %s' % exc, file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, InputError) as exc:
         print('input error: %s' % exc, file=sys.stderr)
         return 2
     _emit(result, args.format)

@@ -50,13 +50,28 @@ class DirectedSet:
             raise NotDirected("order not transitive at (%d, %d)" % pair)
         # finite and directed iff some point is in every upper cone
         if not meet_of(up):
-            i, j = next((i, j) for i in range(size) for j in range(size) if not up[i] & up[j])
-            raise NotDirected("elements %d and %d have no upper bound" % (i, j))
+            raise NotDirected("elements %d and %d have no upper bound" % _least_unbounded_pair(up))
         self.size = size
         self.up = tuple(up)
 
     def __repr__(self):
         return 'DirectedSet(%d)' % self.size
+
+
+def _least_unbounded_pair(up):
+    """The least pair (i, j) of elements with disjoint upper cones, for
+    cones with no common point.  A common upper bound lies below a
+    maximal element, so i is the least element whose cone misses a
+    maximal one, and j the least whose cone misses i's.  By ascending
+    cone size, x is maximal iff its cone's first maximal element, if
+    any, has the same cone."""
+    top = 0
+    for x in sorted(range(len(up)), key=lambda x: up[x].bit_count()):
+        above = up[x] & top
+        if not above or up[(above & -above).bit_length() - 1] == up[x]:
+            top |= 1 << x
+    i = next(i for i, u in enumerate(up) if u & top != top)
+    return i, next(j for j, u in enumerate(up) if not u & up[i])
 
 
 class Net:

@@ -4,7 +4,8 @@ Every error raised by the library for a *domain* reason (violated axiom,
 failed precondition, exceeded cap) derives from DomainError, so callers --
 in particular the CLI -- can distinguish them from programming errors.
 Each error carries a short machine-readable name and, where it makes
-sense, a witness of the violation.
+sense, a witness of the violation.  InputError, input without the form
+its reader states, is the one that is not a domain error.
 """
 
 from decimal import Decimal
@@ -20,6 +21,10 @@ class DomainError(Exception):
     def payload(self):
         """A JSON-friendly description of the error."""
         return {"error": self.name, "detail": str(self)}
+
+
+class InputError(ValueError):
+    """Input text or JSON that does not have the form its reader states."""
 
 
 class CapExceeded(DomainError):

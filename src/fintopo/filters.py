@@ -8,8 +8,8 @@ filters are checked, built and compared through their cores.
 """
 
 from .errors import EmptyArgument, EmptyMeet, FilterBaseViolation, NotSurjective, UniverseMismatch
-from .setops import (SetSystem, full_mask, is_up_set, meet_of, points_of, supermasks,
-                     two_minimal, upward_gap)
+from .setops import (SetSystem, check_same_carrier, full_mask, is_up_set, meet_of, points_of,
+                     supermasks, two_minimal, upward_gap)
 
 
 def is_filter(system):
@@ -125,8 +125,7 @@ class Filter:
     def is_finer(self, other):
         """Whether this filter is finer than other (contains it): iff
         its core lies inside the other's."""
-        if self.n != other.n:
-            raise UniverseMismatch("carriers differ: %d vs %d" % (other.n, self.n))
+        check_same_carrier(self.n, other.n)
         return self._core & ~other._core == 0
 
     def is_ultrafilter(self):

@@ -14,8 +14,9 @@ decided, and the topology and the set map are built, from the cores.
 
 from .errors import (NeighborhoodAxiomViolation, NeighborhoodBaseViolation,
                      NotABase, SetMapAxiomViolation, UniverseMismatch)
-from .setops import (PointSetRelation, SetSystem, full_mask, is_up_set, meet_of, points_of,
-                     relation_from_sections, supermasks, two_minimal, upward_gap)
+from .setops import (PointSetRelation, SetSystem, check_same_carrier, full_mask, is_up_set,
+                     meet_of, points_of, relation_from_sections, supermasks, two_minimal,
+                     upward_gap)
 from .topology import Topology, closure_table, fineness, is_base_of, neighborhood_relation
 
 
@@ -241,8 +242,7 @@ def compare_by_neighborhoods(t1, t2):
     """t1 is finer than t2 iff, at every point, every t2-neighborhood is
     a t1-neighborhood.  Returns the same classification as compare(),
     and raises UniverseMismatch as it does when the carriers differ."""
-    if t1.n != t2.n:
-        raise UniverseMismatch("carriers differ: %d vs %d" % (t1.n, t2.n))
+    check_same_carrier(t1.n, t2.n)
     r1 = neighborhood_relation(t1)
     r2 = neighborhood_relation(t2)
     finer = all(r2.section(x) <= r1.section(x) for x in range(t1.n))

@@ -30,7 +30,7 @@ from math import isqrt
 from operator import index
 
 from .errors import (BracketViolation, CapExceeded, EmptyArgument, IndexOutOfRange,
-                     LengthMismatch, NonDyadicClosedForm, NonDyadicLiteral)
+                     InputError, LengthMismatch, NonDyadicClosedForm, NonDyadicLiteral)
 
 # Most bit growth one bisection may take: its steps times max(degree, 1).
 # The evaluated integers grow by that many bits over the inputs'.
@@ -72,23 +72,27 @@ _FRACTION_TEXT = r"""
 def decimal_int(text):
     """int(text) for a decimal string, exactly and at any length.  It
     accepts the strings int() accepts, and reads their digits through
-    Decimal, which sys.get_int_max_str_digits does not limit."""
+    Decimal, which sys.get_int_max_str_digits does not limit; any other
+    string is an InputError."""
     if not re.fullmatch(_INT_TEXT, text):
-        raise ValueError("invalid literal for int() with base 10: %r" % text)
+        raise InputError("invalid literal for int() with base 10: %r" % text)
     return int(Decimal(text))
 
 
 def decimal_fraction(text):
     """Fraction(text) for a string, exactly and at any length: the same
     forms (p/q, decimals with an exponent), each run of digits read by
-    decimal_int."""
+    decimal_int.  Any other string, and a zero denominator, is an
+    InputError."""
     m = re.fullmatch(_FRACTION_TEXT, text, re.VERBOSE | re.IGNORECASE)
     if m is None:
-        raise ValueError('Invalid literal for Fraction: %r' % text)
+        raise InputError('Invalid literal for Fraction: %r' % text)
     num = decimal_int(m['num'] or '0')
     den = 1
     if m['denom']:
         den = decimal_int(m['denom'])
+        if den == 0:
+            raise InputError("zero denominator in %r" % text)
     else:
         if m['decimal']:
             den = 10 ** len(m['decimal'].replace('_', ''))
@@ -131,23 +135,18 @@ class Dyadic:
 
     @staticmethod
     def parse(text):
-        """Accepts 'm*2^e', integers, exact decimals like '1.375', and
-        fractions 'p/q' with a power-of-two denominator."""
+        """Accepts 'm*2^e', integers, and the exact decimals like '1.375'
+        and fractions 'p/q' that decimal_fraction reads, with a
+        power-of-two denominator.  Any other string is an InputError."""
         text = text.strip()
         if '*2^' in text:
-            m, e = text.split('*2^')
+            m, _, e = text.partition('*2^')
             return Dyadic(decimal_int(m), decimal_int(e))
         if text.startswith('2^'):
             return Dyadic(1, decimal_int(text[2:]))
         if text.startswith('-2^'):
             return Dyadic(-1, decimal_int(text[3:]))
-        if '/' in text:
-            p, q = text.split('/')
-            p, q = decimal_int(p), decimal_int(q)
-            if q == 0:
-                raise ValueError("zero denominator in %r" % text)
-            return Dyadic.from_fraction(Fraction(p, q))
-        if '.' in text or 'e' in text or 'E' in text:
+        if '/' in text or '.' in text or 'e' in text or 'E' in text:
             return Dyadic.from_fraction(decimal_fraction(text))
         return Dyadic(decimal_int(text))
 
@@ -550,11 +549,9 @@ def metric_compare(xs, ys):
     between two dyadic vectors: dmax^2 <= e^2 <= n * dmax^2.
 
     Works in squares to avoid irrational square roots; also reports the
-    Cauchy-Schwarz verdict for the pair of difference vectors."""
-    if len(xs) != len(ys):
-        raise LengthMismatch("vectors have lengths %d and %d" % (len(xs), len(ys)))
-    if not xs:
-        raise EmptyArgument("need nonempty vectors")
+    Cauchy-Schwarz verdict for xs and ys, whose dot product refuses
+    vectors of two lengths or none."""
+    cauchy_schwarz = cauchy_schwarz_check(xs, ys)
     diffs = [_coerce(u) - _coerce(v) for u, v in zip(xs, ys)]
     dmax = max(abs(d) for d in diffs)
     e_sq = dot(diffs, diffs)
@@ -565,6 +562,6 @@ def metric_compare(xs, ys):
         'n_dmax_sq': Dyadic(n) * dmax * dmax,
         'lower_ok': dmax * dmax <= e_sq,
         'upper_ok': e_sq <= Dyadic(n) * dmax * dmax,
-        'cauchy_schwarz': cauchy_schwarz_check(xs, ys),
+        'cauchy_schwarz': cauchy_schwarz,
     }
 

@@ -10,7 +10,7 @@ pred[x], the transpose, is ]-inf,x[.
 
 from operator import and_, or_
 
-from .errors import (MissingFullDomain, MissingFullRange, NoFullField,
+from .errors import (InputError, MissingFullDomain, MissingFullRange, NoFullField,
                      NotDirected, UniverseMismatch)
 from .generated import product_points
 from .setops import SetSystem, check_carrier, full_mask, intransitive_pair, points_of, psi
@@ -23,7 +23,7 @@ class Preorder:
     def __init__(self, n, pairs, flavor):
         """Raises CapExceeded unless 0 <= n <= MAX_N."""
         if flavor not in ('strict', 'reflexive'):
-            raise ValueError("flavor must be 'strict' or 'reflexive'")
+            raise InputError("flavor must be 'strict' or 'reflexive'")
         check_carrier(n)
         succ = [0] * n
         for i, j in pairs:

@@ -29,6 +29,12 @@ def check_carrier(n):
         raise CapExceeded("carrier size %d outside 0..%d" % (n, MAX_N))
 
 
+def check_same_carrier(n1, n2):
+    """Raise UniverseMismatch unless n1 == n2, naming them in that order."""
+    if n1 != n2:
+        raise UniverseMismatch("carriers differ: %d vs %d" % (n1, n2))
+
+
 def full_mask(n):
     return (1 << n) - 1
 
@@ -187,8 +193,7 @@ class SetSystem:
 
     def __le__(self, other):
         """Subfamily test (same carrier required)."""
-        if self.n != other.n:
-            raise UniverseMismatch("carriers differ: %d vs %d" % (self.n, other.n))
+        check_same_carrier(self.n, other.n)
         return set(self.sets) <= set(other.sets)
 
     def __repr__(self):

@@ -6,8 +6,9 @@ from functools import cached_property
 
 from .errors import (BaseCriterionViolation, CapExceeded, ClosedAxiomViolation,
                      SubbaseCriterionViolation, UniverseMismatch)
-from .setops import (MAX_N, SetSystem, byte_tables, check_carrier, full_mask, meet_of,
-                     points_of, relation_from_sections, supermasks, two_minimal, union_closure)
+from .setops import (MAX_N, SetSystem, byte_tables, check_carrier, check_same_carrier,
+                     full_mask, meet_of, points_of, relation_from_sections, supermasks,
+                     two_minimal, union_closure)
 
 
 class Topology:
@@ -414,8 +415,7 @@ def generate_from_subbase(system):
 def is_base_of(system, topology):
     """Whether the system is a base of the given topology: it holds the
     empty set and every U_x, and all its members are open."""
-    if system.n != topology.n:
-        raise UniverseMismatch("carriers differ")
+    check_same_carrier(system.n, topology.n)
     members, is_open = system.members, topology.is_open
     return (0 in members and all(u in members for u in topology.minimal_opens)
             and all(is_open(m) for m in system.sets))
@@ -445,8 +445,7 @@ def topology_from_closed_system(system):
 def is_finer(t1, t2):
     """Whether t1 is finer than t2 (every t2-open is t1-open): each
     U2_x is t1-open iff U1_x lies inside U2_x at every point x."""
-    if t1.n != t2.n:
-        raise UniverseMismatch("carriers differ: %d vs %d" % (t2.n, t1.n))
+    check_same_carrier(t1.n, t2.n)
     return all(a & ~b == 0 for a, b in zip(t1.minimal_opens, t2.minimal_opens))
 
 

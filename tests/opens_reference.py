@@ -576,7 +576,10 @@ def is_closed(t, mask):
 
 
 def is_finer(t1, t2):
-    """Every t2-open is t1-open (same carrier required)."""
+    """Every t2-open is t1-open (same carrier required, the sizes named
+    in argument order)."""
+    if t1.n != t2.n:
+        raise UniverseMismatch("carriers differ: %d vs %d" % (t1.n, t2.n))
     return t2.opens <= t1.opens
 
 

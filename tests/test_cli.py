@@ -163,7 +163,9 @@ class TestGenerate:
     def test_no_option_is_usage_error(self, capsys):
         code, out, err = run(capsys, 'generate')
         assert code == 2
-        assert 'usage error' in err
+        assert ('one of the arguments --base --subbase --closed --neighborhoods '
+                '--neighborhood-base --set-map --closure-op --interior-op --metric '
+                '--interval --family is required') in err
 
     def test_two_inputs_are_a_usage_error(self, capsys, tmp_path):
         # neither input may be dropped: the base alone gives the
@@ -174,15 +176,17 @@ class TestGenerate:
         assert code == 2 and out == ''
         assert 'not allowed with argument' in err
 
-    @pytest.mark.parametrize('flag, needs', [(['--side', 'lower'], '--interval'),
-                                             (['--direct'], '--family')])
+    @pytest.mark.parametrize('flag, message', [
+        (['--side', 'lower'], 'generate --base does not read --side'),
+        (['--direct'], 'generate --base does not read --direct'),
+    ], ids=['flag0---interval', 'flag1---family'])
     def test_a_modifier_without_its_input_is_a_usage_error(self, capsys, tmp_path,
-                                                           flag, needs):
+                                                           flag, message):
         # both once printed the base's topology and exited 0
         base = write(tmp_path, 'b.json', SIERPINSKI)
         code, out, err = run(capsys, 'generate', '--base', base, *flag)
         assert code == 2 and out == ''
-        assert err == 'usage error: %s needs %s\n' % (flag[0], needs)
+        assert err == 'usage error: %s\n' % message
 
 
 class TestAnalyze:
@@ -377,7 +381,7 @@ class TestCont:
         code, out, err = run(capsys, 'cont', '--src', src, '--dst', src, '--map', fmap,
                              '--fx', base, '--fy', base)
         assert code == 2 and out == ''
-        assert err == 'usage error: --fx and --fy need --at\n'
+        assert err == 'usage error: cont --fx needs --at\n'
 
     def test_neither_map_nor_homeo_is_a_usage_error(self, capsys, tmp_path):
         src = write(tmp_path, 's.json', SIERPINSKI)
@@ -411,6 +415,100 @@ class TestProductQuotient:
         code, out, _ = run(capsys, 'quotient', '--space', s, '--classes', classes)
         assert code == 1
         assert json.loads(out)['error'] == 'NotEquivalence'
+
+
+class TestRoundTrip:
+    """Each verb's output that holds a space or a filter, fed to the
+    matching input option, reads back, or exits 2 with an input error
+    that names the shape it expected."""
+
+    READ_SPACE = ['analyze', '--space', 'OUT', '--set', '0']
+    READ_BASE = ['filter', '--op', 'generate', '--base', 'OUT']
+
+    @pytest.mark.parametrize('argv, read, shape', [
+        (['generate', '--base', 'S'], READ_SPACE, None),
+        (['product', 'S', 'S'], READ_SPACE, 'space'),
+        (['quotient', '--space', 'S', '--classes', 'C'], READ_SPACE, 'space'),
+        (['filter', '--op', 'generate', '--base', 'B'], READ_BASE, 'system'),
+        (['filter', '--op', 'extend', '--base', 'B'], READ_BASE, 'system'),
+        (['filter', '--op', 'sup', '--bases', 'BS'], READ_BASE, 'system'),
+    ], ids=['generate', 'product', 'quotient', 'filter-generate', 'filter-extend', 'filter-sup'])
+    def test_output_reads_back_or_names_its_shape(self, capsys, tmp_path, argv, read, shape):
+        # a product read as a space was "input error: 'n'"
+        files = {'S': SIERPINSKI, 'C': [[0, 1]], 'B': {'n': 2, 'sets': [[1]]},
+                 'BS': [{'n': 2, 'sets': [[1]]}, {'n': 2, 'sets': [[1], [0, 1]]}]}
+        code, out, _ = run(capsys, *[write(tmp_path, a + '.json', files[a]) if a in files else a
+                                     for a in argv])
+        assert code == 0
+        back = write(tmp_path, 'out.json', json.loads(out))
+        code, out, err = run(capsys, *[back if a == 'OUT' else a for a in read])
+        if shape is None:
+            assert (code, err) == (0, '')
+        else:
+            assert (code, out) == (2, '')
+            assert err == 'input error: %s: expected an integer at $.n\n' % shape
+
+    def test_each_enumerated_space_reads_back(self, capsys, tmp_path):
+        code, out, _ = run(capsys, 'enumerate', '--n', '3')
+        assert code == 0
+        for space in json.loads(out)['topologies']:
+            code, _, err = run(capsys, 'analyze', '--space', write(tmp_path, 't.json', space),
+                               '--set', '0')
+            assert (code, err) == (0, '')
+
+
+class TestInputShapes:
+    @pytest.mark.parametrize('argv, files, message', [
+        (['analyze', '--space', 'S', '--set', '0'], {'S': {'n': 2, 'sets': [[True]]}},
+         'space: expected an integer at $.sets[0][0]'),
+        (['cont', '--src', 'S', '--dst', 'S', '--map', 'F'],
+         {'S': SIERPINSKI, 'F': {'f': [0, False]}}, 'map: expected an integer at $.f[1]'),
+        (['check', '--net', 'N', '--space', 'S'],
+         {'S': SIERPINSKI, 'N': {'domain': {'n': 1, 'leq': [[0, 0, 0]]}, 'values': [0]}},
+         'net: expected a list of 2 at $.domain.leq[0]'),
+        (['generate', '--family', 'F'],
+         {'F': {'n': 2, 'members': [{'space': {'n': 2}, 'map': {'f': [0, 1]}}]}},
+         'family: expected a list at $.members[0].space.sets'),
+        (['generate', '--interval', 'P'], {'P': {'n': 1, 'pairs': [], 'flavor': 'total'}},
+         "preorder: flavor must be 'strict' or 'reflexive'"),
+        (['series', '--xs', 'XS'], {'XS': ['1', '3/-4']},
+         "dyadics: Invalid literal for Fraction: '3/-4'"),
+        (['analyze', '--space', 'S', '--set', '[0.5]'], {'S': SIERPINSKI},
+         'set: expected an integer at $[0]'),
+    ], ids=['true-as-point', 'false-as-image', 'triple-as-pair', 'nested-missing-key',
+            'flavor', 'dyadic-text', 'set-text'])
+    def test_a_value_off_its_shape_is_named(self, capsys, tmp_path, argv, files, message):
+        # true was read as the point 1; each other case once exited 2 with
+        # a message naming no shape
+        argv = [write(tmp_path, a + '.json', files[a]) if a in files else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, '')
+        assert err == 'input error: %s\n' % message
+
+    def test_a_file_that_is_not_utf8_is_an_input_error(self, capsys, tmp_path):
+        p = tmp_path / 's.json'
+        p.write_bytes(b'{"n": 1, "sets": [[], [0]], "name": "\xff"}')
+        code, out, err = run(capsys, 'analyze', '--space', str(p), '--set', '0')
+        assert (code, out) == (2, '')
+        assert err.startswith("input error: 'utf-8' codec can't decode byte 0xff")
+
+    def test_an_integer_past_the_digit_limit_is_an_input_error(self, capsys, tmp_path):
+        p = tmp_path / 's.json'
+        p.write_text('{"n": %s, "sets": []}' % ('1' * 5000))
+        code, out, err = run(capsys, 'analyze', '--space', str(p), '--set', '0')
+        assert (code, out) == (2, '')
+        assert err.startswith('input error: Exceeds the limit (4300 digits)')
+
+    def test_every_shape_names_only_leaves_and_shapes(self):
+        def words(shape):
+            if isinstance(shape, dict):
+                return set().union(*map(words, shape.values()))
+            if isinstance(shape, list):
+                return set().union(*(words(s) for s in shape if s != '...'))
+            return {shape}
+        assert jsonio.SHAPES['space'] == 'system'
+        for name, shape in jsonio.SHAPES.items():
+            assert words(shape) <= set(jsonio.LEAVES) | set(jsonio.SHAPES), name
 
 
 class TestNumericVerbs:
@@ -680,41 +778,56 @@ class TestExitCodes:
         assert code == 2 and out == ''
         assert 'not allowed with argument' in err
 
-    @pytest.mark.parametrize('argv, message', [
+    # (argv, message, the message before the option table named the
+    # ids, or None where it is unchanged)
+    DROPPED = [
         (['cont', '--src', 'S', '--dst', 'S', '--homeo', '--at', '0'],
-         '--at, --fx and --fy need --map'),
+         'cont --homeo does not read --at', '--at, --fx and --fy need --map'),
         (['cont', '--src', 'S', '--dst', 'S', '--homeo', '--fx', 'B'],
-         '--at, --fx and --fy need --map'),
+         'cont --homeo does not read --fx', '--at, --fx and --fy need --map'),
         (['cont', '--src', 'S', '--dst', 'S', '--homeo', '--fy', 'B'],
-         '--at, --fx and --fy need --map'),
+         'cont --homeo does not read --fy', '--at, --fx and --fy need --map'),
         (['cont', '--src', 'S', '--dst', 'S', '--map', 'F', '--fx', 'B', '--at', '1'],
-         '--fx needs --fy'),
+         'cont --fx needs --fy', '--fx needs --fy'),
         (['cont', '--src', 'S', '--dst', 'S', '--map', 'F', '--fy', 'B', '--at', '1'],
-         '--fy needs --fx'),
-        (['analyze', '--preorder', 'P', '--set', '0'], '--set needs --space or --metric'),
-        (['series', '--geom', '1/2', '--start', '5'], '--start and --end need --xs'),
-        (['series', '--geom', '1/2', '--end', '5'], '--start and --end need --xs'),
-        (['series', '--geom', '1/2', '--limit', '--terms', '3'], '--limit excludes --terms'),
-        (['series', '--xs', 'XS', '--terms', '3'], '--terms and --limit need --geom'),
-        (['series', '--xs', 'XS', '--limit'], '--terms and --limit need --geom'),
-        (['check', '--cauchy-schwarz', 'V', '--space', 'S'], '--space needs --base or --net'),
-        (['check', '--metric', 'M', '--space', 'S'], '--space needs --base or --net'),
-        (['check', '--invert', 'I', '--space', 'S'], '--space needs --base or --net'),
+         'cont --fy needs --fx', '--fy needs --fx'),
+        (['analyze', '--preorder', 'P', '--set', '0'], 'analyze --preorder does not read --set',
+         '--set needs --space or --metric'),
+        (['series', '--geom', '1/2', '--start', '5'], 'series --geom does not read --start',
+         '--start and --end need --xs'),
+        (['series', '--geom', '1/2', '--end', '5'], 'series --geom does not read --end',
+         '--start and --end need --xs'),
+        (['series', '--geom', '1/2', '--limit', '--terms', '3'],
+         'series --limit does not read --terms', '--limit excludes --terms'),
+        (['series', '--xs', 'XS', '--terms', '3'], 'series --xs does not read --terms',
+         '--terms and --limit need --geom'),
+        (['series', '--xs', 'XS', '--limit'], 'series --xs does not read --limit',
+         '--terms and --limit need --geom'),
+        (['check', '--cauchy-schwarz', 'V', '--space', 'S'],
+         'check --cauchy-schwarz does not read --space', '--space needs --base or --net'),
+        (['check', '--metric', 'M', '--space', 'S'], 'check --metric does not read --space',
+         '--space needs --base or --net'),
+        (['check', '--invert', 'I', '--space', 'S'], 'check --invert does not read --space',
+         '--space needs --base or --net'),
         (['filter', '--op', 'generate', '--base', 'B', '--map', 'F'],
-         'filter --op generate does not read --map'),
+         'filter --op generate does not read --map', None),
         (['filter', '--op', 'generate', '--base', 'B', '--bases', 'BS'],
-         'filter --op generate does not read --bases'),
+         'filter --op generate does not read --bases', None),
         (['filter', '--op', 'ultra', '--base', 'B', '--target-n', '2'],
-         'filter --op ultra does not read --target-n'),
+         'filter --op ultra does not read --target-n', None),
         (['filter', '--op', 'extend', '--base', 'B', '--map', 'F'],
-         'filter --op extend does not read --map'),
+         'filter --op extend does not read --map', None),
         (['filter', '--op', 'sup', '--bases', 'BS', '--base', 'B'],
-         'filter --op sup does not read --base'),
+         'filter --op sup does not read --base', None),
         (['filter', '--op', 'sup', '--bases', 'BS', '--target-n', '0'],
-         'filter --op sup does not read --target-n'),
+         'filter --op sup does not read --target-n', None),
         (['filter', '--op', 'image', '--base', 'B', '--map', 'F', '--bases', 'BS'],
-         'filter --op image does not read --bases'),
-    ])
+         'filter --op image does not read --bases', None),
+    ]
+
+    @pytest.mark.parametrize('argv, message', [
+        pytest.param(argv, message, id='argv%d-%s' % (i, was or message))
+        for i, (argv, message, was) in enumerate(DROPPED)])
     def test_an_option_the_input_drops_is_a_usage_error(self, capsys, tmp_path, argv, message):
         # each once answered its input without the other option, exit 0
         files = {'S': SIERPINSKI, 'F': {'f': [1, 0]}, 'B': {'n': 2, 'sets': [[0, 1]]},

@@ -1,6 +1,9 @@
 """Convergence of filters, nets, and eventually periodic sequences."""
 
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fintopo.closure import closure
 from fintopo.convergence import (DirectedSet, EventuallyPeriodicSequence, Net,
@@ -111,6 +114,15 @@ class TestClosureViaConvergence:
                 assert via == closure(t, a)
 
 
+def union_of_rows(up, u):
+    """The union of the rows up[j] over the points j of u."""
+    out = 0
+    for j in range(len(up)):
+        if u >> j & 1:
+            out |= up[j]
+    return out
+
+
 class TestDirectedSet:
     def test_transitivity_enforced(self):
         with pytest.raises(NotDirected):
@@ -123,6 +135,36 @@ class TestDirectedSet:
     def test_pair_domain(self):
         with pytest.raises(UniverseMismatch):
             DirectedSet(2, [(0, 5)])
+
+    @given(st.integers(1, 7), st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6))))
+    @settings(max_examples=300, deadline=None)
+    def test_the_witness_is_the_least_unbounded_pair(self, size, pairs):
+        up = [1 << i for i in range(size)]
+        for i, j in pairs:
+            if i < size and j < size:
+                up[i] |= 1 << j
+        for _ in range(size):  # transitive closure
+            up = [u | union_of_rows(up, u) for u in up]
+        leq = [(i, j) for i in range(size) for j in range(size) if up[i] >> j & 1]
+        least = next(((i, j) for i in range(size) for j in range(size) if not up[i] & up[j]),
+                     None)
+        if least is None:
+            assert DirectedSet(size, leq).up == tuple(up)
+        else:
+            with pytest.raises(NotDirected, match='^elements %d and %d have' % least):
+                DirectedSet(size, leq)
+
+    @pytest.mark.parametrize('size, bound', [(4000, 0.5), (32000, 4)])
+    def test_the_witness_below_two_maxima_in_bounded_time(self, size, bound):
+        # every element below two incomparable maxima, so the one unbounded
+        # pair is the last.  Measured 0.02 s and 1.0 s (0.8 s of it the
+        # transitivity check), where the pair scan took 1.8 s at 4,000
+        # (CPython 3.11, shared 2-CPU host)
+        top = [(i, j) for i in range(size - 2) for j in (size - 2, size - 1)]
+        t0 = time.perf_counter()
+        with pytest.raises(NotDirected, match='^elements %d and %d have' % (size - 2, size - 1)):
+            DirectedSet(size, top)
+        assert time.perf_counter() - t0 < bound
 
 
 class TestNetFilterCorrespondence:

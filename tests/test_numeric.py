@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import opens_reference as ref
 from fintopo.errors import (BracketViolation, CapExceeded, EmptyArgument, IndexOutOfRange,
-                            LengthMismatch, NonDyadicClosedForm, NonDyadicLiteral)
+                            InputError, LengthMismatch, NonDyadicClosedForm, NonDyadicLiteral)
 from fintopo.numeric import (BISECTION_CAP, HORNER_BITS_CAP, ONE, ZERO, Dyadic, DyadicPoly,
                              _bisection_start, _horner_bits, bisection_invert,
                              decimal_digits, decimal_fraction, decimal_int,
@@ -45,6 +45,16 @@ class TestDyadic:
     def test_parse_zero_denominator(self, text):
         # was ZeroDivisionError, which the CLI does not read as bad input
         with pytest.raises(ValueError, match='zero denominator'):
+            Dyadic.parse(text)
+
+    @pytest.mark.parametrize('text', ['1/-2', ' 3 / 8', '3/ 8', '3/+8', '1*2^3*2^4'])
+    def test_parse_refuses_what_fraction_refuses(self, text):
+        # the p/q branch split the text itself, and read '1/-2' as -1/2;
+        # two '*2^' were a ValueError from unpacking
+        if '*' not in text:
+            with pytest.raises(ValueError):
+                Fraction(text)
+        with pytest.raises(InputError):
             Dyadic.parse(text)
 
     @pytest.mark.parametrize('args', [(2.5,), (1, 0.9), ('7', '-1'), (Fraction(3),)])
@@ -884,6 +894,12 @@ def _outcome(parse, text):
         return type(exc)
 
 
+def _refused_as_input(outcome):
+    """An outcome of int() or Fraction(), with a refusal replaced by the
+    InputError that decimal_int and decimal_fraction raise for it."""
+    return InputError if outcome in (ValueError, ZeroDivisionError) else outcome
+
+
 # every character int() or Fraction() treats as a digit or a space, a
 # sample of others, and the ASCII ones int() does not skip
 _CHARS = [chr(c) for c in range(0x3000) if chr(c).isspace() or chr(c).isdigit()
@@ -896,7 +912,7 @@ class TestDecimalParsing:
         for c in _CHARS:
             for form in forms:
                 text = form % c
-                assert _outcome(decimal_int, text) == _outcome(int, text), text
+                assert _outcome(decimal_int, text) == _refused_as_input(_outcome(int, text)), text
 
     def test_decimal_fraction_accepts_what_fraction_accepts(self):
         forms = ['%s', '1%s', '%s1', '%s.5', '1%s/2', '1/%s', '1e%s', '.%s', '1.%s',
@@ -904,10 +920,12 @@ class TestDecimalParsing:
         for c in _CHARS:
             for form in forms:
                 text = form % c
-                assert _outcome(decimal_fraction, text) == _outcome(Fraction, text), text
+                assert (_outcome(decimal_fraction, text)
+                        == _refused_as_input(_outcome(Fraction, text))), text
         for text in ['1/0', '0/0', '1.', '.5', '-1.5E+3', '2e-1_0', '1_0.0_5', '1.d',
                      '1 /2', '1/-2', '+.5e1', '', ' ', 'nan', 'inf', '1e', '/2']:
-            assert _outcome(decimal_fraction, text) == _outcome(Fraction, text), text
+            assert (_outcome(decimal_fraction, text)
+                    == _refused_as_input(_outcome(Fraction, text))), text
 
     def test_past_the_int_digit_limit(self):
         digits = '7' * 5000

@@ -8,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 import opens_reference as ref
 from conftest import all_systems, phi_oracle, psi_oracle, theta_oracle
 from fintopo.errors import CapExceeded, UniverseMismatch
+from fintopo.filters import generate_filter
+from fintopo.neighborhoods import compare_by_neighborhoods
 from fintopo.setops import (FiniteMap, PointSetRelation, SetSystem, full_mask,
                             intransitive_pair, mask_of, meet_of, phi, phi_prime, points_of,
                             powerset_system, psi, relation_from_sections, theta, two_minimal)
+from fintopo.topology import compare, discrete_topology, is_base_of, is_finer
 
 
 def S(n, *sets):
@@ -284,3 +287,16 @@ class TestFamilyQuestions:
 def test_points_of_round_trip():
     for m in range(32):
         assert mask_of(points_of(m), 5) == m
+
+
+def test_every_carrier_check_names_the_sizes_in_argument_order():
+    # compare said 'carriers differ: 3 vs 2' here, compare_by_neighborhoods
+    # '2 vs 3', and is_base_of named no sizes
+    t2, t3 = discrete_topology(2), discrete_topology(3)
+    f2, f3 = generate_filter(S(2, [0, 1])), generate_filter(S(3, [0, 1, 2]))
+    for check in (lambda: t2.opens <= t3.opens, lambda: f2.is_finer(f3),
+                  lambda: is_base_of(t2.opens, t3), lambda: is_finer(t2, t3),
+                  lambda: compare(t2, t3), lambda: compare_by_neighborhoods(t2, t3)):
+        with pytest.raises(UniverseMismatch) as exc:
+            check()
+        assert str(exc.value) == 'carriers differ: 2 vs 3'
