@@ -6,6 +6,7 @@ tolerance appears anywhere.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import EmptyArgument, InvalidMetric, UniverseMismatch
 from .generated import class_map
@@ -18,26 +19,30 @@ def validate_pseudometric(matrix):
 
     Checks non-negativity, zero diagonal, symmetry, and the triangle
     inequality; 'metric' additionally means distinct points have
-    positive distance.
+    positive distance.  The entries (ints, Fractions or floats) are
+    decided exactly, as ints on their common denominator.
     """
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
             return 'invalid', ('square', None)
-    for x in range(n):
-        if matrix[x][x] != 0:
+    ratios = [[v.as_integer_ratio() for v in row] for row in matrix]
+    den = lcm(*(q for row in ratios for _, q in row))
+    d = [[p * (den // q) for p, q in row] for row in ratios]
+    for x, row in enumerate(d):
+        if row[x] != 0:
             return 'invalid', ('zero-diagonal', x)
-        for y in range(n):
-            if matrix[x][y] < 0:
+        for y, v in enumerate(row):
+            if v < 0:
                 return 'invalid', ('non-negative', (x, y))
-            if matrix[x][y] != matrix[y][x]:
+            if v != d[y][x]:
                 return 'invalid', ('symmetry', (x, y))
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if matrix[x][z] > matrix[x][y] + matrix[y][z]:
+    for x, row in enumerate(d):
+        for y, v in enumerate(row):
+            for z, w in enumerate(d[y]):
+                if row[z] > v + w:
                     return 'invalid', ('triangle', (x, y, z))
-    metric = all(matrix[x][y] > 0 for x in range(n) for y in range(n) if x != y)
+    metric = all(v > 0 for x, row in enumerate(d) for y, v in enumerate(row) if x != y)
     return ('metric' if metric else 'pseudo'), None
 
 

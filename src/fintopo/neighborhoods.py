@@ -17,7 +17,8 @@ from .errors import (NeighborhoodAxiomViolation, NeighborhoodBaseViolation,
 from .setops import (PointSetRelation, SetSystem, check_same_carrier, full_mask, is_up_set,
                      meet_of, points_of, relation_from_sections, supermasks, two_minimal,
                      upward_gap)
-from .topology import Topology, closure_table, fineness, is_base_of, neighborhood_relation
+from .topology import (Topology, closure_table, fineness, is_base_of, is_closure_table,
+                       neighborhood_relation)
 
 
 def _cores(sections, n):
@@ -93,10 +94,12 @@ def topology_from_neighborhoods(rel):
 
 
 class SetNeighborhoodMap:
-    """M(A) = system of neighborhoods of the subset A, tabulated for all
-    2^n subsets."""
+    """M(A) = system of neighborhoods of the subset A, for all 2^n
+    subsets: a table of 2^n systems as given, or from set_map_of 2^n
+    cores, M(A) being the supersets of cores[A] and the table built on
+    its first read."""
 
-    __slots__ = ('n', 'table')
+    __slots__ = ('n', 'cores', '_table')
 
     def __init__(self, n, table):
         table = tuple(sys if isinstance(sys, SetSystem) else SetSystem(n, sys)
@@ -104,27 +107,41 @@ class SetNeighborhoodMap:
         if len(table) != 1 << n:
             raise UniverseMismatch("need one system per subset of the carrier")
         self.n = n
-        self.table = table
+        self.cores = None
+        self._table = table
+
+    @classmethod
+    def _from_cores(cls, n, cores):
+        """The map of the supersets of 2^n cores on the carrier: trusted."""
+        smap = cls.__new__(cls)
+        smap.n, smap.cores, smap._table = n, cores, None
+        return smap
+
+    @property
+    def table(self):
+        if self._table is None:
+            self._table = tuple(map(self, range(1 << self.n)))
+        return self._table
 
     def __eq__(self, other):
         return (isinstance(other, SetNeighborhoodMap)
                 and self.n == other.n and self.table == other.table)
 
     def __call__(self, a_mask):
-        return self.table[a_mask]
+        if self._table is not None:
+            return self._table[a_mask]
+        return SetSystem._canonical(self.n, supermasks(self.cores[a_mask], self.n))
 
     def __repr__(self):
-        return 'SetNeighborhoodMap(%d, <%d systems>)' % (self.n, len(self.table))
+        return 'SetNeighborhoodMap(%d, <%d systems>)' % (self.n, 1 << self.n)
 
 
 def set_map_of(topology):
     """The set-neighborhood map of a topology: M(A) is the supersets of
     the open hull of A, the union of the U_x over x in A.  The hulls
     are the closure table of the U_x (topology.closure_table): both
-    are unions over the points of A."""
-    n = topology.n
-    hulls = closure_table(topology.minimal_opens)
-    return SetNeighborhoodMap(n, [SetSystem(n, supermasks(h, n)) for h in hulls])
+    are unions over the points of A, kept as the map's cores."""
+    return SetNeighborhoodMap._from_cores(topology.n, closure_table(topology.minimal_opens))
 
 
 def check_set_map_axioms(smap):
@@ -144,8 +161,18 @@ def check_set_map_axioms(smap):
     below A already passed, so the meet of the M({x}) is the supersets
     of core(A minus its lowest point) joined with core(lowest point),
     and M(A) equals it iff c is that union.
+
+    A map that keeps its cores passes iff they are the closure table of
+    a preorder kernel u, the cores of the points: the union rule makes
+    them the table, and then x in u[x] and M(u[x]) holding u[x] give the
+    rest.  Only a map that fails is read as a table, for its witness.
     """
     n = smap.n
+    if smap.cores is not None:
+        u = [smap.cores[1 << x] for x in range(n)]
+        if (all(c >> x & 1 and smap.cores[c] == c for x, c in enumerate(u))
+                and is_closure_table(smap.cores, u, False)):
+            return None
     sections = [system.sets for system in smap.table]
     cores = _cores(sections, n)
     if len(sections[0]) != 1 << n:
@@ -173,8 +200,9 @@ def topology_from_set_map(smap):
     verdict = check_set_map_axioms(smap)
     if verdict is not None:
         raise SetMapAxiomViolation(*verdict)
-    return Topology.from_kernel(
-        smap.n, _cores([smap.table[1 << x].sets for x in range(smap.n)], smap.n))
+    u = ([smap.cores[1 << x] for x in range(smap.n)] if smap.cores is not None
+         else _cores([smap.table[1 << x].sets for x in range(smap.n)], smap.n))
+    return Topology.from_kernel(smap.n, u)
 
 
 def check_neighborhood_base_axioms(rel):

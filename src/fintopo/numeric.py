@@ -3,18 +3,22 @@ inversion of monotone polynomials, m-th roots, and the exact
 Cauchy-Schwarz / metric-comparison checks.
 
 A dyadic number is mantissa * 2^exponent with the mantissa odd or zero
-(canonical form).  Addition, subtraction, multiplication and comparison
-are exact; division is deliberately absent.
+(canonical form), so two are equal iff their mantissas and exponents
+are.  Addition, subtraction, multiplication and comparison are exact;
+division is deliberately absent.  Dyadic(m, e) checks its arguments;
+the arithmetic builds its results unchecked, by _dyadic and _normal.
 
 Polynomials are evaluated by one integer Horner rule on the
 coefficients' common exponent.  Bisection runs on the integer grid
 N * 2^-k that its points lie on and builds a Dyadic only for the result
-and the trace; its results are those of the step-by-step Dyadic loop,
-bit for bit.  A tolerance whose steps, times the degree, pass
+and the trace, whose values of p are integer Horner sums on the grid
+too; its results are those of the step-by-step Dyadic loop, bit for
+bit.  A tolerance whose steps, times the degree, pass
 BISECTION_CAP raises CapExceeded before the first step.  One bit
 budget, HORNER_BITS_CAP, bounds the longest Horner term on the starting
-grid, the degree of mth_root and geometric_partial_sum, and the
-numerator of a non-dyadic geometric_limit; each refusal reads
+grid, the degree of mth_root, the terms of geometric_partial_sum, the
+span of the terms of finite_series, and the numerator of a non-dyadic
+geometric_limit; each refusal reads
 "... at least N bits; capped at 32768 bits".  That length, and
 every comparison, is taken from bit positions before anything is
 shifted out to a far exponent.  mth_root returns the left endpoint that
@@ -110,16 +114,9 @@ class Dyadic:
     __slots__ = ('m', 'e')
 
     def __init__(self, m, e=0):
-        m = index(m)
-        e = index(e)
-        if m == 0:
-            e = 0
-        else:
-            zeros = (m & -m).bit_length() - 1
-            m >>= zeros
-            e += zeros
-        self.m = m
-        self.e = e
+        m, e = index(m), index(e)
+        zeros = (m & -m).bit_length() - 1
+        self.m, self.e = (m >> zeros, e + zeros) if m else (0, 0)
 
     # -- construction helpers --
 
@@ -175,46 +172,51 @@ class Dyadic:
 
     def __add__(self, other):
         other = _coerce(other)
-        e = min(self.e, other.e)
-        return Dyadic((self.m << (self.e - e)) + (other.m << (other.e - e)), e)
+        a, b, c = self.m, other.m, self.e - other.e
+        if not (a and b):
+            return self if a else other
+        if not c:
+            return _normal(a + b, self.e)
+        # one mantissa odd and the other shifted: the sum is odd
+        return _dyadic((a << c) + b, other.e) if c > 0 else _dyadic(a + (b << -c), self.e)
 
     def __neg__(self):
-        return Dyadic(-self.m, self.e)
+        return _dyadic(-self.m, self.e)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
 
     def __mul__(self, other):
         other = _coerce(other)
-        return Dyadic(self.m * other.m, self.e + other.e)
+        return _dyadic(self.m * other.m, self.e + other.e) if self.m and other.m else ZERO
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __abs__(self):
-        return Dyadic(abs(self.m), self.e)
+        return _dyadic(abs(self.m), self.e)
 
     def __pow__(self, k):
         k = index(k)
         if k < 0:
             raise IndexOutOfRange("need a nonnegative exponent, got %d" % k)
-        return Dyadic(self.m ** k, self.e * k)
+        return _dyadic(self.m ** k, self.e * k)
 
     def half_sum(self, other):
         """The exact midpoint (self + other) / 2."""
         s = self + other
-        return Dyadic(s.m, s.e - 1)
+        return _dyadic(s.m, s.e - 1) if s.m else ZERO
 
     # -- exact ordering --
 
     def _cmp(self, other):
-        """Settled by sign, then by bit position |m|.bit_length() + e.
-        Only when both agree are the mantissas shifted to a common
-        exponent, and then by no more than their own lengths."""
+        """Settled by a common exponent, by sign, then by bit position
+        |m|.bit_length() + e.  Only when both agree are the mantissas
+        shifted to one exponent, and by no more than their own lengths."""
         other = _coerce(other)
         a, b = self.m, other.m
-        if (a ^ b) < 0 or not a or not b:
-            # the signs differ or one is zero: the mantissas' order
+        if self.e == other.e or (a ^ b) < 0 or not a or not b:
+            # one exponent, or the signs differ or one is zero: the mantissas' order
             return (a > b) - (a < b)
         c = a.bit_length() + self.e - b.bit_length() - other.e
         if c:
@@ -227,7 +229,9 @@ class Dyadic:
         return (a > b) - (a < b)
 
     def __eq__(self, other):
-        if not isinstance(other, (Dyadic, int)):
+        if isinstance(other, Dyadic):  # canonical forms
+            return self.m == other.m and self.e == other.e
+        if not isinstance(other, int):
             return NotImplemented
         return self._cmp(other) == 0
 
@@ -250,6 +254,20 @@ def _coerce(v):
     if isinstance(v, int):
         return Dyadic(v)
     raise TypeError("cannot mix Dyadic with %r" % type(v))
+
+
+def _dyadic(m, e):
+    """The Dyadic m * 2^e, trusted to be canonical: m odd, or m = e = 0.
+    Negation, abs, products and powers keep a mantissa odd."""
+    d = object.__new__(Dyadic)
+    d.m, d.e = m, e
+    return d
+
+
+def _normal(m, e):
+    """The Dyadic m * 2^e for ints m and e, in canonical form."""
+    zeros = (m & -m).bit_length() - 1
+    return _dyadic(m >> zeros, e + zeros) if m else ZERO
 
 
 ZERO = Dyadic(0)
@@ -281,17 +299,24 @@ class DyadicPoly:
     def __call__(self, x):
         x = _coerce(x)
         if x.e >= 0:
-            return Dyadic(_horner(self.ints, x.m << x.e, 0), self.exp)
-        return Dyadic(_horner(self.ints, x.m, -x.e), self.exp + x.e * (len(self.ints) - 1))
+            return _normal(_horner(self.ints, x.m << x.e, 0), self.exp)
+        return _normal(_horner(self.ints, x.m, -x.e), self.exp + x.e * (len(self.ints) - 1))
 
     def __repr__(self):
         return 'DyadicPoly(%r)' % (list(self.coeffs),)
 
 
 def finite_series(xs, l, m):
-    """Sum of xs[l..m] (1-based, inclusive) by the running recursion."""
+    """Sum of xs[l..m] (1-based, inclusive) by the running recursion.
+    When the terms span more than HORNER_BITS_CAP bits, from the highest
+    bit position to the least exponent, CapExceeded is raised at once."""
     if not 1 <= l <= m <= len(xs):
         raise IndexOutOfRange("need 1 <= l <= m <= %d, got (%d, %d)" % (len(xs), l, m))
+    terms = [x for x in map(_coerce, xs[l - 1:m]) if x.m]
+    if terms:
+        span = max(abs(x.m).bit_length() + x.e for x in terms) - min(x.e for x in terms)
+        if span > HORNER_BITS_CAP:
+            _over_budget(span, "xs[%d..%d] spans", l, m)
     s = xs[l - 1]
     for k in range(l, m):
         s = s + xs[k]
@@ -332,7 +357,7 @@ def geometric_limit(x):
         raise IndexOutOfRange("limit exists only for |x| < 1")
     d = ONE - x
     if d.m == 1:
-        return Dyadic(1, -d.e)
+        return _dyadic(1, -d.e)
     if 1 - d.e > HORNER_BITS_CAP:
         _over_budget(1 - d.e, "1/(1 - x) for x = %s is not dyadic; its numerator has", x)
     raise NonDyadicClosedForm(1 << -d.e, d.m)
@@ -455,6 +480,9 @@ def bisection_invert(p, a, b, w, tol, trace=None):
     hit, k, x, y, steps, cs, sx = _bisection_start(p, a, b, w, tol)
     if hit is not None:
         return hit
+    ints, d = p.ints, len(p.ints) - 1
+    if trace is not None:
+        px, py = _horner(ints, x, k), _horner(ints, y, k)
     sy = -sx
     for step in range(1, steps + 1):
         z = x + y
@@ -463,18 +491,22 @@ def bisection_invert(p, a, b, w, tol, trace=None):
         k += 1
         fz = _horner(cs, z, k)
         if not fz:
-            return Dyadic(z, -k)
+            return _normal(z, -k)
         sz = 1 if fz > 0 else -1
-        if sx * sz <= 0:
+        left = sx * sz <= 0
+        if left:
             y, sy = z, sz
         else:
             x, sx = z, sz
         if sx * sy > 0:
             raise BracketViolation(step)
         if trace is not None:
-            xd, yd = Dyadic(x, -k), Dyadic(y, -k)
-            trace.append((xd, yd, p(xd), p(yd)))
-    return Dyadic(x, -k)
+            # a numerator doubled on the grid one finer: p's sum doubles d times
+            pz = _horner(ints, z, k)
+            px, py = (px << d, pz) if left else (pz, py << d)
+            e = p.exp - d * k
+            trace.append((_normal(x, -k), _normal(y, -k), _normal(px, e), _normal(py, e)))
+    return _normal(x, -k)
 
 
 def _iroot(n, m):
@@ -524,7 +556,7 @@ def mth_root(a, m, tol):
         return hit
     K = k + steps
     s = a.e + m * K
-    return Dyadic(_iroot(a.m << s if s >= 0 else a.m >> -s, m) // y * y, -K)
+    return _normal(_iroot(a.m << s if s >= 0 else a.m >> -s, m) // y * y, -K)
 
 
 def dot(xs, ys):

@@ -252,7 +252,8 @@ def _suite_numeric(n, tally):
             mid = x.half_sum(y)
             ok = ok and (nx, ny) in ((x, mid), (mid, y))
             x, y = nx, ny
-        tally.record(ok, lambda: {'poly': [str(c) for c in coeffs], 'w': str(w)})
+        tally.record(ok, lambda: {'poly': [str(c) for c in coeffs], 'a': str(a), 'b': str(b),
+                                  'w': str(w), 'tol': str(tol)})
 
 
 # (suite, least n, greatest n); the numeric suite reads no n

@@ -78,7 +78,10 @@ of a subset only, which the library's interval_topology replaced, with
 the order-density test of that subset, for test_order.py and
 test_acceptance.py, and the least-upper-bound test by a scan over all
 2^n subsets, for test_order.py.
-"""
+
+So is the pseudo-metric check that scaling to a common denominator
+replaced: every comparison and triangle sum on the Fraction entries, for
+test_metric.py."""
 
 from functools import lru_cache
 from itertools import permutations, product
@@ -1031,3 +1034,28 @@ def is_continuous_on_closed_pieces(m, pieces):
         if not is_continuous(SpaceMap(sub, m.target, restricted)):
             return False
     return True
+
+
+def validate_pseudometric(matrix):
+    """fintopo.metric.validate_pseudometric as it was, on the entries
+    themselves: ('pseudo' | 'metric', None) or ('invalid', (reason,
+    witness))."""
+    n = len(matrix)
+    for row in matrix:
+        if len(row) != n:
+            return 'invalid', ('square', None)
+    for x in range(n):
+        if matrix[x][x] != 0:
+            return 'invalid', ('zero-diagonal', x)
+        for y in range(n):
+            if matrix[x][y] < 0:
+                return 'invalid', ('non-negative', (x, y))
+            if matrix[x][y] != matrix[y][x]:
+                return 'invalid', ('symmetry', (x, y))
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if matrix[x][z] > matrix[x][y] + matrix[y][z]:
+                    return 'invalid', ('triangle', (x, y, z))
+    metric = all(matrix[x][y] > 0 for x in range(n) for y in range(n) if x != y)
+    return ('metric' if metric else 'pseudo'), None

@@ -597,6 +597,16 @@ class TestNumericVerbs:
         assert code == 0
         assert json.loads(out)['fraction'] == '7/4'
 
+    @pytest.mark.parametrize('top', ['2^1000000', '2^10000000'])
+    def test_long_finite_series_fails_fast(self, capsys, tmp_path, top):
+        # 2^1000000 + 1 took 1.55 s and printed 301k digits
+        xs = write(tmp_path, 'xs.json', [top, '1'])
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, 'series', '--xs', xs, '--start', '1', '--end', '2')
+        assert time.perf_counter() - t0 < 0.1
+        assert code == 1
+        assert json.loads(out)['error'] == 'CapExceeded'
+
     def test_check_cauchy_schwarz(self, capsys, tmp_path):
         data = write(tmp_path, 'v.json', {'x': ['1', '1/2'], 'y': ['3', '2']})
         code, out, _ = run(capsys, 'check', '--cauchy-schwarz', data)

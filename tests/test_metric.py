@@ -5,7 +5,9 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import opens_reference as ref
 from fintopo.closure import closure, interior
 from fintopo.continuity import SpaceMap, is_continuous, map_open_closed
 from fintopo.errors import EmptyArgument, InvalidMetric, UniverseMismatch
@@ -57,6 +59,43 @@ class TestValidation:
                [Fraction(1), Fraction(0), Fraction(1)],
                [Fraction(5), Fraction(1), Fraction(0)]]
         assert validate_pseudometric(bad)[1][0] == 'triangle'
+
+    @given(st.data())
+    @settings(max_examples=400)
+    def test_matches_the_fraction_loop(self, data):
+        # a shortest-path closure of Fraction or int weights, often left
+        # as it is, else with one to three entries changed, which may
+        # break any axiom, or with a row cut short
+        n = data.draw(st.integers(0, 6))
+        ints = data.draw(st.booleans())
+        value = (st.integers(-2, 12) if ints
+                 else st.builds(Fraction, st.integers(-2, 12), st.integers(1, 6)))
+        d = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(x + 1, n):
+                d[x][y] = d[y][x] = abs(data.draw(value))
+        for k in range(n):
+            for x in range(n):
+                for y in range(n):
+                    d[x][y] = min(d[x][y], d[x][k] + d[k][y])
+        kind = data.draw(st.sampled_from(['valid', 'changed', 'symmetric', 'ragged']))
+        if n and kind in ('changed', 'symmetric'):
+            for _ in range(data.draw(st.integers(1, 3))):
+                x, y = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+                d[x][y] = data.draw(value)
+                if kind == 'symmetric':
+                    d[y][x] = d[x][y]
+        elif n and kind == 'ragged':
+            d[data.draw(st.integers(0, n - 1))].pop()
+        assert validate_pseudometric(d) == ref.validate_pseudometric(d)
+
+    def test_float_entries_are_read_exactly(self):
+        # the double nearest 0.1 + 0.2 passes the exact sum of the doubles
+        # 0.1 and 0.2, though a float addition rounds that sum to it
+        a = 0.1 + 0.2
+        d = [[0, 0.1, a], [0.1, 0, 0.2], [a, 0.2, 0]]
+        assert validate_pseudometric(d) == ('invalid', ('triangle', (0, 1, 2)))
+        assert validate_pseudometric([[0, 0.5], [0.5, 0]]) == ('metric', None)
 
     def test_constructor_rejects_invalid(self):
         with pytest.raises(InvalidMetric):

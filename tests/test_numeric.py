@@ -184,6 +184,30 @@ class TestSeries:
         total = finite_series(xs, 1, len(xs))
         assert total.to_fraction() == sum(x.to_fraction() for x in xs)
 
+    @pytest.mark.parametrize('top', ['2^1000000', '2^10000000', '-3*2^40000'])
+    def test_a_long_sum_fails_before_the_first_add(self, top):
+        # 2^1000000 + 1 took 1.55 s and printed 301k digits; 2^10000000
+        # + 1 did not finish
+        xs = [Dyadic.parse(top), ONE]
+        t0 = time.perf_counter()
+        with pytest.raises(CapExceeded, match=r'xs\[1\.\.2\] spans at least \d+ bits; '
+                                              r'capped at 32768 bits'):
+            finite_series(xs, 1, 2)
+        assert time.perf_counter() - t0 < 0.1
+        assert finite_series(xs, 1, 1) == xs[0]
+
+    def test_a_sum_at_the_bit_budget_answers(self):
+        # 2^32767 + 1 is 32768 bits long on the exponent 0, and so is the
+        # span of 2^-1 and 2^32766; one more bit is refused
+        at_cap = [[Dyadic(1, HORNER_BITS_CAP - 1), ONE], [Dyadic(1, -1), ZERO,
+                                                          Dyadic(-1, HORNER_BITS_CAP - 2)]]
+        for xs in at_cap:
+            total = finite_series(xs, 1, len(xs))
+            assert total.to_fraction() == sum(x.to_fraction() for x in xs)
+        for xs in ([Dyadic(1, HORNER_BITS_CAP), ONE], [Dyadic(3, -2), Dyadic(1, HORNER_BITS_CAP - 2)]):
+            with pytest.raises(CapExceeded, match='at least %d bits' % (HORNER_BITS_CAP + 1)):
+                finite_series(xs, 1, 2)
+
     def test_geometric_partial_sums(self):
         half = Dyadic(1, -1)
         # 1 + 1/2 + ... + 1/1024 = 2047/1024
@@ -430,6 +454,66 @@ class TestBisectionReference:
         r = mth_root(a, 2, tol)
         s = ref.bisection_invert(DyadicPoly([ZERO, ZERO, ONE]), ZERO, ONE, a, tol)
         assert (r.m, r.e) == (s.m, s.e)
+
+
+def canonical(d):
+    """Whether d is a Dyadic in canonical form: an int mantissa that is
+    odd, or mantissa and exponent both 0."""
+    return (type(d) is Dyadic and type(d.m) is int and type(d.e) is int
+            and (d.m % 2 == 1 or d.m == d.e == 0))
+
+
+# zero, small and long mantissas of either sign, at near and far exponents
+operands = st.builds(Dyadic, st.one_of(st.just(0), st.integers(-64, 64),
+                                       st.integers(-(1 << 80), 1 << 80)),
+                     st.one_of(st.integers(-8, 8), st.integers(-100000, 100000)))
+
+
+class TestCanonicalResults:
+    """Every result built without the checked constructor is canonical
+    and equals its Fraction counterpart."""
+
+    @given(operands, operands)
+    @settings(max_examples=300)
+    def test_arithmetic(self, a, b):
+        fa, fb = a.to_fraction(), b.to_fraction()
+        for r, want in [(a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb), (-a, -fa),
+                        (abs(a), abs(fa)), (a.half_sum(b), (fa + fb) / 2), (a + a, 2 * fa),
+                        (a - a, 0), (a.half_sum(-a), 0)]:
+            assert canonical(r) and r.to_fraction() == want
+
+    @given(st.builds(Dyadic, st.integers(-64, 64), st.integers(-300, 300)), st.integers(0, 7))
+    @settings(max_examples=200)
+    def test_powers(self, a, k):
+        r = a ** k
+        assert canonical(r) and r.to_fraction() == a.to_fraction() ** k
+
+    @given(st.lists(operands, max_size=4), operands)
+    @settings(max_examples=200)
+    def test_polynomial_values(self, coeffs, x):
+        r = DyadicPoly(coeffs)(x)
+        fx = x.to_fraction()
+        assert canonical(r)
+        assert r.to_fraction() == sum(c.to_fraction() * fx ** i for i, c in enumerate(coeffs))
+
+    @given(bisection_cases())
+    @settings(max_examples=300)
+    def test_bisection_result_and_trace(self, case):
+        p = case[0]
+
+        def value(x):
+            fx = x.to_fraction()
+            return sum(c.to_fraction() * fx ** i for i, c in enumerate(p.coeffs))
+
+        trace = []
+        try:
+            r = bisection_invert(*case, trace)
+        except BracketViolation:
+            return
+        assert canonical(r)
+        for x, y, px, py in trace:
+            assert all(map(canonical, (x, y, px, py)))
+            assert (px.to_fraction(), py.to_fraction()) == (value(x), value(y))
 
 
 @st.composite

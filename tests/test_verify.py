@@ -2,10 +2,12 @@
 
 The continuity, convergence and metric suites pass.  Each check they
 and the kuratowski suite run against an alternative characterization is
-live: with one checked name in verify's namespace (or a method of a
-class there) made to answer wrongly, the suite fails, and its
-counterexample reads back as input on which the wrong answer and the
-real one differ, the real one agreeing with its counterpart.
+live, as are the numeric suite's check that each bisection step keeps a
+half and the neighborhoods suite's round trip through the set map: with
+one checked name in verify's namespace (or a method of a class there)
+made to answer wrongly, the suite fails, and its counterexample reads
+back as input on which the wrong answer and the real one differ, the
+real one agreeing with its counterpart.
 """
 
 import json
@@ -21,9 +23,10 @@ from fintopo.convergence import EventuallyPeriodicSequence, filter_limits, net_f
 from fintopo.filters import principal_filter
 from fintopo.generated import inverse_image_topology, product_topology, subspace_topology
 from fintopo.metric import PseudoMetric, bounded_equivalents, default_radius_set, metric_topology
+from fintopo.neighborhoods import topology_from_set_map
 from fintopo.order import Preorder, one_sided_topology
 from fintopo.setops import FiniteMap, full_mask, mask_of, points_of
-from fintopo.topology import compare
+from fintopo.topology import compare, discrete_topology
 
 
 @pytest.mark.parametrize('suite, n', [('continuity', 3), ('convergence', 3), ('metric', 4)])
@@ -142,6 +145,39 @@ def replay_restriction(real, wrong, ce):
                for a in range(1, 1 << m.n))
 
 
+def halves(invert, case):
+    """Whether each step of the trace of invert on the inversion case
+    keeps one half of the interval before it."""
+    trace = []
+    p, a, b, w, tol = case
+    invert(p, a, b, w, tol, trace)
+    x, y = a, b
+    for nx, ny, _, _ in trace:
+        mid = x.half_sum(y)
+        if (nx, ny) not in ((x, mid), (mid, y)):
+            return False
+        x, y = nx, ny
+    return True
+
+
+def replay_bisection(real, wrong, ce):
+    case = jsonio.inversion_from_json(ce)
+    return halves(real, case) and not halves(wrong, case)
+
+
+def skip_a_half(real):
+    def wrong(p, a, b, w, tol, trace):
+        r = real(p, a, b, w, tol, trace)
+        del trace[:1]
+        return r
+    return wrong
+
+
+def replay_set_map(real, wrong, ce):
+    t = jsonio.topology_from_json(ce)
+    return topology_from_set_map(wrong(t)) != t == topology_from_set_map(real(t))
+
+
 # (suite, n, checked name, the wrong answer made from the real one, replay)
 FAULTS = [
     ('continuity', 2, 'continuous_via_preimage_interior', lambda real: lambda m: not real(m),
@@ -163,6 +199,9 @@ FAULTS = [
      replay_closed_sphere),
     ('kuratowski', 2, 'interior_operator_of', lambda real: closure_operator_of,
      replay_interior),
+    ('numeric', 0, 'bisection_invert', skip_a_half, replay_bisection),
+    ('neighborhoods', 2, 'set_map_of', lambda real: lambda t: real(discrete_topology(t.n)),
+     replay_set_map),
 ]
 
 
