@@ -30,7 +30,7 @@ from .metric import PseudoMetric, distance_to_set, metric_topology, validate_pse
 from .neighborhoods import (neighborhood_base_from_topological_base,
                             topology_from_neighborhood_base, topology_from_neighborhoods,
                             topology_from_set_map)
-from .numeric import (Dyadic, bisection_invert, finite_series, geometric_limit,
+from .numeric import (Dyadic, bisection_invert, decimal_digits, finite_series, geometric_limit,
                       geometric_partial_sum, metric_compare, mth_root)
 from .order import interval_topology, one_sided_topology, relation_properties
 from .setops import points_of
@@ -162,7 +162,13 @@ def _interval(p, side):
 
 
 def _exact(key, d):
-    return {key: str(d), 'fraction': jsonio.fraction_to_str(d.to_fraction())}
+    """d as its dyadic text and as a fraction in lowest terms: m * 2^e
+    with m odd (or zero) is the integer m << e for e >= 0, and m / 2^-e
+    already in lowest terms otherwise."""
+    m, e = d.m, d.e
+    fraction = (decimal_digits(m << e) if e >= 0
+                else '%s/%s' % (decimal_digits(m), decimal_digits(1 << -e)))
+    return {key: str(d), 'fraction': fraction}
 
 
 def cmd_enumerate(args):
@@ -349,13 +355,29 @@ def build_parser():
     verbs['root'].add_argument('--tol', required=True)
     verbs['verify'].add_argument('--suite', required=True, choices=verify.SUITES)
     verbs['verify'].add_argument('--n', type=int, default=3)
+    ap.verbs = verbs
     return ap
 
 
-def main(argv=None):
+def parse_args(argv):
+    """build_parser().parse_args(argv), in one pass of the verb's own
+    parser when argv[0] names a verb.  Any other argv goes through the
+    top-level parser, and so does one whose errors are the top-level
+    parser's: arguments left over, or one starting '--=', an ambiguous
+    abbreviation of both its options."""
     ap = build_parser()
+    verb = ap.verbs.get(argv[0]) if argv else None
+    if verb is not None and not any(a.startswith('--=') for a in argv):
+        args, rest = verb.parse_known_args(
+            argv[1:], argparse.Namespace(format=ap.get_default('format'), verb=argv[0]))
+        if not rest:
+            return args
+    return ap.parse_args(argv)
+
+
+def main(argv=None):
     try:
-        args = ap.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

@@ -11,6 +11,9 @@ JSON with, in place of values, int (a JSON integer, not true or false),
 number (a JSON number or a string), text (a string) or the name of
 another reader's shape.  [x, ...] is a list of x, [x, y] a list of
 exactly two, and an object needs the keys shown and may hold others.
+Each shape is compiled once per reader, on the reader's first call,
+into a nest of checker functions, so a value is not checked by walking
+the shape again.
 """
 
 import functools
@@ -32,22 +35,27 @@ from .topology import Topology
 SHAPES = {}  # each reader's shape by name, parsed from its docstring
 
 # the JSON types each leaf of a shape accepts, and its name in a message
-LEAVES = {'int': ((int,), 'an integer'), 'number': ((int, float, str), 'a number or a string'),
-          'text': ((str,), 'a string')}
+LEAVES = {'int': ({int}, 'an integer'), 'number': ({int, float, str}, 'a number or a string'),
+          'text': ({str}, 'a string')}
 
 
 def reads(name):
     """Register the decorated reader's shape under name, and check the
-    reader's first argument against it on every call.  An InputError of
-    the reader itself, for a value of the right type, names the shape too."""
+    reader's first argument against it on every call, by a checker
+    compiled from the shape on the first call.  An InputError of the
+    reader itself, for a value of the right type, names the shape too."""
     def register(reader):
         SHAPES[name] = json.loads(re.sub(  # each bare word and ... quoted
             r'"[^"]*"|(\w+|\.\.\.)', lambda m: '"%s"' % m[1] if m[1] else m[0],
             reader.__doc__.split('\n')[0]))
+        check = None
 
         @functools.wraps(reader)
         def checked(data, *args):
-            found = _mismatch(data, name)
+            nonlocal check
+            if check is None:
+                check = _checker(name)
+            found = check(data)
             if found:
                 raise InputError('%s: expected %s at $%s' % (name, found[1], found[0]))
             try:
@@ -58,30 +66,51 @@ def reads(name):
     return register
 
 
-def _mismatch(value, shape):
-    """(path, what the shape expects there) where the value first
-    departs from it, or None.  A missing key reads as null."""
+def _checker(shape):
+    """A function of a value that returns (path, what the shape expects
+    there) where the value first departs from the shape, or None.  A
+    missing key reads as null.  A list of leaves is checked in one pass
+    over its types."""
     while isinstance(shape, str) and shape in SHAPES:
         shape = SHAPES[shape]
     if isinstance(shape, str):
-        return None if type(value) in LEAVES[shape][0] else ('', LEAVES[shape][1])
+        types, what = LEAVES[shape]
+        return lambda value: None if type(value) in types else ('', what)
     if isinstance(shape, dict):
-        if type(value) is not dict:
-            return '', 'an object'
-        keys, values, subs = list(shape), [value.get(k) for k in shape], shape.values()
-    else:
-        many = shape[-1] == '...'
-        if type(value) is not list or not many and len(value) != len(shape):
-            return '', 'a list' if many else 'a list of %d' % len(shape)
-        leaf = many and isinstance(shape[0], str) and LEAVES.get(shape[0])
-        if leaf and all(type(v) in leaf[0] for v in value):
+        keys = [(k, '.' + k, _checker(sub)) for k, sub in shape.items()]
+
+        def check(value):
+            if type(value) is not dict:
+                return '', 'an object'
+            for key, path, sub in keys:
+                found = sub(value.get(key))
+                if found:
+                    return path + found[0], found[1]
             return None
-        keys, values, subs = range(len(value)), value, repeat(shape[0]) if many else shape
-    for key, v, sub in zip(keys, values, subs):
-        found = _mismatch(v, sub)
-        if found:
-            return ('[%d]' % key if type(key) is int else '.' + key) + found[0], found[1]
-    return None
+        return check
+    many = shape[-1] == '...'
+    if many and isinstance(shape[0], str) and shape[0] in LEAVES:
+        types, what = LEAVES[shape[0]]
+
+        def check(value):
+            if type(value) is not list:
+                return '', 'a list'
+            if set(map(type, value)) <= types:
+                return None
+            return '[%d]' % next(i for i, v in enumerate(value) if type(v) not in types), what
+        return check
+    subs = [_checker(sub) for sub in (shape[:1] if many else shape)]
+    expected = 'a list' if many else 'a list of %d' % len(shape)
+
+    def check(value):
+        if type(value) is not list or not many and len(value) != len(subs):
+            return '', expected
+        for i, (v, sub) in enumerate(zip(value, repeat(subs[0]) if many else subs)):
+            found = sub(v)
+            if found:
+                return '[%d]' % i + found[0], found[1]
+        return None
+    return check
 
 
 def dumps(obj):

@@ -114,7 +114,7 @@ class SetNeighborhoodMap:
     def _from_cores(cls, n, cores):
         """The map of the supersets of 2^n cores on the carrier: trusted."""
         smap = cls.__new__(cls)
-        smap.n, smap.cores, smap._table = n, cores, None
+        smap.n, smap.cores, smap._table = n, tuple(cores), None
         return smap
 
     @property
@@ -124,8 +124,13 @@ class SetNeighborhoodMap:
         return self._table
 
     def __eq__(self, other):
-        return (isinstance(other, SetNeighborhoodMap)
-                and self.n == other.n and self.table == other.table)
+        """Two maps that keep their cores are equal iff the cores are, as
+        M(A) is the supersets of cores[A]; any other two compare tables."""
+        if not isinstance(other, SetNeighborhoodMap) or self.n != other.n:
+            return False
+        if self.cores is not None and other.cores is not None:
+            return self.cores == other.cores
+        return self.table == other.table
 
     def __call__(self, a_mask):
         if self._table is not None:

@@ -26,6 +26,7 @@ this bisection of x^m ends on in closed form, from one integer m-th
 root, bit for bit and under the same caps.
 """
 
+import functools
 import re
 import sys
 from decimal import Decimal
@@ -63,8 +64,10 @@ def decimal_digits(i):
 
 # The forms int() and Fraction() read.  Their whitespace is str.isspace,
 # less \x1c-\x1f for int(), which passes ASCII through to its own six
-# spaces.  re compiles and caches each on its first use, so a process
-# that reads no number does not pay for them.
+# spaces.  decimal_int matches _INT_TEXT, through re's cache, only for a
+# text that int() refuses; _FRACTION_TEXT is compiled on the first call
+# of decimal_fraction and kept.  So a process that reads no number, or
+# only ints that int() reads, compiles neither.
 _INT_TEXT = r'[^\S\x1c-\x1f]*[+-]?\d+(?:_\d+)*[^\S\x1c-\x1f]*'
 _FRACTION_TEXT = r"""
     \s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(?:_\d+)*)
@@ -73,11 +76,21 @@ _FRACTION_TEXT = r"""
     \s*"""
 
 
+@functools.cache
+def _fraction_pattern():
+    return re.compile(_FRACTION_TEXT, re.VERBOSE | re.IGNORECASE)
+
+
 def decimal_int(text):
     """int(text) for a decimal string, exactly and at any length.  It
-    accepts the strings int() accepts, and reads their digits through
-    Decimal, which sys.get_int_max_str_digits does not limit; any other
-    string is an InputError."""
+    accepts the strings int() accepts: int() reads them, and a string
+    that int() refuses for its length, past sys.get_int_max_str_digits,
+    has its digits read through Decimal, which that limit does not
+    bind; any other string is an InputError."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
     if not re.fullmatch(_INT_TEXT, text):
         raise InputError("invalid literal for int() with base 10: %r" % text)
     return int(Decimal(text))
@@ -88,7 +101,7 @@ def decimal_fraction(text):
     forms (p/q, decimals with an exponent), each run of digits read by
     decimal_int.  Any other string, and a zero denominator, is an
     InputError."""
-    m = re.fullmatch(_FRACTION_TEXT, text, re.VERBOSE | re.IGNORECASE)
+    m = _fraction_pattern().fullmatch(text)
     if m is None:
         raise InputError('Invalid literal for Fraction: %r' % text)
     num = decimal_int(m['num'] or '0')
@@ -146,11 +159,6 @@ class Dyadic:
         if '/' in text or '.' in text or 'e' in text or 'E' in text:
             return Dyadic.from_fraction(decimal_fraction(text))
         return Dyadic(decimal_int(text))
-
-    def to_fraction(self):
-        if self.e >= 0:
-            return Fraction(self.m * (1 << self.e))
-        return Fraction(self.m, 1 << -self.e)
 
     def __str__(self):
         return '%s*2^%d' % (decimal_digits(self.m), self.e)

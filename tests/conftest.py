@@ -5,12 +5,20 @@ the chain and fence preorders the order tests build.
 The oracles here deliberately use the definition-by-enumeration route
 (subfamilies, direct scans) rather than the fixed-point implementations
 in the package, so they can serve as independent references.
+
+The fixture top_level_parse_agrees checks each argv that `topo`'s main
+parses against the top-level parser alone, the route every argv took
+before main parsed with the verb's own parser.
 """
 
+import contextlib
+import io
 from itertools import combinations
 
+import pytest
 from hypothesis import strategies as st
 
+from fintopo import cli
 from fintopo.order import Preorder
 from fintopo.setops import SetSystem, full_mask, points_of
 from fintopo.topology import Topology
@@ -114,3 +122,26 @@ def fence(n):
             pairs.append((i + 1, i))
     # transitive closure is the relation itself for a fence
     return Preorder(n, pairs, 'strict')
+
+
+def parsed(parse, argv):
+    """What parse makes of argv: the namespace's attributes, or the exit
+    status and the stdout and stderr of a parse that exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def top_level_parse_agrees(monkeypatch):
+    """While a test runs, every argv that cli.main parses is parsed by
+    the top-level parser alone too, and must come out the same."""
+    parse_args = cli.parse_args
+
+    def checked(argv):
+        assert parsed(parse_args, argv) == parsed(cli.build_parser().parse_args, argv), argv
+        return parse_args(argv)
+    monkeypatch.setattr(cli, 'parse_args', checked)

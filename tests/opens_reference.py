@@ -81,11 +81,19 @@ test_acceptance.py, and the least-upper-bound test by a scan over all
 
 So is the pseudo-metric check that scaling to a common denominator
 replaced: every comparison and triangle sum on the Fraction entries, for
-test_metric.py."""
+test_metric.py.
 
+So are the two boundary readers that compiled shapes and direct text
+replaced: the jsonio shape check that walks the shape tree for every
+value, for test_cli.py, and a Dyadic's Fraction, whose text the
+fraction of `topo root`, `series` and `check --invert` was, for
+test_cli.py and test_numeric.py."""
+
+from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations, product, repeat
 
+from fintopo import jsonio
 from fintopo.continuity import SpaceMap
 from fintopo.convergence import filter_adherence
 from fintopo.errors import (BracketViolation, CapExceeded, ClusterPreconditionFailed,
@@ -1059,3 +1067,39 @@ def validate_pseudometric(matrix):
                     return 'invalid', ('triangle', (x, y, z))
     metric = all(matrix[x][y] > 0 for x in range(n) for y in range(n) if x != y)
     return ('metric' if metric else 'pseudo'), None
+
+
+def shape_mismatch(value, shape):
+    """jsonio's verdict on a value against a shape or a reader's shape
+    name, by a walk of the shape tree: (path, what the shape expects
+    there) where the value first departs from it, or None.  A missing
+    key reads as null."""
+    while isinstance(shape, str) and shape in jsonio.SHAPES:
+        shape = jsonio.SHAPES[shape]
+    if isinstance(shape, str):
+        types, what = jsonio.LEAVES[shape]
+        return None if type(value) in types else ('', what)
+    if isinstance(shape, dict):
+        if type(value) is not dict:
+            return '', 'an object'
+        keys, values, subs = list(shape), [value.get(k) for k in shape], shape.values()
+    else:
+        many = shape[-1] == '...'
+        if type(value) is not list or not many and len(value) != len(shape):
+            return '', 'a list' if many else 'a list of %d' % len(shape)
+        leaf = many and isinstance(shape[0], str) and jsonio.LEAVES.get(shape[0])
+        if leaf and all(type(v) in leaf[0] for v in value):
+            return None
+        keys, values, subs = range(len(value)), value, repeat(shape[0]) if many else shape
+    for key, v, sub in zip(keys, values, subs):
+        found = shape_mismatch(v, sub)
+        if found:
+            return ('[%d]' % key if type(key) is int else '.' + key) + found[0], found[1]
+    return None
+
+
+def to_fraction(d):
+    """The Fraction equal to the Dyadic d."""
+    if d.e >= 0:
+        return Fraction(d.m * (1 << d.e))
+    return Fraction(d.m, 1 << -d.e)

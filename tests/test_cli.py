@@ -8,13 +8,19 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import opens_reference as ref
-from fintopo import jsonio
-from fintopo.cli import build_parser, main
-from fintopo.errors import DomainError
+from conftest import parsed
+from fintopo import cli, jsonio
+from fintopo.cli import INPUTS, KINDS, OPTIONS, build_parser, main
+from fintopo.errors import DomainError, InputError
 from fintopo.filters import generate_filter
+from fintopo.numeric import Dyadic
 from fintopo.setops import SetSystem, points_of
+
+# every argv that main parses here is checked against the top-level parser
+pytestmark = pytest.mark.usefixtures('top_level_parse_agrees')
 
 
 def run(capsys, *argv):
@@ -79,6 +85,77 @@ class TestParserReuse:
         assert in_turn == alone
         assert [code for code, _ in alone] == [0, 0, 2, 0, 2, 0, 0, 0, 1]
         assert build_parser.cache_info().misses == 1
+
+
+def _option(name):
+    """name's flag with a value its kind accepts: none for a flag."""
+    kind = KINDS.get(name, {})
+    if kind.get('action') == 'store_true':
+        return [cli._flag(name)]
+    return [cli._flag(name), {int: '1'}.get(kind.get('type'), 'lower' if 'choices' in kind else 'f')]
+
+
+def parse_corpus():
+    """argvs where the verb's own parser and the top-level parser could
+    part: each input of each verb alone, with each option of the verb,
+    repeated, with an option missing or unknown; -h; --format on either
+    side of the verb; abbreviations; '--'; an unknown verb; no argv."""
+    verbs = list(build_parser().verbs)
+    argvs = [[], ['-h'], ['frobnicate'], ['--format', 'table'], ['--format=table', 'enumerate'],
+             ['--', 'enumerate', '--n', '2'], ['--form', 'table', 'enumerate', '--n', '2'],
+             ['series', '--geo', '1/2'], ['series', '--geom=1/2', '--terms', '-5'],
+             ['series', '--geom', '1/2', '--terms=-5'], ['series', '--geom', '-1/2'],
+             ['enumerate', '--n', '2', '--form', 'table'], ['enumerate', '--n=2', '--count'],
+             ['enumerate', '--n', '2', '--', '--count-only'], ['enumerate', '--', '--n', '2'],
+             ['enumerate', '--n', '-2'], ['enumerate', '-hx'], ['cont', '--f', 'x'],
+             ['root', '--a', '-1/2', '--m', '2', '--tol', '2^-8'], ['product'],
+             ['product', 'a', '--', '-b'], ['verify', '--suite', 'num'],
+             ['verify', '--suite', 'numeric', '--n', '0', '--n', '1']]
+    for verb in verbs:
+        argvs += [[verb], [verb, '-h'], [verb, '--help', 'x'], [verb, '--bogus', 'x'],
+                  [verb, 'stray'], ['--format', 'table', verb], [verb, '--format', 'table'],
+                  [verb, '--form=table'], [verb, '--=x'], [verb, '-=x'], [verb, '--', '-h']]
+    for verb, inputs in INPUTS.items():
+        for name in inputs:
+            argv = ['filter', '--op', name] if verb == 'filter' else [verb] + _option(name)
+            argvs += [argv, argv + argv[1:], argv + ['--bogus'], argv + ['-h'],
+                      ['--format', 'table'] + argv, argv + ['--format', 'table']]
+            argvs += [argv + _option(o) for o in OPTIONS[verb]]
+            argvs += [argv + _option(o) * 2 for o in OPTIONS[verb]]
+    return argvs
+
+
+# the tokens of random argvs: every verb, option, value and separator
+TOKENS = sorted({t for argv in parse_corpus() for t in argv} | {'--n', '-', '-5', '2', 'x=y'})
+
+
+class TestParseOnce:
+    """main parses with the verb's own parser alone when argv[0] names a
+    verb.  Each argv gives the namespace the top-level parser gives, or
+    the same exit status, stdout and stderr.  Every argv that main parses
+    in this module and in test_cli_fuzz.py is checked so as well, by the
+    fixture top_level_parse_agrees."""
+
+    @pytest.mark.parametrize('argv', parse_corpus(), ids=' '.join)
+    def test_corpus(self, argv):
+        assert parsed(cli.parse_args, argv) == parsed(build_parser().parse_args, argv)
+
+    @given(st.lists(st.sampled_from(TOKENS), max_size=6),
+           st.sampled_from(sorted(build_parser().verbs)))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_random_argvs(self, tokens, verb):
+        for argv in (tokens, [verb] + tokens):
+            assert parsed(cli.parse_args, argv) == parsed(build_parser().parse_args, argv)
+
+    def test_the_corpus_reaches_both_routes(self):
+        # a namespace, a usage error of each parser, and help
+        outcomes = [parsed(cli.parse_args, argv) for argv in parse_corpus()]
+        assert any(type(o) is dict for o in outcomes)
+        errors = [o[2] for o in outcomes if type(o) is tuple and o[0] == 2]
+        assert any(e.startswith('usage: topo [-h]') for e in errors)
+        assert any(e.startswith('usage: topo series') for e in errors)
+        assert any(o[:2] == (0, parsed(build_parser().parse_args, ['-h'])[1])
+                   for o in outcomes if type(o) is tuple)
 
 
 class TestGenerate:
@@ -509,6 +586,133 @@ class TestInputShapes:
         assert jsonio.SHAPES['space'] == 'system'
         for name, shape in jsonio.SHAPES.items():
             assert words(shape) <= set(jsonio.LEAVES) | set(jsonio.SHAPES), name
+
+
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2 ** 65) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                 max_size=2),
+    max_leaves=6)
+
+
+def valid(shape):
+    """Values of the shape, or of the reader's shape so named, with an
+    extra key now and then."""
+    while isinstance(shape, str) and shape in jsonio.SHAPES:
+        shape = jsonio.SHAPES[shape]
+    if isinstance(shape, str):
+        return {'int': st.integers(-2, 40), 'text': st.text(max_size=3),
+                'number': st.integers(-2, 40) | st.floats() | st.text(max_size=3)}[shape]
+    if isinstance(shape, dict):
+        return st.fixed_dictionaries({k: valid(v) for k, v in shape.items()},
+                                     optional={'extra': JUNK})
+    if shape[-1] == '...':
+        return st.lists(valid(shape[0]), max_size=4)
+    return st.tuples(*map(valid, shape)).map(list)
+
+
+def places(value, path=()):
+    """The path to every value inside value, value itself first."""
+    items = value.items() if type(value) is dict else (
+        enumerate(value) if type(value) is list else ())
+    return [path] + [p for key, v in items for p in places(v, path + (key,))]
+
+
+@st.composite
+def mangled(draw, name):
+    """A value of the reader's shape with up to three places broken: a
+    key or an item dropped, an item added, or a value replaced by junk."""
+    value = draw(valid(name))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(places(value)))
+        if not path:
+            value = draw(JUNK)
+            continue
+        parent = value
+        for key in path[:-1]:
+            parent = parent[key]
+        how = draw(st.sampled_from(['drop', 'junk', 'add']))
+        if how == 'drop':
+            del parent[path[-1]]
+        elif how == 'junk':
+            parent[path[-1]] = draw(JUNK)
+        elif type(parent) is list:
+            parent.insert(path[-1], draw(JUNK | st.just(parent[path[-1]])))
+    return value
+
+
+class TestCompiledShapes:
+    """Each reader checks its input by a checker compiled from its shape
+    once, with the verdict of the walk of the shape tree that it replaced
+    (opens_reference.shape_mismatch)."""
+
+    @given(st.sampled_from(sorted(jsonio.SHAPES)), st.data())
+    @settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+    def test_verdicts_match_the_walk(self, name, data):
+        value = data.draw(mangled(name))
+        assert jsonio._checker(name)(value) == ref.shape_mismatch(value, name)
+
+    @pytest.mark.parametrize('value, found', [
+        ({'n': 2, 'sets': [[0], [1, True]]}, ('.sets[1][1]', 'an integer')),
+        ({'n': 2, 'sets': [[0], 'x']}, ('.sets[1]', 'a list')),
+        ({'sets': []}, ('.n', 'an integer')),
+        ([], ('', 'an object')),
+        ({'n': 2, 'sets': []}, None)])
+    def test_space_verdicts(self, value, found):
+        assert jsonio._checker('space')(value) == found == ref.shape_mismatch(value, 'space')
+
+    def test_each_reader_compiles_its_shape_once(self, monkeypatch):
+        monkeypatch.setattr(jsonio, 'SHAPES', dict(jsonio.SHAPES))
+        compiled = []
+        checker = jsonio._checker
+        monkeypatch.setattr(jsonio, '_checker', lambda shape: compiled.append(shape)
+                            or checker(shape))
+
+        @jsonio.reads('probe')
+        def probe(data):
+            """{"a": [int, ...], "b": set}"""
+            return data['a']
+
+        assert compiled == []
+        assert probe({'a': [1], 'b': [0]}) == [1]
+        assert probe({'a': [2], 'b': []}) == [2]
+        with pytest.raises(InputError, match=r'probe: expected an integer at \$\.b\[0\]'):
+            probe({'a': [], 'b': ['0']})
+        assert compiled.count('probe') == 1
+
+    def test_the_opens_of_16_points_read_in_bounded_time(self):
+        # the 65,536 opens of the discrete space: measured at 0.14 s
+        # in-process, the best of three (CPython 3.11, a shared 2-CPU
+        # host), 0.17 to 0.21 s before the shapes were compiled
+        data = json.loads(jsonio.dumps({'n': 16, 'sets': [points_of(m) for m in range(1 << 16)]}))
+        best = float('inf')
+        for _ in range(3):
+            t0 = time.perf_counter()
+            t = jsonio.topology_from_json(data)
+            best = min(best, time.perf_counter() - t0)
+        assert t.minimal_opens == tuple(1 << x for x in range(16))
+        assert best < 1.0, best
+
+
+class TestExactText:
+    """root, series and check --invert write a Dyadic result's fraction
+    from its mantissa and exponent, as the text of its Fraction."""
+
+    @given(st.one_of(st.integers(-2 ** 2048, 2 ** 2048), st.sampled_from([0, 1, -1, 3])),
+           st.integers(-2100, 2100))
+    @settings(max_examples=300, deadline=None)
+    def test_fraction_text(self, m, e):
+        d = Dyadic(m, e)
+        assert cli._exact('root', d) == {'root': str(d), 'fraction':
+                                         jsonio.fraction_to_str(ref.to_fraction(d))}
+
+    @pytest.mark.parametrize('m, e, fraction', [
+        (0, 0, '0'), (0, -5, '0'), (3, 0, '3'), (-3, 2, '-12'), (-3, -3, '-3/8'),
+        (1, -1, '1/2'), (12, -4, '3/4'), ((1 << 2048) - 1, -2048, None)])
+    def test_cases(self, m, e, fraction):
+        d = Dyadic(m, e)
+        want = jsonio.fraction_to_str(ref.to_fraction(d))
+        assert cli._exact('sum', d)['fraction'] == want == (fraction or want)
 
 
 class TestNumericVerbs:

@@ -16,10 +16,14 @@ import re
 import tempfile
 import time
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fintopo.cli import main
 from fintopo.jsonio import SHAPES
+
+# every argv that main parses here is checked against the top-level parser
+pytestmark = pytest.mark.usefixtures('top_level_parse_agrees')
 
 SPACE = {'n': 2, 'sets': [[], [1], [0, 1]]}
 BASE = {'n': 3, 'sets': [[1], [0, 1]]}

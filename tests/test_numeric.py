@@ -87,11 +87,11 @@ class TestDyadic:
     @given(dyadics, dyadics)
     @settings(max_examples=200)
     def test_arithmetic_matches_fractions(self, a, b):
-        fa, fb = a.to_fraction(), b.to_fraction()
-        assert (a + b).to_fraction() == fa + fb
-        assert (a - b).to_fraction() == fa - fb
-        assert (a * b).to_fraction() == fa * fb
-        assert abs(a).to_fraction() == abs(fa)
+        fa, fb = ref.to_fraction(a), ref.to_fraction(b)
+        assert ref.to_fraction(a + b) == fa + fb
+        assert ref.to_fraction(a - b) == fa - fb
+        assert ref.to_fraction(a * b) == fa * fb
+        assert ref.to_fraction(abs(a)) == abs(fa)
         # a and b often share sign and bit position, where the order is
         # that of the mantissas on a common exponent
         assert [a < b, a <= b, a > b, a >= b, a == b] == [fa < fb, fa <= fb, fa > fb,
@@ -114,12 +114,12 @@ class TestDyadic:
     @given(dyadics, dyadics)
     @settings(max_examples=100)
     def test_half_sum_is_exact_midpoint(self, a, b):
-        assert a.half_sum(b).to_fraction() == (a.to_fraction() + b.to_fraction()) / 2
+        assert ref.to_fraction(a.half_sum(b)) == (ref.to_fraction(a) + ref.to_fraction(b)) / 2
 
     @given(dyadics, st.integers(0, 6))
     @settings(max_examples=100)
     def test_power(self, a, k):
-        assert (a ** k).to_fraction() == a.to_fraction() ** k
+        assert ref.to_fraction(a ** k) == ref.to_fraction(a) ** k
 
     @given(dyadics)
     @settings(max_examples=50)
@@ -142,7 +142,7 @@ class TestDyadic:
     @given(dyadics)
     @settings(max_examples=200)
     def test_hash_matches_the_equal_number(self, a):
-        assert hash(a) == hash(a.to_fraction())
+        assert hash(a) == hash(ref.to_fraction(a))
 
     def test_hash_of_huge_exponent_is_immediate(self):
         # 2^(10^12) has 10^12 bits; the hash must not build it
@@ -182,7 +182,7 @@ class TestSeries:
     @settings(max_examples=100)
     def test_linearity_against_fractions(self, xs):
         total = finite_series(xs, 1, len(xs))
-        assert total.to_fraction() == sum(x.to_fraction() for x in xs)
+        assert ref.to_fraction(total) == sum(ref.to_fraction(x) for x in xs)
 
     @pytest.mark.parametrize('top', ['2^1000000', '2^10000000', '-3*2^40000'])
     def test_a_long_sum_fails_before_the_first_add(self, top):
@@ -203,7 +203,7 @@ class TestSeries:
                                                           Dyadic(-1, HORNER_BITS_CAP - 2)]]
         for xs in at_cap:
             total = finite_series(xs, 1, len(xs))
-            assert total.to_fraction() == sum(x.to_fraction() for x in xs)
+            assert ref.to_fraction(total) == sum(ref.to_fraction(x) for x in xs)
         for xs in ([Dyadic(1, HORNER_BITS_CAP), ONE], [Dyadic(3, -2), Dyadic(1, HORNER_BITS_CAP - 2)]):
             with pytest.raises(CapExceeded, match='at least %d bits' % (HORNER_BITS_CAP + 1)):
                 finite_series(xs, 1, 2)
@@ -224,14 +224,14 @@ class TestSeries:
             fx = Fraction(k, 8)
             for m in range(13):
                 closed = (1 - fx ** (m + 1)) / (1 - fx)
-                assert geometric_partial_sum(x, m).to_fraction() == closed, (k, m)
+                assert ref.to_fraction(geometric_partial_sum(x, m)) == closed, (k, m)
 
     def test_geometric_partial_sum_cap(self):
         # 3/4 adds about 2 + 2 bits a term: 8,192 terms are within
         # HORNER_BITS_CAP, one more is not, and 10^7 fail before a term
         x = Dyadic(3, -2)
         s = geometric_partial_sum(x, HORNER_BITS_CAP // 4)
-        assert s.to_fraction() == 4 * (1 - Fraction(3, 4) ** (HORNER_BITS_CAP // 4 + 1))
+        assert ref.to_fraction(s) == 4 * (1 - Fraction(3, 4) ** (HORNER_BITS_CAP // 4 + 1))
         with pytest.raises(CapExceeded):
             geometric_partial_sum(x, HORNER_BITS_CAP // 4 + 1)
         t0 = time.perf_counter()
@@ -476,25 +476,26 @@ class TestCanonicalResults:
     @given(operands, operands)
     @settings(max_examples=300)
     def test_arithmetic(self, a, b):
-        fa, fb = a.to_fraction(), b.to_fraction()
+        fa, fb = ref.to_fraction(a), ref.to_fraction(b)
         for r, want in [(a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb), (-a, -fa),
                         (abs(a), abs(fa)), (a.half_sum(b), (fa + fb) / 2), (a + a, 2 * fa),
                         (a - a, 0), (a.half_sum(-a), 0)]:
-            assert canonical(r) and r.to_fraction() == want
+            assert canonical(r) and ref.to_fraction(r) == want
 
     @given(st.builds(Dyadic, st.integers(-64, 64), st.integers(-300, 300)), st.integers(0, 7))
     @settings(max_examples=200)
     def test_powers(self, a, k):
         r = a ** k
-        assert canonical(r) and r.to_fraction() == a.to_fraction() ** k
+        assert canonical(r) and ref.to_fraction(r) == ref.to_fraction(a) ** k
 
     @given(st.lists(operands, max_size=4), operands)
     @settings(max_examples=200)
     def test_polynomial_values(self, coeffs, x):
         r = DyadicPoly(coeffs)(x)
-        fx = x.to_fraction()
+        fx = ref.to_fraction(x)
         assert canonical(r)
-        assert r.to_fraction() == sum(c.to_fraction() * fx ** i for i, c in enumerate(coeffs))
+        assert ref.to_fraction(r) == sum(ref.to_fraction(c) * fx ** i
+                                         for i, c in enumerate(coeffs))
 
     @given(bisection_cases())
     @settings(max_examples=300)
@@ -502,8 +503,8 @@ class TestCanonicalResults:
         p = case[0]
 
         def value(x):
-            fx = x.to_fraction()
-            return sum(c.to_fraction() * fx ** i for i, c in enumerate(p.coeffs))
+            fx = ref.to_fraction(x)
+            return sum(ref.to_fraction(c) * fx ** i for i, c in enumerate(p.coeffs))
 
         trace = []
         try:
@@ -513,7 +514,7 @@ class TestCanonicalResults:
         assert canonical(r)
         for x, y, px, py in trace:
             assert all(map(canonical, (x, y, px, py)))
-            assert (px.to_fraction(), py.to_fraction()) == (value(x), value(y))
+            assert (ref.to_fraction(px), ref.to_fraction(py)) == (value(x), value(y))
 
 
 @st.composite
@@ -1018,3 +1019,29 @@ class TestDecimalParsing:
         assert decimal_int(' -%s\n' % digits) == -int(Decimal(digits))
         assert decimal_fraction('%s/3' % digits) == Fraction(int(Decimal(digits)), 3)
         assert decimal_fraction('1.%s' % digits) == 1 + Fraction(int(Decimal(digits)), 10 ** 5000)
+
+
+class TestIntFirst:
+    """decimal_int reads a text by int() first and by Decimal only when
+    int() refuses it: here for its length, one digit past the default
+    limit of int-to-str conversion, 4,300 digits."""
+
+    @pytest.mark.parametrize('digits', [4300, 4301])
+    @pytest.mark.parametrize('form', ['%s', ' -%s\n', '+%s', '　%s\t'])
+    def test_each_side_of_the_digit_limit(self, digits, form):
+        text = form % ('8' + '1_2' * ((digits - 1) // 2) + '7' * ((digits - 1) % 2))
+        assert len(text.strip().lstrip('+-').replace('_', '')) == digits
+        want = int(Decimal(text.strip().replace('_', '')))
+        assert decimal_int(text) == want
+        if digits > 4300:
+            with pytest.raises(ValueError, match='Exceeds the limit'):
+                int(text)
+        else:
+            assert int(text) == want
+        assert decimal_fraction(text.strip() + '/3') == Fraction(want, 3)
+
+    @pytest.mark.parametrize('text', ['1' * 4301 + 'x', '1' * 4301 + '__1', '\x1c' + '1' * 4301,
+                                      '1' * 4301 + '.5'])
+    def test_refusals_past_the_digit_limit(self, text):
+        with pytest.raises(InputError, match='invalid literal for int'):
+            decimal_int(text)
