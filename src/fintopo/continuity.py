@@ -249,21 +249,31 @@ def are_homeomorphic(t1, t2):
     number of opens is not compared: the search decides without it, and
     on up to 5 points spaces with equal shape_key are homeomorphic.
 
-    Most calls reject on shape_key, so the keys are read straight from
-    their slot once both are kept.  The search reads the point closures
-    and shapes that computing shape_key kept (Topology._shape).
+    Most calls reject on shape_key, so once both keys are kept they are
+    compared first, straight from their slot: unequal keys on one
+    carrier of at most 6 points answer None before any other work, and
+    the search is a function of its own, so such a call sets up none of
+    its locals.  The carrier checks raise as they do without the keys.
     """
+    try:
+        if t1._shape_key != t2._shape_key and t1.n == t2.n <= 6:
+            return None
+    except AttributeError:
+        pass
     n = t1.n
     if n != t2.n:
         raise UniverseCardinalityMismatch("carriers have different sizes")
     if n > 6:
         raise CapExceeded("homeomorphism search capped at 6 points")
-    try:
-        if t1._shape_key != t2._shape_key:
-            return None
-    except AttributeError:
-        if t1.shape_key != t2.shape_key:
-            return None
+    if t1.shape_key != t2.shape_key:
+        return None
+    return _least_homeomorphism(n, t1, t2)
+
+
+def _least_homeomorphism(n, t1, t2):
+    """are_homeomorphic's search, on two spaces of n points whose
+    shape_keys agree.  It reads the point closures and shapes that
+    computing shape_key kept (Topology._shape)."""
     u1, u2 = t1._kernel, t2._kernel
     k1, k2 = t1._shape, t2._shape
     # the candidate images of each point x: the points of its shape,

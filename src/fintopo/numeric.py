@@ -135,7 +135,10 @@ class Dyadic:
 
     @staticmethod
     def from_fraction(fr):
-        fr = Fraction(fr)
+        """The Dyadic equal to fr, a Fraction or an int, read as it is,
+        through its numerator and denominator (lowest terms), so no
+        second Fraction is built.  NonDyadicLiteral unless the
+        denominator is a power of two."""
         den = fr.denominator
         k = den.bit_length() - 1
         if den != 1 << k:

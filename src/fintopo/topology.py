@@ -2,12 +2,12 @@
 duality, comparison, and exhaustive enumeration up to n = 5."""
 
 import struct
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import (BaseCriterionViolation, CapExceeded, ClosedAxiomViolation,
                      SubbaseCriterionViolation, UniverseMismatch)
 from .setops import (MAX_N, SetSystem, byte_tables, check_carrier, check_same_carrier,
-                     full_mask, meet_of, points_of, relation_from_sections, supermasks,
+                     full_mask, meet_of, relation_from_sections, supermasks,
                      two_minimal, union_closure)
 
 
@@ -478,50 +478,87 @@ def enumerate_topologies(n, count_only=False):
     """All topologies on {0..n-1}, sorted by their opens.  n <= 5.
 
     A topology is its kernel U (Alexandrov): a preorder on the points,
-    with y in U_x meaning y lies below x.  The kernels are listed by
-    preorder_kernels, and each space's opens are the unions of its U_x.
-    With count_only, the number of topologies is returned instead.
+    with y in U_x meaning y lies below x.  The kernels are listed by the
+    walk of preorder_kernels, which also gives each one its opens as a
+    bitset, bit 2^n - 1 - a set for each open a (see _opens_rows).  Both
+    opens lists end with the whole carrier, so neither is a prefix of
+    the other, and one sorts first iff the least mask in exactly one of
+    them is its own, that is, iff its bitset is the larger.  So the
+    kernels are sorted by their bitsets, descending, and each space is
+    built by Topology.from_kernel alone: its opens are not built until
+    read.  With count_only, the number of topologies is returned
+    instead.
     """
     if n > 5:
         raise CapExceeded("enumeration supported only for n <= 5")
     check_carrier(n)
     if count_only:
-        return sum(1 for _ in preorder_kernels(n))
-    tops = [Topology.from_kernel(n, u) for u in preorder_kernels(n)]
-    tops.sort(key=lambda t: t.opens.sets)
-    return tops
+        return len(preorder_kernels(n))
+    found = _kernel_walk(n, _opens_rows(n))
+    # the bitsets differ, so two kernels are never compared
+    found.sort(reverse=True)
+    # each entry gives way to its space, so no second list is held
+    for i, (_, u, _) in enumerate(found):
+        found[i] = Topology.from_kernel(n, u)
+    return found
 
 
 def preorder_kernels(n):
-    """Every kernel U on n points, as a tuple: x in U[x], and y in U[x]
-    implies U[y] inside U[x] (reflexive and transitive).
+    """Every kernel U on n points, as a tuple, in a list: x in U[x], and
+    y in U[x] implies U[y] inside U[x] (reflexive and transitive).  In
+    the order of _kernel_walk."""
+    return [u for _, u, _ in _kernel_walk(n, [(0,) * (1 << n)] * n)]
 
-    U[x] is chosen for x = 0..n-1 in turn among the sets holding x
-    inside every earlier U[y] that holds x, and kept if it contains the
-    earlier U[y] of each earlier y in it; a later y in it is checked
-    when U[y] is chosen.
+
+def _kernel_walk(n, rows):
+    """(key, U, _) for every kernel U on n points, in a list, where key
+    is the AND of rows[x][U[x]] over the points x, starting from
+    2^(2^n) - 1; the third entry is the walk's own.
+
+    U[x] is chosen for x = 0..n-1 in turn, descending, among the sets
+    holding x inside every earlier U[y] that holds x, and kept if it
+    contains the earlier U[y] of each earlier y in it; a later y in it
+    is checked when U[y] is chosen.  Each partial kernel carries the
+    table of the unions of its U[y] over every subset of the points
+    chosen so far, so that check is one lookup.  The kernels are grown
+    one point at a time, level by level, each partial kernel's children
+    in turn, so the list comes out in the order of a depth-first walk.
     """
     full = full_mask(n)
-    u = [0] * n
-
-    def choose(x):
-        if x == n:
-            yield tuple(u)
-            return
+    level = [((1 << (1 << n)) - 1, (), (0,))]
+    for x in range(n):
         bit = 1 << x
-        free = full
-        for y in range(x):
-            if u[y] & bit:
-                free &= u[y]
-        free ^= bit
-        s = free
-        while True:
-            ux = s | bit
-            if all(u[y] & ~ux == 0 for y in points_of(ux & (bit - 1))):
-                u[x] = ux
-                yield from choose(x + 1)
-            if not s:
-                break
-            s = (s - 1) & free
+        low = bit - 1
+        row = rows[x]
+        last = x == n - 1
+        grown = []
+        for key, u, unions in level:
+            free = full
+            for uy in u:
+                if uy & bit:
+                    free &= uy
+            free ^= bit
+            s = free
+            while True:
+                ux = s | bit
+                if not unions[s & low] & ~ux:
+                    grown.append((key & row[ux], u + (ux,),
+                                  None if last else unions + tuple([m | ux for m in unions])))
+                if not s:
+                    break
+                s = (s - 1) & free
+        level = grown
+    return level
 
-    return choose(0)
+
+@cache
+def _opens_rows(n):
+    """For each point x, the bitsets over the 2^n masks a, indexed by a
+    value v of U_x, with bit 2^n - 1 - a set when x is not in a or v
+    lies inside a.  The AND of rows[x][U[x]] over the points is the
+    bitset of the opens of U, bit-reversed.  Built on the first
+    enumeration at n, not on import."""
+    top = full_mask(n)
+    return tuple(tuple(sum(1 << top - a for a in range(top + 1) if not a >> x & 1 or not v & ~a)
+                       for v in range(top + 1))
+                 for x in range(n))

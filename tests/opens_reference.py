@@ -87,7 +87,15 @@ So are the two boundary readers that compiled shapes and direct text
 replaced: the jsonio shape check that walks the shape tree for every
 value, for test_cli.py, and a Dyadic's Fraction, whose text the
 fraction of `topo root`, `series` and `check --invert` was, for
-test_cli.py and test_numeric.py."""
+test_cli.py and test_numeric.py.  So is Dyadic.parse as it was when
+Dyadic.from_fraction read its argument through a second Fraction, for
+test_numeric.py.
+
+So are the preorder kernels as the recursive search listed them, one
+generator a point, each candidate U_x checked against the earlier U_y
+one point at a time, and the topologies on n <= 5 points sorted by their
+opens, each space's opens built by theta's pairwise fixed point, for
+test_topology.py."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -98,9 +106,9 @@ from fintopo.continuity import SpaceMap
 from fintopo.convergence import filter_adherence
 from fintopo.errors import (BracketViolation, CapExceeded, ClusterPreconditionFailed,
                             EmptyArgument, EmptyMeet, FilterBaseViolation, IndexOutOfRange,
-                            UniverseMismatch)
-from fintopo.numeric import (BISECTION_CAP, HORNER_BITS_CAP, ZERO, _ceil_log2_ratio, _coerce,
-                             _horner)
+                            NonDyadicLiteral, UniverseMismatch)
+from fintopo.numeric import (BISECTION_CAP, HORNER_BITS_CAP, ZERO, Dyadic, _ceil_log2_ratio,
+                             _coerce, _horner, decimal_digits, decimal_fraction, decimal_int)
 from fintopo.setops import (FiniteMap, PointSetRelation, SetSystem, full_mask, meet_of, phi,
                             points_of, relation_from_sections, supermasks)
 from fintopo.topology import Topology, enumerate_topologies, generate_from_subbase
@@ -1103,3 +1111,67 @@ def to_fraction(d):
     if d.e >= 0:
         return Fraction(d.m * (1 << d.e))
     return Fraction(d.m, 1 << -d.e)
+
+
+def dyadic_from_fraction(fr):
+    """Dyadic.from_fraction as it was: fr read through Fraction(fr)."""
+    fr = Fraction(fr)
+    den = fr.denominator
+    k = den.bit_length() - 1
+    if den != 1 << k:
+        raise NonDyadicLiteral("%s/%s has a non-power-of-two denominator"
+                               % (decimal_digits(fr.numerator), decimal_digits(den)))
+    return Dyadic(fr.numerator, -k)
+
+
+def parse_dyadic(text):
+    """Dyadic.parse as it was, reading 'p/q', decimals and exponents by
+    decimal_fraction and then dyadic_from_fraction: two Fractions."""
+    text = text.strip()
+    if '*2^' in text:
+        m, _, e = text.partition('*2^')
+        return Dyadic(decimal_int(m), decimal_int(e))
+    if text.startswith('2^'):
+        return Dyadic(1, decimal_int(text[2:]))
+    if text.startswith('-2^'):
+        return Dyadic(-1, decimal_int(text[3:]))
+    if '/' in text or '.' in text or 'e' in text or 'E' in text:
+        return dyadic_from_fraction(decimal_fraction(text))
+    return Dyadic(decimal_int(text))
+
+
+def preorder_kernels(n):
+    """Every kernel U on n points, as a tuple, by a recursive search:
+    U[x] is chosen for x = 0..n-1 in turn, descending, among the sets
+    holding x inside every earlier U[y] that holds x, and kept if it
+    contains the earlier U[y] of each earlier y in it."""
+    full = full_mask(n)
+    u = [0] * n
+
+    def choose(x):
+        if x == n:
+            yield tuple(u)
+            return
+        bit = 1 << x
+        free = full
+        for y in range(x):
+            if u[y] & bit:
+                free &= u[y]
+        free ^= bit
+        s = free
+        while True:
+            ux = s | bit
+            if all(u[y] & ~ux == 0 for y in points_of(ux & (bit - 1))):
+                u[x] = ux
+                yield from choose(x + 1)
+            if not s:
+                break
+            s = (s - 1) & free
+
+    return choose(0)
+
+
+def topologies_by_opens(n):
+    """The kernels of the topologies on n points, in the order of their
+    opens, each opens list built from the kernel by union_closure."""
+    return sorted(preorder_kernels(n), key=lambda u: union_closure(n, u).sets)

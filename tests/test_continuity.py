@@ -342,6 +342,39 @@ class TestHomeomorphisms:
         with pytest.raises(CapExceeded):
             are_homeomorphic(discrete_topology(7), discrete_topology(7))
 
+    def test_kept_keys_keep_the_carrier_errors(self):
+        # the kept shape_keys are compared first; the carrier checks
+        # still raise when both are kept, the keys equal or not
+        two, three = discrete_topology(2), indiscrete_topology(3)
+        for t in (two, three):
+            t.shape_key
+        for a, b in ((two, three), (three, two)):
+            with pytest.raises(UniverseCardinalityMismatch):
+                are_homeomorphic(a, b)
+        seven = discrete_topology(7)
+        for other in (discrete_topology(7), indiscrete_topology(7)):
+            assert (seven.shape_key == other.shape_key) == (other == seven)
+            for a, b in ((seven, other), (other, seven)):
+                with pytest.raises(CapExceeded):
+                    are_homeomorphic(a, b)
+
+    def test_kept_keys_change_no_answer_n3(self):
+        # every pair on 3 points: fresh spaces (no key kept), one key
+        # kept, both kept, all give the same witness or None
+        kernels = [t.minimal_opens for t in TOPOLOGIES[3]]
+
+        def images(u1, u2, keep):
+            t1, t2 = Topology.from_kernel(3, u1), Topology.from_kernel(3, u2)
+            for t in (t1, t2)[:keep]:
+                t.shape_key
+            w = are_homeomorphic(t1, t2)
+            return None if w is None else w.images
+
+        for u1 in kernels:
+            for u2 in kernels:
+                want = images(u1, u2, 0)
+                assert images(u1, u2, 1) == images(u1, u2, 2) == want
+
     def test_partitions_n2_into_classes(self):
         tops = enumerate_topologies(2)
         classes = []

@@ -491,11 +491,14 @@ class TestCanonicalResults:
     @given(st.lists(operands, max_size=4), operands)
     @settings(max_examples=200)
     def test_polynomial_values(self, coeffs, x):
+        # both sides times 2^s, exact ints: at degree 3 and exponents
+        # near -100,000 the Fraction sum and its normalization took
+        # 170 ms, near hypothesis's 200 ms deadline
         r = DyadicPoly(coeffs)(x)
-        fx = ref.to_fraction(x)
         assert canonical(r)
-        assert ref.to_fraction(r) == sum(ref.to_fraction(c) * fx ** i
-                                         for i, c in enumerate(coeffs))
+        terms = [(c.m * x.m ** i, c.e + i * x.e) for i, c in enumerate(coeffs)]
+        s = -min([r.e] + [e for _, e in terms])
+        assert r.m << r.e + s == sum(m << e + s for m, e in terms)
 
     @given(bisection_cases())
     @settings(max_examples=300)
@@ -1045,3 +1048,61 @@ class TestIntFirst:
     def test_refusals_past_the_digit_limit(self, text):
         with pytest.raises(InputError, match='invalid literal for int'):
             decimal_int(text)
+
+
+def _parsed(parse, text):
+    """The (m, e) of the Dyadic read, or the type and text of the error."""
+    try:
+        d = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return d.m, d.e
+
+
+_digits = st.text('0123456789', min_size=1, max_size=30)
+_spaces = st.sampled_from(['', ' ', '\t', '　'])
+# 'p/q', decimals and exponents, with the forms Fraction() refuses: a
+# signed or spaced denominator, a zero one, a bare point or exponent
+_fraction_texts = st.one_of(
+    st.builds('{}{}{}/{}{}{}'.format, _spaces, st.sampled_from(['', '-', '+']), _digits,
+              st.sampled_from(['', '-', '+', ' ']), _digits, _spaces),
+    st.builds(lambda p, k: '%d/%d' % (p, 1 << k), st.integers(-2 ** 80, 2 ** 80),
+              st.integers(0, 80)),
+    st.builds('{}{}.{}{}'.format, st.sampled_from(['', '-', '+']), _digits | st.just(''),
+              _digits | st.just(''),
+              st.sampled_from(['', 'e', 'E3', 'e-2', 'E+1_0', 'e-0', 'e2_', '5'])),
+    st.text('0123456789/.eE+-_ ', max_size=12))
+
+
+class TestParseOneFraction:
+    """Dyadic.parse reads 'p/q', decimals and exponents through one
+    Fraction, which Dyadic.from_fraction reads as it is: the same
+    Dyadic, or the same error, as through a second Fraction."""
+
+    @given(_fraction_texts)
+    @settings(max_examples=600, deadline=None)
+    def test_matches_two_fractions(self, text):
+        assert _parsed(Dyadic.parse, text) == _parsed(ref.parse_dyadic, text)
+
+    @given(st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 70))
+    @settings(max_examples=300, deadline=None)
+    def test_from_fraction_reads_a_fraction_as_it_is(self, p, q):
+        fr = Fraction(p, q)
+        assert (_parsed(Dyadic.from_fraction, fr)
+                == _parsed(ref.dyadic_from_fraction, fr))
+        if q == 1:
+            assert _parsed(Dyadic.from_fraction, p) == _parsed(ref.dyadic_from_fraction, p)
+
+    def test_one_fraction_a_parse(self, monkeypatch):
+        import fintopo.numeric as numeric
+        built = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args):
+                built.append(args)
+                return super().__new__(cls, *args)
+
+        monkeypatch.setattr(numeric, 'Fraction', Counted)
+        assert Dyadic.parse('-3/8') == Dyadic(-3, -3)
+        assert Dyadic.parse('1.375e1') == Dyadic(55, -2)
+        assert len(built) == 2
