@@ -106,19 +106,6 @@ def interior_operator_of(topology):
                                    interior_table(point_closures(topology.minimal_opens)))
 
 
-def _from_points(t, n, dual=False):
-    """Whether the table t on n points, or with dual the table
-    f(A) = X minus t(X minus A), is the closure table of f's values at
-    the points, each holding its point and fixed by f.  Such a table
-    satisfies every closure axiom, and every closure operator is such a
-    table, so a valid table is accepted after n point checks and one
-    comparison with the table the point values build."""
-    flip = full_mask(n) if dual else 0
-    points = [flip ^ t[flip ^ 1 << x] for x in range(n)]
-    return (all(c >> x & 1 and flip ^ t[flip ^ c] == c for x, c in enumerate(points))
-            and is_closure_table(t, points, dual))
-
-
 def check_closure_axioms(op):
     """None if op satisfies the closure-operator axioms, else
     (axiom, witness): fixes the empty set, is extensive, is idempotent,
@@ -128,11 +115,11 @@ def check_closure_axioms(op):
     {a}) | f({a}) for a the lowest point of each nonempty A, so one
     pass over the 2^n subsets decides it.  A failure there is reported
     with the pair (A minus {a}, {a}), a true counterexample.  A table
-    that passes _from_points is accepted without that pass."""
+    that passes is_closure_table is accepted without that pass."""
     t = op.table
     if t[0] != 0:
         return ('empty-fixed', 0)
-    if _from_points(t, op.n):
+    if is_closure_table(t, op.n):
         return None
     size = 1 << op.n
     for a in range(size):
@@ -168,12 +155,12 @@ def check_interior_axioms(op):
     outside each proper subset A, so one pass over the 2^n subsets
     decides it.  A failure there is reported with the pair
     (A | {a}, X minus {a}), whose intersection is A.  A table whose
-    dual passes _from_points is accepted without that pass."""
+    dual passes is_closure_table is accepted without that pass."""
     t = op.table
     full = full_mask(op.n)
     if t[full] != full:
         return ('whole-fixed', full)
-    if _from_points(t, op.n, dual=True):
+    if is_closure_table(t, op.n, dual=True):
         return None
     size = 1 << op.n
     for a in range(size):

@@ -2,9 +2,14 @@
 eventually periodic sequences."""
 
 from .closure import closure
-from .errors import EmptyArgument, FilterBaseViolation, NotDirected, UniverseMismatch
+from .errors import CapExceeded, EmptyArgument, FilterBaseViolation, NotDirected, UniverseMismatch
 from .filters import generate_filter, is_filter_base
 from .setops import SetSystem, intransitive_pair, mask_of, meet_of, points_of
+
+# The most elements a DirectedSet takes.  Its cones hold up to size bits
+# each: 8,192 elements all below one top took 0.07 s at an 8.9 MiB
+# tracemalloc peak (CPython 3.11), and 32,000 peaked at 142 MB.
+DOMAIN_CAP = 1 << 13
 
 
 def _points_where(topology, test):
@@ -35,11 +40,15 @@ def filter_adherence(topology, filt):
 
 class DirectedSet:
     """A finite directed set: reflexive, transitive, every pair bounded
-    above.  The order is stored as one 'upper cone' mask per element."""
+    above.  The order is stored as one 'upper cone' mask per element.
+    A domain of more than DOMAIN_CAP elements raises CapExceeded before
+    any cone is built."""
 
     __slots__ = ('size', 'up')
 
     def __init__(self, size, leq_pairs):
+        if size > DOMAIN_CAP:
+            raise CapExceeded("directed set of %d elements, more than %d" % (size, DOMAIN_CAP))
         up = [1 << i for i in range(size)]  # reflexivity is implied
         for i, j in leq_pairs:
             if not (0 <= i < size and 0 <= j < size):
@@ -122,13 +131,15 @@ def net_from_filter_base(base):
 
     Domain elements are pairs (x, B) with x a point of the base member
     B, ordered by reverse inclusion of the member; the net value is x.
+    The order pairs are generated, not listed, so a domain past
+    DOMAIN_CAP is refused before any of them is made.
     """
     verdict = is_filter_base(base)
     if verdict is not None:
         raise FilterBaseViolation(*verdict)
     elems = [(x, b) for b in base for x in points_of(b)]
-    leq = [(i, j) for i, (_, b) in enumerate(elems)
-           for j, (_, c) in enumerate(elems) if c & ~b == 0]
+    leq = ((i, j) for i, (_, b) in enumerate(elems)
+           for j, (_, c) in enumerate(elems) if c & ~b == 0)
     domain = DirectedSet(len(elems), leq)
     return Net(domain, [x for x, _ in elems], base.n)
 

@@ -15,10 +15,8 @@ decided, and the topology and the set map are built, from the cores.
 from .errors import (NeighborhoodAxiomViolation, NeighborhoodBaseViolation,
                      NotABase, SetMapAxiomViolation, UniverseMismatch)
 from .setops import (PointSetRelation, SetSystem, check_same_carrier, full_mask, is_up_set,
-                     meet_of, points_of, relation_from_sections, supermasks, two_minimal,
-                     upward_gap)
-from .topology import (Topology, closure_table, fineness, is_base_of, is_closure_table,
-                       neighborhood_relation)
+                     meet_of, points_of, supermasks, two_minimal, upward_gap)
+from .topology import Topology, closure_table, fineness, is_base_of, is_closure_table
 
 
 def _cores(sections, n):
@@ -168,16 +166,14 @@ def check_set_map_axioms(smap):
     and M(A) equals it iff c is that union.
 
     A map that keeps its cores passes iff they are the closure table of
-    a preorder kernel u, the cores of the points: the union rule makes
-    them the table, and then x in u[x] and M(u[x]) holding u[x] give the
-    rest.  Only a map that fails is read as a table, for its witness.
+    a preorder kernel u, the cores of the points (is_closure_table): the
+    union rule makes them the table, and then x in u[x] and M(u[x])
+    holding u[x] give the rest.  Only a map that fails is read as a
+    table, for its witness.
     """
     n = smap.n
-    if smap.cores is not None:
-        u = [smap.cores[1 << x] for x in range(n)]
-        if (all(c >> x & 1 and smap.cores[c] == c for x, c in enumerate(u))
-                and is_closure_table(smap.cores, u, False)):
-            return None
+    if smap.cores is not None and is_closure_table(smap.cores, n):
+        return None
     sections = [system.sets for system in smap.table]
     cores = _cores(sections, n)
     if len(sections[0]) != 1 << n:
@@ -246,19 +242,17 @@ def _has_member_inside(members, core, c):
     return any(m & ~c == 0 for m in members)
 
 
-def neighborhoods_from_base(rel):
-    """The generated neighborhood system: pointwise superset closure.
-    The meet of each section of a base is a member, so the closure of
-    the section is the supersets of that meet."""
+def topology_from_neighborhood_base(rel):
+    """The space whose neighborhood system the base generates: its
+    pointwise superset closure, setops.phi_prime.  The meet c of each
+    section of a base is a member, so that closure holds the supersets
+    of c, and it is a neighborhood system: x is in c, and each y in c
+    has a member, so its own meet, inside c.  So the meets are the U_x,
+    and the system is never listed."""
     verdict = check_neighborhood_base_axioms(rel)
     if verdict is not None:
         raise NeighborhoodBaseViolation(*verdict)
-    n = rel.n
-    return relation_from_sections(n, [supermasks(c, n) for c in _cores(rel.sections, n)])
-
-
-def topology_from_neighborhood_base(rel):
-    return topology_from_neighborhoods(neighborhoods_from_base(rel))
+    return Topology.from_kernel(rel.n, _cores(rel.sections, rel.n))
 
 
 def neighborhood_base_from_topological_base(base, topology):
@@ -276,8 +270,27 @@ def compare_by_neighborhoods(t1, t2):
     a t1-neighborhood.  Returns the same classification as compare(),
     and raises UniverseMismatch as it does when the carriers differ."""
     check_same_carrier(t1.n, t2.n)
-    r1 = neighborhood_relation(t1)
-    r2 = neighborhood_relation(t2)
-    finer = all(r2.section(x) <= r1.section(x) for x in range(t1.n))
-    coarser = all(r1.section(x) <= r2.section(x) for x in range(t1.n))
-    return fineness(finer, coarser)
+    return fineness(_neighborhoods_within(t2, t1), _neighborhoods_within(t1, t2))
+
+
+def _neighborhoods_within(t1, t2):
+    """Whether every t1-neighborhood of each point x, a set U_x | r with
+    r outside t1's U_x, holds t2's U_x.  They are walked, r ascending
+    and never listed, as continuity.continuous_via_filter_transfer walks
+    them, with r split at point 8: the high part stepped, the low part's
+    complements read from a list, so a passing test makes no new int."""
+    full = full_mask(t1.n)
+    for u1, u2 in zip(t1.minimal_opens, t2.minimal_opens):
+        out = full ^ u1
+        low, high = out & 255, out & ~255
+        lows = [~r for r in range(low + 1) if r & ~low == 0]
+        s = 0
+        while True:
+            left = u2 & ~(u1 | s)
+            for not_r in lows:
+                if left & not_r:
+                    return False
+            if s == high:
+                break
+            s = (s - high) & high
+    return True

@@ -280,12 +280,16 @@ def interior_table(closures):
     return _LANES[len(closures)][1].unpack(_lane_bytes(closures, True))
 
 
-def is_closure_table(t, closures, dual):
-    """Whether the tuple t of 2^n masks on the carrier is
-    closure_table(closures), or with dual interior_table(closures).  t
-    is packed and compared as bytes, so no second tuple of 2^n ints is
-    built."""
-    return _LANES[len(closures)][dual].pack(*t) == _lane_bytes(closures, dual)
+def is_closure_table(t, n, dual=False):
+    """Whether the tuple t of 2^n masks on the carrier, or with dual
+    f(A) = X minus t(X minus A), is the closure table of f's values at
+    the points, each holding its point and fixed by f: the closure
+    operators are exactly such tables.  t is compared packed, as bytes,
+    so no second tuple of 2^n ints is built."""
+    flip = full_mask(n) if dual else 0
+    points = [flip ^ t[flip ^ 1 << x] for x in range(n)]
+    return (all(c >> x & 1 and flip ^ t[flip ^ c] == c for x, c in enumerate(points))
+            and _LANES[n][dual].pack(*t) == _lane_bytes(points, dual))
 
 
 def point_shapes(u, closures):
@@ -478,23 +482,22 @@ def enumerate_topologies(n, count_only=False):
     """All topologies on {0..n-1}, sorted by their opens.  n <= 5.
 
     A topology is its kernel U (Alexandrov): a preorder on the points,
-    with y in U_x meaning y lies below x.  The kernels are listed by the
-    walk of preorder_kernels, which also gives each one its opens as a
-    bitset, bit 2^n - 1 - a set for each open a (see _opens_rows).  Both
-    opens lists end with the whole carrier, so neither is a prefix of
-    the other, and one sorts first iff the least mask in exactly one of
-    them is its own, that is, iff its bitset is the larger.  So the
-    kernels are sorted by their bitsets, descending, and each space is
-    built by Topology.from_kernel alone: its opens are not built until
-    read.  With count_only, the number of topologies is returned
-    instead.
+    with y in U_x meaning y lies below x.  The kernels are listed by
+    _kernel_walk, which also gives each one its opens as a bitset, bit
+    2^n - 1 - a set for each open a (see _opens_rows).  Both opens lists
+    end with the whole carrier, so neither is a prefix of the other,
+    and one sorts first iff the least mask in exactly one of them is
+    its own, that is, iff its bitset is the larger.  So the kernels are
+    sorted by their bitsets, descending, and each space is built by
+    Topology.from_kernel alone: its opens are not built until read.
+    With count_only, the number of topologies is returned instead.
     """
     if n > 5:
         raise CapExceeded("enumeration supported only for n <= 5")
     check_carrier(n)
+    found = _kernel_walk(n)
     if count_only:
-        return len(preorder_kernels(n))
-    found = _kernel_walk(n, _opens_rows(n))
+        return len(found)
     # the bitsets differ, so two kernels are never compared
     found.sort(reverse=True)
     # each entry gives way to its space, so no second list is held
@@ -503,16 +506,10 @@ def enumerate_topologies(n, count_only=False):
     return found
 
 
-def preorder_kernels(n):
-    """Every kernel U on n points, as a tuple, in a list: x in U[x], and
-    y in U[x] implies U[y] inside U[x] (reflexive and transitive).  In
-    the order of _kernel_walk."""
-    return [u for _, u, _ in _kernel_walk(n, [(0,) * (1 << n)] * n)]
-
-
-def _kernel_walk(n, rows):
-    """(key, U, _) for every kernel U on n points, in a list, where key
-    is the AND of rows[x][U[x]] over the points x, starting from
+def _kernel_walk(n):
+    """(key, U, _) for every kernel U on n points, in a list: x in U[x],
+    and y in U[x] implies U[y] inside U[x].  key is the AND of
+    _opens_rows(n)[x][U[x]] over the points x, starting from
     2^(2^n) - 1; the third entry is the walk's own.
 
     U[x] is chosen for x = 0..n-1 in turn, descending, among the sets
@@ -525,6 +522,7 @@ def _kernel_walk(n, rows):
     in turn, so the list comes out in the order of a depth-first walk.
     """
     full = full_mask(n)
+    rows = _opens_rows(n)
     level = [((1 << (1 << n)) - 1, (), (0,))]
     for x in range(n):
         bit = 1 << x

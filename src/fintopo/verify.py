@@ -9,9 +9,10 @@ continuity through preimages of closures and interiors, homeomorphy
 against are_homeomorphic, comparison by neighborhoods against compare,
 and the lower topologies of product and pulled-back preorders and the
 union-closed segment systems against products, inverse images and the
-topology axioms; nets and sequences against filters; and the sphere
-criterion, closed spheres, the quotient metric, restriction and the
-supremum metric against the topologies they generate.
+topology axioms; nets and sequences against filters, and each filter's
+members against the filter axioms; and the sphere criterion, closed
+spheres, the quotient metric, restriction and the supremum metric
+against the topologies they generate.
 """
 
 import random
@@ -28,7 +29,7 @@ from .convergence import (EventuallyPeriodicSequence, filter_adherence, filter_f
                           filter_limits, net_cluster_points, net_from_filter_base, net_limits,
                           sequence_cluster_points, sequence_filter, sequence_limits)
 from .errors import CapExceeded
-from .filters import enumerate_filters, extend_to_ultrafilter, principal_filter
+from .filters import Filter, enumerate_filters, extend_to_ultrafilter, is_filter, principal_filter
 from .generated import (inverse_image_topology, product_topology, quotient_topology,
                         subspace_topology)
 from .metric import (PseudoMetric, bounded_equivalents, default_radius_set, is_finer_by_spheres,
@@ -162,11 +163,13 @@ def _pair_json(t1, t2, **more):
 def _suite_convergence(n, tally):
     all_filters = enumerate_filters(n)
     # the canonical net of each filter's members and the sequence that
-    # cycles through its core: both have the filter as their tail filter
+    # cycles through its core: both have the filter as their tail filter;
+    # and the members pass the filter axioms and give back the filter
     runs = [(f, net_from_filter_base(f.members),
              EventuallyPeriodicSequence((), points_of(f.core()), n)) for f in all_filters]
     for f, net, seq in runs:
-        tally.record(filter_from_net(net) == f == sequence_filter(seq),
+        tally.record(filter_from_net(net) == f == sequence_filter(seq)
+                     and is_filter(f.members) is None and Filter(n, f.members) == f,
                      lambda: {'n': n, 'filter-core': points_of(f.core())})
     for t in enumerate_topologies(n):
         for a in range(1, 1 << n):

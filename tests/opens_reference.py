@@ -24,8 +24,9 @@ The neighborhood, set-map, neighborhood-base and filter checks that
 the cores replaced are kept here too: phi of each section or system and
 pairwise scans over its members, reading members in Python set order,
 with the set map built from the meets of the sections, the topology
-from a membership scan over all 2^n subsets, and the filter facts from
-scans over the members.  With ascending=True the checks read members
+from a membership scan over all 2^n subsets, the space of a
+neighborhood base from the neighborhood system it generates, listed,
+and the filter facts from scans over the members.  With ascending=True the checks read members
 in ascending order of masks and name the witness the library names.
 The filter continuity test that the cores replaced is kept too: every
 member of the target filter against the image of every member of the
@@ -106,6 +107,7 @@ from fintopo.continuity import SpaceMap
 from fintopo.convergence import filter_adherence
 from fintopo.errors import (BracketViolation, CapExceeded, ClusterPreconditionFailed,
                             EmptyArgument, EmptyMeet, FilterBaseViolation, IndexOutOfRange,
+                            NeighborhoodAxiomViolation, NeighborhoodBaseViolation,
                             NonDyadicLiteral, UniverseMismatch)
 from fintopo.numeric import (BISECTION_CAP, HORNER_BITS_CAP, ZERO, Dyadic, _ceil_log2_ratio,
                              _coerce, _horner, decimal_digits, decimal_fraction, decimal_int)
@@ -912,6 +914,21 @@ def neighborhoods_from_base(rel):
     """phi of each section of the base."""
     pairs = [(x, m) for x in range(rel.n) for m in phi(rel.section(x))]
     return PointSetRelation(rel.n, pairs)
+
+
+def topology_from_neighborhood_base(rel):
+    """The space of a neighborhood base through the system it generates,
+    listed: the base axioms and then the neighborhood axioms of the
+    listed system by the scans above, in ascending order, and the
+    topology by a membership scan."""
+    verdict = check_neighborhood_base_axioms(rel, ascending=True)
+    if verdict is not None:
+        raise NeighborhoodBaseViolation(*verdict)
+    system = neighborhoods_from_base(rel)
+    verdict = check_neighborhood_axioms(system, ascending=True)
+    if verdict is not None:
+        raise NeighborhoodAxiomViolation(*verdict)
+    return topology_from_relation(system)
 
 
 def is_filter(system, ascending=False):

@@ -173,6 +173,21 @@ class TestGenerate:
         assert json.loads(out)['sets'][-1] == [0, 1, 2]
         assert len(json.loads(out)['sets']) == 8
 
+    def test_neighborhood_base_of_the_20_point_chain(self, capsys, tmp_path):
+        # each point's members of the chain's minimal base: the stdout the
+        # listing of the generated system gave, in 0.22 s at 83 MiB max
+        # RSS.  From the base's cores it took 5 ms at 16 MiB (CPython
+        # 3.11, shared 2-CPU host)
+        base = write(tmp_path, 'b.json', {'n': 20, 'pairs': [
+            [x, list(range(y + 1))] for x in range(20) for y in range(x, 20)]})
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, 'generate', '--neighborhood-base', base)
+        seconds = time.perf_counter() - t0
+        assert code == 0
+        assert out == '{"n":20,"sets":[%s]}\n' % ','.join(
+            '[%s]' % ','.join(map(str, range(k))) for k in range(21))
+        assert seconds < 0.1
+
     def test_from_metric(self, capsys, tmp_path):
         m = write(tmp_path, 'm.json',
                   {'n': 2, 'd': [['0', '0'], ['0', '0']]})
@@ -897,21 +912,35 @@ class TestNumericVerbs:
 
     @pytest.mark.parametrize('leq, answer', [
         ([], {'error': 'NotDirected', 'detail': 'elements 0 and 1 have no upper bound'}),
-        ([[i, 31999] for i in range(31999)], {'cluster': [0], 'limits': [0]}),
+        ([[i, 8191] for i in range(8191)], {'cluster': [0], 'limits': [0]}),
     ], ids=['no-pairs', 'top-element'])
     def test_check_net_on_a_large_domain_in_bounded_time(self, capsys, tmp_path, leq, answer):
-        # 32,000 domain elements: the points of a mask are walked bit by
-        # bit, and a domain whose upper cones share a point is directed
-        # without a search over its pairs.  Measured 0.19 s and 0.71 s,
-        # where 8,000 elements took 8.5 s and 61 s (CPython 3.11, shared
-        # 2-CPU host)
+        # 8,192 domain elements, the most a directed set takes: the points
+        # of a mask are walked bit by bit, and a domain whose upper cones
+        # share a point is directed without a search over its pairs.
+        # Measured 0.03 s and 0.08 s, where 8,000 elements took 8.5 s and
+        # 61 s before both (CPython 3.11, shared 2-CPU host)
         space = write(tmp_path, 't.json', {'n': 1, 'sets': [[], [0]]})
         net = write(tmp_path, 'n.json',
-                    {'domain': {'n': 32000, 'leq': leq}, 'values': [0] * 32000})
+                    {'domain': {'n': 8192, 'leq': leq}, 'values': [0] * 8192})
         t0 = time.perf_counter()
         code, out, _ = run(capsys, 'check', '--net', net, '--space', space)
-        assert time.perf_counter() - t0 < 4
+        assert time.perf_counter() - t0 < 2
         assert (code, json.loads(out)) == (1 if 'error' in answer else 0, answer)
+
+    def test_check_net_past_the_domain_cap_exits_1_at_once(self, capsys, tmp_path):
+        # 32,000 elements below one top took 1.0 s at 156 MiB max RSS
+        # before the cap, and are refused in 0.08 s at 23 MiB, most of it
+        # reading the JSON (CPython 3.11, shared 2-CPU host)
+        space = write(tmp_path, 't.json', {'n': 1, 'sets': [[], [0]]})
+        net = write(tmp_path, 'n.json',
+                    {'domain': {'n': 32000, 'leq': [[i, 31999] for i in range(31999)]},
+                     'values': [0] * 32000})
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, 'check', '--net', net, '--space', space)
+        assert time.perf_counter() - t0 < 0.5
+        assert (code, json.loads(out)) == (1, {
+            'error': 'CapExceeded', 'detail': 'directed set of 32000 elements, more than 8192'})
 
 
 class TestVerify:

@@ -1,18 +1,19 @@
 """Convergence of filters, nets, and eventually periodic sequences."""
 
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fintopo.closure import closure
-from fintopo.convergence import (DirectedSet, EventuallyPeriodicSequence, Net,
+from fintopo.convergence import (DOMAIN_CAP, DirectedSet, EventuallyPeriodicSequence, Net,
                                  filter_adherence,
                                  filter_from_net, filter_limits, net_cluster_points,
                                  net_from_filter_base, net_limits,
                                  sequence_cluster_points,
                                  sequence_filter, sequence_limits)
-from fintopo.errors import EmptyArgument, NotDirected, UniverseMismatch
+from fintopo.errors import CapExceeded, EmptyArgument, NotDirected, UniverseMismatch
 from fintopo.filters import enumerate_filters, generate_filter, principal_filter
 from fintopo.setops import SetSystem, full_mask, mask_of
 from fintopo.topology import (discrete_topology, enumerate_topologies,
@@ -154,17 +155,45 @@ class TestDirectedSet:
             with pytest.raises(NotDirected, match='^elements %d and %d have' % least):
                 DirectedSet(size, leq)
 
-    @pytest.mark.parametrize('size, bound', [(4000, 0.5), (32000, 4)])
+    @pytest.mark.parametrize('size, bound', [(4000, 0.5), (DOMAIN_CAP, 1)])
     def test_the_witness_below_two_maxima_in_bounded_time(self, size, bound):
         # every element below two incomparable maxima, so the one unbounded
-        # pair is the last.  Measured 0.02 s and 1.0 s (0.8 s of it the
-        # transitivity check), where the pair scan took 1.8 s at 4,000
-        # (CPython 3.11, shared 2-CPU host)
+        # pair is the last.  Measured 0.02 s and 0.11 s at 8,192, where the
+        # pair scan took 1.8 s at 4,000 (CPython 3.11, shared 2-CPU host)
         top = [(i, j) for i in range(size - 2) for j in (size - 2, size - 1)]
         t0 = time.perf_counter()
         with pytest.raises(NotDirected, match='^elements %d and %d have' % (size - 2, size - 1)):
             DirectedSet(size, top)
         assert time.perf_counter() - t0 < bound
+
+    def test_a_domain_past_the_cap_is_refused_before_any_cone(self):
+        def pairs():
+            raise AssertionError('the pairs were read')
+            yield
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match='^directed set of 8193 elements'):
+                DirectedSet(DOMAIN_CAP + 1, pairs())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert DOMAIN_CAP == 8192 and peak < 64 << 10, peak
+
+    def test_a_canonical_net_past_the_cap_is_refused_before_its_pairs(self):
+        # 2,048 members of 6.5 points on average: 13,312 elements.  The
+        # order pairs grow with the square of the elements, and listed
+        # before the cap they took 1.1 s at 71 MiB max RSS for the 2,816
+        # elements at n = 10 (CPython 3.11, shared 2-CPU host)
+        members = principal_filter(12, 1).members
+        t0 = time.perf_counter()
+        with pytest.raises(CapExceeded, match='^directed set of 13312 elements'):
+            net_from_filter_base(members)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_the_cap_itself_is_taken(self):
+        top = DOMAIN_CAP - 1
+        assert DirectedSet(DOMAIN_CAP, [(i, top) for i in range(top)]).size == DOMAIN_CAP
 
 
 class TestNetFilterCorrespondence:

@@ -28,11 +28,11 @@ from fintopo.filters import (Filter, enumerate_filters, extend_to_ultrafilter,
                              supremum_filter)
 from fintopo.neighborhoods import (SetNeighborhoodMap, check_neighborhood_axioms,
                                    check_neighborhood_base_axioms,
-                                   check_set_map_axioms, neighborhoods_from_base,
-                                   set_map_of, topology_from_neighborhoods,
-                                   topology_from_set_map)
-from fintopo.setops import (FiniteMap, PointSetRelation, SetSystem, full_mask, points_of,
-                            supermasks, upward_gap)
+                                   check_set_map_axioms, set_map_of,
+                                   topology_from_neighborhood_base,
+                                   topology_from_neighborhoods, topology_from_set_map)
+from fintopo.setops import (FiniteMap, PointSetRelation, SetSystem, full_mask, phi_prime,
+                            points_of, supermasks, upward_gap)
 from fintopo.topology import discrete_topology, enumerate_topologies, neighborhood_relation
 
 TOPOLOGIES = [t for n in range(1, 5) for t in enumerate_topologies(n)]
@@ -305,7 +305,8 @@ class TestConstructions:
             assert list(smap.table) == ref.set_map_table(t)
             assert topology_from_set_map(smap) == t
             base = ref.neighborhood_relation(t, 'open')
-            assert neighborhoods_from_base(base) == ref.neighborhoods_from_base(base) == rel
+            assert phi_prime(base) == ref.neighborhoods_from_base(base) == rel
+            assert topology_from_neighborhood_base(base) == t
 
     def test_reconstructed_topology_keeps_its_kernel(self):
         for t in TOPOLOGIES:

@@ -11,7 +11,7 @@ Every import statement sits at module level, and no module imports
 itself through its siblings.  No module imports an underscore name from
 a sibling module: what one module reads of another is public there.
 
-Nothing in src/ is there for tests alone.  Four scans check that, each
+Nothing in src/ is there for tests alone.  Five scans check that, each
 against the files under src/ and topobench/, the readers:
 - A top-level def or class counts as read when some reader loads its
   name, or an attribute of that name, outside the definition itself.
@@ -30,6 +30,9 @@ against the files under src/ and topobench/, the readers:
   call of those names may omit the parameter: by the same rule, except
   that a call through * or ** may omit every one.  Functions and classes
   in __all__, with their methods, are exempt.
+- A class's __init__ counts as read when some reader calls the class,
+  or a subclass that inherits it, by name: a class built only through
+  cls.__new__ in a classmethod never runs it.
 """
 
 import ast
@@ -346,6 +349,25 @@ def test_every_method_is_read():
     assert unread_methods(modules, readers, public_names()) == []
 
 
+def uncalled_constructors(modules, readers):
+    """(module, 'Class.__init__', line) for each __init__ of a top-level
+    class in the {module: source} map that no call in the reader sources
+    makes by the name of the class or of a subclass that inherits it."""
+    calls = calls_by_name(readers)
+    out = []
+    for module, source in sorted(modules.items()):
+        classes = [node for node in ast.parse(source).body if isinstance(node, ast.ClassDef)]
+        out += [(module, '%s.__init__' % cls.name, fn.lineno) for cls in classes
+                for fn in cls.body if isinstance(fn, FUNCTIONS) and fn.name == '__init__'
+                and not any(name in calls for name in constructor_names(cls, classes))]
+    return out
+
+
+def test_every_constructor_is_called():
+    modules, readers = sources()
+    assert uncalled_constructors(modules, readers) == []
+
+
 def test_every_default_is_set():
     modules, readers = sources()
     assert unset_defaults(modules, readers) == []
@@ -456,6 +478,35 @@ def test_the_scan_sees_a_default_never_taken():
         ('m.py', 'f', 'b', 1), ('m.py', 'f', 'd', 1), ('m.py', 'Error.__init__', 'witness', 10)]
     assert unused_defaults({'m.py': module}, [module, reader], ['Public', 'Error']) == [
         ('m.py', 'f', 'b', 1), ('m.py', 'f', 'd', 1)]
+
+
+def test_the_scan_sees_an_uncalled_constructor():
+    module = ('class Called:\n'
+              '    def __init__(self, n):\n'
+              '        pass\n'
+              'class Base:\n'
+              '    def __init__(self, n):\n'
+              '        pass\n'
+              'class Inherits(Base):\n'
+              '    pass\n'
+              'class Unread:\n'
+              '    def __init__(self):\n'
+              '        pass\n'
+              '    @classmethod\n'
+              '    def make(cls):\n'
+              '        return cls.__new__(cls)\n'
+              'class Overrides(Base):\n'
+              '    def __init__(self):\n'
+              '        pass\n'
+              'class NoInit:\n'
+              '    pass\n')
+    reader = ('import m\n'
+              'm.Called(1)\n'
+              'Inherits(2)\n'
+              'Unread.make()\n'
+              'Overrides, NoInit()\n')
+    assert uncalled_constructors({'m.py': module}, [module, reader]) == [
+        ('m.py', 'Unread.__init__', 10), ('m.py', 'Overrides.__init__', 16)]
 
 
 def test_the_scan_sees_a_method_only_a_name_reads():

@@ -24,10 +24,10 @@ from fintopo.closure import (SubsetOperator, check_closure_axioms, check_interio
                              topology_from_closure_operator, topology_from_interior_operator)
 from fintopo.neighborhoods import set_map_of
 from fintopo.setops import SetSystem, full_mask, supermasks
-from fintopo.topology import (Topology, closure_table, discrete_topology, point_closures,
-                              preorder_kernels)
+from fintopo.topology import (Topology, closure_table, discrete_topology, enumerate_topologies,
+                              point_closures)
 
-KERNELS = [u for n in range(6) for u in preorder_kernels(n)]
+KERNELS = [t.minimal_opens for n in range(6) for t in enumerate_topologies(n)]
 
 
 def reference_tables(u):

@@ -3,11 +3,12 @@
 The continuity, convergence and metric suites pass.  Each check they
 and the kuratowski suite run against an alternative characterization is
 live, as are the numeric suite's check that each bisection step keeps a
-half and the neighborhoods suite's round trip through the set map: with
-one checked name in verify's namespace (or a method of a class there)
-made to answer wrongly, the suite fails, and its counterexample reads
-back as input on which the wrong answer and the real one differ, the
-real one agreeing with its counterpart.
+half, the convergence suite's check of each filter's members and the
+neighborhoods suite's round trip through the set map: with one checked
+name in verify's namespace (or a method of a class there) made to
+answer wrongly, the suite fails, and its counterexample reads back as
+input on which the wrong answer and the real one differ, the real one
+agreeing with its counterpart.
 """
 
 import json
@@ -82,6 +83,16 @@ def replay_net(real, wrong, ce):
     f = core_filter(t.n, ce)
     net = net_from_filter_base(f.members)
     return wrong(t, net) != real(t, net) == filter_limits(t, f)
+
+
+def replay_filter_axioms(real, wrong, ce):
+    members = core_filter(ce['n'], ce).members
+    return wrong(members) is not None and real(members) is None
+
+
+def replay_filter_members(real, wrong, ce):
+    f = core_filter(ce['n'], ce)
+    return wrong(ce['n'], f.members) != f == real(ce['n'], f.members)
 
 
 def replay_sequence(real, wrong, ce):
@@ -188,6 +199,10 @@ FAULTS = [
     ('convergence', 2, 'net_limits', lambda real: lambda t, net: 0, replay_net),
     ('convergence', 2, 'sequence_filter',
      lambda real: lambda seq: principal_filter(seq.n, full_mask(seq.n)), replay_sequence),
+    ('convergence', 2, 'is_filter', lambda real: lambda s: ('upward-closed', 0),
+     replay_filter_axioms),
+    ('convergence', 2, 'Filter',
+     lambda real: lambda n, members: principal_filter(n, full_mask(n)), replay_filter_members),
     ('metric', 3, 'is_finer_by_spheres', lambda real: lambda m1, m2: False, replay_spheres),
     ('metric', 3, 'restrict', lambda real: lambda m, a: real(m, a & -a), replay_restriction),
     ('continuity', 2, 'product_preorder', lambda real: lambda ps: real(ps[::-1]),
