@@ -38,6 +38,11 @@ def filter_adherence(topology, filt):
     return closure(topology, filt.core())
 
 
+def _check_size(size):
+    if size > DOMAIN_CAP:
+        raise CapExceeded("directed set of %d elements, more than %d" % (size, DOMAIN_CAP))
+
+
 class DirectedSet:
     """A finite directed set: reflexive, transitive, every pair bounded
     above.  The order is stored as one 'upper cone' mask per element.
@@ -47,20 +52,35 @@ class DirectedSet:
     __slots__ = ('size', 'up')
 
     def __init__(self, size, leq_pairs):
-        if size > DOMAIN_CAP:
-            raise CapExceeded("directed set of %d elements, more than %d" % (size, DOMAIN_CAP))
+        _check_size(size)
         up = [1 << i for i in range(size)]  # reflexivity is implied
         for i, j in leq_pairs:
             if not (0 <= i < size and 0 <= j < size):
                 raise UniverseMismatch("pair (%d, %d) outside domain of size %d" % (i, j, size))
             up[i] |= 1 << j
+        self._take_cones(up)
+
+    @classmethod
+    def from_cones(cls, size, cones):
+        """The directed set whose element i has the upper cone cones[i],
+        size masks inside the domain, each holding its own element.  The
+        cones are read once size is within DOMAIN_CAP, so a generator of
+        them is refused before any is made."""
+        _check_size(size)
+        self = cls.__new__(cls)
+        self._take_cones(list(cones))
+        return self
+
+    def _take_cones(self, up):
+        """Keep the cones up after checking that they are transitive and
+        directed."""
         pair = intransitive_pair(up)
         if pair is not None:
             raise NotDirected("order not transitive at (%d, %d)" % pair)
         # finite and directed iff some point is in every upper cone
         if not meet_of(up):
             raise NotDirected("elements %d and %d have no upper bound" % _least_unbounded_pair(up))
-        self.size = size
+        self.size = len(up)
         self.up = tuple(up)
 
     def __repr__(self):
@@ -131,17 +151,29 @@ def net_from_filter_base(base):
 
     Domain elements are pairs (x, B) with x a point of the base member
     B, ordered by reverse inclusion of the member; the net value is x.
-    The order pairs are generated, not listed, so a domain past
-    DOMAIN_CAP is refused before any of them is made.
+    The elements of one member share its cone, the elements of the
+    members inside it.  A member inside B is at most B as a mask, so it
+    comes no later in the ascending members.  The cones are generated,
+    so a domain past DOMAIN_CAP is refused before any of them is made.
     """
     verdict = is_filter_base(base)
     if verdict is not None:
         raise FilterBaseViolation(*verdict)
-    elems = [(x, b) for b in base for x in points_of(b)]
-    leq = ((i, j) for i, (_, b) in enumerate(elems)
-           for j, (_, c) in enumerate(elems) if c & ~b == 0)
-    domain = DirectedSet(len(elems), leq)
-    return Net(domain, [x for x, _ in elems], base.n)
+    values = [x for b in base for x in points_of(b)]
+
+    def cones():
+        seen, start = [], 0  # each member so far with its elements' bits
+        for b in base:
+            size = b.bit_count()
+            seen.append((b, (1 << size) - 1 << start))
+            start += size
+            cone = 0
+            for c, elements in seen:
+                if c & ~b == 0:
+                    cone |= elements
+            yield from [cone] * size
+
+    return Net(DirectedSet.from_cones(len(values), cones()), values, base.n)
 
 
 class EventuallyPeriodicSequence:

@@ -6,7 +6,8 @@ A dyadic number is mantissa * 2^exponent with the mantissa odd or zero
 (canonical form), so two are equal iff their mantissas and exponents
 are.  Addition, subtraction, multiplication and comparison are exact;
 division is deliberately absent.  Dyadic(m, e) checks its arguments;
-the arithmetic builds its results unchecked, by _dyadic and _normal.
+the arithmetic builds its results unchecked, by _dyadic and normalized.
+An int argument, or a Dyadic operand, is read as it is.
 
 Polynomials are evaluated by one integer Horner rule on the
 coefficients' common exponent.  Bisection runs on the integer grid
@@ -127,7 +128,8 @@ class Dyadic:
     __slots__ = ('m', 'e')
 
     def __init__(self, m, e=0):
-        m, e = index(m), index(e)
+        m = m if type(m) is int else index(m)
+        e = e if type(e) is int else index(e)
         zeros = (m & -m).bit_length() - 1
         self.m, self.e = (m >> zeros, e + zeros) if m else (0, 0)
 
@@ -182,12 +184,12 @@ class Dyadic:
     # -- exact arithmetic --
 
     def __add__(self, other):
-        other = _coerce(other)
+        other = other if type(other) is Dyadic else _coerce(other)
         a, b, c = self.m, other.m, self.e - other.e
         if not (a and b):
             return self if a else other
         if not c:
-            return _normal(a + b, self.e)
+            return normalized(a + b, self.e)
         # one mantissa odd and the other shifted: the sum is odd
         return _dyadic((a << c) + b, other.e) if c > 0 else _dyadic(a + (b << -c), self.e)
 
@@ -224,7 +226,7 @@ class Dyadic:
         """Settled by a common exponent, by sign, then by bit position
         |m|.bit_length() + e.  Only when both agree are the mantissas
         shifted to one exponent, and by no more than their own lengths."""
-        other = _coerce(other)
+        other = other if type(other) is Dyadic else _coerce(other)
         a, b = self.m, other.m
         if self.e == other.e or (a ^ b) < 0 or not a or not b:
             # one exponent, or the signs differ or one is zero: the mantissas' order
@@ -275,7 +277,7 @@ def _dyadic(m, e):
     return d
 
 
-def _normal(m, e):
+def normalized(m, e):
     """The Dyadic m * 2^e for ints m and e, in canonical form."""
     zeros = (m & -m).bit_length() - 1
     return _dyadic(m >> zeros, e + zeros) if m else ZERO
@@ -303,15 +305,15 @@ class DyadicPoly:
     __slots__ = ('coeffs', 'ints', 'exp')
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(_coerce(c) for c in coeffs)
-        self.exp = min((c.e for c in self.coeffs), default=0)
-        self.ints = tuple(c.m << (c.e - self.exp) for c in self.coeffs)
+        self.coeffs = coeffs = tuple([_coerce(c) for c in coeffs])
+        self.exp = exp = min([c.e for c in coeffs] or [0])
+        self.ints = tuple([c.m << (c.e - exp) for c in coeffs])
 
     def __call__(self, x):
         x = _coerce(x)
         if x.e >= 0:
-            return _normal(_horner(self.ints, x.m << x.e, 0), self.exp)
-        return _normal(_horner(self.ints, x.m, -x.e), self.exp + x.e * (len(self.ints) - 1))
+            return normalized(_horner(self.ints, x.m << x.e, 0), self.exp)
+        return normalized(_horner(self.ints, x.m, -x.e), self.exp + x.e * (len(self.ints) - 1))
 
     def __repr__(self):
         return 'DyadicPoly(%r)' % (list(self.coeffs),)
@@ -389,7 +391,7 @@ def _horner_bits(ints, shift, wm, wshift, reach):
     two parts are shifted, where their bit positions lie within 1 of
     each other or the result is at most HORNER_BITS_CAP + 2 bits."""
     # bit positions on the common exponent, a zero's being 0
-    top = max(map(int.bit_length, ints[1:]), default=0)
+    top = max(map(int.bit_length, ints[1:] or [0]))
     top = top and top + shift
     c = ints[0] if ints else 0
     u = c and c.bit_length() + shift
@@ -414,10 +416,11 @@ def _bisection_start(p, a, b, w, tol):
     folded into the constant coefficient, and sx is the sign of p - w
     at a.
     """
-    a, b, w, tol = _coerce(a), _coerce(b), _coerce(w), _coerce(tol)
+    if not type(a) is type(b) is type(w) is type(tol) is Dyadic:
+        a, b, w, tol = _coerce(a), _coerce(b), _coerce(w), _coerce(tol)
     if not a < b:
         raise IndexOutOfRange("need a < b")
-    if not tol > ZERO:
+    if tol.m <= 0:
         raise IndexOutOfRange("need tol > 0")
     k = -min(a.e, b.e, 0)
     d = max(len(p.ints) - 1, 0)
@@ -452,7 +455,7 @@ def _bisection_start(p, a, b, w, tol):
     bits = _horner_bits(p.ints, shift, wm, we - f, reach)
     if bits > HORNER_BITS_CAP:
         _over_budget(bits, what, a, b, k, d)
-    cs = [c << shift for c in p.ints] or [0]
+    cs = ([c << shift for c in p.ints] if shift else list(p.ints)) or [0]
     cs[0] -= wm << (we - f)
     fx = _horner(cs, x, k)
     fy = _horner(cs, y, k)
@@ -492,8 +495,7 @@ def bisection_invert(p, a, b, w, tol, trace=None):
     if hit is not None:
         return hit
     ints, d = p.ints, len(p.ints) - 1
-    if trace is not None:
-        px, py = _horner(ints, x, k), _horner(ints, y, k)
+    last = None
     sy = -sx
     for step in range(1, steps + 1):
         z = x + y
@@ -502,7 +504,7 @@ def bisection_invert(p, a, b, w, tol, trace=None):
         k += 1
         fz = _horner(cs, z, k)
         if not fz:
-            return _normal(z, -k)
+            return normalized(z, -k)
         sz = 1 if fz > 0 else -1
         left = sx * sz <= 0
         if left:
@@ -512,12 +514,17 @@ def bisection_invert(p, a, b, w, tol, trace=None):
         if sx * sy > 0:
             raise BracketViolation(step)
         if trace is not None:
-            # a numerator doubled on the grid one finer: p's sum doubles d times
-            pz = _horner(ints, z, k)
-            px, py = (px << d, pz) if left else (pz, py << d)
+            # the last entry with z and p(z) at the end that z replaces;
+            # before the first entry the end kept is one of [a, b]
             e = p.exp - d * k
-            trace.append((_normal(x, -k), _normal(y, -k), _normal(px, e), _normal(py, e)))
-    return _normal(x, -k)
+            if last is None:
+                u = x if left else y
+                u, pu = normalized(u, -k), normalized(_horner(ints, u, k), e)
+                last = u, u, pu, pu
+            mz, pz = normalized(z, -k), normalized(_horner(ints, z, k), e)
+            last = (last[0], mz, last[2], pz) if left else (mz, last[1], pz, last[3])
+            trace.append(last)
+    return normalized(x, -k)
 
 
 def _iroot(n, m):
@@ -567,7 +574,7 @@ def mth_root(a, m, tol):
         return hit
     K = k + steps
     s = a.e + m * K
-    return _normal(_iroot(a.m << s if s >= 0 else a.m >> -s, m) // y * y, -K)
+    return normalized(_iroot(a.m << s if s >= 0 else a.m >> -s, m) // y * y, -K)
 
 
 def dot(xs, ys):

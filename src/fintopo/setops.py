@@ -106,11 +106,16 @@ def two_minimal(members):
 def intransitive_pair(rows):
     """The first (i, j), i then j ascending, with j in rows[i] and
     rows[j] not inside rows[i], or None if the relation whose row i is
-    the mask rows[i] is transitive."""
+    the mask rows[i] is transitive.  A row equal to one that passed
+    passes too, so it is not scanned again."""
+    passed = set()
     for i, row in enumerate(rows):
+        if row in passed:
+            continue
         for j in points_of(row):
             if rows[j] & ~row:
                 return i, j
+        passed.add(row)
     return None
 
 

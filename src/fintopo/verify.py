@@ -37,7 +37,7 @@ from .metric import (PseudoMetric, bounded_equivalents, default_radius_set, is_f
                      zero_distance_rows, zero_distance_set)
 from .neighborhoods import (check_neighborhood_axioms, compare_by_neighborhoods, set_map_of,
                             topology_from_neighborhoods, topology_from_set_map)
-from .numeric import Dyadic, DyadicPoly, bisection_invert
+from .numeric import Dyadic, DyadicPoly, bisection_invert, normalized
 from .order import (Preorder, one_sided_topology, product_preorder, pullback_preorder,
                     segment_system_is_topology)
 from .setops import (MAX_N, FiniteMap, SetSystem, full_mask, identity_map, phi, points_of, psi,
@@ -236,16 +236,21 @@ def _metric_subspace(m, a):
 
 
 def _suite_numeric(n, tally):
-    rng = random.Random(404)
+    # Each case draws its coefficients as integers on the exponent 2^-2,
+    # the higher ones |m| * 2^e + 1 first, then the constant m * 2^e, for
+    # m in -4..4 and e in -2..1, so p increases on [0, 2]; then w = p(j/4)
+    # for j in 0..8 and tol = 2^-t for t in 2..10.  The values c/4 and
+    # 2^-t these reach are built once a call.
+    draw = random.Random(404).randrange
+    a, b = Dyadic(0), Dyadic(2)
+    quarters = {c: normalized(c, -2) for c in range(-32, 37)}
+    tols = [normalized(1, -t) for t in range(11)]
     for _ in range(200):
-        deg = rng.randint(1, 3)
-        lead = [abs(Dyadic(rng.randint(-4, 4), rng.randint(-2, 1))) + Dyadic(1)
-                for _ in range(deg)]
-        coeffs = [Dyadic(rng.randint(-4, 4), rng.randint(-2, 1))] + lead
-        p = DyadicPoly(coeffs)  # positive higher coefficients: increasing on [0, 2]
-        a, b = Dyadic(0), Dyadic(2)
-        w = p(Dyadic(rng.randint(0, 8), -2))
-        tol = Dyadic(1, -rng.randint(2, 10))
+        lead = [(abs(draw(-4, 5)) << (draw(-2, 2) + 2)) + 4 for _ in range(draw(1, 4))]
+        coeffs = [quarters[c] for c in [draw(-4, 5) << (draw(-2, 2) + 2)] + lead]
+        p = DyadicPoly(coeffs)
+        w = p(quarters[draw(0, 9)])
+        tol = tols[draw(2, 11)]
         trace = []
         r = bisection_invert(p, a, b, w, tol, trace=trace)
         # each step keeps one half of the interval before it, so the

@@ -96,21 +96,28 @@ So are the preorder kernels as the recursive search listed them, one
 generator a point, each candidate U_x checked against the earlier U_y
 one point at a time, and the topologies on n <= 5 points sorted by their
 opens, each space's opens built by theta's pairwise fixed point, for
-test_topology.py."""
+test_topology.py.
 
+So are the numeric suite's 200 cases as it drew them, each value made
+by the checked Dyadic(m, e), abs, + and DyadicPoly, for test_verify.py,
+and the canonical net of a filter base with its order given as every
+pair of elements whose members are nested, for test_convergence.py."""
+
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product, repeat
 
 from fintopo import jsonio
 from fintopo.continuity import SpaceMap
-from fintopo.convergence import filter_adherence
+from fintopo.convergence import DirectedSet, Net, filter_adherence
 from fintopo.errors import (BracketViolation, CapExceeded, ClusterPreconditionFailed,
                             EmptyArgument, EmptyMeet, FilterBaseViolation, IndexOutOfRange,
                             NeighborhoodAxiomViolation, NeighborhoodBaseViolation,
                             NonDyadicLiteral, UniverseMismatch)
-from fintopo.numeric import (BISECTION_CAP, HORNER_BITS_CAP, ZERO, Dyadic, _ceil_log2_ratio,
-                             _coerce, _horner, decimal_digits, decimal_fraction, decimal_int)
+from fintopo.numeric import (BISECTION_CAP, HORNER_BITS_CAP, ZERO, Dyadic, DyadicPoly,
+                             _ceil_log2_ratio, _coerce, _horner, decimal_digits,
+                             decimal_fraction, decimal_int)
 from fintopo.setops import (FiniteMap, PointSetRelation, SetSystem, full_mask, meet_of, phi,
                             points_of, relation_from_sections, supermasks)
 from fintopo.topology import Topology, enumerate_topologies, generate_from_subbase
@@ -714,6 +721,25 @@ def bisection_invert(p, a, b, w, tol, trace=None):
     return x
 
 
+def numeric_suite_cases():
+    """The numeric suite's cases (p, a, b, w, tol), drawn from
+    random.Random(404) through the checked constructor: p has positive
+    higher coefficients, so it increases on [0, 2]."""
+    rng = random.Random(404)
+    cases = []
+    for _ in range(200):
+        deg = rng.randint(1, 3)
+        lead = [abs(Dyadic(rng.randint(-4, 4), rng.randint(-2, 1))) + Dyadic(1)
+                for _ in range(deg)]
+        coeffs = [Dyadic(rng.randint(-4, 4), rng.randint(-2, 1))] + lead
+        p = DyadicPoly(coeffs)
+        a, b = Dyadic(0), Dyadic(2)
+        w = p(Dyadic(rng.randint(0, 8), -2))
+        tol = Dyadic(1, -rng.randint(2, 10))
+        cases.append((p, a, b, w, tol))
+    return cases
+
+
 def bisection_start(p, a, b, w, tol):
     """fintopo.numeric._bisection_start as it was with four successive
     HORNER_BITS_CAP checks, each made before some shift.  Its check of
@@ -962,6 +988,18 @@ def is_filter_base(system, ascending=False):
             if not any(c & ~cap == 0 for c in members):
                 return ('meet-refined', (a, b))
     return None
+
+
+def net_from_filter_base(base):
+    """The canonical net of a filter base, its order listed as every pair
+    of elements (x, B), (y, C) with C inside B."""
+    verdict = is_filter_base(base, ascending=True)
+    if verdict is not None:
+        raise FilterBaseViolation(*verdict)
+    elems = [(x, b) for b in base for x in points_of(b)]
+    leq = ((i, j) for i, (_, b) in enumerate(elems)
+           for j, (_, c) in enumerate(elems) if c & ~b == 0)
+    return Net(DirectedSet(len(elems), leq), [x for x, _ in elems], base.n)
 
 
 def filter_members(system):

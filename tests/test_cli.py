@@ -944,6 +944,13 @@ class TestNumericVerbs:
 
 
 class TestVerify:
+    def test_numeric_suite_stdout(self, capsys):
+        # the bytes it printed when it drew its cases through Dyadic(m, e)
+        code, out, _ = run(capsys, 'verify', '--suite', 'numeric')
+        assert code == 0
+        assert out == ('{"counterexample":null,"failed":0,"n":3,"passed":200,'
+                       '"suite":"numeric","total":200}\n')
+
     def test_operator_suite_passes(self, capsys):
         code, out, _ = run(capsys, 'verify', '--suite', 'operators', '--n', '2')
         assert code == 0

@@ -3,6 +3,7 @@ squared-distance comparisons."""
 
 import sys
 import time
+from itertools import product
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -57,10 +58,11 @@ class TestDyadic:
         with pytest.raises(InputError):
             Dyadic.parse(text)
 
-    @pytest.mark.parametrize('args', [(2.5,), (1, 0.9), ('7', '-1'), (Fraction(3),)])
+    @pytest.mark.parametrize('args', [(2.5,), (1, 0.9), ('7', '-1'), (Fraction(3),), (1.0,),
+                                      (1, 0.5)])
     def test_a_non_integer_part_is_refused(self, args):
         # int() once read these as Dyadic(2, 0), Dyadic(1, 0), Dyadic(7, -1)
-        # and Dyadic(3, 0)
+        # and Dyadic(3, 0); an integral float is refused too
         with pytest.raises(TypeError):
             Dyadic(*args)
 
@@ -160,6 +162,90 @@ class TestDyadic:
         assert (d.m, d.e) == (1, 200000)
         d = Dyadic(-(3 << 100000), -7)
         assert (d.m, d.e) == (-3, 99993)
+
+
+def traced_outcome(invert, *args):
+    """The result of a bisection as (m, e) with its trace, or the error
+    raised: its type, with the message of an IndexOutOfRange."""
+    trace = []
+    try:
+        r = invert(*args, trace)
+    except (BracketViolation, CapExceeded, IndexOutOfRange) as exc:
+        return type(exc), str(exc) if type(exc) is IndexOutOfRange else None
+    return (r.m, r.e), [tuple((v.m, v.e) for v in t) for t in trace]
+
+
+class TestCheckedArguments:
+    """Dyadic(m, e) reads a plain int as it is and anything else through
+    operator.index; the bisection and mth_root read a Dyadic as it is and
+    anything else through the checked constructor.  Both paths give the
+    same values and the same errors."""
+
+    def test_a_bool_is_its_int(self):
+        d = Dyadic(True, True)
+        assert (d.m, d.e) == (1, 1) and type(d.m) is type(d.e) is int
+        assert Dyadic(True) == Dyadic(1) and Dyadic(False) == ZERO
+
+    def test_an_int_subclass_and_an_index_object_are_read_through_index(self):
+        class Sub(int):
+            pass
+
+        class Twelve:
+            def __index__(self):
+                return 12
+
+        for d in (Dyadic(Sub(12), Sub(-1)), Dyadic(Twelve(), -1), Dyadic(12, Sub(-1))):
+            assert (d.m, d.e) == (3, 1) and type(d.m) is type(d.e) is int
+
+    def test_int_and_mixed_coefficients(self):
+        want = DyadicPoly([Dyadic(1), Dyadic(1, -1), Dyadic(4)])
+        for coeffs in ([True, Dyadic(1, -1), 4], (c for c in [1, Dyadic(1, -1), Dyadic(4)])):
+            p = DyadicPoly(coeffs)
+            assert all(type(c) is Dyadic for c in p.coeffs)
+            assert (p.coeffs, p.ints, p.exp) == (want.coeffs, want.ints, want.exp) \
+                == ((ONE, Dyadic(1, -1), Dyadic(4)), (2, 1, 8), -1)
+        p = DyadicPoly([])
+        assert (p.coeffs, p.ints, p.exp) == ((), (), 0)
+
+    def test_bisection_with_int_arguments(self):
+        # x^3 + 2x + 1, increasing: hits, inner results, brackets missed
+        # at both ends, a >= b and tol <= 0
+        p = DyadicPoly([1, 2, 0, 1])
+        seen = set()
+        for args in product((-1, 0, 2), (-1, 0, 2), (-2, 1, 4, 13, 20), (-1, 0, 1, 2)):
+            want = traced_outcome(ref.bisection_invert, p, *map(Dyadic, args))
+            # every argument an int, or one of them
+            for ints in [range(4)] + [[i] for i in range(4)]:
+                mixed = [v if i in ints else Dyadic(v) for i, v in enumerate(args)]
+                assert traced_outcome(bisection_invert, p, *mixed) == want, mixed
+            seen.add(want[0] if isinstance(want[0], type) else 'result')
+        assert seen == {IndexOutOfRange, BracketViolation, 'result'}
+
+    def test_errors_in_order_with_int_arguments(self):
+        # a >= b before tol <= 0 before the bit budget: p's constant
+        # coefficient 2^40000 passes the budget on [0, 1]
+        p = DyadicPoly([Dyadic(1, 40000), 1])
+        for a, b, tol, error in [(1, 0, 0, 'need a < b'), (0, 1, 0, 'need tol > 0'),
+                                 (0, 1, 1, CapExceeded)]:
+            for start in (_bisection_start, ref.bisection_start):
+                if isinstance(error, str):
+                    with pytest.raises(IndexOutOfRange, match=error):
+                        start(p, a, b, 0, tol)
+                else:
+                    with pytest.raises(error):
+                        start(p, a, b, 0, tol)
+            with pytest.raises(IndexOutOfRange if isinstance(error, str) else error):
+                bisection_invert(p, a, b, 0, tol)
+
+    @pytest.mark.parametrize('m', [1, 2, 3])
+    def test_mth_root_with_int_arguments(self, m):
+        poly = DyadicPoly([ZERO] * m + [ONE])
+        for a, tol in product(range(10), (-1, 0, 1, 2)):
+            got = outcome(mth_root, a, m, tol)
+            assert got == outcome(mth_root, Dyadic(a), m, Dyadic(tol))
+            want = outcome(ref.bisection_invert, poly, ZERO, Dyadic(max(a, 1)), Dyadic(a),
+                           Dyadic(tol))
+            assert got == want, (a, m, tol)
 
 
 class TestSeries:

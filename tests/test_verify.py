@@ -25,6 +25,7 @@ from fintopo.filters import principal_filter
 from fintopo.generated import inverse_image_topology, product_topology, subspace_topology
 from fintopo.metric import PseudoMetric, bounded_equivalents, default_radius_set, metric_topology
 from fintopo.neighborhoods import topology_from_set_map
+from fintopo.numeric import Dyadic
 from fintopo.order import Preorder, one_sided_topology
 from fintopo.setops import FiniteMap, full_mask, mask_of, points_of
 from fintopo.topology import compare, discrete_topology
@@ -45,6 +46,50 @@ def test_metric_suite_at_five_points_in_bounded_time():
     report = verify.run_suite('metric', 5)
     assert time.perf_counter() - t0 < 2
     assert (report['total'], report['failed']) == (25, 0)
+
+
+class TestNumericSuiteCases:
+    """The numeric suite draws its cases as integers on the exponent 2^-2;
+    they are the cases it drew through the checked Dyadic(m, e)."""
+
+    def test_the_suite_bisects_the_cases_it_drew(self, monkeypatch):
+        seen = []
+        real = verify.bisection_invert
+
+        def spy(p, a, b, w, tol, trace):
+            r = real(p, a, b, w, tol, trace)
+            seen.append((p.coeffs, p.ints, p.exp, a, b, w, tol, r, list(trace)))
+            return r
+
+        monkeypatch.setattr(verify, 'bisection_invert', spy)
+        report = verify.run_suite('numeric', 0)
+        want = []
+        for p, a, b, w, tol in ref.numeric_suite_cases():
+            trace = []
+            r = ref.bisection_invert(p, a, b, w, tol, trace)
+            want.append((p.coeffs, p.ints, p.exp, a, b, w, tol, r, trace))
+        assert (report['total'], report['failed']) == (200, 0)
+        # Dyadic equality is that of canonical forms, (m, e)
+        assert seen == want
+        assert sum(map(len, (case[-1] for case in seen))) == 228
+
+    def test_few_checked_constructor_calls(self, monkeypatch):
+        # counted as the benchmark's tracer counts numeric.dyadic_new: a
+        # shim on Dyadic.__init__.  The draw through Dyadic(m, e) makes
+        # 1,814 such calls.
+        calls = []
+        real = Dyadic.__init__
+
+        def counted(self, *args):
+            calls.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(Dyadic, '__init__', counted)
+        ref.numeric_suite_cases()
+        assert len(calls) == 1814
+        del calls[:]
+        verify.run_suite('numeric', 0)
+        assert len(calls) <= 200, len(calls)
 
 
 def spaces(ce):
